@@ -94,27 +94,23 @@ def unit_vec(dim: int, i: int) -> Vec:
 
 
 def _iroot(n: int, m: int) -> int | None:
-    """Exact m-th root of a non-negative integer, or None."""
+    """Exact m-th root of a non-negative integer, or None.
+
+    Integer Newton iteration from above, so radicands of any size work."""
     if n < 0:
         raise ValueError("negative radicand")
     if n in (0, 1) or m == 1:
         return n
-    r = round(n ** (1.0 / m))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**m == n:
-            return cand
-    # float seed can be off for very large n; fall back to bisection
-    lo, hi = 0, 1 << ((n.bit_length() + m - 1) // m + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid**m
-        if p == n:
-            return mid
-        if p < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    if m == 2:
+        r = math.isqrt(n)
+    else:
+        r = 1 << -(-n.bit_length() // m)  # 2^ceil(bits/m) > n^(1/m)
+        while True:
+            nxt = ((m - 1) * r + n // r ** (m - 1)) // m
+            if nxt >= r:
+                break
+            r = nxt
+    return r if r**m == n else None
 
 
 def rational_root(q: Fraction, m: int) -> Fraction | None:

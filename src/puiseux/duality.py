@@ -2,28 +2,31 @@
 
 For an invertible series phi (nonzero constant term), the dual is the unique
 series psi such that u1*psi(u1, t2, ..., th) is the compositional inverse of
-t1*phi(t1, t2, ..., th) in the first slot.  Writing B = 1/phi, the defining
-identity is
+t1*phi(t1, t2, ..., th) in the first slot, t2, ..., th riding along as
+coefficients.  Lagrange inversion reads each coefficient of psi off one
+power of phi.  With n1 the first-variable denominator and k/n1 a first
+coordinate,
 
-    psi(t1*phi, t2, ..., th) = B,
+    [psi]_(k/n1, .) = n1/(k+n1) * [t1^(k/n1)] phi^(-(k+n1)/n1),
 
-and each coefficient of psi is pinned down by one exponent of B: the term
-psi_q * t^q * phi^(q1) has leading coefficient psi_q * phi_0^(q1) at exponent
-q, all its other contributions lying at strictly larger total degree.  The
-solve below peels the minimal remaining exponent of the residual, one new
-coefficient per step.
+which for n1 = 1 is the classical psi_(e, .) = [t1^e] phi^(-(e+1)) / (e+1)
+(see also Brent & Kung, "Fast algorithms for manipulating formal power
+series", JACM 1978).  Each power comes from Miller's recurrence, stopped at
+first coordinate k.  Its constant factor phi_0^(-(k+n1)/n1) is
+r0^(-(k+n1)), r0 being the rational n1-th root of phi_0 that rational_root
+picks (the positive one when there are two); when n1 > 1 and phi_0 has no
+rational n1-th root, dual raises RootError.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 
 from .core import PuiseuxError, RootError, rational_power, rational_root, total
 from .exponents import irreducible_exponents
 from .reports import CheckReport
-from .series import INF, PuiseuxSeries, PrecisionError
+from .series import INF, PuiseuxSeries, PrecisionError, _from_grid, _grid_power
 
 __all__ = ["dual", "verify_power_identity", "verify_dual_identity"]
 
@@ -39,84 +42,22 @@ def dual(phi: PuiseuxSeries) -> PuiseuxSeries:
         raise PrecisionError(
             "dual of an exact non-constant series has infinite support; truncate first"
         )
-    h = phi.num_vars
     n1 = phi.ramification[0]
-
-    # powers of phi^(1/n1) cover every first-coordinate exponent that occurs
-    if n1 == 1:
-        base = phi
-    else:
-        r0 = rational_root(c0, n1)
-        if r0 is None:
-            raise RootError(
-                f"dual with first-variable denominator {n1} needs a rational "
-                f"{n1}-th root of the constant term {c0}"
-            )
-        base = phi.unit_power(Fraction(1, n1), constant_power=r0)
-
-    # every exponent in sight lies on phi's grid (1/n_i)Z; work with scaled
-    # integer keys, whose hashing and addition are much cheaper
-    grid = phi.ramification
-    lcm_all = math.lcm(*grid)
-    weights = [lcm_all // n for n in grid]
-    cutoff = None if prec is INF else math.floor(prec * lcm_all)
-
-    def to_grid(e):
-        return tuple(c.numerator * (n // c.denominator) for c, n in zip(e, grid))
-
-    def grid_total(e):
-        return sum(c * w for c, w in zip(e, weights))
-
-    powers = [PuiseuxSeries.one(h, prec)]
-    pw_cache: dict[int, tuple] = {}
-
-    def phi_power(steps: int):
-        while len(powers) <= steps:
-            powers.append(powers[-1] * base)
-        if steps not in pw_cache:
-            const = None
-            items = []
-            for e, c in powers[steps].terms.items():
-                g = to_grid(e)
-                t = grid_total(g)
-                if t == 0:
-                    const = c
-                else:
-                    items.append((g, c, t))
-            pw_cache[steps] = (const, items)
-        return pw_cache[steps]
-
-    residual = {to_grid(e): c for e, c in phi.unit_power(-1).terms.items()}
-    heap = [(grid_total(e), e) for e in residual]
-    heapq.heapify(heap)
+    r0 = c0 if n1 == 1 else rational_root(c0, n1)
+    if r0 is None:
+        raise RootError(
+            f"dual with first-variable denominator {n1} needs a rational "
+            f"{n1}-th root of the constant term {c0}"
+        )
+    # first coordinates of psi are sums of phi's, so multiples of their gcd
+    step = math.gcd(*(int(e[0] * n1) for e in phi.terms))
     found = {}
-    while heap:
-        tq, q = heapq.heappop(heap)
-        if q not in residual:
-            continue  # cancelled since it was pushed
-        const, items = phi_power(q[0])
-        coef = residual.pop(q) / const
-        found[q] = coef
-        for e, c, te in items:
-            if cutoff is not None and tq + te > cutoff:
-                continue
-            key = tuple(a + b for a, b in zip(q, e))
-            old = residual.get(key)
-            new = -coef * c if old is None else old - coef * c
-            if new == 0:
-                residual.pop(key, None)
-            else:
-                if old is None:
-                    heapq.heappush(heap, (tq + te, key))
-                residual[key] = new
-        # triangularity: each step consumes the unique minimal unknown
-        # (equality below happens only for stale entries of the consumed key)
-        assert q not in residual
-        assert not heap or heap[0] >= (tq, q)
-    terms = {
-        tuple(Fraction(x, n) for x, n in zip(e, grid)): c for e, c in found.items()
-    }
-    return PuiseuxSeries._build(h, terms, prec, False)
+    for k in range(0, math.floor(prec * n1) + 1, step) if step else [0]:
+        power = _grid_power(phi, Fraction(-(k + n1), n1), cap=k)
+        scale = r0 ** -(k + n1) * Fraction(n1, k + n1)
+        found.update((g, c * scale) for g, c in power.items() if g[0] == k)
+    terms = _from_grid(found, phi.ramification)
+    return PuiseuxSeries._build(phi.num_vars, terms, prec, False)
 
 
 def verify_power_identity(phi: PuiseuxSeries, N: int) -> CheckReport:

@@ -11,7 +11,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AdditiveOrder, Lattice, PuiseuxError, Vec, as_vec, total, vec_sub
+from .core import (
+    AdditiveOrder,
+    Lattice,
+    PuiseuxError,
+    Vec,
+    as_vec,
+    fmt_vec,
+    total,
+    vec_sub,
+)
 
 DEFAULT_BUDGET = 10**6
 
@@ -247,5 +256,9 @@ def characteristic_exponents(psi) -> CharacteristicSequence:
         n = math.lcm(n, l.denominator)
     ess = essential_exponents_p(psi.support(), 1, ramification=psi.ramification[0])
     transformed = tuple(e[0] for e in drop_integral_head(ess))
-    assert tuple(entries) == transformed, "essential/characteristic disagreement"
+    if tuple(entries) != transformed:
+        raise PuiseuxError(
+            f"characteristic exponents {fmt_vec(tuple(entries))} disagree with "
+            f"the essential sequence relative to 1, {fmt_vec(transformed)}"
+        )
     return CharacteristicSequence(tuple(entries), ess.complete)

@@ -113,7 +113,11 @@ def _dominating_profile(eta: PuiseuxSeries):
             f"series is not x1-dominating: offending exponent {fmt_vec(witness)}"
         )
     m1 = lam1 * eta.ramification[0]
-    assert m1.denominator == 1 and m1 > 0
+    if m1.denominator != 1 or m1 <= 0:
+        raise PuiseuxError(
+            f"dominating exponent {lam1} times the first denominator "
+            f"{eta.ramification[0]} is {m1}, not a positive integer"
+        )
     return lam1, eta.terms[candidate], int(m1)
 
 
@@ -225,7 +229,11 @@ def _halphen_stolz_report(
             epk,
         )
         ek1 = ek[0]
-        assert ek1.denominator == 1
+        if ek1.denominator != 1:
+            raise PuiseuxError(
+                f"essential exponent {fmt_vec(ek)} of eta has a non-integral "
+                "first coordinate in the unit frame"
+            )
         expected = -Fraction(n1, m1) * atilde ** (-n1 - int(ek1)) * eta_t.coefficient(ek)
         report.record(
             f"coefficient relation k={k}",

@@ -12,7 +12,9 @@ stored denominators on every construction, so representations stay primitive.
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -24,7 +26,6 @@ from .core import (
     mat_from,
     mat_vec,
     rat,
-    rational_binomial,
     rational_power,
     total,
     vec_add,
@@ -231,38 +232,20 @@ class PuiseuxSeries:
         )
         # convolve on the common integer grid: integer keys hash and add far
         # faster than Fraction tuples
-        grid = [math.lcm(a, b) for a, b in zip(self.ramification, other.ramification)]
-        lcm_all = math.lcm(*grid)
-        weights = [lcm_all // n for n in grid]
-
-        def to_grid(e):
-            return tuple(
-                c.numerator * (n // c.denominator) for c, n in zip(e, grid)
-            )
-
-        def grid_total(e):
-            return sum(c * w for c, w in zip(e, weights))
-
+        grid = tuple(math.lcm(a, b) for a, b in zip(self.ramification, other.ramification))
+        lcm_all, a_items = _grid_items(self.terms, grid)
+        b_items = sorted(_grid_items(other.terms, grid)[1], key=lambda x: x[0])
         cutoff = None if prec is INF else math.floor(prec * lcm_all)
-        a_items = [(to_grid(e), c) for e, c in self.terms.items()]
-        b_items = sorted(
-            ((grid_total(g), g, c) for e, c in other.terms.items() for g in (to_grid(e),)),
-            key=lambda x: x[0],
-        )
         raw: dict[tuple, Fraction] = {}
-        for e1, c1 in a_items:
-            t1 = grid_total(e1)
+        for t1, e1, c1 in a_items:
             for t2, e2, c2 in b_items:
                 if cutoff is not None and t1 + t2 > cutoff:
                     break
                 e = tuple(x + y for x, y in zip(e1, e2))
                 v = raw.get(e)
                 raw[e] = c1 * c2 if v is None else v + c1 * c2
-        terms = {
-            tuple(Fraction(x, n) for x, n in zip(e, grid)): c for e, c in raw.items()
-        }
         return PuiseuxSeries._build(
-            self.num_vars, terms, prec, self.laurent or other.laurent
+            self.num_vars, _from_grid(raw, grid), prec, self.laurent or other.laurent
         )
 
     __rmul__ = __mul__
@@ -288,8 +271,14 @@ class PuiseuxSeries:
     # -- powers and roots ---------------------------------------------------
 
     def unit_power(self, r, constant_power=None) -> "PuiseuxSeries":
-        """self**r for an invertible series (nonzero constant term), via the
-        generalized binomial expansion of (1 + u)^r with u = self/self_0 - 1.
+        """self**r for an invertible series (nonzero constant term) and any
+        rational r, by J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2,
+        §4.7): P = (self/self_0)**r has P_0 = 1 and
+
+            D P_D = sum_{j=1..D} ((r+1) j - D) a_j P_(D-j),   a = self/self_0,
+
+        graded by total degree, so each coefficient costs one pass over the
+        terms of self.  The result keeps self's precision.
 
         constant_power overrides self_0**r, which is needed when r is
         fractional and the constant term has no rational r-th power.
@@ -300,25 +289,19 @@ class PuiseuxSeries:
             raise PuiseuxError("unit_power requires a nonzero constant term")
         if constant_power is None:
             constant_power = rational_power(c0, r)
-        u = self.scale(1 / c0) - 1
-        prec = self.precision
-        kmax = r.numerator if r.denominator == 1 and r >= 0 else None
-        if prec is INF and kmax is None and not u.is_zero():
-            raise PrecisionError(
-                "power of an exact non-constant series has infinite support; truncate first"
-            )
-        acc = PuiseuxSeries.one(self.num_vars, prec)
-        power = PuiseuxSeries.one(self.num_vars, prec)
-        k = 1
-        while not u.is_zero():
-            if kmax is not None and k > kmax:
-                break
-            if prec is not INF and k * u.order_total() > prec:
-                break
-            power = power * u
-            acc = acc + power.scale(rational_binomial(r, k))
-            k += 1
-        return acc.scale(constant_power)
+        laurent = self.laurent and r != 0 and len(self.terms) > 1
+        return self._scaled_power(r, constant_power, laurent)
+
+    def _scaled_power(self, r, constant_power, laurent) -> "PuiseuxSeries":
+        """constant_power * (self/self_0)**r at self's precision."""
+        grid = self.ramification
+        terms = _from_grid(_grid_power(self, r), grid)
+        return PuiseuxSeries._build(
+            self.num_vars,
+            {e: c * constant_power for e, c in terms.items()},
+            self.precision,
+            laurent,
+        )
 
     def unit_root(self, m: int, root_of_constant) -> "PuiseuxSeries":
         """The unique m-th root whose constant term is root_of_constant."""
@@ -338,15 +321,26 @@ class PuiseuxSeries:
         return self.unit_power(-1)
 
     def pow_int(self, n: int) -> "PuiseuxSeries":
+        """self**n for an integer n.
+
+        When the constant term is the lowest term (nonzero, no negative
+        exponents) every power comes from Miller's recurrence, as in
+        unit_power; the power of an exact series is exact.  Otherwise
+        positive powers multiply repeatedly, and negative powers of a
+        one-variable series factor out the dominating monomial and give a
+        Laurent series.
+        """
         if n == 0:
             return PuiseuxSeries.one(self.num_vars)
         if n > 0:
+            if self.order_total() == 0:
+                c0 = self.constant_term()
+                return self._scaled_power(Fraction(n), c0**n, self.laurent)
             acc = self
             for _ in range(n - 1):
                 acc = acc * self
             return acc
-        # negative powers
-        if self.constant_term() != 0:
+        if self.order_total() == 0:
             return self.unit_power(n)
         if self.is_zero():
             raise PuiseuxError("negative power of the zero series")
@@ -434,6 +428,129 @@ class PuiseuxSeries:
         terms = [(tuple(rat(c) for c in t["exp"]), rat(t["coef"])) for t in data["terms"]]
         laurent = any(c < 0 for e, _ in terms for c in e)
         return cls(data["vars"], terms, prec, laurent)
+
+
+def _grid_items(terms, grid):
+    """Terms on the integer grid of grid = (n_1, ..., n_h).
+
+    The exponent e becomes the integer key g with g_i = e_i*n_i, graded by
+    the integer total degree T(g) = sum g_i*(L/n_i) = L*total(e), where
+    L = lcm(grid).  Returns L and a list of (T(g), g, coefficient).
+    """
+    lcm_all = math.lcm(*grid)
+    weights = [lcm_all // n for n in grid]
+    items = []
+    for e, c in terms.items():
+        g = tuple(x.numerator * (n // x.denominator) for x, n in zip(e, grid))
+        items.append((sum(k * w for k, w in zip(g, weights)), g, c))
+    return lcm_all, items
+
+
+def _from_grid(raw, grid) -> dict[Vec, Fraction]:
+    return {tuple(Fraction(x, n) for x, n in zip(g, grid)): c for g, c in raw.items()}
+
+
+def _grid_power(f: PuiseuxSeries, r: Fraction, cap=None) -> dict[tuple, Fraction]:
+    """P = (f/f_0)**r on f's integer grid, by J.C.P. Miller's recurrence.
+
+    The Euler operator E = L*sum x_i d/dx_i multiplies the monomial at grid
+    key k by its total degree T(k).  Since f_0 is a constant, P satisfies
+    f*E(P) = r*P*E(f), which coefficientwise reads
+
+        D P_k = sum_{j != 0} ((r+1) T(j) - D) a_j P_(k-j),   a_j = f_j/f_0,
+
+    at every key k of total degree D, in one variable or h, on an integer or
+    a fractional grid (Knuth, TAOCP Vol. 2, §4.7).  Each finished P_k is
+    pushed to the keys k + j with weight a_j (r T(j) - T(k)), so keys finish
+    in increasing total degree.
+
+    The result stops at total degree floor(precision*L); an exact series
+    raised to a non-negative integer r stops at r*max T, where the power
+    ends.  With cap, only keys whose first coordinate is at most cap are
+    computed, and of those only the ones from which a key with first
+    coordinate cap is still reachable within the degree bound.  Returns
+    {grid key: coefficient} without zero coefficients.
+    """
+    lcm_all, items = _grid_items(f.terms, f.ramification)
+    c0 = f.constant_term()
+    items = [(t, g, c) for t, g, c in items if t]
+    if any(t < 0 for t, _, _ in items):
+        raise PuiseuxError("a power by recurrence needs non-negative exponents")
+    if f.precision is not INF:
+        limit = math.floor(f.precision * lcm_all)
+    elif not items:
+        limit = 0
+    elif r.denominator == 1 and r >= 0:
+        limit = r.numerator * max(t for t, _, _ in items)
+    else:
+        raise PrecisionError(
+            "power of an exact non-constant series has infinite support; truncate first"
+        )
+    # a_j = A_j/den with integers A_j, and the push weight is
+    # a_j (r T(j) - T(k)) = A_j (p T(j) - q T(k)) / (q den) for r = p/q
+    p, q = r.numerator, r.denominator
+    den = math.lcm(*((c / c0).denominator for _, _, c in items))
+    # each step is checked against two additive budgets: the first is sorted
+    # and ends the scan, the second is only skipped
+    if cap is None:
+        first, second = limit, 0
+        cost = lambda t, g: (t, 0)
+    else:
+        w0 = lcm_all // f.ramification[0]
+        first, second = cap, limit - cap * w0
+        cost = lambda t, g: (g[0], t - g[0] * w0)
+    steps = sorted(
+        (cost(t, g) + (t, g, int(c / c0 * den)) for t, g, c in items),
+        key=lambda s: s[0],
+    )
+    # Sums are kept in integers: a key finished at degree d pushes its
+    # numerator over lcm_den[d], the lcm of every denominator finished so
+    # far, and a pending sum (s, e) stands for s / lcm_den[e].  Degrees
+    # finish in increasing order, so lcm_den[e] divides every later one and
+    # a sum moves to a later denominator by an exact integer factor.
+    lcm_den = {}
+    common = 1
+    pending = {0: {(0,) * f.num_vars: None}}
+    degrees = [0]
+    out = {}
+    while degrees:
+        d = heapq.heappop(degrees)
+        finished = []
+        for g, acc in pending.pop(d).items():
+            v = Fraction(acc[0], lcm_den[acc[1]] * q * den * d) if d else Fraction(1)
+            if v:
+                finished.append((g, v))
+                common = math.lcm(common, v.denominator)
+        lcm_den[d] = common
+        qd = q * d
+        for g, v in finished:
+            out[g] = v
+            n = v.numerator * (common // v.denominator)
+            first_g, second_g = cost(d, g)
+            for first_j, second_j, t, gj, a in steps:
+                if first_g + first_j > first:
+                    break
+                if second_g + second_j > second:
+                    continue
+                m = p * t - qd
+                if not m:
+                    continue
+                key = tuple(map(operator.add, g, gj))
+                c = n * a * m
+                level = pending.get(d + t)
+                if level is None:
+                    pending[d + t] = {key: (c, d)}
+                    heapq.heappush(degrees, d + t)
+                    continue
+                old = level.get(key)
+                if old is None:
+                    level[key] = (c, d)
+                else:
+                    s, e = old
+                    if e != d:
+                        s *= common // lcm_den[e]
+                    level[key] = (s + c, d)
+    return out
 
 
 def default_names(num_vars: int, first: str = "x") -> list[str]:

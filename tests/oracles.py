@@ -1,12 +1,20 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles and reference algorithms.
 
-Everything here is written against plain dicts and integers, deliberately
-avoiding the library's own algorithms, so the tests compare two genuinely
-different computation paths.
+The brute-force oracles are written against plain dicts and integers,
+deliberately avoiding the library's own algorithms, so the tests compare two
+genuinely different computation paths.  The reference algorithms at the end
+are the library's earlier power and dual computations, built from series
+multiplication alone; the recurrence-based versions must agree with them
+coefficient for coefficient.
 """
 
+import heapq
+import math
 from fractions import Fraction
 from itertools import product
+
+from puiseux import INF, PrecisionError, PuiseuxError, PuiseuxSeries, RootError
+from puiseux.core import rational_binomial, rational_power, rational_root
 
 # дense univariate polynomials: dict {int exponent: Fraction}, truncated
 
@@ -122,3 +130,135 @@ def lattice_member_bruteforce(generators, v, bound=6):
         if s == v:
             return True
     return False
+
+
+# reference powers and duals by series multiplication
+
+
+def unit_power_binomial(s, r, constant_power=None):
+    """s**r for an invertible series by the generalized binomial expansion
+    of (1 + u)^r, u = s/s_0 - 1: k full series products for k terms."""
+    r = Fraction(r)
+    c0 = s.constant_term()
+    if c0 == 0:
+        raise PuiseuxError("unit_power requires a nonzero constant term")
+    if constant_power is None:
+        constant_power = rational_power(c0, r)
+    u = s.scale(1 / c0) - 1
+    prec = s.precision
+    kmax = r.numerator if r.denominator == 1 and r >= 0 else None
+    if prec is INF and kmax is None and not u.is_zero():
+        raise PrecisionError("power of an exact non-constant series has infinite support")
+    acc = PuiseuxSeries.one(s.num_vars, prec)
+    power = PuiseuxSeries.one(s.num_vars, prec)
+    k = 1
+    while not u.is_zero():
+        if kmax is not None and k > kmax:
+            break
+        if prec is not INF and k * u.order_total() > prec:
+            break
+        power = power * u
+        acc = acc + power.scale(rational_binomial(r, k))
+        k += 1
+    return acc.scale(constant_power)
+
+
+def pow_int_products(s, n):
+    """s**n by repeated multiplication; negative n through the binomial
+    expansion, factoring out the dominating monomial when s_0 = 0."""
+    if n == 0:
+        return PuiseuxSeries.one(s.num_vars)
+    if n > 0:
+        acc = s
+        for _ in range(n - 1):
+            acc = acc * s
+        return acc
+    if s.constant_term() != 0:
+        return unit_power_binomial(s, n)
+    if s.is_zero():
+        raise PuiseuxError("negative power of the zero series")
+    if s.num_vars != 1:
+        raise PuiseuxError("negative power needs a nonzero constant term when h > 1")
+    lam, a = s.dominating()
+    unit = s.shift((-lam[0],)).scale(1 / a)
+    body = unit_power_binomial(unit, n).scale(a**n)
+    return body.shift((n * lam[0],))
+
+
+def dual_tower_heap(phi):
+    """The dual by a triangular solve: psi(t1*phi, t2, ..., th) = 1/phi.
+
+    The term psi_q t^q phi^(q1) has leading coefficient psi_q phi_0^(q1) at
+    q, so the minimal remaining exponent of the residual fixes one new
+    coefficient per step; phi^(q1) comes from a tower of powers of
+    phi^(1/n1)."""
+    c0 = phi.constant_term()
+    if c0 == 0:
+        raise PuiseuxError("dual requires a nonzero constant term")
+    if phi.laurent:
+        raise PuiseuxError("dual of a Laurent series is not defined")
+    prec = phi.precision
+    if prec is INF and len(phi.terms) > 1:
+        raise PrecisionError("dual of an exact non-constant series has infinite support")
+    h = phi.num_vars
+    n1 = phi.ramification[0]
+    if n1 == 1:
+        base = phi
+    else:
+        r0 = rational_root(c0, n1)
+        if r0 is None:
+            raise RootError(f"no rational {n1}-th root of {c0}")
+        base = unit_power_binomial(phi, Fraction(1, n1), constant_power=r0)
+    grid = phi.ramification
+    lcm_all = math.lcm(*grid)
+    weights = [lcm_all // n for n in grid]
+    cutoff = None if prec is INF else math.floor(prec * lcm_all)
+
+    def to_grid(e):
+        return tuple(c.numerator * (n // c.denominator) for c, n in zip(e, grid))
+
+    def grid_total(e):
+        return sum(c * w for c, w in zip(e, weights))
+
+    powers = [PuiseuxSeries.one(h, prec)]
+    cache = {}
+
+    def phi_power(steps):
+        while len(powers) <= steps:
+            powers.append(powers[-1] * base)
+        if steps not in cache:
+            const, items = None, []
+            for e, c in powers[steps].terms.items():
+                g = to_grid(e)
+                if grid_total(g) == 0:
+                    const = c
+                else:
+                    items.append((g, c, grid_total(g)))
+            cache[steps] = const, items
+        return cache[steps]
+
+    residual = {to_grid(e): c for e, c in unit_power_binomial(phi, -1).terms.items()}
+    heap = [(grid_total(e), e) for e in residual]
+    heapq.heapify(heap)
+    found = {}
+    while heap:
+        tq, q = heapq.heappop(heap)
+        if q not in residual:
+            continue
+        const, items = phi_power(q[0])
+        coef = residual.pop(q) / const
+        found[q] = coef
+        for e, c, te in items:
+            if cutoff is not None and tq + te > cutoff:
+                continue
+            key = tuple(a + b for a, b in zip(q, e))
+            old = residual.get(key)
+            new = -coef * c if old is None else old - coef * c
+            if new == 0:
+                residual.pop(key, None)
+            else:
+                if old is None:
+                    heapq.heappush(heap, (tq + te, key))
+                residual[key] = new
+    terms = {tuple(Fraction(x, n) for x, n in zip(e, grid)): c for e, c in found.items()}
+    return PuiseuxSeries(h, terms, prec)

@@ -60,6 +60,16 @@ def test_invert_with_param(capsys):
     assert "y^(2/3) + 2*y^(5/6)" in out  # -(2/3)(-3) = 2
 
 
+def test_invert_huge_dominating_coefficient(capsys):
+    # the square root of 10^400 lies beyond float range
+    text = f"{10**400}*x^(2)+x^(3)"
+    code, out, _ = run(capsys, "invert", text, "--precision", "2")
+    assert code == 0
+    assert f"root = {10**200}" in out and "PASS" in out
+    code, _, err = run(capsys, "invert", text)  # must not raise
+    assert code in (0, 1) and "Traceback" not in err
+
+
 def test_dual_verb(capsys):
     code, out, _ = run(capsys, "dual", "1 + t", "--precision", "6")
     assert code == 0

@@ -43,11 +43,19 @@ def test_rational_root():
 
 
 def test_rational_root_large_values():
-    # beyond float precision, where the bisection fallback must decide
+    # beyond float precision, where only integer arithmetic can decide
     base = F(10**30 + 7, 10**15 + 3)
     for m in (2, 3, 5):
         assert rational_root(base**m, m) == base
         assert rational_root(base**m + 1, m) is None
+
+
+def test_rational_root_beyond_float_range():
+    # radicands above 2^1024 cannot be converted to a float at all
+    assert rational_root(F(10**400), 2) == 10**200
+    assert rational_root(F(10**401), 2) is None
+    assert rational_root(F(1, 10**600), 3) == F(1, 10**200)
+    assert rational_root(F(-(3**700)), 7) == -(3**100)
 
 
 # --- lattices ---------------------------------------------------------------
