@@ -14,7 +14,6 @@ from .core import (
 )
 from .duality import dual, verify_dual_identity, verify_power_identity
 from .exponents import (
-    BudgetError,
     CharacteristicSequence,
     EssentialSequence,
     characteristic_exponents,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdditiveOrder",
     "BranchData",
-    "BudgetError",
     "Check",
     "CheckReport",
     "CharacteristicSequence",

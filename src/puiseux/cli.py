@@ -23,13 +23,7 @@ from .exponents import (
     exponent_to_json,
     irreducible_exponents,
 )
-from .inversion import (
-    _dominating_profile,
-    extract_branch,
-    invert_series,
-    lagrange_coefficient,
-    verify_halphen_stolz,
-)
+from .inversion import invert_series, lagrange_coefficient, verify_halphen_stolz
 from .quasi_ordinary import qo_test, toric_pullback, verify_qsigma_relation
 from .reports import CheckReport
 from .series import INF, PuiseuxSeries, default_names, format_series, parse
@@ -181,20 +175,13 @@ def _cmd_invert(args) -> int:
     return _report_exit(result.checks.all_passed)
 
 
-def _branch_for_target(eta, target, root):
-    _, _, m1 = _dominating_profile(eta)
-    max_div = max([m1] + list(eta.ramification[1:]))
-    need = max(Fraction(0), target * max_div - eta.ramification[0])
-    return extract_branch(eta, root, unit_precision=need)
-
-
 def _cmd_lagrange(args) -> int:
     eta = _parse_series(args)
     if eta.num_vars != 1:
         raise PuiseuxError("the lagrange verb works on one-variable series")
     target = rat(args.precision or DEFAULT_PRECISION)
     root = None if args.root_coeff is None else rat(args.root_coeff)
-    data = _branch_for_target(eta, target, root)
+    data = invert_series(eta, target, root_coeff=root).branch
     m1, n1 = data.exponent_m, data.ramification[0]
     lines = []
     rows = []
@@ -214,7 +201,7 @@ def _cmd_verify(args) -> int:
     target = rat(args.precision or DEFAULT_PRECISION)
     root = None if args.root_coeff is None else rat(args.root_coeff)
     result = invert_series(eta, target, root_coeff=root)
-    data = _branch_for_target(eta, target, root)
+    data = result.branch
     reports = [
         verify_halphen_stolz(result),
         verify_dual_identity(data.series),

@@ -44,10 +44,6 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
-def fmt_rat(q: Fraction) -> str:
-    return str(q)
-
-
 def as_vec(x, dim: int | None = None) -> Vec:
     """Normalise a scalar or an iterable of rationals to an exponent vector."""
     if isinstance(x, tuple) and x and isinstance(x[0], Fraction):
@@ -63,10 +59,6 @@ def as_vec(x, dim: int | None = None) -> Vec:
 
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vec_scale(c, a: Vec) -> Vec:
@@ -216,25 +208,6 @@ def mat_det(a: Matrix) -> Fraction:
                 for k in range(j, n):
                     m[i][k] -= f * m[j][k]
     return det
-
-
-def mat_inv(a: Matrix) -> Matrix:
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise DimensionError("inverse of a non-square matrix")
-    m = [list(row) + list(unit_vec(n, i)) for i, row in enumerate(a)]
-    for j in range(n):
-        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
-        if piv is None:
-            raise OrderError("singular matrix")
-        m[j], m[piv] = m[piv], m[j]
-        inv = 1 / m[j][j]
-        m[j] = [c * inv for c in m[j]]
-        for i in range(n):
-            if i != j and m[i][j] != 0:
-                f = m[i][j]
-                m[i] = [c - f * d for c, d in zip(m[i], m[j])]
-    return tuple(tuple(row[n:]) for row in m)
 
 
 def _mat_json(a: Matrix) -> list[list[str]]:
@@ -467,9 +440,6 @@ class AdditiveOrder:
         if not items:
             raise PuiseuxError("minimum of an empty collection")
         return min(items, key=self.key)
-
-    def sort(self, vectors) -> list:
-        return sorted(vectors, key=self.key)
 
     def compose(self, q) -> "AdditiveOrder":
         """The order comparing a, b by comparing q(a), q(b) under self, where

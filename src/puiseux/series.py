@@ -317,9 +317,6 @@ class PuiseuxSeries:
             )
         return self.unit_power(Fraction(1, m), constant_power=root)
 
-    def inverse(self) -> "PuiseuxSeries":
-        return self.unit_power(-1)
-
     def pow_int(self, n: int) -> "PuiseuxSeries":
         """self**n for an integer n.
 

@@ -14,9 +14,16 @@ from fractions import Fraction
 from itertools import product
 
 from puiseux import INF, PrecisionError, PuiseuxError, PuiseuxSeries, RootError
-from puiseux.core import rational_binomial, rational_power, rational_root
+from puiseux.core import (
+    DimensionError,
+    OrderError,
+    rational_binomial,
+    rational_power,
+    rational_root,
+    unit_vec,
+)
 
-# дense univariate polynomials: dict {int exponent: Fraction}, truncated
+# dense univariate polynomials: dict {int exponent: Fraction}, truncated
 
 
 def p_trim(p, bound):
@@ -117,6 +124,40 @@ def irr_bruteforce(S):
     return {s for s in S if s not in reducible}
 
 
+def sum_search(v, gens, min_terms, max_terms=None):
+    """The library's earlier exhaustive search, without memo: is the vector v
+    a sum of k nonzero generators with min_terms <= k (<= max_terms)?"""
+    gens = sorted({g for g in gens if any(g)}, key=lambda g: (sum(g), g))
+
+    def rec(target, start, used):
+        if not any(target):
+            return used >= min_terms
+        if max_terms is not None and used >= max_terms:
+            return False
+        for i in range(start, len(gens)):
+            g = gens[i]
+            if all(a <= b for a, b in zip(g, target)) and rec(
+                tuple(b - a for a, b in zip(g, target)), i, used + 1
+            ):
+                return True
+        return False
+
+    return rec(tuple(v), 0, 0)
+
+
+def irr_dfs(S):
+    """Irreducible elements by the earlier search: r is kept unless it is a
+    sum of two or more other nonzero elements below it."""
+    scalar = not isinstance(next(iter(S)), tuple)
+    vecs = {(s,) if scalar else tuple(s) for s in S}
+    result = set()
+    for r in vecs:
+        cands = [s for s in vecs if s != r and all(a <= b for a, b in zip(s, r))]
+        if not any(r) or not sum_search(r, cands, min_terms=2):
+            result.add(r)
+    return {v[0] for v in result} if scalar else result
+
+
 def lattice_member_bruteforce(generators, v, bound=6):
     """Is v an integer combination of the generators with coefficients in
     [-bound, bound]?  Sound for small examples only."""
@@ -130,6 +171,26 @@ def lattice_member_bruteforce(generators, v, bound=6):
         if s == v:
             return True
     return False
+
+
+def mat_inv(a):
+    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise DimensionError("inverse of a non-square matrix")
+    m = [list(row) + list(unit_vec(n, i)) for i, row in enumerate(a)]
+    for j in range(n):
+        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
+        if piv is None:
+            raise OrderError("singular matrix")
+        m[j], m[piv] = m[piv], m[j]
+        inv = 1 / m[j][j]
+        m[j] = [c * inv for c in m[j]]
+        for i in range(n):
+            if i != j and m[i][j] != 0:
+                f = m[i][j]
+                m[i] = [c - f * d for c, d in zip(m[i], m[j])]
+    return tuple(tuple(row[n:]) for row in m)
 
 
 # reference powers and duals by series multiplication

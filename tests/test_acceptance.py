@@ -126,11 +126,10 @@ def test_criterion_06_lagrange_oracle_equivalence():
         phi = random_unit_series(rng, 1, F(11), max_terms=5, denoms=(1,))
         Y = phi.shift((F(1),))
         X = dual(phi).shift((F(1),))
-        for p in range(-4, 5):
-            for q in range(-4, 5):
-                if p == 0 or q == 0:
-                    continue
-                assert lagrange_pair_check(X, Y, p, q).all_passed, (p, q)
+        pairs = [(p, q) for p in range(-4, 5) for q in range(-4, 5) if p and q]
+        report = lagrange_pair_check(X, Y, pairs)
+        assert len(report.checks) == 64
+        assert report.all_passed, report.describe()
     _ok(6, "pipeline = Lagrange oracle on 50 branches; 20 reciprocal pairs check")
 
 

@@ -28,6 +28,19 @@ def test_analyze_json_roundtrips(capsys):
     assert blob["characteristic"]["entries"] == ["5/2", "8/3"]
 
 
+def test_analyze_long_chain(capsys):
+    # x^(2000) is 2000 copies of x, deeper than the default recursion limit
+    code, out, err = run(capsys, "analyze", "x + x^(2000)")
+    assert code == 0, err
+    assert "irreducible exponents: 1\n" in out
+
+
+def test_analyze_refuses_a_huge_exponent_grid(capsys):
+    code, _, err = run(capsys, "analyze", "x^(1/997) + x^(1/991) + x^(5)")
+    assert code == 1
+    assert "4940136 points" in err and "Traceback" not in err
+
+
 def test_invert_example(capsys):
     code, out, _ = run(capsys, "invert", "x^(3/2)+2*x^(7/4)", "--precision", "4")
     assert code == 0

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lattice_member_bruteforce
+from oracles import lattice_member_bruteforce, mat_inv
 from puiseux import AdditiveOrder, Lattice, OrderError, rational_binomial, rational_root
-from puiseux.core import mat_identity, mat_inv, mat_mul, vec_mat
+from puiseux.core import mat_identity, mat_mul, vec_mat
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=24

@@ -1,14 +1,15 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from builders import random_scalar_set
-from oracles import irr_bruteforce
+from builders import random_exponent, random_scalar_set
+from oracles import irr_bruteforce, irr_dfs, sum_search, sums_with_counts
 from puiseux import (
     AdditiveOrder,
-    BudgetError,
     Lattice,
+    PuiseuxError,
     characteristic_exponents,
     essential_exponents,
     essential_exponents_p,
@@ -63,11 +64,75 @@ def test_semigroup_oracle_examples():
     assert not semigroup_member_oracle({F(6), F(15), F(16), F(23)}, F(7), max_terms=2)
 
 
-def test_semigroup_oracle_budget():
-    with pytest.raises(BudgetError):
-        semigroup_member_oracle(
-            {F(1), F(2), F(3)}, F(60), max_terms=60, budget=50
-        )
+def test_semigroup_oracle_counts_terms():
+    # 60 = 20 * 3 needs twenty generators, and no fewer
+    assert semigroup_member_oracle({F(1), F(2), F(3)}, F(60), max_terms=20)
+    assert not semigroup_member_oracle({F(1), F(2), F(3)}, F(60), max_terms=19)
+
+
+def test_semigroup_oracle_edge_cases():
+    assert not semigroup_member_oracle({F(2), F(3)}, F(0), max_terms=5)
+    assert not semigroup_member_oracle({F(2), F(3)}, F(-2), max_terms=5)
+    assert not semigroup_member_oracle({F(0)}, F(1), max_terms=5)
+    with pytest.raises(PuiseuxError, match="non-negative"):
+        semigroup_member_oracle({F(-1), F(2)}, F(1), max_terms=5)
+    with pytest.raises(PuiseuxError, match="non-negative"):
+        irreducible_exponents({F(-1), F(2)})
+
+
+def _random_vector_set(rng, h):
+    """A few random exponents plus the sum of two of them, so that every set
+    has a reducible element."""
+    denoms = (1, 2, 3) if h < 3 else (1, 2)
+    S = {random_exponent(rng, h, denoms, max_num=5) for _ in range(rng.randrange(2, 8))}
+    S = S - {tuple(F(0) for _ in range(h))} or {tuple(F(1) for _ in range(h))}
+    a, b = rng.choices(sorted(S), k=2)
+    return S | {tuple(x + y for x, y in zip(a, b))}
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_irreducible_agrees_with_dfs_and_bruteforce(h):
+    rng = random.Random(41 + h)
+    for _ in range(30):
+        S = _random_vector_set(rng, h)
+        if h == 1 and rng.random() < 0.5:
+            S = {v[0] for v in S}  # scalar input keeps its shape
+        irr = irreducible_exponents(S)
+        assert irr == irr_dfs(S) == irr_bruteforce(S), S
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_semigroup_oracle_agrees_with_sums(h):
+    rng = random.Random(53 + h)
+    for _ in range(12):
+        S = _random_vector_set(rng, h)
+        v = tuple(sum(c) for c in zip(*rng.choices(sorted(S), k=rng.randrange(1, 5))))
+        if rng.random() < 0.3:
+            v = tuple(c + F(1, 2) for c in v)
+        table = sums_with_counts(S, sum(v), 8)
+        for max_terms in range(0, 7):
+            want = any(v in table.get(k, ()) for k in range(1, max_terms + 1))
+            got = semigroup_member_oracle(S, v, max_terms=max_terms)
+            assert got == want == sum_search(v, S, 1, max_terms), (S, v, max_terms)
+
+
+def test_irreducible_long_chain_is_iterative():
+    # 2000 = 2000 * 1 is deeper than the default recursion limit
+    assert irreducible_exponents({F(1), F(2000)}) == {F(1)}
+
+
+def test_irreducible_adversarial_family_is_fast():
+    S = {F(k, 10) for k in range(11, 20)} | {F(281, 7)}
+    start = time.perf_counter()
+    assert irreducible_exponents(S) == S
+    assert time.perf_counter() - start < 0.5
+
+
+def test_irreducible_refuses_a_huge_grid_quickly():
+    start = time.perf_counter()
+    with pytest.raises(PuiseuxError, match="4940136 points"):
+        irreducible_exponents({F(1, 997), F(1, 991), F(5)})
+    assert time.perf_counter() - start < 0.1
 
 
 # --- essential sequences ------------------------------------------------------

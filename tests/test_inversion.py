@@ -90,6 +90,14 @@ def test_invert_plane_example():
         assert res.ess_xi.scalars == (F(2, 3), F(5, 6))
 
 
+def test_invert_result_carries_its_branch():
+    eta = parse("x^(3/2) + 2*x^(7/4)", precision=INF)
+    res = invert_series(eta, F(2))
+    # the unit precision target * m1 - n1 = 2 * 6 - 4
+    assert res.branch == extract_branch(eta, unit_precision=F(8))
+    assert "branch" not in res.to_json()
+
+
 def test_invert_identity():
     res = invert_series(parse("x", precision=INF), F(4))
     assert res.xi.terms == {(F(1),): F(1)}
@@ -288,10 +296,9 @@ def test_lagrange_rejects_small_q():
 def test_lagrange_pair_identity_pair():
     X = parse("u", precision=8)
     Y = parse("t", precision=8)
-    for p in (1, 2, 3):
-        report = lagrange_pair_check(X, Y, p, p)
-        assert report.all_passed
-        assert report.checks[0].lhs == str(p)
+    report = lagrange_pair_check(X, Y, [(p, p) for p in (1, 2, 3)])
+    assert report.all_passed
+    assert [check.lhs for check in report.checks] == ["1", "2", "3"]
 
 
 def test_lagrange_pair_worked_example():
@@ -299,7 +306,7 @@ def test_lagrange_pair_worked_example():
     phi = parse("1 + t", precision=8)
     Y = phi.shift((F(1),))
     X = dual(phi).shift((F(1),))
-    report = lagrange_pair_check(X, Y, 3, 2)
+    report = lagrange_pair_check(X, Y, [(3, 2)])
     assert report.all_passed
     assert report.checks[0].lhs == "-6"
 
@@ -310,7 +317,7 @@ def test_lagrange_pair_leading_reciprocity():
         phi = random_unit_series(rng, 1, F(9), max_terms=4, denoms=(1,))
         X = dual(phi).shift((F(1),))
         Y = phi.shift((F(1),))
-        report = lagrange_pair_check(X, Y, 1, 1)
+        report = lagrange_pair_check(X, Y, [(1, 1)])
         assert report.all_passed
 
 
@@ -318,7 +325,7 @@ def test_lagrange_pair_rejects_non_reciprocal():
     X = parse("u + u^(2)", precision=8)
     Y = parse("t + t^(2)", precision=8)
     with pytest.raises(Exception):
-        lagrange_pair_check(X, Y, 2, 2)
+        lagrange_pair_check(X, Y, [(2, 2)])
 
 
 def test_branch_data_json():
