@@ -315,6 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact coefficients may pass the interpreter's limit on the digits of an
+    # int-str conversion (Python 3.11+), so it is lifted for the call
+    digit_limit = getattr(sys, "get_int_max_str_digits", None)
+    saved = digit_limit() if digit_limit else None
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
@@ -322,6 +328,9 @@ def main(argv=None) -> int:
         # matrix files land here as well
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,16 @@ first coordinate k.  Its constant factor phi_0^(-(k+n1)/n1) is
 r0^(-(k+n1)), r0 being the rational n1-th root of phi_0 that rational_root
 picks (the positive one when there are two); when n1 > 1 and phi_0 has no
 rational n1-th root, dual raises RootError.
+
+The powers can be taken of any B = phi^m instead of phi itself:
+
+    phi^(-(k+n1)/n1) = r0^(-(k+n1)) * (B/B_0)^(-(k+n1)/(n1*m)),
+
+and each recurrence step walks the terms of B.  Branch inversion uses
+this: its unit part is an m1-th root with about N terms, while its m1-th
+power is the dominating series' own few terms, so every run costs O(N*s)
+for s terms of B, not O(N^2).  The setup of the recurrence depends on B
+alone and is done once for all k.
 """
 
 from __future__ import annotations
@@ -26,23 +36,30 @@ from fractions import Fraction
 from .core import PuiseuxError, RootError, rational_power, rational_root, total
 from .exponents import irreducible_exponents
 from .reports import CheckReport
-from .series import INF, PuiseuxSeries, PrecisionError, _from_grid, _grid_power
+from .series import INF, PuiseuxSeries, PrecisionError, _GridPower, _from_grid
 
 __all__ = ["dual", "verify_power_identity", "verify_dual_identity"]
 
 
 def dual(phi: PuiseuxSeries) -> PuiseuxSeries:
-    c0 = phi.constant_term()
+    return _dual_from_power(phi, 1, phi.constant_term())
+
+
+def _dual_from_power(power: PuiseuxSeries, m: int, c0: Fraction) -> PuiseuxSeries:
+    """The dual of phi, read off power = phi^m; c0 = phi_0 picks the m-th
+    root of power's constant term that phi starts with."""
     if c0 == 0:
         raise PuiseuxError("dual requires a nonzero constant term")
-    if phi.laurent:
+    if power.laurent:
         raise PuiseuxError("dual of a Laurent series is not defined")
-    prec = phi.precision
-    if prec is INF and len(phi.terms) > 1:
+    prec = power.precision
+    if prec is INF and len(power.terms) > 1:
         raise PrecisionError(
             "dual of an exact non-constant series has infinite support; truncate first"
         )
-    n1 = phi.ramification[0]
+    # phi and its power generate the same exponent group, so they share the
+    # first denominator and the gcd below
+    n1 = power.ramification[0]
     r0 = c0 if n1 == 1 else rational_root(c0, n1)
     if r0 is None:
         raise RootError(
@@ -50,14 +67,15 @@ def dual(phi: PuiseuxSeries) -> PuiseuxSeries:
             f"{n1}-th root of the constant term {c0}"
         )
     # first coordinates of psi are sums of phi's, so multiples of their gcd
-    step = math.gcd(*(int(e[0] * n1) for e in phi.terms))
+    step = math.gcd(*(int(e[0] * n1) for e in power.terms))
+    recurrence = _GridPower(power)
     found = {}
     for k in range(0, math.floor(prec * n1) + 1, step) if step else [0]:
-        power = _grid_power(phi, Fraction(-(k + n1), n1), cap=k)
+        coeffs = recurrence(Fraction(-(k + n1), n1 * m), cap=k)
         scale = r0 ** -(k + n1) * Fraction(n1, k + n1)
-        found.update((g, c * scale) for g, c in power.items() if g[0] == k)
-    terms = _from_grid(found, phi.ramification)
-    return PuiseuxSeries._build(phi.num_vars, terms, prec, False)
+        found.update((g, c * scale) for g, c in coeffs.items() if g[0] == k)
+    terms = _from_grid(found, power.ramification)
+    return PuiseuxSeries._build(power.num_vars, terms, prec, False)
 
 
 def verify_power_identity(phi: PuiseuxSeries, N: int) -> CheckReport:

@@ -27,7 +27,7 @@ from .core import (
     total,
     unit_vec,
 )
-from .duality import dual
+from .duality import _dual_from_power, dual
 from .exponents import EssentialSequence, essential_exponents
 from .reports import CheckReport
 from .series import INF, PrecisionError, PuiseuxSeries
@@ -264,6 +264,11 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
     y1^(1/m1), x2^(1/n2), ..., compute both essential sequences and check
     every inversion identity.
 
+    The dual is read off unit^m1, not off the unit: by Lagrange inversion
+    [dual]_k = 1/(k+1) a~^(-(k+1)) [t1^k] (unit^m1/a~^m1)^(-(k+1)/m1), and
+    unit^m1 is eta_t/t1^m1, which has only eta's few terms while the unit,
+    an m1-th root, has about N.  The same power gives eta_t.
+
     target_precision bounds the total degree of the output in its fractional
     frame; the unit part must carry enough precision, or an error states how
     much is required.
@@ -288,8 +293,9 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
         raise PrecisionError("exact unit part: pass target_precision")
 
     e1 = unit_vec(h, 0)
-    unit_dual = dual(unit)
-    eta_t = unit.pow_int(m1).shift(tuple(m1 * c for c in e1))
+    unit_m = unit.pow_int(m1)
+    eta_t = unit_m.shift(tuple(m1 * c for c in e1))
+    unit_dual = _dual_from_power(unit_m, m1, atilde)
     xi_u = unit_dual.pow_int(n1).shift(tuple(n1 * c for c in e1))
 
     lex = AdditiveOrder.lex(h)

@@ -12,6 +12,7 @@ stored denominators on every construction, so representations stay primitive.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -295,7 +296,7 @@ class PuiseuxSeries:
     def _scaled_power(self, r, constant_power, laurent) -> "PuiseuxSeries":
         """constant_power * (self/self_0)**r at self's precision."""
         grid = self.ramification
-        terms = _from_grid(_grid_power(self, r), grid)
+        terms = _from_grid(_GridPower(self)(r), grid)
         return PuiseuxSeries._build(
             self.num_vars,
             {e: c * constant_power for e, c in terms.items()},
@@ -447,7 +448,7 @@ def _from_grid(raw, grid) -> dict[Vec, Fraction]:
     return {tuple(Fraction(x, n) for x, n in zip(g, grid)): c for g, c in raw.items()}
 
 
-def _grid_power(f: PuiseuxSeries, r: Fraction, cap=None) -> dict[tuple, Fraction]:
+class _GridPower:
     """P = (f/f_0)**r on f's integer grid, by J.C.P. Miller's recurrence.
 
     The Euler operator E = L*sum x_i d/dx_i multiplies the monomial at grid
@@ -461,93 +462,122 @@ def _grid_power(f: PuiseuxSeries, r: Fraction, cap=None) -> dict[tuple, Fraction
     pushed to the keys k + j with weight a_j (r T(j) - T(k)), so keys finish
     in increasing total degree.
 
-    The result stops at total degree floor(precision*L); an exact series
-    raised to a non-negative integer r stops at r*max T, where the power
-    ends.  With cap, only keys whose first coordinate is at most cap are
-    computed, and of those only the ones from which a key with first
-    coordinate cap is still reachable within the degree bound.  Returns
-    {grid key: coefficient} without zero coefficients.
+    The constructor does the part that depends on f alone: the grid items,
+    a_j = A_j/den with integers A_j, and the steps in scan order.  Calling
+    the object runs the recurrence for one r, so many powers of one series
+    (as in dual) share that setup.
     """
-    lcm_all, items = _grid_items(f.terms, f.ramification)
-    c0 = f.constant_term()
-    items = [(t, g, c) for t, g, c in items if t]
-    if any(t < 0 for t, _, _ in items):
-        raise PuiseuxError("a power by recurrence needs non-negative exponents")
-    if f.precision is not INF:
-        limit = math.floor(f.precision * lcm_all)
-    elif not items:
-        limit = 0
-    elif r.denominator == 1 and r >= 0:
-        limit = r.numerator * max(t for t, _, _ in items)
-    else:
-        raise PrecisionError(
-            "power of an exact non-constant series has infinite support; truncate first"
+
+    def __init__(self, f: PuiseuxSeries):
+        lcm_all, items = _grid_items(f.terms, f.ramification)
+        c0 = f.constant_term()
+        items = [(t, g, c) for t, g, c in items if t]
+        if any(t < 0 for t, _, _ in items):
+            raise PuiseuxError("a power by recurrence needs non-negative exponents")
+        self.num_vars = f.num_vars
+        self.precision = f.precision
+        self.lcm_all = lcm_all
+        self.w0 = lcm_all // f.ramification[0]
+        self.max_t = max((t for t, _, _ in items), default=0)
+        self.den = math.lcm(*((c / c0).denominator for _, _, c in items))
+        self.items = [(t, g, int(c / c0 * self.den)) for t, g, c in items]
+
+    @functools.cached_property
+    def by_degree(self):
+        """Steps (t, 0, t, g, A) sorted by total degree."""
+        return sorted(((t, 0, t, g, a) for t, g, a in self.items), key=lambda s: s[0])
+
+    @functools.cached_property
+    def by_first(self):
+        """Steps (g_1, t - g_1*w0, t, g, A) sorted by first coordinate."""
+        return sorted(
+            ((g[0], t - g[0] * self.w0, t, g, a) for t, g, a in self.items),
+            key=lambda s: s[0],
         )
-    # a_j = A_j/den with integers A_j, and the push weight is
-    # a_j (r T(j) - T(k)) = A_j (p T(j) - q T(k)) / (q den) for r = p/q
-    p, q = r.numerator, r.denominator
-    den = math.lcm(*((c / c0).denominator for _, _, c in items))
-    # each step is checked against two additive budgets: the first is sorted
-    # and ends the scan, the second is only skipped
-    if cap is None:
-        first, second = limit, 0
-        cost = lambda t, g: (t, 0)
-    else:
-        w0 = lcm_all // f.ramification[0]
-        first, second = cap, limit - cap * w0
-        cost = lambda t, g: (g[0], t - g[0] * w0)
-    steps = sorted(
-        (cost(t, g) + (t, g, int(c / c0 * den)) for t, g, c in items),
-        key=lambda s: s[0],
-    )
-    # Sums are kept in integers: a key finished at degree d pushes its
-    # numerator over lcm_den[d], the lcm of every denominator finished so
-    # far, and a pending sum (s, e) stands for s / lcm_den[e].  Degrees
-    # finish in increasing order, so lcm_den[e] divides every later one and
-    # a sum moves to a later denominator by an exact integer factor.
-    lcm_den = {}
-    common = 1
-    pending = {0: {(0,) * f.num_vars: None}}
-    degrees = [0]
-    out = {}
-    while degrees:
-        d = heapq.heappop(degrees)
-        finished = []
-        for g, acc in pending.pop(d).items():
-            v = Fraction(acc[0], lcm_den[acc[1]] * q * den * d) if d else Fraction(1)
-            if v:
-                finished.append((g, v))
-                common = math.lcm(common, v.denominator)
-        lcm_den[d] = common
-        qd = q * d
-        for g, v in finished:
-            out[g] = v
-            n = v.numerator * (common // v.denominator)
-            first_g, second_g = cost(d, g)
-            for first_j, second_j, t, gj, a in steps:
-                if first_g + first_j > first:
-                    break
-                if second_g + second_j > second:
-                    continue
-                m = p * t - qd
-                if not m:
-                    continue
-                key = tuple(map(operator.add, g, gj))
-                c = n * a * m
-                level = pending.get(d + t)
-                if level is None:
-                    pending[d + t] = {key: (c, d)}
-                    heapq.heappush(degrees, d + t)
-                    continue
-                old = level.get(key)
-                if old is None:
-                    level[key] = (c, d)
+
+    def __call__(self, r: Fraction, cap=None) -> dict[tuple, Fraction]:
+        """The coefficients of P = (f/f_0)**r by grid key, without zeros.
+
+        The result stops at total degree floor(precision*L); an exact series
+        raised to a non-negative integer r stops at r*max T, where the power
+        ends.  With cap, only keys whose first coordinate is at most cap are
+        computed, and of those only the ones from which a key with first
+        coordinate cap is still reachable within the degree bound.
+        """
+        if self.precision is not INF:
+            limit = math.floor(self.precision * self.lcm_all)
+        elif not self.items:
+            limit = 0
+        elif r.denominator == 1 and r >= 0:
+            limit = r.numerator * self.max_t
+        else:
+            raise PrecisionError(
+                "power of an exact non-constant series has infinite support; truncate first"
+            )
+        # the push weight is a_j (r T(j) - T(k)) = A_j (p T(j) - q T(k)) / (q den)
+        # for r = p/q
+        p, q = r.numerator, r.denominator
+        den = self.den
+        # each step is checked against two additive budgets: the first is sorted
+        # and ends the scan, the second is only skipped
+        if cap is None:
+            first, second = limit, 0
+            steps = self.by_degree
+        else:
+            w0 = self.w0
+            first, second = cap, limit - cap * w0
+            steps = self.by_first
+        # Sums are kept in integers: a key finished at degree d pushes its
+        # numerator over lcm_den[d], the lcm of every denominator finished so
+        # far, and a pending sum (s, e) stands for s / lcm_den[e].  Degrees
+        # finish in increasing order, so lcm_den[e] divides every later one and
+        # a sum moves to a later denominator by an exact integer factor.
+        lcm_den = {}
+        common = 1
+        pending = {0: {(0,) * self.num_vars: None}}
+        degrees = [0]
+        out = {}
+        while degrees:
+            d = heapq.heappop(degrees)
+            finished = []
+            for g, acc in pending.pop(d).items():
+                v = Fraction(acc[0], lcm_den[acc[1]] * q * den * d) if d else Fraction(1)
+                if v:
+                    finished.append((g, v))
+                    common = math.lcm(common, v.denominator)
+            lcm_den[d] = common
+            qd = q * d
+            for g, v in finished:
+                out[g] = v
+                n = v.numerator * (common // v.denominator)
+                if cap is None:
+                    first_g, second_g = d, 0
                 else:
-                    s, e = old
-                    if e != d:
-                        s *= common // lcm_den[e]
-                    level[key] = (s + c, d)
-    return out
+                    first_g, second_g = g[0], d - g[0] * w0
+                for first_j, second_j, t, gj, a in steps:
+                    if first_g + first_j > first:
+                        break
+                    if second_g + second_j > second:
+                        continue
+                    m = p * t - qd
+                    if not m:
+                        continue
+                    key = tuple(map(operator.add, g, gj))
+                    c = n * a * m
+                    level = pending.get(d + t)
+                    if level is None:
+                        pending[d + t] = {key: (c, d)}
+                        heapq.heappush(degrees, d + t)
+                        continue
+                    old = level.get(key)
+                    if old is None:
+                        level[key] = (c, d)
+                    else:
+                        s, e = old
+                        if e != d:
+                            s *= common // lcm_den[e]
+                        level[key] = (s + c, d)
+        return out
 
 
 def default_names(num_vars: int, first: str = "x") -> list[str]:

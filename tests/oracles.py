@@ -4,7 +4,8 @@ The brute-force oracles are written against plain dicts and integers,
 deliberately avoiding the library's own algorithms, so the tests compare two
 genuinely different computation paths.  The reference algorithms at the end
 are the library's earlier power and dual computations, built from series
-multiplication alone; the recurrence-based versions must agree with them
+multiplication alone, and the earlier inversion pipeline, which duals the
+dense unit part itself; the current versions must agree with them
 coefficient for coefficient.
 """
 
@@ -13,14 +14,24 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from puiseux import INF, PrecisionError, PuiseuxError, PuiseuxSeries, RootError
+from puiseux import INF, PrecisionError, PuiseuxError, PuiseuxSeries, RootError, dual
 from puiseux.core import (
+    AdditiveOrder,
     DimensionError,
     OrderError,
     rational_binomial,
     rational_power,
     rational_root,
     unit_vec,
+)
+from puiseux.exponents import essential_exponents
+from puiseux.inversion import (
+    InversionResult,
+    _diag,
+    _halphen_stolz_report,
+    _required_unit_precision,
+    _rescale_sequence,
+    _unit_frame_lattice,
 )
 
 # dense univariate polynomials: dict {int exponent: Fraction}, truncated
@@ -323,3 +334,32 @@ def dual_tower_heap(phi):
                 residual[key] = new
     terms = {tuple(Fraction(x, n) for x, n in zip(e, grid)): c for e, c in found.items()}
     return PuiseuxSeries(h, terms, prec)
+
+
+def invert_xi_reference(data, target):
+    """invert_branch with the dual taken of the unit part itself:
+    xi_u = (u1 * dual(unit))^n1, one Lagrange run over the unit's N terms
+    per coefficient, then the same frame change, essential sequences and
+    identity report."""
+    unit, m1, n = data.series, data.exponent_m, data.ramification
+    n1, h = n[0], unit.num_vars
+    unit = unit.truncate(_required_unit_precision(target, m1, n))
+    e1 = unit_vec(h, 0)
+    eta_t = unit.pow_int(m1).shift(tuple(m1 * c for c in e1))
+    xi_u = dual(unit).pow_int(n1).shift(tuple(n1 * c for c in e1))
+    lex = AdditiveOrder.lex(h)
+    ones = (1,) * h
+    ess_t = essential_exponents(eta_t.support(), _unit_frame_lattice(h, n1), lex, ones)
+    ess_u = essential_exponents(xi_u.support(), _unit_frame_lattice(h, m1), lex, ones)
+    xi_divisors = [m1] + list(n[1:])
+    return InversionResult(
+        eta=eta_t.monomial_substitute(_diag([Fraction(1, d) for d in n])),
+        xi=xi_u.monomial_substitute(_diag([Fraction(1, d) for d in xi_divisors])),
+        m1=m1,
+        n1=n1,
+        root_coeff=data.root_coeff,
+        ess_eta=_rescale_sequence(ess_t, n),
+        ess_xi=_rescale_sequence(ess_u, xi_divisors),
+        checks=_halphen_stolz_report(eta_t, xi_u, ess_t, ess_u, m1, n1, data.root_coeff),
+        branch=data,
+    )

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -81,6 +82,21 @@ def test_invert_huge_dominating_coefficient(capsys):
     assert f"root = {10**200}" in out and "PASS" in out
     code, _, err = run(capsys, "invert", text)  # must not raise
     assert code in (0, 1) and "Traceback" not in err
+
+
+def test_invert_prints_coefficients_past_the_digit_limit(capsys):
+    # xi's coefficients at the default target pass Python's 4300-digit
+    # limit on int-str conversion
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    text = f"{10**400}*x^(2)+x^(3)"
+    code, out, err = run(capsys, "invert", text)
+    assert code == 0 and err == ""
+    assert max(len(w) for w in out.split()) > 4300
+    code, out, _ = run(capsys, "invert", text, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert max(len(t["coef"]) for t in data["xi"]["terms"]) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_dual_verb(capsys):

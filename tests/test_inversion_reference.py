@@ -1,0 +1,139 @@
+"""invert_branch, which reads the dual off unit^m1, against the earlier
+pipeline kept in oracles.py, which duals the dense unit part itself.
+
+Every comparison is exact: xi, eta, both essential sequences and the
+identity report rows.
+"""
+
+import random
+import time
+from fractions import Fraction as F
+
+from builders import NONZERO, random_branch_data
+from oracles import invert_xi_reference
+from puiseux import (
+    INF,
+    BranchData,
+    PuiseuxSeries,
+    invert_branch,
+    invert_series,
+    lagrange_coefficient,
+    parse,
+)
+
+
+def same_inversion(got, want):
+    assert got.xi == want.xi and got.xi.ramification == want.xi.ramification
+    assert got.eta == want.eta
+    assert got.ess_eta == want.ess_eta and got.ess_xi == want.ess_xi
+    assert got.checks == want.checks
+    assert got.to_json() == want.to_json()
+
+
+def check_against_reference(result, target):
+    same_inversion(result, invert_xi_reference(result.branch, target))
+    assert result.checks.all_passed
+
+
+def check_lagrange_everywhere(result):
+    """Every stored coefficient of a one-variable xi, and the gaps between
+    them, against the Lagrange formula read off the unit part."""
+    m1, n1 = result.m1, result.n1
+    last = max(e[0] for e in result.xi.terms) * m1
+    for q in range(n1, int(last) + 1):
+        assert result.xi.coefficient((F(q, m1),)) == lagrange_coefficient(result.branch, q)
+
+
+def random_dominating(rng, h, m1, denoms):
+    """a x1^(m1/n1) + a few terms above it, n_i drawn from denoms; the
+    returned root is a rational m1-th root of a."""
+    n = [rng.choice(denoms) for _ in range(h)]
+    root = rng.choice(NONZERO)
+    lead = (F(m1, n[0]),) + (F(0),) * (h - 1)
+    terms = {lead: root**m1}
+    # the first step 1/n1 keeps n1 the first denominator, so m1 stays m1
+    for step in [1] + [rng.randrange(1, 4) for _ in range(rng.randrange(0, 3))]:
+        e = tuple(F(rng.randrange(0, 5), d) for d in n)
+        terms[(lead[0] + F(step, n[0]),) + e[1:]] = rng.choice(NONZERO)
+    return PuiseuxSeries(h, terms), root
+
+
+def run_suite(rng, h, cases, denoms, target_for):
+    seen_m, seen_n = set(), set()
+    for _ in range(cases):
+        m1 = rng.randrange(1, 8)
+        eta, root = random_dominating(rng, h, m1, denoms)
+        # a user-given negative root of an even power
+        given = -abs(root) if m1 % 2 == 0 and rng.random() < 0.5 else root
+        target = target_for(m1)
+        result = invert_series(eta, target, root_coeff=given)
+        check_against_reference(result, target)
+        seen_m.add(result.m1)
+        seen_n.update(result.branch.ramification)
+        if h == 1:
+            check_lagrange_everywhere(result)
+    return seen_m, seen_n
+
+
+def test_one_variable_dominating_series():
+    # the target keeps the unit precision N = target*m1 - n1 near 20
+    seen_m, seen_n = run_suite(
+        random.Random(401), 1, 40, (1, 2, 3, 5), lambda m1: F(max(2, 20 // m1))
+    )
+    assert set(range(1, 8)) <= seen_m
+    assert seen_n - {1}
+
+
+def test_several_variables():
+    for h in (2, 3):
+        seen_m, seen_n = run_suite(
+            random.Random(402 + h), h, 14, (1, 2, 3), lambda m1: F(max(1, 8 // m1))
+        )
+        assert seen_n - {1}
+        assert len(seen_m) >= 4
+
+
+def test_dense_unit_branches():
+    # unit parts with few terms, so unit^m1 is the dense side
+    rng = random.Random(405)
+    for _ in range(25):
+        data = random_branch_data(rng)
+        m1, n1 = data.exponent_m, data.ramification[0]
+        target = F(12 + n1, max(m1, 1))
+        result = invert_branch(data, target)
+        check_against_reference(result, target)
+        check_lagrange_everywhere(result)
+
+
+def test_negative_root_of_even_power():
+    eta = parse("4*x^(2)+x^(3)", precision=INF)
+    for root in (-2, 2):
+        result = invert_series(eta, 10, root_coeff=root)
+        assert result.root_coeff == root
+        check_against_reference(result, 10)
+        check_lagrange_everywhere(result)
+    h2 = parse("16*x1^(4/3) + x1^(5/3)*x2^(1/2) - x1^(2)", precision=INF)
+    result = invert_series(h2, 5, root_coeff=-2)
+    check_against_reference(result, 5)
+
+
+def test_constant_unit():
+    for h, n, m1 in ((1, (3,), 2), (1, (1,), 5), (2, (2, 3), 4), (3, (1, 2, 2), 3)):
+        unit = PuiseuxSeries.constant(h, F(-3, 2), precision=20)
+        data = BranchData(unit, m1, F(-3, 2), n)
+        result = invert_branch(data, 3)
+        check_against_reference(result, 3)
+        assert len(result.xi.terms) == 1
+        if h == 1:
+            check_lagrange_everywhere(result)
+
+
+def test_long_plane_branch_is_quadratic_not_cubic():
+    # N = 236: the unit part has 237 terms, its square the input's two
+    eta = parse("x^(3/2) + 2*x^(7/4)", precision=INF)
+    start = time.perf_counter()
+    result = invert_series(eta, 40)
+    elapsed = time.perf_counter() - start
+    assert result.branch.series.precision == 236
+    assert result.checks.all_passed
+    assert elapsed < 2.0, elapsed
