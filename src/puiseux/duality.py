@@ -26,6 +26,15 @@ this: its unit part is an m1-th root with about N terms, while its m1-th
 power is the dominating series' own few terms, so every run costs O(N*s)
 for s terms of B, not O(N^2).  The setup of the recurrence depends on B
 alone and is done once for all k.
+
+The same loop gives any positive integer power psi^a of the dual, by
+Lagrange-Burmann:
+
+    [psi^a]_(k/n1, .) = a*n1/(k+a*n1) * r0^(-(k+a*n1))
+                        * [t1^(k/n1)] (B/B_0)^(-(k+a*n1)/(n1*m)).
+
+dual takes a = 1; branch inversion takes a = n1, which gives
+xi = (u1*psi)^n1 without a further power of the dense dual.
 """
 
 from __future__ import annotations
@@ -42,12 +51,14 @@ __all__ = ["dual", "verify_power_identity", "verify_dual_identity"]
 
 
 def dual(phi: PuiseuxSeries) -> PuiseuxSeries:
-    return _dual_from_power(phi, 1, phi.constant_term())
+    return _dual_from_power(phi, 1, phi.constant_term(), 1)
 
 
-def _dual_from_power(power: PuiseuxSeries, m: int, c0: Fraction) -> PuiseuxSeries:
-    """The dual of phi, read off power = phi^m; c0 = phi_0 picks the m-th
-    root of power's constant term that phi starts with."""
+def _dual_from_power(
+    power: PuiseuxSeries, m: int, c0: Fraction, a: int
+) -> PuiseuxSeries:
+    """psi^a for psi the dual of phi, read off power = phi^m; c0 = phi_0
+    picks the m-th root of power's constant term that phi starts with."""
     if c0 == 0:
         raise PuiseuxError("dual requires a nonzero constant term")
     if power.laurent:
@@ -66,13 +77,13 @@ def _dual_from_power(power: PuiseuxSeries, m: int, c0: Fraction) -> PuiseuxSerie
             f"dual with first-variable denominator {n1} needs a rational "
             f"{n1}-th root of the constant term {c0}"
         )
-    # first coordinates of psi are sums of phi's, so multiples of their gcd
+    # first coordinates of psi^a are sums of phi's, so multiples of their gcd
     step = math.gcd(*(int(e[0] * n1) for e in power.terms))
     recurrence = _GridPower(power)
     found = {}
     for k in range(0, math.floor(prec * n1) + 1, step) if step else [0]:
-        coeffs = recurrence(Fraction(-(k + n1), n1 * m), cap=k)
-        scale = r0 ** -(k + n1) * Fraction(n1, k + n1)
+        coeffs = recurrence(Fraction(-(k + a * n1), n1 * m), cap=k)
+        scale = r0 ** -(k + a * n1) * Fraction(a * n1, k + a * n1)
         found.update((g, c * scale) for g, c in coeffs.items() if g[0] == k)
     terms = _from_grid(found, power.ramification)
     return PuiseuxSeries._build(power.num_vars, terms, prec, False)

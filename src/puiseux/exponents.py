@@ -8,9 +8,11 @@ Irreducibility and semigroup membership are read off one table.  The
 exponents are scaled to the integer grid of their per-coordinate lcm
 denominators; the points reachable downward from the targets by subtracting
 nonzero generators are collected, and fewest[x], the least number of
-generators summing to x, is filled in increasing total degree.  The work is
-bounded by the grid box below the targets, prod_i (max_i * scale_i + 1)
-points; a box above GRID_LIMIT raises PuiseuxError before any work starts.
+generators summing to x, is filled in increasing total degree.  Every point
+reached tries every nonzero generator, so the work is bounded by the grid box
+below the targets, prod_i (max_i * scale_i + 1) points, times the number of
+distinct nonzero generators; a bound above GRID_LIMIT raises PuiseuxError
+before any work starts.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from operator import sub
 
 from .core import AdditiveOrder, Lattice, PuiseuxError, Vec, as_vec, fmt_vec
 
-# Largest grid box the exponent table may span.  The work is about (points
-# reached) x (generators): a full 10^5-point box takes about 0.5 s with 10
-# generators and 4 s with 40 (Python 3.11, one core), at under 45 MB peak RSS.
-GRID_LIMIT = 10**5
+# Largest work bound, grid-box points times nonzero generators, that the
+# exponent table may take on: about 1.5-2 us per unit.  A full 10^5-point box
+# with 10 generators (10^6) takes 1.5-1.9 s, and with 40 it took 4-5 s before
+# this bound refused it (Python 3.11, 2-vCPU host), at under 45 MB peak RSS.
+GRID_LIMIT = 10**6
 
 
 def _normalize_set(S) -> tuple[list[Vec], bool]:
@@ -58,11 +61,12 @@ def _fewest_terms(gens: list[Vec], targets: list[Vec]):
 
     tops = [to_grid(t) for t in targets]
     box = math.prod(max([0] + [t[i] for t in tops]) + 1 for i in range(dim))
-    if box > GRID_LIMIT:
-        raise PuiseuxError(
-            f"exponent grid box of {box} points exceeds the limit of {GRID_LIMIT}"
-        )
     steps = {g for g in map(to_grid, gens) if any(g)}
+    if box * len(steps) > GRID_LIMIT:
+        raise PuiseuxError(
+            f"exponent grid box of {box} points times {len(steps)} nonzero "
+            f"generators exceeds the limit of {GRID_LIMIT}"
+        )
     down = set(tops)
     stack = list(down)
     while stack:
@@ -87,7 +91,7 @@ def irreducible_exponents(S):
     exponent table for some nonzero g != r in S.  Exact on truncated
     supports: any summand of r has total sum at most that of r, so
     truncation below a bound cannot hide decompositions.  Raises PuiseuxError
-    on negative exponents or a grid box above GRID_LIMIT points.
+    on negative exponents or a work bound above GRID_LIMIT.
     """
     vecs, scalar = _normalize_set(S)
     nonzero = list({v for v in vecs if any(v)})
@@ -106,7 +110,7 @@ def irreducible_exponents(S):
 def semigroup_member_oracle(S, v, max_terms: int) -> bool:
     """True iff v is a sum of between 1 and max_terms nonzero elements of S,
     that is 1 <= fewest[v] <= max_terms in the exponent table.  Raises
-    PuiseuxError on negative generators or a grid box above GRID_LIMIT."""
+    PuiseuxError on negative generators or a work bound above GRID_LIMIT."""
     vecs, _ = _normalize_set(S)
     v = as_vec(v, len(vecs[0]) if vecs else None)
     fewest, to_grid = _fewest_terms(vecs, [v])
@@ -182,16 +186,6 @@ def essential_exponents(
     if not order.dominating:
         raise PuiseuxError("essential sequences need an order dominating Q^h_+")
 
-    entries = [order.min(vecs)]
-    current = lattice.join([entries[0]])
-    while True:
-        outside = [v for v in vecs if not current.contains(v)]
-        if not outside:
-            break
-        nxt = order.min(outside)
-        entries.append(nxt)
-        current = current.join([nxt])
-
     denoms = [1] * dim
     for v in vecs:
         for i, c in enumerate(v):
@@ -201,7 +195,22 @@ def essential_exponents(
             raise PuiseuxError("ramification must give one denominator per variable")
         denoms = [math.lcm(d, int(n)) for d, n in zip(denoms, ramification)]
     ram_lattice = Lattice.scaled_axes(dim, [Fraction(1, d) for d in denoms])
-    complete = current.contains_lattice(ram_lattice)
+
+    # The joined lattice only grows, so one walk in increasing order finds
+    # the greedy sequence: an element is the next entry exactly when the
+    # current lattice misses it.  Once the lattice holds ram_lattice it
+    # holds every element of S, and the walk stops.
+    entries = []
+    current = lattice
+    complete = False
+    for v in sorted(vecs, key=order.key):
+        if entries and current.contains(v):
+            continue
+        entries.append(v)
+        current = current.join([v])
+        complete = current.contains_lattice(ram_lattice)
+        if complete:
+            break
     return EssentialSequence(tuple(entries), lattice, order, complete)
 
 

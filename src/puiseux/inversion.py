@@ -8,6 +8,10 @@ x2^(1/n2), ....  The exponent and coefficient identities tying the two
 essential sequences together are verified on every run; the independent
 Lagrange-inversion oracle recomputes xi's coefficients without ever building
 the dual.
+
+The work grows with the unit precision N = target*max(m1, n2, ..., nh) - n1;
+invert_series and invert_branch refuse an N above MAX_UNIT_PRECISION before
+any work starts.
 """
 
 from __future__ import annotations
@@ -31,6 +35,12 @@ from .duality import _dual_from_power, dual
 from .exponents import EssentialSequence, essential_exponents
 from .reports import CheckReport
 from .series import INF, PrecisionError, PuiseuxSeries
+
+# Largest unit precision N the inversion entry points accept.  The work grows
+# faster than N^2, since the coefficients grow with N too: the two-term anchor
+# x^(3/2) + 2*x^(7/4) inverts in about 0.24 s at N = 236, 1.1 s at N = 476 and
+# 7.9 s at N = 998 (Python 3.11, one core), and more terms cost more.
+MAX_UNIT_PRECISION = 500
 
 __all__ = [
     "BranchData",
@@ -133,6 +143,12 @@ def extract_branch(
     unit_precision bounds the total degree of the materialised unit part and
     defaults to everything eta's own precision supports.
     """
+    return _extract_branch(eta, root_coeff, unit_precision)[0]
+
+
+def _extract_branch(eta, root_coeff, unit_precision):
+    """extract_branch, also returning unit^m1 = eta_t/t1^m1 at the unit's
+    precision, the series the unit part is the m1-th root of."""
     lam1, a, m1 = _dominating_profile(eta)
     h = eta.num_vars
     n = eta.ramification
@@ -150,15 +166,15 @@ def extract_branch(
                 f"root_coeff {atilde} fails: {atilde}^{m1} = {atilde ** m1} != {a}"
             )
     eta_t = eta.monomial_substitute(_diag(list(n)))
-    unit_m = eta_t.shift(tuple(-m1 * c for c in unit_vec(h, 0))).scale(1 / a)
+    unit_m = eta_t.shift(tuple(-m1 * c for c in unit_vec(h, 0)))
     if unit_precision is not None and unit_precision != INF:
         unit_m = unit_m.truncate(max(Fraction(0), Fraction(unit_precision)))
     if unit_m.precision is INF and m1 > 1 and len(unit_m.terms) > 1:
         raise PrecisionError(
             "exact input: pass unit_precision (or use invert_series with a target)"
         )
-    unit = unit_m.unit_root(m1, 1).scale(atilde)
-    return BranchData(unit, m1, atilde, n)
+    unit = unit_m.scale(1 / a).unit_root(m1, 1).scale(atilde)
+    return BranchData(unit, m1, atilde, n), unit_m
 
 
 def _diag(entries) -> list[list[Fraction]]:
@@ -189,7 +205,17 @@ def _required_unit_precision(target, m1: int, n: tuple[int, ...]):
     if target == INF:
         return INF
     max_div = max([m1] + list(n[1:]))
-    return max(Fraction(0), Fraction(target) * max_div - n[0])
+    need = max(Fraction(0), Fraction(target) * max_div - n[0])
+    _check_unit_precision(need)
+    return need
+
+
+def _check_unit_precision(N) -> None:
+    if N is not INF and N > MAX_UNIT_PRECISION:
+        raise PuiseuxError(
+            f"unit precision N = {N} exceeds the limit of {MAX_UNIT_PRECISION}; "
+            "lower the target precision"
+        )
 
 
 def _halphen_stolz_report(
@@ -260,29 +286,30 @@ def _halphen_stolz_report(
 
 
 def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
-    """Run the full pipeline: dual the unit part, raise to n1, re-express in
-    y1^(1/m1), x2^(1/n2), ..., compute both essential sequences and check
-    every inversion identity.
+    """Run the full pipeline: read psi^n1, psi the dual of the unit part, off
+    unit^m1, re-express xi = u1^n1 psi^n1 in y1^(1/m1), x2^(1/n2), ...,
+    compute both essential sequences and check every inversion identity.
 
-    The dual is read off unit^m1, not off the unit: by Lagrange inversion
-    [dual]_k = 1/(k+1) a~^(-(k+1)) [t1^k] (unit^m1/a~^m1)^(-(k+1)/m1), and
+    psi^n1 comes straight from unit^m1 by Lagrange-Burmann; the unit part
+    has integral exponents, so for every first coordinate k
+
+        [psi^n1]_k = n1/(k+n1) a~^(-(k+n1)) [t1^k] (unit^m1/a~^m1)^(-(k+n1)/m1).
+
     unit^m1 is eta_t/t1^m1, which has only eta's few terms while the unit,
-    an m1-th root, has about N.  The same power gives eta_t.
+    an m1-th root, has about N, and neither the dense dual nor its n1-th
+    power is ever built.  The same power gives eta_t.
 
     target_precision bounds the total degree of the output in its fractional
     frame; the unit part must carry enough precision, or an error states how
-    much is required.
+    much is required.  A unit precision N above MAX_UNIT_PRECISION is refused
+    before any work.
     """
     unit = data.series
     m1 = data.exponent_m
-    n = data.ramification
-    n1 = n[0]
-    h = unit.num_vars
-    atilde = data.root_coeff
     if target_precision == INF:
         target_precision = None
     if target_precision is not None:
-        need = _required_unit_precision(target_precision, m1, n)
+        need = _required_unit_precision(target_precision, m1, data.ramification)
         if unit.precision < need:
             raise PrecisionError(
                 f"unit part precision {unit.precision} is too short: target "
@@ -291,12 +318,22 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
         unit = unit.truncate(need)
     elif unit.precision is INF and len(unit.terms) > 1:
         raise PrecisionError("exact unit part: pass target_precision")
+    else:
+        _check_unit_precision(unit.precision)
+    return _invert(data, unit.pow_int(m1))
 
+
+def _invert(data: BranchData, unit_m: PuiseuxSeries) -> InversionResult:
+    """The pipeline of invert_branch on unit_m = unit^m1, already at the
+    working precision N."""
+    m1 = data.exponent_m
+    n = data.ramification
+    n1 = n[0]
+    h = unit_m.num_vars
+    atilde = data.root_coeff
     e1 = unit_vec(h, 0)
-    unit_m = unit.pow_int(m1)
     eta_t = unit_m.shift(tuple(m1 * c for c in e1))
-    unit_dual = _dual_from_power(unit_m, m1, atilde)
-    xi_u = unit_dual.pow_int(n1).shift(tuple(n1 * c for c in e1))
+    xi_u = _dual_from_power(unit_m, m1, atilde, n1).shift(tuple(n1 * c for c in e1))
 
     lex = AdditiveOrder.lex(h)
     ones = (1,) * h
@@ -325,7 +362,9 @@ def invert_series(
     eta: PuiseuxSeries, target_precision, root_coeff=None
 ) -> InversionResult:
     """Extract branch data from eta and invert it, sizing the intermediate
-    precision so the output is complete up to target_precision."""
+    precision so the output is complete up to target_precision.  The unit^m1
+    that the extraction builds on the way to the unit part is handed to the
+    pipeline as it is."""
     _, _, m1 = _dominating_profile(eta)
     need = _required_unit_precision(target_precision, m1, eta.ramification)
     available = eta.precision
@@ -336,8 +375,10 @@ def invert_series(
                 f"eta is too short: target {target_precision} needs unit "
                 f"precision {need}, input supports only {available}"
             )
-    data = extract_branch(eta, root_coeff, unit_precision=need)
-    return invert_branch(data, target_precision)
+    data, unit_m = _extract_branch(eta, root_coeff, need)
+    if need is INF and len(unit_m.terms) > 1:
+        raise PrecisionError("exact unit part: pass target_precision")
+    return _invert(data, unit_m)
 
 
 def verify_halphen_stolz(result: InversionResult) -> CheckReport:

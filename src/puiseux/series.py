@@ -366,18 +366,22 @@ class PuiseuxSeries:
             raise DimensionError("substitution matrix has wrong shape")
         if any(c < 0 for row in q for c in row):
             raise PuiseuxError("substitution matrix must be non-negative")
-        terms = {}
-        for e, c in self.terms.items():
-            img = mat_vec(q, e)
-            if any(x < 0 for x in img):
-                raise PuiseuxError(f"substitution sends {e} to negative exponent {img}")
-            terms[img] = c
         if self.precision is INF:
             prec = INF
         else:
             col_sums = [sum(q[i][j] for i in range(len(q))) for j in range(len(q))]
             prec = min(col_sums) * self.precision
-        return PuiseuxSeries(self.num_vars, terms, prec)
+        terms = {}
+        for e, c in self.terms.items():
+            img = mat_vec(q, e)
+            if any(x < 0 for x in img):
+                raise PuiseuxError(f"substitution sends {e} to negative exponent {img}")
+            if prec is not INF and total(img) > prec:
+                continue
+            # a singular matrix can send two exponents to one image
+            v = terms.get(img)
+            terms[img] = c if v is None else v + c
+        return PuiseuxSeries._build(self.num_vars, terms, prec, False)
 
     # -- comparisons and formatting -----------------------------------------
 

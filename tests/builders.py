@@ -33,6 +33,15 @@ def random_unit_series(rng, h, precision, max_terms=5, denoms=(1,), constant=Non
     return PuiseuxSeries(h, terms, precision)
 
 
+def perfect_power_unit(rng, h, precision, denoms):
+    """A random unit whose constant term has a rational n1-th root."""
+    s = random_unit_series(rng, h, precision, max_terms=5, denoms=denoms)
+    n1 = s.ramification[0]
+    terms = dict(s.terms)
+    terms[tuple(Fraction(0) for _ in range(h))] = rng.choice(NONZERO) ** n1
+    return PuiseuxSeries(h, terms, precision)
+
+
 def random_branch_data(rng, precision=Fraction(12)):
     """One-variable branch data with small n, m and a unit support that
     keeps both presentations primitive."""

@@ -4,9 +4,10 @@ The brute-force oracles are written against plain dicts and integers,
 deliberately avoiding the library's own algorithms, so the tests compare two
 genuinely different computation paths.  The reference algorithms at the end
 are the library's earlier power and dual computations, built from series
-multiplication alone, and the earlier inversion pipeline, which duals the
-dense unit part itself; the current versions must agree with them
-coefficient for coefficient.
+multiplication alone, its earlier essential sequences and monomial
+substitution, and the earlier inversion pipeline, which duals the dense unit
+part itself; the current versions must agree with them coefficient for
+coefficient.
 """
 
 import heapq
@@ -18,13 +19,17 @@ from puiseux import INF, PrecisionError, PuiseuxError, PuiseuxSeries, RootError,
 from puiseux.core import (
     AdditiveOrder,
     DimensionError,
+    Lattice,
     OrderError,
+    as_vec,
+    mat_from,
+    mat_vec,
     rational_binomial,
     rational_power,
     rational_root,
     unit_vec,
 )
-from puiseux.exponents import essential_exponents
+from puiseux.exponents import EssentialSequence
 from puiseux.inversion import (
     InversionResult,
     _diag,
@@ -336,11 +341,59 @@ def dual_tower_heap(phi):
     return PuiseuxSeries(h, terms, prec)
 
 
+# reference essential sequences and monomial substitution
+
+
+def essential_repeated_min(S, lattice, order, ramification=None):
+    """The library's earlier essential sequence: after every new entry, the
+    order-minimal element outside the joined lattice is searched for again
+    over the whole set."""
+    vecs = [as_vec(v) for v in S]
+    dim = len(vecs[0])
+    entries = [order.min(vecs)]
+    current = lattice.join([entries[0]])
+    while True:
+        outside = [v for v in vecs if not current.contains(v)]
+        if not outside:
+            break
+        nxt = order.min(outside)
+        entries.append(nxt)
+        current = current.join([nxt])
+    denoms = [1] * dim
+    for v in vecs:
+        for i, c in enumerate(v):
+            denoms[i] = math.lcm(denoms[i], c.denominator)
+    if ramification is not None:
+        denoms = [math.lcm(d, int(n)) for d, n in zip(denoms, ramification)]
+    ram_lattice = Lattice.scaled_axes(dim, [Fraction(1, d) for d in denoms])
+    complete = current.contains_lattice(ram_lattice)
+    return EssentialSequence(tuple(entries), lattice, order, complete)
+
+
+def substitute_constructor(s, matrix):
+    """The library's earlier monomial_substitute: the images go through the
+    public constructor, which validates, filters and sums them again."""
+    q = mat_from(matrix)
+    if any(c < 0 for row in q for c in row):
+        raise PuiseuxError("substitution matrix must be non-negative")
+    terms = []
+    for e, c in s.terms.items():
+        img = mat_vec(q, e)
+        if any(x < 0 for x in img):
+            raise PuiseuxError(f"substitution sends {e} to negative exponent {img}")
+        terms.append((img, c))
+    if s.precision is INF:
+        prec = INF
+    else:
+        prec = min(sum(row[j] for row in q) for j in range(len(q))) * s.precision
+    return PuiseuxSeries(s.num_vars, terms, prec)
+
+
 def invert_xi_reference(data, target):
     """invert_branch with the dual taken of the unit part itself:
     xi_u = (u1 * dual(unit))^n1, one Lagrange run over the unit's N terms
     per coefficient, then the same frame change, essential sequences and
-    identity report."""
+    identity report, the last two by the reference algorithms above."""
     unit, m1, n = data.series, data.exponent_m, data.ramification
     n1, h = n[0], unit.num_vars
     unit = unit.truncate(_required_unit_precision(target, m1, n))
@@ -349,12 +402,12 @@ def invert_xi_reference(data, target):
     xi_u = dual(unit).pow_int(n1).shift(tuple(n1 * c for c in e1))
     lex = AdditiveOrder.lex(h)
     ones = (1,) * h
-    ess_t = essential_exponents(eta_t.support(), _unit_frame_lattice(h, n1), lex, ones)
-    ess_u = essential_exponents(xi_u.support(), _unit_frame_lattice(h, m1), lex, ones)
+    ess_t = essential_repeated_min(eta_t.support(), _unit_frame_lattice(h, n1), lex, ones)
+    ess_u = essential_repeated_min(xi_u.support(), _unit_frame_lattice(h, m1), lex, ones)
     xi_divisors = [m1] + list(n[1:])
     return InversionResult(
-        eta=eta_t.monomial_substitute(_diag([Fraction(1, d) for d in n])),
-        xi=xi_u.monomial_substitute(_diag([Fraction(1, d) for d in xi_divisors])),
+        eta=substitute_constructor(eta_t, _diag([Fraction(1, d) for d in n])),
+        xi=substitute_constructor(xi_u, _diag([Fraction(1, d) for d in xi_divisors])),
         m1=m1,
         n1=n1,
         root_coeff=data.root_coeff,

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -40,6 +41,14 @@ def test_analyze_refuses_a_huge_exponent_grid(capsys):
     code, _, err = run(capsys, "analyze", "x^(1/997) + x^(1/991) + x^(5)")
     assert code == 1
     assert "4940136 points" in err and "Traceback" not in err
+
+
+def test_invert_refuses_a_huge_precision_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "invert", "x^(3/2)+2*x^(7/4)", "--precision", "100000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert "N = 599996 exceeds the limit of" in err and "Traceback" not in err
 
 
 def test_invert_example(capsys):

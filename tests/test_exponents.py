@@ -4,8 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from builders import random_exponent, random_scalar_set
-from oracles import irr_bruteforce, irr_dfs, sum_search, sums_with_counts
+from builders import random_exponent, random_lattice, random_scalar_set
+from oracles import (
+    essential_repeated_min,
+    irr_bruteforce,
+    irr_dfs,
+    sum_search,
+    sums_with_counts,
+)
 from puiseux import (
     AdditiveOrder,
     Lattice,
@@ -18,6 +24,8 @@ from puiseux import (
     parse,
     semigroup_member_oracle,
 )
+from puiseux.core import OrderError
+from puiseux.exponents import GRID_LIMIT
 
 E_PAPER = {F(6), F(15), F(16), F(21), F(23)}
 
@@ -135,7 +143,56 @@ def test_irreducible_refuses_a_huge_grid_quickly():
     assert time.perf_counter() - start < 0.1
 
 
+def test_irreducible_refuses_many_generators_quickly():
+    # 40 generators under a full 10^5-point box: 4 * 10^6 steps of work
+    S = {F(k) for k in range(1, 40)} | {F(99999)}
+    start = time.perf_counter()
+    with pytest.raises(PuiseuxError, match="100000 points times 40 nonzero generators") as err:
+        irreducible_exponents(S)
+    assert time.perf_counter() - start < 0.1
+    assert f"limit of {GRID_LIMIT}" in str(err.value)
+
+
 # --- essential sequences ------------------------------------------------------
+
+
+def _random_dominating_order(rng, h, kind):
+    if kind == "lex":
+        return AdditiveOrder.lex(h)
+    if kind == "weighted":
+        return AdditiveOrder.weighted([F(rng.randrange(1, 5), rng.choice((1, 2))) for _ in range(h)])
+    while True:
+        rows = [[rng.randrange(1, 4) for _ in range(h)]]
+        rows += [[rng.randrange(-2, 3) for _ in range(h)] for _ in range(h - 1)]
+        try:
+            return AdditiveOrder.from_matrix(rows)
+        except OrderError:  # singular
+            continue
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_essential_single_walk_agrees_with_repeated_min(h):
+    rng = random.Random(61 + h)
+    seen = set()
+    for _ in range(40):
+        vecs = [random_exponent(rng, h, (1, 2, 3, 4, 6), max_num=8)
+                for _ in range(rng.randrange(1, 12))]
+        vecs += rng.choices(vecs, k=rng.randrange(0, 3))  # duplicates
+        lattice = rng.choice([
+            Lattice(h, []),
+            Lattice.scaled_axes(h, [rng.randrange(1, 4)] * h),
+            random_lattice(rng, h),
+        ])
+        kind = rng.choice(["lex", "weighted", "from_matrix"])
+        order = _random_dominating_order(rng, h, kind)
+        ram = rng.choice([None, tuple(rng.choice((1, 2, 5)) for _ in range(h))])
+        got = essential_exponents(vecs, lattice, order, ram)
+        want = essential_repeated_min(vecs, lattice, order, ram)
+        assert got == want, (vecs, lattice, order, ram)
+        assert got.joined_lattice() == want.joined_lattice()
+        seen.add((kind, got.complete))
+    assert {k for k, _ in seen} == {"lex", "weighted", "from_matrix"}
+    assert {c for _, c in seen} == {True, False}
 
 
 def test_essential_p_paper_table():

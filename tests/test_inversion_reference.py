@@ -1,5 +1,6 @@
-"""invert_branch, which reads the dual off unit^m1, against the earlier
-pipeline kept in oracles.py, which duals the dense unit part itself.
+"""invert_branch, which reads psi^n1 off unit^m1, against the earlier
+pipeline kept in oracles.py, which duals the dense unit part itself and
+raises that dual to n1.
 
 Every comparison is exact: xi, eta, both essential sequences and the
 identity report rows.
@@ -9,17 +10,24 @@ import random
 import time
 from fractions import Fraction as F
 
-from builders import NONZERO, random_branch_data
+import pytest
+
+from builders import NONZERO, perfect_power_unit, random_branch_data
 from oracles import invert_xi_reference
 from puiseux import (
     INF,
     BranchData,
+    PuiseuxError,
     PuiseuxSeries,
+    dual,
+    extract_branch,
     invert_branch,
     invert_series,
     lagrange_coefficient,
     parse,
 )
+from puiseux.duality import _dual_from_power
+from puiseux.inversion import MAX_UNIT_PRECISION
 
 
 def same_inversion(got, want):
@@ -137,3 +145,68 @@ def test_long_plane_branch_is_quadratic_not_cubic():
     assert result.branch.series.precision == 236
     assert result.checks.all_passed
     assert elapsed < 2.0, elapsed
+
+
+def test_dual_powers_read_off_a_power():
+    # psi^a by Lagrange-Burmann equals the a-th power of the dual
+    rng = random.Random(406)
+    seen_n1 = set()
+    for h in (1, 2, 3):
+        for _ in range(5):
+            phi = perfect_power_unit(rng, h, F(rng.randrange(2, 6)), denoms=(1, 2, 3))
+            seen_n1.add(phi.ramification[0])
+            psi = dual(phi)
+            for m in (1, 2, 3):
+                power = phi.pow_int(m)
+                for a in (1, 2, 3):
+                    got = _dual_from_power(power, m, phi.constant_term(), a)
+                    want = psi.pow_int(a)
+                    assert got == want, (phi, m, a)
+                    assert got.ramification == want.ramification
+    assert seen_n1 - {1}
+
+
+def entry_points_agree(eta, target, root=None):
+    """invert_series, which hands its unit^m1 over, against invert_branch on
+    the branch data extracted at the same unit precision N."""
+    result = invert_series(eta, target, root_coeff=root)
+    N = result.branch.series.precision
+    data = extract_branch(eta, root, unit_precision=N)
+    assert data == result.branch
+    assert result.to_json() == invert_branch(data, target).to_json()
+    return result
+
+
+def test_series_and_branch_entry_points_agree():
+    assert entry_points_agree(parse("4*x^(2)+x^(3)", precision=INF), 10, -2).root_coeff == -2
+    entry_points_agree(parse("x^(3/2)+2*x^(7/4)", precision=INF), 10)
+    # eta known only to its default precision 10, which allows N up to 34
+    entry_points_agree(parse("x^(3/2)+2*x^(7/4)"), 5)
+    h2 = parse("16*x1^(4/3) + x1^(5/3)*x2^(1/2) - x1^(2)", precision=INF)
+    entry_points_agree(h2, 5, -2)
+    h3 = parse("x1^(3/2) + x1^(2)*x2^(1/3) - 2*x1^(5/2)*x3^(1/2)", precision=INF)
+    assert entry_points_agree(h3, 3).m1 == 3
+    rng = random.Random(407)
+    for h in (1, 2, 3):
+        for _ in range(6):
+            m1 = rng.randrange(1, 5)
+            eta, root = random_dominating(rng, h, m1, (1, 2, 3))
+            entry_points_agree(eta, F(max(1, 8 // m1)), root)
+
+
+def test_unit_precision_guard():
+    eta = parse("x^(3/2)+2*x^(7/4)", precision=INF)
+    start = time.perf_counter()
+    with pytest.raises(PuiseuxError, match=f"N = 599996 exceeds the limit of {MAX_UNIT_PRECISION}"):
+        invert_series(eta, 100000)
+    data = extract_branch(eta, unit_precision=20)
+    with pytest.raises(PuiseuxError, match="N = 599996 exceeds"):
+        invert_branch(data, 100000)
+    assert time.perf_counter() - start < 0.1
+    # without a target, N is the unit part's own precision
+    def constant_branch(N):
+        return BranchData(PuiseuxSeries.constant(1, 2, precision=N), 2, F(2), (1,))
+
+    assert invert_branch(constant_branch(MAX_UNIT_PRECISION)).checks.all_passed
+    with pytest.raises(PuiseuxError, match=f"N = {MAX_UNIT_PRECISION + 1} exceeds"):
+        invert_branch(constant_branch(MAX_UNIT_PRECISION + 1))

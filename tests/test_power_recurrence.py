@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from builders import NONZERO, random_exponent, random_unit_series
+from builders import NONZERO, perfect_power_unit, random_exponent, random_unit_series
 from oracles import dual_tower_heap, pow_int_products, unit_power_binomial
 from puiseux import INF, PrecisionError, PuiseuxError, PuiseuxSeries, dual, parse
 
@@ -30,15 +30,6 @@ def check_all(s, powers=range(-3, 5), rs=EXPONENTS, with_dual=True):
         same(s.pow_int(n), pow_int_products(s, n))
     if with_dual:
         same(dual(s), dual_tower_heap(s))
-
-
-def perfect_power_unit(rng, h, precision, denoms):
-    """A random unit whose constant term has a rational n1-th root."""
-    s = random_unit_series(rng, h, precision, max_terms=5, denoms=denoms)
-    n1 = s.ramification[0]
-    terms = dict(s.terms)
-    terms[(F(0),) * h] = rng.choice(NONZERO) ** n1
-    return PuiseuxSeries(h, terms, precision)
 
 
 def test_one_variable_integer_grid():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import NONZERO, random_exponent
+from oracles import substitute_constructor
 from puiseux import INF, ParseError, PrecisionError, PuiseuxSeries, parse
 from puiseux.series import format_series
 
@@ -165,6 +167,42 @@ def test_monomial_substitute_precision_rule():
 
 
 # --- precision discipline ----------------------------------------------------
+
+
+def test_monomial_substitute_agrees_with_constructor_path():
+    rng = random.Random(73)
+    seen = set()
+    for _ in range(80):
+        h = rng.choice([1, 2, 3])
+        terms = {random_exponent(rng, h, (1, 2, 3), max_num=6): rng.choice(NONZERO)
+                 for _ in range(rng.randrange(1, 8))}
+        prec = rng.choice([INF, F(rng.randrange(1, 7)), F(rng.randrange(3, 13), 2)])
+        s = PuiseuxSeries(h, terms, prec)
+        kind = rng.choice(["diagonal", "full", "singular"])
+        if kind == "diagonal":
+            q = [[F(rng.randrange(1, 4), rng.choice((1, 2, 3))) if i == j else F(0)
+                  for j in range(h)] for i in range(h)]
+        elif kind == "full":
+            q = [[F(rng.randrange(0, 3), rng.choice((1, 2))) for _ in range(h)] for _ in range(h)]
+            for i in range(h):
+                q[i][i] += 1
+        else:
+            # every row the same: images collide whenever exponent sums agree
+            row = [F(rng.randrange(1, 3)) for _ in range(h)]
+            q = [list(row) for _ in range(h)]
+        got = s.monomial_substitute(q)
+        want = substitute_constructor(s, q)
+        assert got == want, (s, q)
+        assert got.ramification == want.ramification
+        images = [tuple(sum(a * b for a, b in zip(r, e)) for r in q) for e in s.terms]
+        seen.add(kind)
+        if len(set(images)) < len(images):
+            seen.add("collision")
+        if prec is not INF:
+            bound = min(sum(r[j] for r in q) for j in range(h)) * prec
+            if any(sum(img) > bound for img in images):
+                seen.add("dropped")
+    assert seen == {"diagonal", "full", "singular", "collision", "dropped"}
 
 
 def test_coefficient_beyond_precision_raises():
