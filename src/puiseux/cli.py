@@ -2,9 +2,9 @@
 
 Verbs: analyze, dual, invert, lagrange, verify, qo, toric, corpus.
 Typed series are taken as exact polynomials unless they carry an explicit
-O(total=R) marker; --precision sets the working precision of whatever the
-verb computes (default 10).  Exit codes: 0 success, 1 parse or precondition
-error, 2 failed verification.
+O(total=R) marker.  Each verb takes only the options it reads; --precision
+is the working precision (default 10).  Exit codes: 0 success, 1 parse or
+precondition error, 2 failed verification.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from .exponents import (
 from .inversion import invert_series, lagrange_coefficient, verify_halphen_stolz
 from .quasi_ordinary import qo_test, toric_pullback, verify_qsigma_relation
 from .reports import CheckReport
-from .series import INF, PuiseuxSeries, default_names, format_series, parse
-
-DEFAULT_PRECISION = Fraction(10)
+from .series import DEFAULT_PRECISION, INF, PuiseuxSeries, default_names, format_series, parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +49,7 @@ def _apply_params(text: str, params: list[str]) -> str:
 
 
 def _parse_series(args) -> PuiseuxSeries:
-    text = _apply_params(args.series, getattr(args, "param", None))
+    text = _apply_params(args.series, args.param)
     return parse(text, precision=INF, laurent=getattr(args, "laurent", False))
 
 
@@ -156,12 +154,24 @@ def _xi_names(h: int) -> list[str]:
     return ["y1"] + [f"x{i}" for i in range(2, h + 1)]
 
 
-def _cmd_invert(args) -> int:
-    eta = _parse_series(args)
+def _invert(args, eta: PuiseuxSeries):
+    """Invert eta at --precision with --root-coeff (invert, lagrange, verify)."""
     target = rat(args.precision or DEFAULT_PRECISION)
     root = None if args.root_coeff is None else rat(args.root_coeff)
-    result = invert_series(eta, target, root_coeff=root)
-    h = eta.num_vars
+    return invert_series(eta, target, root_coeff=root)
+
+
+def _lagrange_coefficients(result, bound):
+    """(exponent, oracle coefficient) of xi at every y^(q/m1) up to bound."""
+    q = result.n1
+    while Fraction(q, result.m1) <= bound:
+        yield Fraction(q, result.m1), lagrange_coefficient(result.branch, q)
+        q += 1
+
+
+def _cmd_invert(args) -> int:
+    result = _invert(args, _parse_series(args))
+    h = result.eta.num_vars
     lines = [
         f"m1 = {result.m1}, n1 = {result.n1}, root = {result.root_coeff}",
         f"xi: {format_series(result.xi, _xi_names(h))}",
@@ -179,46 +189,35 @@ def _cmd_lagrange(args) -> int:
     eta = _parse_series(args)
     if eta.num_vars != 1:
         raise PuiseuxError("the lagrange verb works on one-variable series")
+    result = _invert(args, eta)
     target = rat(args.precision or DEFAULT_PRECISION)
-    root = None if args.root_coeff is None else rat(args.root_coeff)
-    data = invert_series(eta, target, root_coeff=root).branch
-    m1, n1 = data.exponent_m, data.ramification[0]
     lines = []
     rows = []
-    q = n1
-    while Fraction(q, m1) <= target:
-        coef = lagrange_coefficient(data, q)
+    for exponent, coef in _lagrange_coefficients(result, target):
         if coef != 0:
-            lines.append(f"[xi]_{Fraction(q, m1)} = {coef}")
-        rows.append({"exponent": str(Fraction(q, m1)), "coef": str(coef)})
-        q += 1
-    _emit(args, lines, {"m": m1, "n": n1, "coefficients": rows})
+            lines.append(f"[xi]_{exponent} = {coef}")
+        rows.append({"exponent": str(exponent), "coef": str(coef)})
+    _emit(args, lines, {"m": result.m1, "n": result.n1, "coefficients": rows})
     return 0
 
 
 def _cmd_verify(args) -> int:
-    eta = _parse_series(args)
-    target = rat(args.precision or DEFAULT_PRECISION)
-    root = None if args.root_coeff is None else rat(args.root_coeff)
-    result = invert_series(eta, target, root_coeff=root)
+    result = _invert(args, _parse_series(args))
     data = result.branch
     reports = [
         verify_halphen_stolz(result),
         verify_dual_identity(data.series),
         verify_power_identity(data.series, result.m1),
     ]
-    if eta.num_vars == 1:
+    if result.eta.num_vars == 1:
         oracle = CheckReport("Lagrange oracle equivalence")
-        q = result.n1
-        while Fraction(q, result.m1) <= result.xi.precision:
-            exp = (Fraction(q, result.m1),)
+        for exponent, coef in _lagrange_coefficients(result, result.xi.precision):
             oracle.record(
-                f"coefficient at y^{Fraction(q, result.m1)}",
-                result.xi.coefficient(exp),
-                lagrange_coefficient(data, q),
-                exp,
+                f"coefficient at y^{exponent}",
+                result.xi.coefficient((exponent,)),
+                coef,
+                (exponent,),
             )
-            q += 1
         reports.append(oracle)
     ok = all(r.all_passed for r in reports)
     lines = [r.describe() for r in reports]
@@ -277,38 +276,44 @@ def _cmd_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# every option any verb reads; each verb below names the ones it takes
+_OPTIONS = {
+    "--param": dict(action="append", metavar="NAME=p/q",
+                    help="substitute a coefficient symbol before parsing"),
+    "--laurent": dict(action="store_true",
+                      help="allow negative exponents (one variable)"),
+    "--precision": dict(metavar="R", help="working precision (total degree)"),
+    "--order": dict(default="lex", metavar="SPEC",
+                    help="lex | weights:w1,...,wh | matrix:FILE"),
+    "--lattice": dict(default="zh", metavar="SPEC", help="zh | matrix:FILE"),
+    "--root-coeff": dict(dest="root_coeff", metavar="p/q",
+                         help="m-th root of the dominating coefficient"),
+    "--matrix": dict(metavar="FILE", help="toric chart matrix (JSON rows)"),
+}
+
+_VERBS = {
+    "analyze": (_cmd_analyze, ("--param", "--precision", "--order", "--lattice")),
+    "dual": (_cmd_dual, ("--param", "--precision")),
+    "invert": (_cmd_invert, ("--param", "--precision", "--root-coeff")),
+    "lagrange": (_cmd_lagrange, ("--param", "--precision", "--root-coeff")),
+    "verify": (_cmd_verify, ("--param", "--precision", "--root-coeff")),
+    "qo": (_cmd_qo, ("--param", "--laurent")),
+    "toric": (_cmd_toric, ("--param", "--order", "--matrix")),
+    "corpus": (_cmd_corpus, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="puiseux", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(verb, func, needs_series=True, **extra):
+    for verb, (func, options) in _VERBS.items():
         p = sub.add_parser(verb)
-        if needs_series:
+        if verb != "corpus":
             p.add_argument("series", help="series text, e.g. 'x^(3/2) + 2*x^(7/4)'")
-            p.add_argument("--param", action="append", metavar="NAME=p/q",
-                           help="substitute a coefficient symbol before parsing")
-            p.add_argument("--laurent", action="store_true",
-                           help="allow negative exponents (one variable)")
-        p.add_argument("--precision", metavar="R", help="working precision (total degree)")
-        p.add_argument("--order", default="lex", metavar="SPEC",
-                       help="lex | weights:w1,...,wh | matrix:FILE")
-        p.add_argument("--lattice", default="zh", metavar="SPEC",
-                       help="zh | matrix:FILE")
-        p.add_argument("--root-coeff", dest="root_coeff", metavar="p/q",
-                       help="m-th root of the dominating coefficient")
-        p.add_argument("--matrix", metavar="FILE", help="toric chart matrix (JSON rows)")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(func=func)
-        return p
-
-    add("analyze", _cmd_analyze)
-    add("dual", _cmd_dual)
-    add("invert", _cmd_invert)
-    add("lagrange", _cmd_lagrange)
-    add("verify", _cmd_verify)
-    add("qo", _cmd_qo)
-    add("toric", _cmd_toric)
-    add("corpus", _cmd_corpus, needs_series=False)
     return parser
 
 

@@ -26,6 +26,7 @@ from .series import parse
 Q_SIGMA = [[1, 1], [0, 1]]
 PSI_TOR = "x1^(3/2) + x2^(1/4) + x1^(7/2)*x2^(5/2)"
 PSI_SIGMA = "v1^(3/2)*v2^(3/2) + v2^(1/4) + v1^(7/2)*v2^(6)"
+PSI_MULTI = "x1^(3/2) + x1^(7/4)*x2^(1/2) - 2*x1^(2)*x3^(1/3)"
 
 
 def _case_irreducible():
@@ -98,11 +99,11 @@ def _case_extract_plane():
 def _case_invert_plane():
     for c in (1, 2, -3):
         eta = parse(f"x^(3/2) + {c}*x^(7/4)" if c > 0 else f"x^(3/2) - {-c}*x^(7/4)")
-        result = invert_series(eta, F(3))
-        if result.xi.coefficient((F(2, 3),)) != 1:
-            return False, f"c={c}: leading coefficient"
-        if result.xi.coefficient((F(5, 6),)) != -F(2, 3) * c:
-            return False, f"c={c}: second coefficient"
+        result = invert_series(eta, F(5))
+        for p in range(4, 31):
+            want = F(4, p) * rational_binomial(F(-p, 6), p - 4) * c ** (p - 4)
+            if result.xi.coefficient((F(p, 6),)) != want:
+                return False, f"c={c}: coefficient of y^({p}/6)"
         if not result.checks.all_passed:
             return False, f"c={c}: inversion identities"
     return True, "xi = y^(2/3) - (2/3)c y^(5/6) + ... for c in {1, 2, -3}"
@@ -119,7 +120,7 @@ def _case_lagrange_plane():
 
 
 def _case_extract_multivariate():
-    psi = parse("x1^(3/2) + x1^(7/4)*x2^(1/2) - 2*x1^(2)*x3^(1/3)")
+    psi = parse(PSI_MULTI)
     data = extract_branch(psi, unit_precision=F(9))
     ok = data.exponent_m == 6 and data.root_coeff == 1
     ok = ok and data.ramification == (4, 2, 3)
@@ -132,7 +133,7 @@ def _case_extract_multivariate():
 
 
 def _case_invert_multivariate():
-    psi = parse("x1^(3/2) + x1^(7/4)*x2^(1/2) - 2*x1^(2)*x3^(1/3)")
+    psi = parse(PSI_MULTI)
     result = invert_series(psi, F(2))
     ok = result.m1 == 6 and result.n1 == 4
     ok = ok and result.xi.coefficient((F(2, 3), F(0), F(0))) == 1

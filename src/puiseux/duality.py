@@ -93,61 +93,51 @@ def verify_power_identity(phi: PuiseuxSeries, N: int) -> CheckReport:
     """Check Irr(phi^N) = Irr(phi) and the coefficient formulas
     [phi^N]_0 = phi_0^N and [phi^N]_r = N phi_0^(N-1) [phi]_r at every
     nonzero irreducible exponent r, within precision."""
-    if phi.constant_term() == 0:
+    c0 = phi.constant_term()
+    if c0 == 0:
         raise PuiseuxError("power identity needs an invertible series")
     if N < 1:
         raise PuiseuxError("N must be a positive integer")
-    report = CheckReport(f"power identity (N={N})")
-    power = phi.pow_int(N)
-    irr_phi = irreducible_exponents(phi.support())
-    irr_pow = irreducible_exponents(power.support())
-    for e in sorted(irr_phi ^ irr_pow, key=lambda v: (total(v), v)):
-        in_phi = e in irr_phi
-        report.record(
-            "irreducible sets equal",
-            "phi" if in_phi else "phi^N",
-            "phi^N" if in_phi else "phi",
-            e,
-        )
-    c0 = phi.constant_term()
-    zero = tuple(Fraction(0) for _ in range(phi.num_vars))
-    report.record("constant term", power.coefficient(zero), c0**N, zero)
-    for r in sorted(irr_phi & irr_pow, key=lambda v: (total(v), v)):
-        if r == zero:
-            continue
-        report.record(
-            "power coefficient",
-            power.coefficient(r),
-            N * c0 ** (N - 1) * phi.coefficient(r),
-            r,
-        )
-    return report
+    return _irreducible_identity(
+        f"power identity (N={N})", phi, phi.pow_int(N), "phi^N",
+        c0**N, "power coefficient", lambda r: N * c0 ** (N - 1),
+    )
 
 
 def verify_dual_identity(phi: PuiseuxSeries) -> CheckReport:
     """Check Irr(dual(phi)) = Irr(phi), [dual]_0 = phi_0^(-1) and
     [dual]_r = -phi_0^(-r1-2) [phi]_r at every nonzero irreducible r,
     r1 being the first coordinate."""
-    if phi.constant_term() == 0:
+    c0 = phi.constant_term()
+    if c0 == 0:
         raise PuiseuxError("dual identity needs an invertible series")
-    report = CheckReport("dual identity")
-    checked = dual(phi)
+    return _irreducible_identity(
+        "dual identity", phi, dual(phi), "dual",
+        1 / c0, "dual coefficient", lambda r: -rational_power(c0, -r[0] - 2),
+    )
+
+
+def _irreducible_identity(
+    title, phi, image, name, constant, label, factor
+) -> CheckReport:
+    """Check Irr(image) = Irr(phi), [image]_0 = constant and
+    [image]_r = factor(r) [phi]_r at every nonzero irreducible r; name is
+    the image's name in the set check, label the coefficient checks'."""
+    report = CheckReport(title)
     irr_phi = irreducible_exponents(phi.support())
-    irr_dual = irreducible_exponents(checked.support())
-    for e in sorted(irr_phi ^ irr_dual, key=lambda v: (total(v), v)):
+    irr_image = irreducible_exponents(image.support())
+    for e in sorted(irr_phi ^ irr_image, key=lambda v: (total(v), v)):
         in_phi = e in irr_phi
         report.record(
             "irreducible sets equal",
-            "phi" if in_phi else "dual",
-            "dual" if in_phi else "phi",
+            "phi" if in_phi else name,
+            name if in_phi else "phi",
             e,
         )
-    c0 = phi.constant_term()
     zero = tuple(Fraction(0) for _ in range(phi.num_vars))
-    report.record("constant term", checked.coefficient(zero), 1 / c0, zero)
-    for r in sorted(irr_phi & irr_dual, key=lambda v: (total(v), v)):
+    report.record("constant term", image.coefficient(zero), constant, zero)
+    for r in sorted(irr_phi & irr_image, key=lambda v: (total(v), v)):
         if r == zero:
             continue
-        expected = -rational_power(c0, -r[0] - 2) * phi.coefficient(r)
-        report.record("dual coefficient", checked.coefficient(r), expected, r)
+        report.record(label, image.coefficient(r), factor(r) * phi.coefficient(r), r)
     return report

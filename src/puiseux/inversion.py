@@ -383,7 +383,7 @@ def invert_series(
 
 def verify_halphen_stolz(result: InversionResult) -> CheckReport:
     """Recompute the inversion identities of a result from scratch."""
-    n = result.eta.ramification
+    n = result.branch.ramification
     h = result.eta.num_vars
     m1, n1 = result.m1, result.n1
     eta_t = result.eta.monomial_substitute(_diag(list(n)))

@@ -24,6 +24,7 @@ from .core import (
     PuiseuxError,
     Vec,
     as_vec,
+    mat_det,
     mat_from,
     mat_vec,
     rat,
@@ -33,6 +34,8 @@ from .core import (
 )
 
 INF = math.inf
+# precision of parse without a marker or argument, and of the CLI without one
+DEFAULT_PRECISION = Fraction(10)
 
 
 class ParseError(PuiseuxError):
@@ -366,6 +369,8 @@ class PuiseuxSeries:
             raise DimensionError("substitution matrix has wrong shape")
         if any(c < 0 for row in q for c in row):
             raise PuiseuxError("substitution matrix must be non-negative")
+        if mat_det(q) == 0:
+            raise PuiseuxError("substitution matrix must be invertible")
         if self.precision is INF:
             prec = INF
         else:
@@ -378,9 +383,7 @@ class PuiseuxSeries:
                 raise PuiseuxError(f"substitution sends {e} to negative exponent {img}")
             if prec is not INF and total(img) > prec:
                 continue
-            # a singular matrix can send two exponents to one image
-            v = terms.get(img)
-            terms[img] = c if v is None else v + c
+            terms[img] = c
         return PuiseuxSeries._build(self.num_vars, terms, prec, False)
 
     # -- comparisons and formatting -----------------------------------------
@@ -693,7 +696,6 @@ def parse(
     num_vars: int | None = None,
     precision=None,
     laurent: bool = False,
-    default_precision=Fraction(10),
 ) -> PuiseuxSeries:
     """Parse the series grammar.
 
@@ -702,7 +704,7 @@ def parse(
     names (x, y, t, u, v, w) denote the single variable of a one-variable
     series; indexed names like x1, v2 select the variable by suffix.  A
     trailing '+ O(total=R)' fixes the precision; otherwise the `precision`
-    argument or, failing that, `default_precision` applies.
+    argument or, failing that, DEFAULT_PRECISION applies.
     """
     p = _Parser(text)
     raw_terms: list[tuple[list[tuple[str, Fraction]], Fraction, int]] = []
@@ -801,5 +803,5 @@ def parse(
     elif precision is not None:
         prec = _norm_prec(precision)
     else:
-        prec = _norm_prec(default_precision)
+        prec = _norm_prec(DEFAULT_PRECISION)
     return PuiseuxSeries(h, terms, prec, laurent)

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from puiseux import PuiseuxSeries
-from puiseux.cli import main
+from puiseux.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -137,10 +137,12 @@ def test_toric_verb(tmp_path, capsys):
 
 
 def test_verify_verb(capsys):
-    code, out, _ = run(capsys, "verify", "x^(3/2)+2*x^(7/4)", "--precision", "2")
-    assert code == 0
-    assert "Halphen-Stolz inversion: PASS" in out
-    assert "Lagrange oracle equivalence: PASS" in out
+    # at 1/2 the result's eta is truncated to its head x^(3/2)
+    for precision in ("2", "1/2"):
+        code, out, err = run(capsys, "verify", "x^(3/2)+2*x^(7/4)", "--precision", precision)
+        assert code == 0, err
+        assert "Halphen-Stolz inversion: PASS" in out
+        assert "Lagrange oracle equivalence: PASS" in out
 
 
 def test_lagrange_verb(capsys):
@@ -216,3 +218,42 @@ def test_failed_verification_exits_two(capsys):
 
     assert _report_exit(False) == 2
     assert _report_exit(True) == 0
+
+
+# one value for every option of the CLI, and the options each verb reads
+OPTION_VALUES = {
+    "--param": "c=1",
+    "--laurent": None,
+    "--precision": "2",
+    "--order": "lex",
+    "--lattice": "zh",
+    "--root-coeff": "1",
+    "--matrix": "q.json",
+}
+VERB_OPTIONS = {
+    "analyze": {"--param", "--precision", "--order", "--lattice"},
+    "dual": {"--param", "--precision"},
+    "invert": {"--param", "--precision", "--root-coeff"},
+    "lagrange": {"--param", "--precision", "--root-coeff"},
+    "verify": {"--param", "--precision", "--root-coeff"},
+    "qo": {"--param", "--laurent"},
+    "toric": {"--param", "--order", "--matrix"},
+    "corpus": set(),
+}
+
+
+@pytest.mark.parametrize("verb", VERB_OPTIONS)
+def test_each_verb_takes_only_the_options_it_reads(verb, capsys):
+    series = [] if verb == "corpus" else ["x"]
+    assert build_parser().parse_args([verb, *series, "--json"]).json
+    for option, value in OPTION_VALUES.items():
+        argv = [verb, *series, option] + ([] if value is None else [value])
+        if option in VERB_OPTIONS[verb]:
+            args = build_parser().parse_args(argv)
+            assert getattr(args, option[2:].replace("-", "_"))
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, option
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: " + option in err and "Traceback" not in err

@@ -113,9 +113,12 @@ def test_exinv_all_coefficients():
 
 def test_verify_halphen_stolz_standalone():
     eta = parse("x^(3/2) + 2*x^(7/4)", precision=INF)
-    res = invert_series(eta, F(2))
-    report = verify_halphen_stolz(res)
-    assert report.all_passed
+    # below target 1 the result's eta is x^(3/2) alone, whose own
+    # ramification (2,) is not the branch's (4,)
+    for target in (F(1, 100), F(1, 2), F(2, 3), F(1), F(2)):
+        res = invert_series(eta, target)
+        assert res.checks.all_passed
+        assert verify_halphen_stolz(res).all_passed, target
     # the worked identity: 6(1 + 5/6) = 4(1 + 7/4) = 11
     assert 6 * (1 + F(5, 6)) == 4 * (1 + F(7, 4)) == 11
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from builders import NONZERO, random_exponent
 from oracles import substitute_constructor
-from puiseux import INF, ParseError, PrecisionError, PuiseuxSeries, parse
+from puiseux import INF, ParseError, PrecisionError, PuiseuxError, PuiseuxSeries, parse
+from puiseux.core import mat_det
 from puiseux.series import format_series
 
 # --- parsing ---------------------------------------------------------------
@@ -187,22 +188,25 @@ def test_monomial_substitute_agrees_with_constructor_path():
             for i in range(h):
                 q[i][i] += 1
         else:
-            # every row the same: images collide whenever exponent sums agree
+            # every row the same: singular for h > 1
             row = [F(rng.randrange(1, 3)) for _ in range(h)]
             q = [list(row) for _ in range(h)]
+        seen.add(kind)
+        if mat_det(q) == 0:
+            with pytest.raises(PuiseuxError, match="invertible"):
+                s.monomial_substitute(q)
+            seen.add("refused")
+            continue
         got = s.monomial_substitute(q)
         want = substitute_constructor(s, q)
         assert got == want, (s, q)
         assert got.ramification == want.ramification
         images = [tuple(sum(a * b for a, b in zip(r, e)) for r in q) for e in s.terms]
-        seen.add(kind)
-        if len(set(images)) < len(images):
-            seen.add("collision")
         if prec is not INF:
             bound = min(sum(r[j] for r in q) for j in range(h)) * prec
             if any(sum(img) > bound for img in images):
                 seen.add("dropped")
-    assert seen == {"diagonal", "full", "singular", "collision", "dropped"}
+    assert seen == {"diagonal", "full", "singular", "refused", "dropped"}
 
 
 def test_coefficient_beyond_precision_raises():
