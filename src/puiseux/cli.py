@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .core import AdditiveOrder, Lattice, PuiseuxError, fmt_vec, mat_from, rat, total
-from .duality import dual, verify_dual_identity, verify_power_identity
+from .duality import _dual_from_power, _dual_identity, dual, verify_power_identity
 from .exponents import (
     characteristic_exponents,
     essential_of_series,
@@ -138,7 +138,7 @@ def _report_exit(report_ok: bool) -> int:
 def _cmd_dual(args) -> int:
     phi = _parse_series(args).truncate(rat(args.precision or DEFAULT_PRECISION))
     checked = dual(phi)
-    report_dual = verify_dual_identity(phi)
+    report_dual = _dual_identity(phi, checked)
     lines = [
         f"dual: {format_series(checked, default_names(checked.num_vars, 'u'))}",
         report_dual.describe(),
@@ -206,7 +206,11 @@ def _cmd_verify(args) -> int:
     data = result.branch
     reports = [
         verify_halphen_stolz(result),
-        verify_dual_identity(data.series),
+        # the unit's dual read off the sparse unit^m1 rather than the dense unit
+        _dual_identity(
+            data.series,
+            _dual_from_power(data.series.pow_int(result.m1), result.m1, data.root_coeff, 1),
+        ),
         verify_power_identity(data.series, result.m1),
     ]
     if result.eta.num_vars == 1:

@@ -1,8 +1,9 @@
 """Exact arithmetic substrate: rational vectors, lattices and additive orders.
 
 Everything in this module is immutable after construction and safe to share
-between threads.  Exponent vectors are plain tuples of ``Fraction`` so they
-can serve directly as dictionary keys in the series layer.
+between threads.  Exponent vectors are plain tuples of ``Fraction``: the
+form in which the public API takes and returns exponents.  The series layer
+stores them as integer keys on each series' own grid instead.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ def as_vec(x, dim: int | None = None) -> Vec:
     if dim is not None and len(v) != dim:
         raise DimensionError(f"expected dimension {dim}, got {len(v)}")
     return v
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def vec_scale(c, a: Vec) -> Vec:
@@ -390,7 +387,7 @@ class AdditiveOrder:
     ``dominating`` flag records that guarantee by construction.
     """
 
-    __slots__ = ("matrix", "kind", "dominating")
+    __slots__ = ("matrix", "kind", "dominating", "_identity")
 
     def __init__(self, matrix: Matrix, kind: str, dominating: bool):
         matrix = mat_from(matrix)
@@ -399,6 +396,7 @@ class AdditiveOrder:
         if mat_det(matrix) == 0:
             raise OrderError("order matrix must be invertible")
         self.matrix = matrix
+        self._identity = matrix == mat_identity(len(matrix))
         self.kind = kind
         self.dominating = dominating
 
@@ -429,7 +427,8 @@ class AdditiveOrder:
         return len(self.matrix)
 
     def key(self, v) -> Vec:
-        return mat_vec(self.matrix, as_vec(v, self.dim))
+        v = as_vec(v, self.dim)
+        return v if self._identity else mat_vec(self.matrix, v)
 
     def compare(self, a, b) -> int:
         ka, kb = self.key(a), self.key(b)

@@ -45,7 +45,7 @@ from fractions import Fraction
 from .core import PuiseuxError, RootError, rational_power, rational_root, total
 from .exponents import irreducible_exponents
 from .reports import CheckReport
-from .series import INF, PuiseuxSeries, PrecisionError, _GridPower, _from_grid
+from .series import INF, PuiseuxSeries, PrecisionError, _GridPower
 
 __all__ = ["dual", "verify_power_identity", "verify_dual_identity"]
 
@@ -64,7 +64,7 @@ def _dual_from_power(
     if power.laurent:
         raise PuiseuxError("dual of a Laurent series is not defined")
     prec = power.precision
-    if prec is INF and len(power.terms) > 1:
+    if prec is INF and len(power._keys) > 1:
         raise PrecisionError(
             "dual of an exact non-constant series has infinite support; truncate first"
         )
@@ -78,15 +78,14 @@ def _dual_from_power(
             f"{n1}-th root of the constant term {c0}"
         )
     # first coordinates of psi^a are sums of phi's, so multiples of their gcd
-    step = math.gcd(*(int(e[0] * n1) for e in power.terms))
+    step = math.gcd(*(g[0] for g in power._keys))
     recurrence = _GridPower(power)
     found = {}
     for k in range(0, math.floor(prec * n1) + 1, step) if step else [0]:
         coeffs = recurrence(Fraction(-(k + a * n1), n1 * m), cap=k)
         scale = r0 ** -(k + a * n1) * Fraction(a * n1, k + a * n1)
         found.update((g, c * scale) for g, c in coeffs.items() if g[0] == k)
-    terms = _from_grid(found, power.ramification)
-    return PuiseuxSeries._build(power.num_vars, terms, prec, False)
+    return PuiseuxSeries._from_keys(found, power.ramification, prec, False)
 
 
 def verify_power_identity(phi: PuiseuxSeries, N: int) -> CheckReport:
@@ -108,11 +107,16 @@ def verify_dual_identity(phi: PuiseuxSeries) -> CheckReport:
     """Check Irr(dual(phi)) = Irr(phi), [dual]_0 = phi_0^(-1) and
     [dual]_r = -phi_0^(-r1-2) [phi]_r at every nonzero irreducible r,
     r1 being the first coordinate."""
-    c0 = phi.constant_term()
-    if c0 == 0:
+    if phi.constant_term() == 0:
         raise PuiseuxError("dual identity needs an invertible series")
+    return _dual_identity(phi, dual(phi))
+
+
+def _dual_identity(phi: PuiseuxSeries, psi: PuiseuxSeries) -> CheckReport:
+    """verify_dual_identity on psi, the dual of phi already computed."""
+    c0 = phi.constant_term()
     return _irreducible_identity(
-        "dual identity", phi, dual(phi), "dual",
+        "dual identity", phi, psi, "dual",
         1 / c0, "dual coefficient", lambda r: -rational_power(c0, -r[0] - 2),
     )
 

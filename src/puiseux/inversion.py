@@ -130,7 +130,7 @@ def _dominating_profile(eta: PuiseuxSeries):
             f"dominating exponent {lam1} times the first denominator "
             f"{eta.ramification[0]} is {m1}, not a positive integer"
         )
-    return lam1, eta.terms[candidate], int(m1)
+    return lam1, eta.coefficient(candidate), int(m1)
 
 
 def extract_branch(
@@ -169,7 +169,7 @@ def _extract_branch(eta, root_coeff, unit_precision):
     unit_m = eta_t.shift(tuple(-m1 * c for c in unit_vec(h, 0)))
     if unit_precision is not None and unit_precision != INF:
         unit_m = unit_m.truncate(max(Fraction(0), Fraction(unit_precision)))
-    if unit_m.precision is INF and m1 > 1 and len(unit_m.terms) > 1:
+    if unit_m.precision is INF and m1 > 1 and len(unit_m._keys) > 1:
         raise PrecisionError(
             "exact input: pass unit_precision (or use invert_series with a target)"
         )
@@ -316,7 +316,7 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
                 f"{target_precision} needs {need}"
             )
         unit = unit.truncate(need)
-    elif unit.precision is INF and len(unit.terms) > 1:
+    elif unit.precision is INF and len(unit._keys) > 1:
         raise PrecisionError("exact unit part: pass target_precision")
     else:
         _check_unit_precision(unit.precision)
@@ -376,7 +376,7 @@ def invert_series(
                 f"precision {need}, input supports only {available}"
             )
     data, unit_m = _extract_branch(eta, root_coeff, need)
-    if need is INF and len(unit_m.terms) > 1:
+    if need is INF and len(unit_m._keys) > 1:
         raise PrecisionError("exact unit part: pass target_precision")
     return _invert(data, unit_m)
 
@@ -391,6 +391,12 @@ def verify_halphen_stolz(result: InversionResult) -> CheckReport:
     # corresponding support elements differ by (n1 - m1)*v1, so the two
     # windows must be offset by exactly m1 - n1 or d' = d is not comparable
     w_eta = min(eta_t.precision, xi_u.precision + m1 - n1)
+    if w_eta < m1:
+        # the head m1*v1 of eta_t lies beyond the window
+        raise PrecisionError(
+            f"the result's window w_eta = {w_eta} is below m1 = {m1} in the "
+            "unit frame; invert at a higher target precision"
+        )
     eta_t = eta_t.truncate(w_eta)
     xi_u = xi_u.truncate(w_eta - m1 + n1)
     lex = AdditiveOrder.lex(h)
@@ -426,8 +432,8 @@ def lagrange_coefficient(data: BranchData, q: int) -> Fraction:
     i = 1
     while not c_series.is_zero() and i * c_series.order_total() <= target:
         power = power * c_series
-        bracket += rational_binomial(Fraction(-q, m1), i) * power.terms.get(
-            (Fraction(target),), Fraction(0)
+        bracket += rational_binomial(Fraction(-q, m1), i) * power.coefficient(
+            (Fraction(target),)
         )
         i += 1
     return Fraction(n1, q) * atilde**-q * bracket

@@ -1,13 +1,18 @@
 """Truncated Newton-Puiseux series with exact rational coefficients.
 
-A series in h variables is a finite map from exponent vectors (tuples of
-Fractions, one per variable) to nonzero rational coefficients, together with
-a precision bound T: terms whose total exponent sum exceeds T are unknown.
-T = math.inf marks an exactly known (polynomial) series.
+A series in h variables is a finite map from exponent vectors to nonzero
+rational coefficients, together with a precision bound T: terms whose total
+exponent sum exceeds T are unknown.  T = math.inf marks an exactly known
+(polynomial) series.
 
 The i-th coordinate of every exponent lies in (1/n_i)Z where (n_1,...,n_h)
-is the ramification vector; it is recomputed to the per-variable lcm of the
-stored denominators on every construction, so representations stay primitive.
+is the ramification vector, the least such grid.  Terms are stored on that
+grid alone: the exponent e is the integer key g with g_i = e_i*n_i, graded by
+the integer total degree T(g) = sum g_i*(L/n_i) = L*total(e), L = lcm(n_i).
+Every construction divides the grid by the per-coordinate gcd of the keys,
+so the ramification stays primitive.  Fraction tuples appear only at the
+API: terms, support, sorted_terms, coefficient, JSON, formatting and error
+messages.
 """
 
 from __future__ import annotations
@@ -26,11 +31,9 @@ from .core import (
     as_vec,
     mat_det,
     mat_from,
-    mat_vec,
     rat,
     rational_power,
     total,
-    vec_add,
 )
 
 INF = math.inf
@@ -66,8 +69,18 @@ def _add_prec(a, b):
     return a + b
 
 
+def _grading(grid):
+    """L = lcm(grid) and the weights L/n_i of the integer total degree."""
+    lcm_all = math.lcm(*grid)
+    return lcm_all, tuple(lcm_all // n for n in grid)
+
+
+def _degree(key, weights) -> int:
+    return sum(map(operator.mul, key, weights))
+
+
 class PuiseuxSeries:
-    __slots__ = ("num_vars", "terms", "precision", "laurent", "ramification")
+    __slots__ = ("num_vars", "_keys", "precision", "laurent", "ramification")
 
     def __init__(self, num_vars: int, terms, precision=INF, laurent: bool = False):
         if num_vars < 1:
@@ -85,41 +98,39 @@ class PuiseuxSeries:
             if any(c < 0 for c in exp):
                 if not laurent:
                     raise PuiseuxError(f"negative exponent {exp} in a non-Laurent series")
-            if precision is not INF and total(exp) > precision:
-                continue
             clean[exp] = clean.get(exp, Fraction(0)) + coef
-            if clean[exp] == 0:
-                del clean[exp]
-        ram = []
-        for i in range(num_vars):
-            n = 1
-            for exp in clean:
-                n = math.lcm(n, exp[i].denominator)
-            ram.append(n)
-        self.num_vars = num_vars
-        self.terms = clean
+        # one grid lcm(all denominators) in every coordinate; _store reduces it
+        lcm_all = math.lcm(1, *(x.denominator for exp in clean for x in exp))
+        keys = {
+            tuple(x.numerator * (lcm_all // x.denominator) for x in exp): c
+            for exp, c in clean.items()
+        }
+        self._store(keys, (lcm_all,) * num_vars, precision, laurent)
+
+    def _store(self, keys, grid, precision, laurent) -> None:
+        """Set every field from integer keys on grid, which may be finer
+        than the keys need: drop zero coefficients and keys of degree above
+        precision*L, then divide the grid by the per-coordinate gcd of the
+        keys."""
+        lcm_all, weights = _grading(grid)
+        cutoff = INF if precision is INF else math.floor(precision * lcm_all)
+        keys = {g: c for g, c in keys.items() if c and _degree(g, weights) <= cutoff}
+        divisors = [math.gcd(n, *(g[i] for g in keys)) if n > 1 else 1 for i, n in enumerate(grid)]
+        if any(d > 1 for d in divisors):
+            grid = tuple(n // d for n, d in zip(grid, divisors))
+            keys = {tuple(map(operator.floordiv, g, divisors)): c for g, c in keys.items()}
+        self.num_vars = len(grid)
+        self._keys = keys
         self.precision = precision
         self.laurent = laurent
-        self.ramification = tuple(ram)
+        self.ramification = grid
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _build(cls, num_vars, terms, precision, laurent) -> "PuiseuxSeries":
-        """Internal fast path: keys are canonical Fraction tuples already
-        within precision; only zero coefficients still need dropping."""
+    def _from_keys(cls, keys, grid, precision, laurent) -> "PuiseuxSeries":
         obj = object.__new__(cls)
-        obj.num_vars = num_vars
-        obj.terms = {e: c for e, c in terms.items() if c != 0}
-        obj.precision = precision
-        obj.laurent = laurent
-        ram = [1] * num_vars
-        for exp in obj.terms:
-            for i, c in enumerate(exp):
-                d = c.denominator
-                if ram[i] % d:
-                    ram[i] = math.lcm(ram[i], d)
-        obj.ramification = tuple(ram)
+        obj._store(keys, grid, precision, laurent)
         return obj
 
     @classmethod
@@ -141,14 +152,31 @@ class PuiseuxSeries:
 
     # -- inspection ---------------------------------------------------------
 
+    def _vec(self, key) -> Vec:
+        return tuple(map(Fraction, key, self.ramification))
+
+    def _keys_on(self, grid) -> dict:
+        """The keys on grid, a multiple of the ramification."""
+        if grid == self.ramification:
+            return self._keys
+        factors = [m // n for m, n in zip(grid, self.ramification)]
+        return {tuple(map(operator.mul, g, factors)): c for g, c in self._keys.items()}
+
+    @property
+    def terms(self) -> dict[Vec, Fraction]:
+        """A fresh dict from exponent vectors to coefficients."""
+        return {self._vec(g): c for g, c in self._keys.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def support(self) -> set[Vec]:
-        return set(self.terms)
+        return {self._vec(g) for g in self._keys}
 
     def sorted_terms(self) -> list[tuple[Vec, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (total(kv[0]), kv[0]))
+        _, weights = _grading(self.ramification)
+        keys = sorted(self._keys, key=lambda g: (_degree(g, weights), g))
+        return [(self._vec(g), self._keys[g]) for g in keys]
 
     def coefficient(self, exponent) -> Fraction:
         exp = as_vec(exponent, self.num_vars)
@@ -156,17 +184,19 @@ class PuiseuxSeries:
             raise PrecisionError(
                 f"coefficient at {exp} requested beyond precision {self.precision}"
             )
-        return self.terms.get(exp, Fraction(0))
+        # an integral Fraction hashes and compares like its int, and an
+        # exponent off the grid gives a non-integral key that matches none
+        return self._keys.get(tuple(x * n for x, n in zip(exp, self.ramification)), Fraction(0))
 
     def constant_term(self) -> Fraction:
-        zero = tuple(Fraction(0) for _ in range(self.num_vars))
-        return self.terms.get(zero, Fraction(0))
+        return self._keys.get((0,) * self.num_vars, Fraction(0))
 
     def order_total(self):
         """Least total exponent sum in the support; +inf for the zero series."""
-        if not self.terms:
+        if not self._keys:
             return INF
-        return min(total(e) for e in self.terms)
+        lcm_all, weights = _grading(self.ramification)
+        return Fraction(min(_degree(g, weights) for g in self._keys), lcm_all)
 
     def _order_bound(self):
         # sound lower bound for the order, finite for truncated zero series
@@ -175,37 +205,34 @@ class PuiseuxSeries:
     def min_exponent(self, order=None) -> Vec:
         """Least exponent, by total sum then lexicographically, or under a
         caller-supplied additive order."""
-        if not self.terms:
+        if not self._keys:
             raise PuiseuxError("zero series has no minimal exponent")
         if order is not None:
-            return order.min(self.terms)
-        return min(self.terms, key=lambda e: (total(e), e))
+            return order.min(self.support())
+        return self.sorted_terms()[0][0]
 
     def dominating(self) -> tuple[Vec, Fraction]:
         e = self.min_exponent()
-        return e, self.terms[e]
+        return e, self.coefficient(e)
 
     # -- ring operations ----------------------------------------------------
 
-    def _check_compat(self, other: "PuiseuxSeries") -> None:
+    def _check_compat(self, other: "PuiseuxSeries") -> tuple[int, ...]:
+        """The common grid of two series in the same number of variables."""
         if self.num_vars != other.num_vars:
             raise DimensionError("series have different numbers of variables")
+        return tuple(map(math.lcm, self.ramification, other.ramification))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = PuiseuxSeries.constant(self.num_vars, other)
-        self._check_compat(other)
+        grid = self._check_compat(other)
         prec = _min_prec(self.precision, other.precision)
-        terms: dict[Vec, Fraction] = {}
-        for src in (self.terms, other.terms):
-            for e, c in src.items():
-                if prec is not INF and total(e) > prec:
-                    continue
-                v = terms.get(e)
-                terms[e] = c if v is None else v + c
-        return PuiseuxSeries._build(
-            self.num_vars, terms, prec, self.laurent or other.laurent
-        )
+        keys = dict(self._keys_on(grid))
+        for g, c in other._keys_on(grid).items():
+            v = keys.get(g)
+            keys[g] = c if v is None else v + c
+        return PuiseuxSeries._from_keys(keys, grid, prec, self.laurent or other.laurent)
 
     __radd__ = __add__
 
@@ -219,58 +246,51 @@ class PuiseuxSeries:
 
     def scale(self, c) -> "PuiseuxSeries":
         c = rat(c)
-        return PuiseuxSeries._build(
-            self.num_vars,
-            {e: c * v for e, v in self.terms.items()},
-            self.precision,
-            self.laurent,
-        )
+        keys = {g: c * v for g, v in self._keys.items()}
+        return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, self.laurent)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_compat(other)
+        grid = self._check_compat(other)
         prec = _min_prec(
             _add_prec(self.precision, other._order_bound()),
             _add_prec(other.precision, self._order_bound()),
         )
         # convolve on the common integer grid: integer keys hash and add far
         # faster than Fraction tuples
-        grid = tuple(math.lcm(a, b) for a, b in zip(self.ramification, other.ramification))
-        lcm_all, a_items = _grid_items(self.terms, grid)
-        b_items = sorted(_grid_items(other.terms, grid)[1], key=lambda x: x[0])
+        lcm_all, weights = _grading(grid)
+        a_items = [(_degree(g, weights), g, c) for g, c in self._keys_on(grid).items()]
+        b_items = [(_degree(g, weights), g, c) for g, c in other._keys_on(grid).items()]
+        b_items.sort(key=operator.itemgetter(0))
         cutoff = None if prec is INF else math.floor(prec * lcm_all)
         raw: dict[tuple, Fraction] = {}
         for t1, e1, c1 in a_items:
             for t2, e2, c2 in b_items:
                 if cutoff is not None and t1 + t2 > cutoff:
                     break
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 v = raw.get(e)
                 raw[e] = c1 * c2 if v is None else v + c1 * c2
-        return PuiseuxSeries._build(
-            self.num_vars, _from_grid(raw, grid), prec, self.laurent or other.laurent
-        )
+        return PuiseuxSeries._from_keys(raw, grid, prec, self.laurent or other.laurent)
 
     __rmul__ = __mul__
 
     def shift(self, delta) -> "PuiseuxSeries":
         """Multiply by the monomial with exponent vector delta."""
         delta = as_vec(delta, self.num_vars)
-        terms = {vec_add(e, delta): c for e, c in self.terms.items()}
-        laurent = self.laurent or any(c < 0 for e in terms for c in e)
+        prec = _add_prec(self.precision, total(delta))
+        grid = tuple(math.lcm(n, x.denominator) for n, x in zip(self.ramification, delta))
+        step = tuple(x.numerator * (n // x.denominator) for x, n in zip(delta, grid))
+        keys = {tuple(map(operator.add, g, step)): c for g, c in self._keys_on(grid).items()}
+        laurent = self.laurent or any(x < 0 for g in keys for x in g)
         if laurent and self.num_vars != 1:
             raise PuiseuxError("a shift below zero requires a one-variable Laurent series")
-        return PuiseuxSeries._build(
-            self.num_vars, terms, _add_prec(self.precision, total(delta)), laurent
-        )
+        return PuiseuxSeries._from_keys(keys, grid, prec, laurent)
 
     def truncate(self, precision) -> "PuiseuxSeries":
         prec = _min_prec(self.precision, _norm_prec(precision))
-        terms = self.terms
-        if prec is not INF and prec != self.precision:
-            terms = {e: c for e, c in terms.items() if total(e) <= prec}
-        return PuiseuxSeries._build(self.num_vars, terms, prec, self.laurent)
+        return PuiseuxSeries._from_keys(self._keys, self.ramification, prec, self.laurent)
 
     # -- powers and roots ---------------------------------------------------
 
@@ -293,19 +313,13 @@ class PuiseuxSeries:
             raise PuiseuxError("unit_power requires a nonzero constant term")
         if constant_power is None:
             constant_power = rational_power(c0, r)
-        laurent = self.laurent and r != 0 and len(self.terms) > 1
+        laurent = self.laurent and r != 0 and len(self._keys) > 1
         return self._scaled_power(r, constant_power, laurent)
 
     def _scaled_power(self, r, constant_power, laurent) -> "PuiseuxSeries":
         """constant_power * (self/self_0)**r at self's precision."""
-        grid = self.ramification
-        terms = _from_grid(_GridPower(self)(r), grid)
-        return PuiseuxSeries._build(
-            self.num_vars,
-            {e: c * constant_power for e, c in terms.items()},
-            self.precision,
-            laurent,
-        )
+        keys = {g: c * constant_power for g, c in _GridPower(self)(r).items()}
+        return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, laurent)
 
     def unit_root(self, m: int, root_of_constant) -> "PuiseuxSeries":
         """The unique m-th root whose constant term is root_of_constant."""
@@ -376,34 +390,34 @@ class PuiseuxSeries:
         else:
             col_sums = [sum(q[i][j] for i in range(len(q))) for j in range(len(q))]
             prec = min(col_sums) * self.precision
-        terms = {}
-        for e, c in self.terms.items():
-            img = mat_vec(q, e)
+        # the image key is a·g with a_ij = grid_i*q_ij/n_j, grid_i the least
+        # denominator that makes row i of a integral
+        ratios = [[x / n for x, n in zip(row, self.ramification)] for row in q]
+        grid = tuple(math.lcm(*(x.denominator for x in row)) for row in ratios)
+        a = [[int(x * m) for x in row] for row, m in zip(ratios, grid)]
+        keys = {}
+        for g, c in self._keys.items():
+            img = tuple(_degree(g, row) for row in a)
             if any(x < 0 for x in img):
-                raise PuiseuxError(f"substitution sends {e} to negative exponent {img}")
-            if prec is not INF and total(img) > prec:
-                continue
-            terms[img] = c
-        return PuiseuxSeries._build(self.num_vars, terms, prec, False)
+                raise PuiseuxError(
+                    f"substitution sends {self._vec(g)} to negative exponent "
+                    f"{tuple(map(Fraction, img, grid))}"
+                )
+            keys[img] = c
+        return PuiseuxSeries._from_keys(keys, grid, prec, False)
 
     # -- comparisons and formatting -----------------------------------------
 
     def agrees_with(self, other: "PuiseuxSeries") -> bool:
         """Exact equality of all coefficients up to the common precision."""
-        self._check_compat(other)
-        prec = _min_prec(self.precision, other.precision)
-        for e in set(self.terms) | set(other.terms):
-            if prec is not INF and total(e) > prec:
-                continue
-            if self.terms.get(e, 0) != other.terms.get(e, 0):
-                return False
-        return True
+        return (self - other).is_zero()
 
     def __eq__(self, other):
         return (
             isinstance(other, PuiseuxSeries)
             and self.num_vars == other.num_vars
-            and self.terms == other.terms
+            and self.ramification == other.ramification
+            and self._keys == other._keys
             and self.precision == other.precision
             and self.laurent == other.laurent
         )
@@ -435,26 +449,6 @@ class PuiseuxSeries:
         return cls(data["vars"], terms, prec, laurent)
 
 
-def _grid_items(terms, grid):
-    """Terms on the integer grid of grid = (n_1, ..., n_h).
-
-    The exponent e becomes the integer key g with g_i = e_i*n_i, graded by
-    the integer total degree T(g) = sum g_i*(L/n_i) = L*total(e), where
-    L = lcm(grid).  Returns L and a list of (T(g), g, coefficient).
-    """
-    lcm_all = math.lcm(*grid)
-    weights = [lcm_all // n for n in grid]
-    items = []
-    for e, c in terms.items():
-        g = tuple(x.numerator * (n // x.denominator) for x, n in zip(e, grid))
-        items.append((sum(k * w for k, w in zip(g, weights)), g, c))
-    return lcm_all, items
-
-
-def _from_grid(raw, grid) -> dict[Vec, Fraction]:
-    return {tuple(Fraction(x, n) for x, n in zip(g, grid)): c for g, c in raw.items()}
-
-
 class _GridPower:
     """P = (f/f_0)**r on f's integer grid, by J.C.P. Miller's recurrence.
 
@@ -469,15 +463,16 @@ class _GridPower:
     pushed to the keys k + j with weight a_j (r T(j) - T(k)), so keys finish
     in increasing total degree.
 
-    The constructor does the part that depends on f alone: the grid items,
-    a_j = A_j/den with integers A_j, and the steps in scan order.  Calling
-    the object runs the recurrence for one r, so many powers of one series
-    (as in dual) share that setup.
+    The constructor does the part that depends on f alone: the degrees of
+    f's keys, a_j = A_j/den with integers A_j, and the steps in scan order.
+    Calling the object runs the recurrence for one r, so many powers of one
+    series (as in dual) share that setup.
     """
 
     def __init__(self, f: PuiseuxSeries):
-        lcm_all, items = _grid_items(f.terms, f.ramification)
+        lcm_all, weights = _grading(f.ramification)
         c0 = f.constant_term()
+        items = [(_degree(g, weights), g, c) for g, c in f._keys.items()]
         items = [(t, g, c) for t, g, c in items if t]
         if any(t < 0 for t, _, _ in items):
             raise PuiseuxError("a power by recurrence needs non-negative exponents")

@@ -416,3 +416,64 @@ def invert_xi_reference(data, target):
         checks=_halphen_stolz_report(eta_t, xi_u, ess_t, ess_u, m1, n1, data.root_coeff),
         branch=data,
     )
+
+
+# reference series arithmetic on Fraction-tuple keys
+
+
+def fraction_series(num_vars, terms, precision, laurent):
+    """(terms, precision, laurent, ramification) as the library's earlier
+    Fraction-keyed series stored them: zero coefficients dropped, and the
+    ramification the per-variable lcm of the stored denominators."""
+    terms = {e: c for e, c in terms.items() if c != 0}
+    ram = tuple(math.lcm(1, *(e[i].denominator for e in terms)) for i in range(num_vars))
+    return terms, precision, laurent, ram
+
+
+def fraction_view(s):
+    """The same four fields read off a library series."""
+    return s.terms, s.precision, s.laurent, s.ramification
+
+
+def _order_bound(s):
+    return min(min((sum(e) for e in s.terms), default=INF), s.precision)
+
+
+def add_fractions(a, b):
+    """The earlier a + b: sum the Fraction keys, dropping those beyond the
+    lesser precision."""
+    prec = min(a.precision, b.precision)
+    terms = {}
+    for src in (a.terms, b.terms):
+        for e, c in src.items():
+            if sum(e) <= prec:
+                terms[e] = terms.get(e, Fraction(0)) + c
+    return fraction_series(a.num_vars, terms, prec, a.laurent or b.laurent)
+
+
+def mul_fractions(a, b):
+    """The earlier a * b: the full convolution of the Fraction keys, cut at
+    min(prec_a + ord_b, prec_b + ord_a)."""
+    prec = min(a.precision + _order_bound(b), b.precision + _order_bound(a))
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) <= prec:
+                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return fraction_series(a.num_vars, terms, prec, a.laurent or b.laurent)
+
+
+def shift_fractions(a, delta):
+    """The earlier shift: add delta to every Fraction key."""
+    delta = as_vec(delta, a.num_vars)
+    terms = {tuple(x + d for x, d in zip(e, delta)): c for e, c in a.terms.items()}
+    laurent = a.laurent or any(x < 0 for e in terms for x in e)
+    return fraction_series(a.num_vars, terms, a.precision + sum(delta), laurent)
+
+
+def truncate_fractions(a, precision):
+    """The earlier truncate: keep the Fraction keys up to the lesser precision."""
+    prec = min(a.precision, precision)
+    terms = {e: c for e, c in a.terms.items() if sum(e) <= prec}
+    return fraction_series(a.num_vars, terms, prec, a.laurent)

@@ -1,9 +1,12 @@
 import json
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
 
+import puiseux.cli
+import puiseux.duality
 from puiseux import PuiseuxSeries
 from puiseux.cli import build_parser, main
 
@@ -112,6 +115,40 @@ def test_dual_verb(capsys):
     code, out, _ = run(capsys, "dual", "1 + t", "--precision", "6")
     assert code == 0
     assert "1 - u + 2*u^(2) - 5*u^(3)" in out
+
+
+def _count_runs(monkeypatch, module):
+    """Record the arguments of every _dual_from_power call made through module."""
+    runs = []
+    real = puiseux.duality._dual_from_power
+
+    def counted(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "_dual_from_power", counted)
+    return runs
+
+
+def test_dual_verb_computes_the_dual_once(capsys, monkeypatch):
+    # the identity report checks the dual the verb prints, not a second one
+    runs = _count_runs(monkeypatch, puiseux.duality)
+    code, out, _ = run(capsys, "dual", "1 + t + 3*t^(2) - t^(5)", "--precision", "20")
+    assert code == 0
+    assert "dual identity: PASS" in out
+    assert len(runs) == 1
+
+
+def test_verify_verb_duals_the_sparse_power(capsys, monkeypatch):
+    # the unit's dual identity reads the dual off the two terms of
+    # unit^m1 = 1 + 2t, not off the dense unit
+    runs = _count_runs(monkeypatch, puiseux.cli)
+    code, out, _ = run(capsys, "verify", "x^(3/2)+2*x^(7/4)", "--precision", "4")
+    assert code == 0
+    assert "dual identity: PASS" in out
+    ((power, m, c0, a),) = runs
+    assert (m, c0, a) == (6, 1, 1)
+    assert power.terms == {(F(0),): 1, (F(1),): 2}
 
 
 def test_qo_verb(capsys):

@@ -22,6 +22,7 @@ from puiseux import (
     rational_binomial,
     verify_halphen_stolz,
 )
+from puiseux.corpus import PSI_MULTI
 
 
 def test_primitive_representation():
@@ -151,6 +152,23 @@ def test_standalone_verify_uses_symmetric_windows():
         res = invert_series(psi, target)
         assert res.checks.all_passed
         assert verify_halphen_stolz(res).all_passed, target
+
+
+@pytest.mark.parametrize(
+    "target, w_eta",
+    [(F(1, 100), 3), (F(1, 2), 3), (F(2, 3), 3), (F(1), 4), (F(4, 3), F(14, 3)),
+     (F(5, 3), F(16, 3)), (F(2), None)],
+)
+def test_verify_names_a_window_below_the_head(target, w_eta):
+    # below target 2 the re-framed window w_eta is under m1 = 6, so the head
+    # t1^6 of eta_t is unknown there; the result's own report still passes
+    res = invert_series(parse(PSI_MULTI, precision=INF), target)
+    assert res.checks.all_passed
+    if w_eta is None:
+        assert verify_halphen_stolz(res).all_passed
+    else:
+        with pytest.raises(PrecisionError, match=rf"w_eta = {w_eta} is below m1 = 6"):
+            verify_halphen_stolz(res)
 
 
 def test_provisional_report_when_certificate_is_missing():

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import NONZERO, random_exponent
-from oracles import substitute_constructor
+from oracles import (
+    add_fractions,
+    fraction_series,
+    fraction_view,
+    mul_fractions,
+    shift_fractions,
+    substitute_constructor,
+    truncate_fractions,
+)
 from puiseux import INF, ParseError, PrecisionError, PuiseuxError, PuiseuxSeries, parse
 from puiseux.core import mat_det
 from puiseux.series import format_series
@@ -207,6 +215,58 @@ def test_monomial_substitute_agrees_with_constructor_path():
             if any(sum(img) > bound for img in images):
                 seen.add("dropped")
     assert seen == {"diagonal", "full", "singular", "refused", "dropped"}
+
+
+def _grid_series(rng, h, laurent=False):
+    denoms = (1, 2, 3, 4, 6)
+    terms = {random_exponent(rng, h, denoms): rng.choice(NONZERO)
+             for _ in range(rng.randrange(0, 6))}
+    if laurent:
+        terms[(F(-rng.randrange(1, 4), rng.choice(denoms)),)] = rng.choice(NONZERO)
+    prec = rng.choice([INF, F(rng.randrange(1, 7)), F(rng.randrange(5, 25), rng.choice(denoms))])
+    return PuiseuxSeries(h, terms, prec, laurent)
+
+
+def test_grid_arithmetic_agrees_with_fraction_reference():
+    # +, *, shift and truncate on integer grid keys against the earlier
+    # Fraction-keyed versions: terms, precision, laurent and ramification
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(150):
+        h = rng.choice([1, 2, 3])
+        laurent = h == 1 and rng.random() < 0.3
+        a, b = _grid_series(rng, h, laurent), _grid_series(rng, h)
+        if rng.random() < 0.4 and not a.is_zero():
+            # cancel part of a, which can lower the ramification of a + b
+            for e, c in list(a.terms.items())[: rng.randrange(1, len(a.terms) + 1)]:
+                b = b + PuiseuxSeries.monomial(h, e, -c, b.precision, laurent)
+        assert fraction_view(a) == fraction_series(h, a.terms, a.precision, a.laurent)
+        total_sum = a + b
+        assert fraction_view(total_sum) == add_fractions(a, b), (a, b)
+        assert fraction_view(a * b) == mul_fractions(a, b), (a, b)
+        pairs = zip(total_sum.ramification, a.ramification, b.ramification)
+        if any(n < max(x, y) for n, x, y in pairs):
+            seen.add("lowered")
+        delta = tuple(F(rng.randrange(-3 if h == 1 else 0, 4), rng.choice((1, 2, 3, 4, 6)))
+                      for _ in range(h))
+        if h == 1 or all(x >= 0 for x in delta):
+            assert fraction_view(a.shift(delta)) == shift_fractions(a, delta), (a, delta)
+            seen.add("laurent" if a.shift(delta).laurent else "shift")
+        cut = F(rng.randrange(0, 13), rng.choice((1, 2, 3, 4, 6)))
+        assert fraction_view(a.truncate(cut)) == truncate_fractions(a, cut), (a, cut)
+        seen.add(h)
+    assert seen == {1, 2, 3, "lowered", "laurent", "shift"}
+
+
+def test_cancellation_lowers_the_ramification():
+    half = PuiseuxSeries.monomial(1, (F(1, 2),))
+    x = PuiseuxSeries.monomial(1, (F(1),))
+    square = half * half
+    assert square.ramification == (1,) and square == x
+    assert fraction_view(square) == mul_fractions(half, half)
+    difference = (half + x) - half
+    assert difference.ramification == (1,) and difference == x
+    assert fraction_view(difference) == add_fractions(half + x, -half)
 
 
 def test_coefficient_beyond_precision_raises():
