@@ -1,13 +1,20 @@
 """Exact arithmetic substrate: rational vectors, lattices and additive orders.
 
 Everything in this module is immutable after construction and safe to share
-between threads.  Exponent vectors are plain tuples of ``Fraction``: the
-form in which the public API takes and returns exponents.  The series layer
-stores them as integer keys on each series' own grid instead.
+between threads; ``AdditiveOrder.lex`` returns one shared instance per
+dimension.  Exponent vectors are plain tuples of ``Fraction``: the form in
+which the public API takes and returns exponents.  The series layer stores
+them as integer keys on each series' own grid instead.
+
+A lattice is an integer echelon form on its own grid; one routine,
+``_echelon_reduce``, both inserts a vector into such rows and tests
+membership, for the Hermite form, ``Lattice.contains`` and the essential
+walk alike.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -56,11 +63,6 @@ def as_vec(x, dim: int | None = None) -> Vec:
     if dim is not None and len(v) != dim:
         raise DimensionError(f"expected dimension {dim}, got {len(v)}")
     return v
-
-
-def vec_scale(c, a: Vec) -> Vec:
-    c = rat(c)
-    return tuple(c * x for x in a)
 
 
 def total(a: Vec) -> Fraction:
@@ -227,51 +229,57 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _hermite_rows(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
+def _echelon_reduce(by_pivot: list, vec: list[int], insert: bool) -> bool:
+    """Reduce the integer vector vec, consumed, against echelon rows.
+
+    by_pivot[j] is the row whose first nonzero entry is at column j, or None.
+    Returns True when vec lies in the group the rows generate, which then
+    stay as they are.  Otherwise, with insert, the rows change to generate
+    vec too: one xgcd step per shared pivot, or a new row at a free pivot."""
+    member = True
+    for j, b in enumerate(vec):
+        if b == 0:
+            continue
+        row = by_pivot[j]
+        if row is None:
+            if insert:
+                by_pivot[j] = vec
+            return False
+        a = row[j]
+        if b % a == 0:
+            q = b // a
+            for k in range(j, len(vec)):
+                vec[k] -= q * row[k]
+        elif not insert:
+            return False
+        else:
+            member = False
+            x, y, g = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            for k in range(j, len(vec)):
+                ra, rb = row[k], vec[k]
+                row[k] = x * ra + y * rb
+                vec[k] = -bg * ra + ag * rb
+    return member
+
+
+def _hermite_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Row-style Hermite form: echelon with positive pivots, entries above a
     pivot reduced into [0, pivot)."""
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-
-    def insert(vec: list[int]) -> None:
-        for j in range(ncols):
-            if vec[j] == 0:
-                continue
-            if j not in pivots:
-                where = 0
-                while where < len(pivots) and pivots[where] < j:
-                    where += 1
-                basis.insert(where, vec)
-                pivots.insert(where, j)
-                return
-            p = pivots.index(j)
-            row = basis[p]
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                for k in range(j, ncols):
-                    vec[k] -= q * row[k]
-            else:
-                x, y, g = _xgcd(a, b)
-                ag, bg = a // g, b // g
-                for k in range(j, ncols):
-                    ra, rb = row[k], vec[k]
-                    row[k] = x * ra + y * rb
-                    vec[k] = -bg * ra + ag * rb
-        # vec is now zero
-
+    by_pivot: list = [None] * ncols
     for r in rows:
-        insert(list(r))
-    for i, j in enumerate(pivots):
-        if basis[i][j] < 0:
-            basis[i] = [-c for c in basis[i]]
+        _echelon_reduce(by_pivot, list(r), True)
+    pivots, basis = [], []
+    for j, row in enumerate(by_pivot):
+        if row is not None:
+            pivots.append(j)
+            basis.append(row if row[j] > 0 else [-c for c in row])
     # reduce entries above each pivot, in ascending pivot order so a step
     # only alters columns to the right of every previously reduced pivot
-    for i in range(len(basis)):
-        p = basis[i][pivots[i]]
+    for i, j in enumerate(pivots):
+        p = basis[i][j]
         for k in range(i):
-            c = basis[k][pivots[i]]
-            q = c // p
+            q = basis[k][j] // p
             if q:
                 basis[k] = [x - q * y for x, y in zip(basis[k], basis[i])]
     return [tuple(r) for r in basis]
@@ -285,39 +293,49 @@ class Lattice:
     so equality of lattices is equality of the stored data.
     """
 
-    __slots__ = ("dim", "scale", "rows", "_pivots")
+    __slots__ = ("dim", "scale", "rows", "_by_pivot")
 
     def __init__(self, dim: int, generators: Iterable = ()):
         gens = [as_vec(g, dim) for g in generators]
-        scale = 1
-        for g in gens:
-            for c in g:
-                scale = math.lcm(scale, c.denominator)
-        int_rows = [[int(c * scale) for c in g] for g in gens]
+        scale = math.lcm(1, *(c.denominator for g in gens for c in g))
+        self._set(dim, scale, [[int(c * scale) for c in g] for g in gens])
+
+    def _set(self, dim: int, scale: int, int_rows) -> None:
+        """Store the lattice (1/scale)·span(int_rows) in canonical form."""
         rows = _hermite_rows(int_rows, dim)
         # normalise the (scale, rows) pair so it does not depend on the input scale
-        g = scale
-        for r in rows:
-            for c in r:
-                g = math.gcd(g, c)
+        g = math.gcd(scale, *(c for r in rows for c in r))
         if g > 1:
             scale //= g
             rows = [tuple(c // g for c in r) for r in rows]
         self.dim = dim
         self.scale = scale
         self.rows = tuple(rows)
-        self._pivots = tuple(next(j for j, c in enumerate(r) if c) for r in self.rows)
+        by_pivot = [None] * dim
+        for r in self.rows:
+            by_pivot[next(j for j, c in enumerate(r) if c)] = r
+        self._by_pivot = tuple(by_pivot)
+
+    @classmethod
+    def _from_ints(cls, dim: int, scale: int, int_rows) -> "Lattice":
+        lat = cls.__new__(cls)
+        lat._set(dim, scale, int_rows)
+        return lat
 
     @classmethod
     def standard(cls, dim: int) -> "Lattice":
-        return cls(dim, mat_identity(dim))
+        return cls.scaled_axes(dim, [1] * dim)
 
     @classmethod
     def scaled_axes(cls, dim: int, scales: Sequence) -> "Lattice":
         """The lattice s_1 Z v_1 + ... + s_h Z v_h."""
         if len(scales) != dim:
             raise DimensionError("one scale per axis required")
-        return cls(dim, [vec_scale(s, unit_vec(dim, i)) for i, s in enumerate(scales)])
+        scales = [rat(s) for s in scales]
+        scale = math.lcm(1, *(s.denominator for s in scales))
+        diag = [int(s * scale) for s in scales]
+        rows = [[d if j == i else 0 for j in range(dim)] for i, d in enumerate(diag)]
+        return cls._from_ints(dim, scale, rows)
 
     @property
     def rank(self) -> int:
@@ -326,26 +344,26 @@ class Lattice:
     def basis(self) -> tuple[Vec, ...]:
         return tuple(tuple(Fraction(c, self.scale) for c in r) for r in self.rows)
 
+    def _grid_rows(self, grid: int) -> list:
+        """The echelon rows on the grid (1/grid)Z^h, as _echelon_reduce takes
+        them (fresh lists, so they may grow); grid must be a multiple of scale."""
+        k = grid // self.scale
+        return [None if r is None else [c * k for c in r] for r in self._by_pivot]
+
     def contains(self, v) -> bool:
         v = as_vec(v, self.dim)
         w = [c * self.scale for c in v]
         if any(c.denominator != 1 for c in w):
             return False
-        w = [int(c) for c in w]
-        by_pivot = dict(zip(self._pivots, self.rows))
-        for j in range(self.dim):
-            if w[j] == 0:
-                continue
-            row = by_pivot.get(j)
-            if row is None or w[j] % row[j] != 0:
-                return False
-            q = w[j] // row[j]
-            for k in range(j, self.dim):
-                w[k] -= q * row[k]
-        return True
+        return _echelon_reduce(self._by_pivot, [int(c) for c in w], False)
 
     def join(self, extra: Iterable) -> "Lattice":
-        return Lattice(self.dim, list(self.basis()) + [as_vec(v, self.dim) for v in extra])
+        extra = [as_vec(v, self.dim) for v in extra]
+        scale = math.lcm(self.scale, *(c.denominator for v in extra for c in v))
+        k = scale // self.scale
+        int_rows = [[c * k for c in r] for r in self.rows]
+        int_rows += [[c.numerator * (scale // c.denominator) for c in v] for v in extra]
+        return Lattice._from_ints(self.dim, scale, int_rows)
 
     def contains_lattice(self, other: "Lattice") -> bool:
         if other.dim != self.dim:
@@ -401,7 +419,9 @@ class AdditiveOrder:
         self.dominating = dominating
 
     @classmethod
+    @functools.cache
     def lex(cls, dim: int) -> "AdditiveOrder":
+        """The lexicographic order; one shared instance per dim."""
         return cls(mat_identity(dim), "lex", True)
 
     @classmethod

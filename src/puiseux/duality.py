@@ -80,8 +80,10 @@ def _dual_from_power(
     # first coordinates of psi^a are sums of phi's, so multiples of their gcd
     step = math.gcd(*(g[0] for g in power._keys))
     recurrence = _GridPower(power)
+    ks = range(0, math.floor(prec * n1) + 1, step) if step else [0]
+    recurrence.check_work(Fraction(-a, m), runs=len(ks))
     found = {}
-    for k in range(0, math.floor(prec * n1) + 1, step) if step else [0]:
+    for k in ks:
         coeffs = recurrence(Fraction(-(k + a * n1), n1 * m), cap=k)
         scale = r0 ** -(k + a * n1) * Fraction(a * n1, k + a * n1)
         found.update((g, c * scale) for g, c in coeffs.items() if g[0] == k)

@@ -13,6 +13,17 @@ reached tries every nonzero generator, so the work is bounded by the grid box
 below the targets, prod_i (max_i * scale_i + 1) points, times the number of
 distinct nonzero generators; a bound above GRID_LIMIT raises PuiseuxError
 before any work starts.
+
+An essential sequence is one walk on one integer grid (1/D)Z^h, D the lcm of
+the lattice's scale and the denominators N_i that S and the declared
+ramification give.  S, the lattice's Hermite rows and the ramification
+points (D/N_i) e_i are mapped to integer vectors once, and S is sorted once
+by the order.  The joined lattice is kept as integer echelon rows, never
+rebuilt: a point the rows contain is skipped, and any other point becomes
+the next entry (the element of S itself is returned) and is inserted by one
+elimination pass, core._echelon_reduce, which also does the membership test.
+The sequence is complete, and the walk stops, once every ramification point
+is a member of the rows: then they hold every element of S.
 """
 
 from __future__ import annotations
@@ -22,7 +33,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .core import AdditiveOrder, Lattice, PuiseuxError, Vec, as_vec, fmt_vec
+from .core import (
+    AdditiveOrder,
+    Lattice,
+    PuiseuxError,
+    Vec,
+    _echelon_reduce,
+    as_vec,
+    fmt_vec,
+    rat,
+)
 
 # Largest work bound, grid-box points times nonzero generators, that the
 # exponent table may take on: about 1.5-2 us per unit.  A full 10^5-point box
@@ -164,6 +184,19 @@ def exponent_from_json(data) -> Vec:
     return tuple(Fraction(c) for c in data)
 
 
+def _positive_integer(x, what: str) -> int:
+    """x as a positive int; a PuiseuxError naming x otherwise."""
+    if isinstance(x, int) and x > 0:
+        return x
+    try:
+        n = rat(x)
+    except (TypeError, ValueError):
+        n = None
+    if n is None or n.denominator != 1 or n <= 0:
+        raise PuiseuxError(f"{what} must be a positive integer, got {x!r}")
+    return n.numerator
+
+
 def essential_exponents(
     S, lattice: Lattice, order: AdditiveOrder, ramification=None
 ) -> EssentialSequence:
@@ -174,6 +207,7 @@ def essential_exponents(
     contains the ramification lattice prod (1/N_i)Z, where N_i combines the
     caller-declared ramification with the denominators seen in S; then no
     element of any support with those denominators can extend the sequence.
+    Raises PuiseuxError unless every declared N_i is a positive integer.
     """
     vecs, _ = _normalize_set(S)
     if not vecs:
@@ -186,40 +220,47 @@ def essential_exponents(
     if not order.dominating:
         raise PuiseuxError("essential sequences need an order dominating Q^h_+")
 
-    denoms = [1] * dim
-    for v in vecs:
-        for i, c in enumerate(v):
-            denoms[i] = math.lcm(denoms[i], c.denominator)
+    denoms = [math.lcm(*(v[i].denominator for v in vecs)) for i in range(dim)]
     if ramification is not None:
         if len(ramification) != dim:
             raise PuiseuxError("ramification must give one denominator per variable")
-        denoms = [math.lcm(d, int(n)) for d, n in zip(denoms, ramification)]
-    ram_lattice = Lattice.scaled_axes(dim, [Fraction(1, d) for d in denoms])
+        denoms = [
+            math.lcm(d, _positive_integer(n, "ramification"))
+            for d, n in zip(denoms, ramification)
+        ]
+    # One grid (1/D)Z^h holds S, the lattice and the ramification lattice
+    # prod (1/N_i)Z, whose generators are the points (D/N_i) e_i.
+    grid = math.lcm(lattice.scale, *denoms)
+    points = [[c.numerator * (grid // c.denominator) for c in v] for v in vecs]
+    pending = [[grid // n if j == i else 0 for j in range(dim)] for i, n in enumerate(denoms)]
+    rows = lattice._grid_rows(grid)
+    if order == AdditiveOrder.lex(dim):  # lex sorts the points as it sorts S
+        walk = sorted(range(len(vecs)), key=points.__getitem__)
+    else:
+        walk = sorted(range(len(vecs)), key=lambda i: order.key(vecs[i]))
 
     # The joined lattice only grows, so one walk in increasing order finds
     # the greedy sequence: an element is the next entry exactly when the
-    # current lattice misses it.  Once the lattice holds ram_lattice it
-    # holds every element of S, and the walk stops.
+    # current rows miss it, and inserting it is the same elimination.  Once
+    # the rows hold every ramification point they hold every element of S,
+    # and the walk stops.
     entries = []
-    current = lattice
-    complete = False
-    for v in sorted(vecs, key=order.key):
-        if entries and current.contains(v):
+    for i in walk:
+        if _echelon_reduce(rows, points[i], True) and entries:
             continue
-        entries.append(v)
-        current = current.join([v])
-        complete = current.contains_lattice(ram_lattice)
-        if complete:
+        entries.append(vecs[i])
+        pending = [p for p in pending if not _echelon_reduce(rows, p[:], False)]
+        if not pending:
             break
-    return EssentialSequence(tuple(entries), lattice, order, complete)
+    return EssentialSequence(tuple(entries), lattice, order, not pending)
 
 
 def essential_exponents_p(S, p: int, ramification=None) -> EssentialSequence:
-    """One-variable essential sequence relative to the integer p (lattice pZ)."""
-    if p <= 0:
-        raise PuiseuxError("p must be a positive integer")
+    """One-variable essential sequence relative to the integer p (lattice pZ).
+    Raises PuiseuxError unless p and the ramification are positive integers."""
+    p = _positive_integer(p, "p")
     vecs = [as_vec(v, 1) for v in S]
-    ram = None if ramification is None else (int(ramification),)
+    ram = None if ramification is None else (ramification,)
     return essential_exponents(
         vecs, Lattice(1, [(Fraction(p),)]), AdditiveOrder.lex(1), ram
     )

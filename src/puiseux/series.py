@@ -39,6 +39,15 @@ from .core import (
 INF = math.inf
 # precision of parse without a marker or argument, and of the CLI without one
 DEFAULT_PRECISION = Fraction(10)
+# Largest work estimate, total degrees times recurrence steps summed over the
+# runs, that one power or dual may take on; _GridPower.check_work refuses
+# more before the first run starts.  The time per unit depends on the terms
+# and coefficient sizes: dual of a dense 216-term unit (10^7) took 2.4 s,
+# inverting the anchor x^(3/2) + 2*x^(7/4) at N = 476 (2.3*10^5) 1.1 s, and
+# (1 + t)^-1 at precision 10^6 (10^6, one step per degree) 10.6 s (Python
+# 3.11, 2-vCPU host).  An inversion at N <= 500 fits while unit^m1 has at
+# most 39 nonconstant terms.
+MAX_POWER_WORK = 10**7
 
 
 class ParseError(PuiseuxError):
@@ -497,6 +506,32 @@ class _GridPower:
             key=lambda s: s[0],
         )
 
+    def _limit(self, r: Fraction) -> int:
+        """The last total degree a run for r computes."""
+        if r.denominator == 1 and r >= 0:
+            # a polynomial in the a_j: the power ends at degree r*max T
+            ends = r.numerator * self.max_t
+            if self.precision is INF:
+                return ends
+            return min(ends, math.floor(self.precision * self.lcm_all))
+        if self.precision is not INF:
+            return math.floor(self.precision * self.lcm_all)
+        if not self.items:
+            return 0
+        raise PrecisionError(
+            "power of an exact non-constant series has infinite support; truncate first"
+        )
+
+    def check_work(self, r: Fraction, runs: int = 1) -> None:
+        """Refuse runs of the recurrence for r, before any of them starts,
+        when their degrees times steps exceed MAX_POWER_WORK."""
+        work = runs * (self._limit(r) + 1) * len(self.items)
+        if work > MAX_POWER_WORK:
+            raise PuiseuxError(
+                f"estimated power work of {work} degree-steps exceeds the "
+                f"limit of {MAX_POWER_WORK}; lower the precision"
+            )
+
     def __call__(self, r: Fraction, cap=None) -> dict[tuple, Fraction]:
         """The coefficients of P = (f/f_0)**r by grid key, without zeros.
 
@@ -506,16 +541,8 @@ class _GridPower:
         computed, and of those only the ones from which a key with first
         coordinate cap is still reachable within the degree bound.
         """
-        if self.precision is not INF:
-            limit = math.floor(self.precision * self.lcm_all)
-        elif not self.items:
-            limit = 0
-        elif r.denominator == 1 and r >= 0:
-            limit = r.numerator * self.max_t
-        else:
-            raise PrecisionError(
-                "power of an exact non-constant series has infinite support; truncate first"
-            )
+        self.check_work(r)
+        limit = self._limit(r)
         # the push weight is a_j (r T(j) - T(k)) = A_j (p T(j) - q T(k)) / (q den)
         # for r = p/q
         p, q = r.numerator, r.denominator

@@ -4,8 +4,8 @@ The brute-force oracles are written against plain dicts and integers,
 deliberately avoiding the library's own algorithms, so the tests compare two
 genuinely different computation paths.  The reference algorithms at the end
 are the library's earlier power and dual computations, built from series
-multiplication alone, its earlier essential sequences and monomial
-substitution, and the earlier inversion pipeline, which duals the dense unit
+multiplication alone, its earlier essential sequences, Hermite form and
+monomial substitution, and the earlier inversion pipeline, which duals the dense unit
 part itself; the current versions must agree with them coefficient for
 coefficient.
 """
@@ -368,6 +368,105 @@ def essential_repeated_min(S, lattice, order, ramification=None):
     ram_lattice = Lattice.scaled_axes(dim, [Fraction(1, d) for d in denoms])
     complete = current.contains_lattice(ram_lattice)
     return EssentialSequence(tuple(entries), lattice, order, complete)
+
+
+def essential_fraction_walk(S, lattice, order, ramification=None):
+    """The library's earlier single walk: the joined lattice is rebuilt as
+    a Lattice after every entry, and completeness is containment of the
+    ramification lattice."""
+    vecs = [as_vec(v) for v in S]
+    dim = len(vecs[0])
+    denoms = [1] * dim
+    for v in vecs:
+        for i, c in enumerate(v):
+            denoms[i] = math.lcm(denoms[i], c.denominator)
+    if ramification is not None:
+        denoms = [math.lcm(d, int(n)) for d, n in zip(denoms, ramification)]
+    ram_lattice = Lattice.scaled_axes(dim, [Fraction(1, d) for d in denoms])
+    entries = []
+    current = lattice
+    complete = False
+    for v in sorted(vecs, key=order.key):
+        if entries and current.contains(v):
+            continue
+        entries.append(v)
+        current = current.join([v])
+        complete = current.contains_lattice(ram_lattice)
+        if complete:
+            break
+    return EssentialSequence(tuple(entries), lattice, order, complete)
+
+
+def _xgcd(a, b):
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    return x, y, g
+
+
+def hermite_rows_reference(rows, ncols):
+    """The library's earlier Hermite form, with its own nested insert."""
+    basis, pivots = [], []
+
+    def insert(vec):
+        for j in range(ncols):
+            if vec[j] == 0:
+                continue
+            if j not in pivots:
+                where = 0
+                while where < len(pivots) and pivots[where] < j:
+                    where += 1
+                basis.insert(where, vec)
+                pivots.insert(where, j)
+                return
+            row = basis[pivots.index(j)]
+            a, b = row[j], vec[j]
+            if b % a == 0:
+                q = b // a
+                for k in range(j, ncols):
+                    vec[k] -= q * row[k]
+            else:
+                x, y, g = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                for k in range(j, ncols):
+                    ra, rb = row[k], vec[k]
+                    row[k] = x * ra + y * rb
+                    vec[k] = -bg * ra + ag * rb
+
+    for r in rows:
+        insert(list(r))
+    for i, j in enumerate(pivots):
+        if basis[i][j] < 0:
+            basis[i] = [-c for c in basis[i]]
+    for i in range(len(basis)):
+        p = basis[i][pivots[i]]
+        for k in range(i):
+            q = basis[k][pivots[i]] // p
+            if q:
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[i])]
+    return [tuple(r) for r in basis]
+
+
+def lattice_reference(dim, generators):
+    """(scale, rows) as the library's earlier Lattice constructor stored
+    them for these generators."""
+    gens = [as_vec(g, dim) for g in generators]
+    scale = 1
+    for g in gens:
+        for c in g:
+            scale = math.lcm(scale, c.denominator)
+    rows = hermite_rows_reference([[int(c * scale) for c in g] for g in gens], dim)
+    g = scale
+    for r in rows:
+        for c in r:
+            g = math.gcd(g, c)
+    if g > 1:
+        scale //= g
+        rows = [tuple(c // g for c in r) for r in rows]
+    return scale, tuple(rows)
 
 
 def substitute_constructor(s, matrix):

@@ -117,6 +117,14 @@ def test_dual_verb(capsys):
     assert "1 - u + 2*u^(2) - 5*u^(3)" in out
 
 
+def test_dual_refuses_a_huge_precision_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "dual", "1+t", "--precision", "1e9")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "degree-steps exceeds the limit of" in err and "Traceback" not in err
+
+
 def _count_runs(monkeypatch, module):
     """Record the arguments of every _dual_from_power call made through module."""
     runs = []

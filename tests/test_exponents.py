@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -6,9 +7,11 @@ import pytest
 
 from builders import random_exponent, random_lattice, random_scalar_set
 from oracles import (
+    essential_fraction_walk,
     essential_repeated_min,
     irr_bruteforce,
     irr_dfs,
+    lattice_reference,
     sum_search,
     sums_with_counts,
 )
@@ -193,6 +196,122 @@ def test_essential_single_walk_agrees_with_repeated_min(h):
         seen.add((kind, got.complete))
     assert {k for k, _ in seen} == {"lex", "weighted", "from_matrix"}
     assert {c for _, c in seen} == {True, False}
+
+
+WALK_LATTICES = ("standard", "scaled_axes", "full", "deficient", "finer")
+
+
+def _walk_lattice(rng, h, kind):
+    if kind == "standard":
+        return Lattice.standard(h)
+    if kind == "scaled_axes":
+        return Lattice.scaled_axes(h, [rng.randrange(1, 13) for _ in range(h)])
+    if kind == "finer":  # denominators that no support element has
+        return Lattice(h, [random_exponent(rng, h, (7, 8, 12), max_num=9) for _ in range(h)])
+    rank = h if kind == "full" else rng.randrange(0, h)
+    while True:
+        gens = [random_exponent(rng, h, (1, 2, 3), max_num=5) for _ in range(rank)]
+        lattice = Lattice(h, gens)
+        if lattice.rank == rank:
+            return lattice
+
+
+def _walk_order(rng, h, kind):
+    if kind == "lex":
+        return AdditiveOrder.lex(h)
+    weights = [F(rng.randrange(1, 5), rng.choice((1, 2))) for _ in range(h)]
+    order = AdditiveOrder.weighted(weights)
+    if kind == "weighted":
+        return order
+    while True:
+        q = [[rng.randrange(0, 3) for _ in range(h)] for _ in range(h)]
+        try:
+            return rng.choice([AdditiveOrder.lex(h), order]).compose(q)
+        except OrderError:  # singular
+            continue
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_essential_integer_walk_agrees_with_fraction_walk(h):
+    rng = random.Random(83 + h)
+    zero = (F(0),) * h
+    seen = set()
+    for _ in range(150):
+        vecs = [random_exponent(rng, h, (1, 2, 3, 4, 5, 6), max_num=9)
+                for _ in range(rng.randrange(1, 10))]
+        vecs += [zero] * rng.randrange(0, 2)
+        rng.shuffle(vecs)
+        lattice_kind = rng.choice(WALK_LATTICES)
+        lattice = _walk_lattice(rng, h, lattice_kind)
+        order_kind = rng.choice(["lex", "weighted", "composed"])
+        order = _walk_order(rng, h, order_kind)
+        ram = rng.choice([None, tuple(rng.randrange(1, 7) for _ in range(h))])
+        got = essential_exponents(vecs, lattice, order, ram)
+        want = essential_fraction_walk(vecs, lattice, order, ram)
+        case = (vecs, lattice, order, ram)
+        assert got.entries == want.entries, case
+        assert got.relative_to == want.relative_to, case
+        assert got.order == want.order, case
+        assert got.complete == want.complete, case
+        assert all(e in vecs for e in got.entries)
+        seen.add((lattice_kind, order_kind, ram is None, got.complete))
+    kinds = [set(WALK_LATTICES), {"lex", "weighted", "composed"}, {True, False}, {True, False}]
+    for i, values in enumerate(kinds):
+        assert {k[i] for k in seen} == values
+
+
+def _signed_vector(rng, h, denoms):
+    return tuple(F(rng.randrange(-9, 10), rng.choice(denoms)) for _ in range(h))
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_lattice_canonical_form_agrees_with_reference(h):
+    rng = random.Random(97 + h)
+    denoms = (1, 2, 3, 4, 6, 12)
+    for _ in range(60):
+        gens = [_signed_vector(rng, h, denoms) for _ in range(rng.randrange(0, h + 3))]
+        lattice = Lattice(h, gens)
+        scale, rows = lattice_reference(h, gens)
+        assert (lattice.scale, lattice.rows) == (scale, rows), gens
+        assert hash(lattice) == hash((h, scale, rows))
+        assert lattice == Lattice(h, lattice.basis())
+        extra = [_signed_vector(rng, h, denoms) for _ in range(rng.randrange(0, 3))]
+        joined = lattice.join(extra)
+        assert (joined.scale, joined.rows) == lattice_reference(h, gens + extra)
+        assert joined == Lattice(h, gens + extra)
+        scales = [F(rng.randrange(-4, 13), rng.choice(denoms)) for _ in range(h)]
+        axes = [tuple(c * int(i == j) for j in range(h)) for i, c in enumerate(scales)]
+        scaled = Lattice.scaled_axes(h, scales)
+        assert (scaled.scale, scaled.rows) == lattice_reference(h, axes)
+    identity = [tuple(F(int(i == j)) for j in range(h)) for i in range(h)]
+    assert Lattice.standard(h) == Lattice(h, identity)
+
+
+def _half_with_ramification(ram):
+    return essential_exponents([(F(1, 2),)], Lattice.standard(1), AdditiveOrder.lex(1), ram)
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: _half_with_ramification((0,)), "0"),
+        (lambda: _half_with_ramification((F(1, 2),)), "Fraction(1, 2)"),
+        (lambda: _half_with_ramification((-2,)), "-2"),
+        (lambda: _half_with_ramification(("two",)), "'two'"),
+        (lambda: essential_exponents_p(E_PAPER, 2.5), "2.5"),
+        (lambda: essential_exponents_p(E_PAPER, F(3, 2)), "Fraction(3, 2)"),
+        (lambda: essential_exponents_p(E_PAPER, 0), "0"),
+        (lambda: essential_exponents_p(E_PAPER, 1, ramification=-3), "-3"),
+    ],
+)
+def test_essential_refuses_bad_parameters(call, bad):
+    with pytest.raises(PuiseuxError, match=f"must be a positive integer, got {re.escape(bad)}$"):
+        call()
+
+
+def test_essential_accepts_integral_rationals():
+    seq = essential_exponents_p(E_PAPER, F(6), ramification=F(2))
+    assert seq == essential_exponents_p(E_PAPER, 6, ramification=2)
 
 
 def test_essential_p_paper_table():

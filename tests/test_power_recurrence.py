@@ -6,6 +6,7 @@ ramification.
 """
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from builders import NONZERO, perfect_power_unit, random_exponent, random_unit_series
 from oracles import dual_tower_heap, pow_int_products, unit_power_binomial
 from puiseux import INF, PrecisionError, PuiseuxError, PuiseuxSeries, dual, parse
+from puiseux.inversion import MAX_UNIT_PRECISION
+from puiseux.series import MAX_POWER_WORK, _GridPower
 
 EXPONENTS = [F(-3), F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(2), F(5, 2), F(3)]
 
@@ -114,3 +117,41 @@ def test_constant_series():
             s = PuiseuxSeries.constant(h, F(-8, 27), precision)
             check_all(s, rs=[F(-1), F(0), F(1, 3), F(2)])
             assert dual(s).terms == {(F(0),) * h: F(-27, 8)}
+
+
+HUGE = 10**9
+
+
+@pytest.mark.parametrize(
+    "name, call, terms",
+    [
+        ("dual", dual, None),
+        ("pow_int(-1)", lambda s: s.pow_int(-1), None),
+        ("unit_power(1/2)", lambda s: s.unit_power(F(1, 2)), None),
+        ("unit_power(-3)", lambda s: s.unit_power(-3), None),
+        # a non-negative integer power ends at its own degree
+        ("pow_int(3)", lambda s: s.pow_int(3), 4),
+        ("unit_power(2)", lambda s: s.unit_power(2), 3),
+    ],
+)
+def test_power_answers_or_refuses_at_once_on_a_huge_precision(name, call, terms):
+    s = parse("1+t", precision=HUGE)
+    start = time.perf_counter()
+    if terms is None:
+        message = rf"estimated power work of \d+ degree-steps exceeds the limit of {MAX_POWER_WORK}"
+        with pytest.raises(PuiseuxError, match=message):
+            call(s)
+    else:
+        assert len(call(s).terms) == terms
+    assert time.perf_counter() - start < 1, name
+
+
+def test_power_work_bound_admits_the_inversion_guard():
+    # the runs of an inversion at N = MAX_UNIT_PRECISION fit the bound while
+    # unit^m1 has at most 39 nonconstant terms
+    n = MAX_UNIT_PRECISION
+    terms = {(F(e),): F(1) for e in range(40)}
+    recurrence = _GridPower(PuiseuxSeries(1, terms, F(n)))
+    recurrence.check_work(F(-1, 6), runs=n + 1)
+    with pytest.raises(PuiseuxError, match="exceeds the limit"):
+        recurrence.check_work(F(-1, 6), runs=10 * n)
