@@ -234,10 +234,7 @@ def essential_exponents(
     points = [[c.numerator * (grid // c.denominator) for c in v] for v in vecs]
     pending = [[grid // n if j == i else 0 for j in range(dim)] for i, n in enumerate(denoms)]
     rows = lattice._grid_rows(grid)
-    if order == AdditiveOrder.lex(dim):  # lex sorts the points as it sorts S
-        walk = sorted(range(len(vecs)), key=points.__getitem__)
-    else:
-        walk = sorted(range(len(vecs)), key=lambda i: order.key(vecs[i]))
+    walk = sorted(range(len(vecs)), key=lambda i: order.key(vecs[i]))
 
     # The joined lattice only grows, so one walk in increasing order finds
     # the greedy sequence: an element is the next entry exactly when the

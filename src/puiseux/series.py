@@ -39,15 +39,18 @@ from .core import (
 INF = math.inf
 # precision of parse without a marker or argument, and of the CLI without one
 DEFAULT_PRECISION = Fraction(10)
-# Largest work estimate, total degrees times recurrence steps summed over the
-# runs, that one power or dual may take on; _GridPower.check_work refuses
-# more before the first run starts.  The time per unit depends on the terms
-# and coefficient sizes: dual of a dense 216-term unit (10^7) took 2.4 s,
-# inverting the anchor x^(3/2) + 2*x^(7/4) at N = 476 (2.3*10^5) 1.1 s, and
-# (1 + t)^-1 at precision 10^6 (10^6, one step per degree) 10.6 s (Python
-# 3.11, 2-vCPU host).  An inversion at N <= 500 fits while unit^m1 has at
-# most 39 nonconstant terms.
-MAX_POWER_WORK = 10**7
+# Work estimates for powers and duals, in recurrence steps: _GridPower
+# charges each total degree a run reaches DEGREE_COST steps (its Fraction, heap
+# and lcm work) and each step it walks there one.  check_work refuses an
+# estimate above MAX_POWER_WORK before the first run starts.  The dual of a
+# one-variable unit^m1 with all 500 nonconstant terms at N = 500 is 2.2*10^7,
+# so every one-variable inversion that MAX_UNIT_PRECISION admits fits.  On
+# Python 3.11, 2-vCPU host, a degree took about 8 us and a step 0.5-1 us with
+# small coefficients; that dense dual took 54 s (2.4 us a step, the
+# coefficients grow), and (1 + t)^-1, which fits up to precision 2.2*10^6,
+# 8.6 us a degree.
+DEGREE_COST = 10
+MAX_POWER_WORK = 25 * 10**6
 
 
 class ParseError(PuiseuxError):
@@ -327,7 +330,9 @@ class PuiseuxSeries:
 
     def _scaled_power(self, r, constant_power, laurent) -> "PuiseuxSeries":
         """constant_power * (self/self_0)**r at self's precision."""
-        keys = {g: c * constant_power for g, c in _GridPower(self)(r).items()}
+        recurrence = _GridPower(self)
+        recurrence.check_work(r)
+        keys = {g: c * constant_power for g, c in recurrence(r).items()}
         return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, laurent)
 
     def unit_root(self, m: int, root_of_constant) -> "PuiseuxSeries":
@@ -522,14 +527,35 @@ class _GridPower:
             "power of an exact non-constant series has infinite support; truncate first"
         )
 
-    def check_work(self, r: Fraction, runs: int = 1) -> None:
-        """Refuse runs of the recurrence for r, before any of them starts,
-        when their degrees times steps exceed MAX_POWER_WORK."""
-        work = runs * (self._limit(r) + 1) * len(self.items)
+    def check_work(self, r: Fraction, runs: int = 0) -> None:
+        """Refuse the recurrence for r, before it starts, when its estimated
+        work exceeds MAX_POWER_WORK: one run (runs=0), or the runs of dual
+        capped at the first coordinates 0, s, ..., (runs-1)*s, s the gcd of
+        the steps' first coordinates.
+
+        Degrees and step sizes are counted in units of their gcd.  A run
+        that reaches n degrees walks a step of size s at n - s of them.  When
+        every step lies in the first variable alone (in one variable, say),
+        the run capped at i*s reaches i + 1 degrees, so over all runs that
+        is T(runs) degrees and T(runs - s) walks of the step, T(n) =
+        n(n+1)/2.  Otherwise each capped run is charged a full run.  A degree
+        of several variables may hold many keys; it counts as one.
+        """
+        first_only = runs and not any(s[1] for s in self.by_first)
+        sizes = [s[0] for s in (self.by_first if first_only else self.by_degree)]
+        unit = math.gcd(*sizes) or 1
+        if first_only:
+            n, times, total = runs, 1, _triangle
+        else:
+            n = self._limit(r) // unit + 1 if sizes else 1
+            times, total = max(runs, 1), _line
+        work = times * (
+            DEGREE_COST * total(n) + sum(total(n - size // unit) for size in sizes)
+        )
         if work > MAX_POWER_WORK:
             raise PuiseuxError(
-                f"estimated power work of {work} degree-steps exceeds the "
-                f"limit of {MAX_POWER_WORK}; lower the precision"
+                f"estimated power work of {work} steps exceeds the limit of "
+                f"{MAX_POWER_WORK}; lower the precision"
             )
 
     def __call__(self, r: Fraction, cap=None) -> dict[tuple, Fraction]:
@@ -541,7 +567,6 @@ class _GridPower:
         computed, and of those only the ones from which a key with first
         coordinate cap is still reachable within the degree bound.
         """
-        self.check_work(r)
         limit = self._limit(r)
         # the push weight is a_j (r T(j) - T(k)) = A_j (p T(j) - q T(k)) / (q den)
         # for r = p/q
@@ -607,6 +632,14 @@ class _GridPower:
                             s *= common // lcm_den[e]
                         level[key] = (s + c, d)
         return out
+
+
+def _line(n: int) -> int:
+    return max(n, 0)
+
+
+def _triangle(n: int) -> int:
+    return n * (n + 1) // 2 if n > 0 else 0
 
 
 def default_names(num_vars: int, first: str = "x") -> list[str]:

@@ -122,7 +122,7 @@ def test_dual_refuses_a_huge_precision_at_once(capsys):
     code, _, err = run(capsys, "dual", "1+t", "--precision", "1e9")
     assert time.perf_counter() - start < 1
     assert code == 1
-    assert "degree-steps exceeds the limit of" in err and "Traceback" not in err
+    assert "steps exceeds the limit of" in err and "Traceback" not in err
 
 
 def _count_runs(monkeypatch, module):

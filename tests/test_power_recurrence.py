@@ -14,7 +14,7 @@ import pytest
 from builders import NONZERO, perfect_power_unit, random_exponent, random_unit_series
 from oracles import dual_tower_heap, pow_int_products, unit_power_binomial
 from puiseux import INF, PrecisionError, PuiseuxError, PuiseuxSeries, dual, parse
-from puiseux.inversion import MAX_UNIT_PRECISION
+from puiseux.inversion import MAX_UNIT_PRECISION, BranchData, invert_branch
 from puiseux.series import MAX_POWER_WORK, _GridPower
 
 EXPONENTS = [F(-3), F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(2), F(5, 2), F(3)]
@@ -138,7 +138,7 @@ def test_power_answers_or_refuses_at_once_on_a_huge_precision(name, call, terms)
     s = parse("1+t", precision=HUGE)
     start = time.perf_counter()
     if terms is None:
-        message = rf"estimated power work of \d+ degree-steps exceeds the limit of {MAX_POWER_WORK}"
+        message = rf"estimated power work of \d+ steps exceeds the limit of {MAX_POWER_WORK}"
         with pytest.raises(PuiseuxError, match=message):
             call(s)
     else:
@@ -146,12 +146,22 @@ def test_power_answers_or_refuses_at_once_on_a_huge_precision(name, call, terms)
     assert time.perf_counter() - start < 1, name
 
 
-def test_power_work_bound_admits_the_inversion_guard():
-    # the runs of an inversion at N = MAX_UNIT_PRECISION fit the bound while
-    # unit^m1 has at most 39 nonconstant terms
+def test_power_work_bound_admits_every_one_variable_inversion():
+    # the dual of a unit^m1 with every term up to N = MAX_UNIT_PRECISION fits
+    # the bound; twice its runs do not
     n = MAX_UNIT_PRECISION
-    terms = {(F(e),): F(1) for e in range(40)}
-    recurrence = _GridPower(PuiseuxSeries(1, terms, F(n)))
+    dense = PuiseuxSeries(1, {(F(e),): F(1) for e in range(n + 1)}, F(n))
+    recurrence = _GridPower(dense)
     recurrence.check_work(F(-1, 6), runs=n + 1)
     with pytest.raises(PuiseuxError, match="exceeds the limit"):
-        recurrence.check_work(F(-1, 6), runs=10 * n)
+        recurrence.check_work(F(-1, 6), runs=2 * n)
+
+
+def test_inversion_of_a_41_term_eta_at_the_precision_limit():
+    # m1 = 1: eta = x^(1/2) + x^(2/2) + ... + x^(41/2), so unit^m1 has 40
+    # nonconstant terms, inverted at N = MAX_UNIT_PRECISION
+    unit = PuiseuxSeries(1, {(F(e),): F(1) for e in range(41)}, F(MAX_UNIT_PRECISION))
+    result = invert_branch(BranchData(unit, 1, F(1), (2,)))
+    assert len(result.eta.terms) == 41
+    assert len(result.xi.terms) == MAX_UNIT_PRECISION + 1
+    assert result.checks.all_passed
