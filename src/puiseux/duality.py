@@ -12,10 +12,14 @@ coordinate,
 which for n1 = 1 is the classical psi_(e, .) = [t1^e] phi^(-(e+1)) / (e+1)
 (see also Brent & Kung, "Fast algorithms for manipulating formal power
 series", JACM 1978).  Each power comes from Miller's recurrence, stopped at
-first coordinate k.  Its constant factor phi_0^(-(k+n1)/n1) is
-r0^(-(k+n1)), r0 being the rational n1-th root of phi_0 that rational_root
-picks (the positive one when there are two); when n1 > 1 and phi_0 has no
-rational n1-th root, dual raises RootError.
+first coordinate k, and only its coefficients at first coordinate k are
+kept.  In one variable that is a single coefficient: the run is a dense
+loop over the degrees up to k on integers over one running denominator,
+and only that coefficient becomes a Fraction.  The constant factor
+phi_0^(-(k+n1)/n1) is r0^(-(k+n1)), carried from one k to the next, r0
+being the rational n1-th root of phi_0 that rational_root picks (the
+positive one when there are two); when n1 > 1 and phi_0 has no rational
+n1-th root, dual raises RootError.
 
 The powers can be taken of any B = phi^m instead of phi itself:
 
@@ -83,10 +87,13 @@ def _dual_from_power(
     ks = range(0, math.floor(prec * n1) + 1, step) if step else [0]
     recurrence.check_work(Fraction(-a, m), runs=len(ks))
     found = {}
+    # r0^-(k + a*n1), carried from one k to the next
+    factor, stride = r0 ** -(a * n1), r0 ** -step
     for k in ks:
         coeffs = recurrence(Fraction(-(k + a * n1), n1 * m), cap=k)
-        scale = r0 ** -(k + a * n1) * Fraction(a * n1, k + a * n1)
-        found.update((g, c * scale) for g, c in coeffs.items() if g[0] == k)
+        scale = factor * Fraction(a * n1, k + a * n1)
+        found.update((g, c * scale) for g, c in coeffs.items())
+        factor *= stride
     return PuiseuxSeries._from_keys(found, power.ramification, prec, False)
 
 

@@ -234,7 +234,9 @@ def essential_exponents(
     points = [[c.numerator * (grid // c.denominator) for c in v] for v in vecs]
     pending = [[grid // n if j == i else 0 for j in range(dim)] for i, n in enumerate(denoms)]
     rows = lattice._grid_rows(grid)
-    walk = sorted(range(len(vecs)), key=lambda i: order.key(vecs[i]))
+    # lex compares the integer points as it does the exponents they scale
+    rank = points.__getitem__ if order._identity else lambda i: order.key(vecs[i])
+    walk = sorted(range(len(vecs)), key=rank)
 
     # The joined lattice only grows, so one walk in increasing order finds
     # the greedy sequence: an element is the next entry exactly when the

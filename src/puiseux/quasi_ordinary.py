@@ -60,14 +60,18 @@ def recheck_witness(witness: LipmanWitness, candidates) -> bool:
     """Re-evaluate the violated condition; False confirms the failure."""
     candidates = list(candidates)
     if witness.condition == "comparability":
-        a, b = witness.elements
-        return all(x <= y for x, y in zip(a, b))
+        return _leq(*witness.elements)
     (lam,) = witness.elements
     return _graded_member(lam, candidates)
 
 
+def _leq(a: Vec, b: Vec) -> bool:
+    """a <= b in every coordinate."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 def _graded_member(lam: Vec, candidates) -> bool:
-    below = [c for c in candidates if all(x <= y for x, y in zip(c, lam))]
+    below = [c for c in candidates if _leq(c, lam)]
     return Lattice.standard(len(lam)).join(below).contains(lam)
 
 
@@ -106,12 +110,20 @@ def qo_test(psi: PuiseuxSeries) -> QOVerdict:
 
     witness = None
     for a, b in zip(candidates, candidates[1:]):
-        if not all(x <= y for x, y in zip(a, b)):
+        if not _leq(a, b):
             witness = LipmanWitness("comparability", (a, b))
             break
     if witness is None:
+        # the candidates form a chain, so those below an element are a
+        # prefix of it, and each prefix joins Z^h once
+        lattices = [Lattice.standard(psi.num_vars)]
+        for c in candidates:
+            lattices.append(lattices[-1].join([c]))
         for lam in sorted(psi.support(), key=lambda e: (total(e), e)):
-            if not _graded_member(lam, candidates):
+            below = 0
+            while below < len(candidates) and _leq(candidates[below], lam):
+                below += 1
+            if not lattices[below].contains(lam):
                 witness = LipmanWitness("membership", (lam,))
                 break
 

@@ -40,15 +40,15 @@ INF = math.inf
 # precision of parse without a marker or argument, and of the CLI without one
 DEFAULT_PRECISION = Fraction(10)
 # Work estimates for powers and duals, in recurrence steps: _GridPower
-# charges each total degree a run reaches DEGREE_COST steps (its Fraction, heap
-# and lcm work) and each step it walks there one.  check_work refuses an
+# charges each total degree a run reaches DEGREE_COST steps (its gcd, lcm and
+# Fraction work) and each step it walks there one.  check_work refuses an
 # estimate above MAX_POWER_WORK before the first run starts.  The dual of a
 # one-variable unit^m1 with all 500 nonconstant terms at N = 500 is 2.2*10^7,
 # so every one-variable inversion that MAX_UNIT_PRECISION admits fits.  On
-# Python 3.11, 2-vCPU host, a degree took about 8 us and a step 0.5-1 us with
-# small coefficients; that dense dual took 54 s (2.4 us a step, the
-# coefficients grow), and (1 + t)^-1, which fits up to precision 2.2*10^6,
-# 8.6 us a degree.
+# the dense one-variable loop (Python 3.11, 2-vCPU host) a degree took 1-2.4
+# us, the upper end when it builds a Fraction, and a step 0.14 us with small
+# coefficients; that dense dual took 16 s (0.8 us a step, the coefficients
+# grow), and (1 + t)^-1, which fits up to precision 2.2*10^6, 2.4 us a degree.
 DEGREE_COST = 10
 MAX_POWER_WORK = 25 * 10**6
 
@@ -473,14 +473,32 @@ class _GridPower:
         D P_k = sum_{j != 0} ((r+1) T(j) - D) a_j P_(k-j),   a_j = f_j/f_0,
 
     at every key k of total degree D, in one variable or h, on an integer or
-    a fractional grid (Knuth, TAOCP Vol. 2, §4.7).  Each finished P_k is
+    a fractional grid (Knuth, TAOCP Vol. 2, §4.7).
+
+    In one variable each degree holds one key, and the degrees reached are
+    the multiples i*u of u, the gcd of the step degrees.  The run is then a
+    dense loop over i in the pull form of the recurrence: for r = p/q,
+    a_j = A_j/den with integers A_j, and steps s_j = T(j)/u,
+
+        q den i P_i = sum_j A_j ((p+q) s_j - q i) P_(i-s_j).
+
+    The P_i are kept as integers N_i over one running lcm L of the
+    denominators finished so far.  The sum S of the right-hand side over L
+    gives P_i = S/(L m) with m = q den i, and lcm(L, denominator of P_i) is
+    L*k for k = m/gcd(S, m); so N_i = S/gcd(S, m), and when k > 1 the last
+    max s_j numerators, the only ones read again, are multiplied by k.  L
+    stays the lcm of the true denominators, so the integers grow with the
+    coefficients, not with the degree.  A Fraction is built only for a key
+    that is returned.
+
+    In h variables a degree holds many keys, and each finished P_k is
     pushed to the keys k + j with weight a_j (r T(j) - T(k)), so keys finish
-    in increasing total degree.
+    in increasing total degree from a heap of degrees.
 
     The constructor does the part that depends on f alone: the degrees of
-    f's keys, a_j = A_j/den with integers A_j, and the steps in scan order.
-    Calling the object runs the recurrence for one r, so many powers of one
-    series (as in dual) share that setup.
+    f's keys, a_j = A_j/den, the last degree precision allows and the steps
+    in scan order.  Calling the object runs the recurrence for one r, so
+    many powers of one series (as in dual) share that setup.
     """
 
     def __init__(self, f: PuiseuxSeries):
@@ -491,8 +509,7 @@ class _GridPower:
         if any(t < 0 for t, _, _ in items):
             raise PuiseuxError("a power by recurrence needs non-negative exponents")
         self.num_vars = f.num_vars
-        self.precision = f.precision
-        self.lcm_all = lcm_all
+        self.cutoff = INF if f.precision is INF else math.floor(f.precision * lcm_all)
         self.w0 = lcm_all // f.ramification[0]
         self.max_t = max((t for t, _, _ in items), default=0)
         self.den = math.lcm(*((c / c0).denominator for _, _, c in items))
@@ -511,21 +528,23 @@ class _GridPower:
             key=lambda s: s[0],
         )
 
+    @functools.cached_property
+    def unit(self) -> int:
+        """u, the gcd of the step degrees (1 without steps)."""
+        return math.gcd(*(t for t, _, _ in self.items)) or 1
+
     def _limit(self, r: Fraction) -> int:
         """The last total degree a run for r computes."""
-        if r.denominator == 1 and r >= 0:
-            # a polynomial in the a_j: the power ends at degree r*max T
-            ends = r.numerator * self.max_t
-            if self.precision is INF:
-                return ends
-            return min(ends, math.floor(self.precision * self.lcm_all))
-        if self.precision is not INF:
-            return math.floor(self.precision * self.lcm_all)
         if not self.items:
             return 0
-        raise PrecisionError(
-            "power of an exact non-constant series has infinite support; truncate first"
-        )
+        if r.denominator == 1 and r >= 0:
+            # a polynomial in the a_j: the power ends at degree r*max T
+            return min(r.numerator * self.max_t, self.cutoff)
+        if self.cutoff is INF:
+            raise PrecisionError(
+                "power of an exact non-constant series has infinite support; truncate first"
+            )
+        return self.cutoff
 
     def check_work(self, r: Fraction, runs: int = 0) -> None:
         """Refuse the recurrence for r, before it starts, when its estimated
@@ -563,11 +582,13 @@ class _GridPower:
 
         The result stops at total degree floor(precision*L); an exact series
         raised to a non-negative integer r stops at r*max T, where the power
-        ends.  With cap, only keys whose first coordinate is at most cap are
-        computed, and of those only the ones from which a key with first
-        coordinate cap is still reachable within the degree bound.
+        ends.  With cap, only the keys at first coordinate cap are returned,
+        and only keys from which one of them is still reachable within the
+        degree bound are computed.
         """
         limit = self._limit(r)
+        if self.num_vars == 1:
+            return self._dense_run(r, limit, cap)
         # the push weight is a_j (r T(j) - T(k)) = A_j (p T(j) - q T(k)) / (q den)
         # for r = p/q
         p, q = r.numerator, r.denominator
@@ -631,6 +652,44 @@ class _GridPower:
                         if e != d:
                             s *= common // lcm_den[e]
                         level[key] = (s + c, d)
+        if cap is not None:
+            return {g: v for g, v in out.items() if g[0] == cap}
+        return out
+
+    def _dense_run(self, r: Fraction, limit: int, cap) -> dict[tuple, Fraction]:
+        """__call__ in one variable: the dense loop of the class docstring."""
+        unit = self.unit
+        if cap is None:
+            last = limit // unit
+        elif cap > limit or cap % unit:
+            return {}
+        else:
+            last = cap // unit
+        p, q = r.numerator, r.denominator
+        qden = q * self.den
+        steps = [(t // unit, a * (p + q) * (t // unit), a * q) for t, _, a in self.items]
+        width = self.max_t // unit
+        # nums[-s] is N_(i-s); the width zeros in front stand for i - s < 0
+        nums = [0] * width + [1]
+        common = 1
+        out = {(0,): Fraction(1)} if cap is None else {}
+        for i in range(1, last + 1):
+            acc = 0
+            for s, c1, c2 in steps:
+                acc += (c1 - c2 * i) * nums[-s]
+            if acc:
+                m = qden * i
+                g = math.gcd(acc, m)
+                if g != m:
+                    k = m // g
+                    common *= k
+                    nums[-width:] = [x * k for x in nums[-width:]]
+                acc //= g
+                if cap is None:
+                    out[(i * unit,)] = Fraction(acc, common)
+            nums.append(acc)
+        if cap is not None and nums[-1]:
+            out[(cap,)] = Fraction(nums[-1], common)
         return out
 
 

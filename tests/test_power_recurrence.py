@@ -1,5 +1,6 @@
 """The recurrence-based unit_power, pow_int and dual against the earlier
-product-based algorithms kept in oracles.py.
+product-based algorithms kept in oracles.py, and the dense one-variable run
+of the recurrence against its general heap walk.
 
 Every comparison is exact: the same terms, precision, Laurent flag and
 ramification.
@@ -117,6 +118,91 @@ def test_constant_series():
             s = PuiseuxSeries.constant(h, F(-8, 27), precision)
             check_all(s, rs=[F(-1), F(0), F(1, 3), F(2)])
             assert dual(s).terms == {(F(0),) * h: F(-27, 8)}
+
+
+def embedded(s):
+    """s in two variables with a zero second exponent: the same degrees,
+    walked by the heap path."""
+    return PuiseuxSeries(2, {e + (F(0),): c for e, c in s.terms.items()}, s.precision)
+
+
+def same_runs(s, r, cap=None):
+    """The dense run of s and the heap run of s embedded agree exactly."""
+    dense = _GridPower(s)(r, cap)
+    heap = _GridPower(embedded(s))(r, cap)
+    assert dense == {g[:1]: c for g, c in heap.items()}
+    assert all(g[1] == 0 for g in heap)
+    return dense
+
+
+DENSE_RS = [F(-3), F(-1), F(-5, 3), F(-1, 2), F(0), F(1, 2), F(2, 3), F(1), F(2), F(3)]
+
+
+def random_one_variable(rng, precision):
+    """A unit with steps on a random grid 1/n1 and a random step unit u, its
+    constant term an n1-th power so that its dual stays rational."""
+    n1, u = rng.choice((1, 2, 3)), rng.choice((1, 2, 3))
+    terms = {(F(0),): rng.choice(NONZERO) ** n1}
+    for _ in range(rng.randrange(1, 5)):
+        terms[(F(u * rng.randrange(1, 6), n1),)] = rng.choice(NONZERO)
+    return PuiseuxSeries(1, terms, precision)
+
+
+def test_dense_run_matches_the_heap_walk():
+    rng = random.Random(106)
+    grids, units, dens = set(), set(), set()
+    for _ in range(24):
+        s = random_one_variable(rng, F(rng.randrange(3, 8)))
+        recurrence = _GridPower(s)
+        grids.add(s.ramification[0])
+        units.add(recurrence.unit)
+        dens.add(recurrence.den)
+        for r in DENSE_RS:
+            full = same_runs(s, r)
+            # every cap up to two past the limit, each keeping only its own key
+            for cap in range(recurrence._limit(r) + 3):
+                assert same_runs(s, r, cap) == {g: c for g, c in full.items() if g[0] == cap}
+        same(s.unit_power(F(-1, 2), constant_power=F(7, 3)),
+             unit_power_binomial(s, F(-1, 2), constant_power=F(7, 3)))
+        same(s.pow_int(-2), pow_int_products(s, -2))
+        same(dual(s), dual_tower_heap(s))
+    assert grids - {1} and units - {1} and dens - {1}
+
+
+def test_dense_run_of_exact_polynomials_ends_at_r_max_t():
+    rng = random.Random(107)
+    for _ in range(12):
+        s = random_one_variable(rng, INF)
+        max_t = max(g[0] for g in s._keys)
+        for n in range(5):
+            power = same_runs(s, F(n))
+            assert max(power) == (n * max_t,)
+            same(s.unit_power(n), unit_power_binomial(s, n))
+
+
+def test_dense_run_with_a_step_unit_and_vanishing_coefficients():
+    # the step degrees of 1 + t^2 + t^6 are multiples of u = 2
+    s = parse("1 + t^(2) + t^(6)", precision=20)
+    assert _GridPower(s).unit == 2
+    for r in DENSE_RS:
+        same_runs(s, r)
+        same_runs(s, r, cap=7)
+        same(s.unit_power(r, constant_power=1), unit_power_binomial(s, r, constant_power=1))
+    # 1/(1 + t + t^2) = (1 - t)/(1 - t^3) vanishes at every degree 2 mod 3
+    inverse = same_runs(parse("1 + t + t^(2)", precision=12), F(-1))
+    assert inverse == {(k,): F((-1) ** (k % 3)) for k in range(13) if k % 3 != 2}
+    assert same_runs(parse("1 + t + t^(2)", precision=12), F(-1), cap=8) == {}
+    # (1 + t)^2 to the 1/2 ends at degree 1, well inside the precision
+    assert same_runs(parse("1 + 2*t + t^(2)", precision=9), F(1, 2)) == {(0,): 1, (1,): 1}
+
+
+def test_long_one_variable_run_keeps_its_integers_reduced():
+    # (1 + t)^-1 = sum (-1)^k t^k; numerators over a fixed denominator would
+    # grow by log(k) bits a degree
+    start = time.perf_counter()
+    inverse = parse("1+t", precision=20000).pow_int(-1)
+    assert time.perf_counter() - start < 1
+    assert inverse.terms == {(F(k),): F((-1) ** k) for k in range(20001)}
 
 
 HUGE = 10**9
