@@ -13,13 +13,19 @@ which for n1 = 1 is the classical psi_(e, .) = [t1^e] phi^(-(e+1)) / (e+1)
 (see also Brent & Kung, "Fast algorithms for manipulating formal power
 series", JACM 1978).  Each power comes from Miller's recurrence, stopped at
 first coordinate k, and only its coefficients at first coordinate k are
-kept.  In one variable that is a single coefficient: the run is a dense
-loop over the degrees up to k on integers over one running denominator,
-and only that coefficient becomes a Fraction.  The constant factor
-phi_0^(-(k+n1)/n1) is r0^(-(k+n1)), carried from one k to the next, r0
-being the rational n1-th root of phi_0 that rational_root picks (the
-positive one when there are two); when n1 > 1 and phi_0 has no rational
-n1-th root, dual raises RootError.
+kept.  The constant factor phi_0^(-(k+n1)/n1) is r0^(-(k+n1)), r0 being
+the rational n1-th root of phi_0 that rational_root picks (the positive one
+when there are two); when n1 > 1 and phi_0 has no rational n1-th root, dual
+raises RootError.
+
+In one variable the kept coefficient is a single one, and every k goes
+through one integer loop, _GridPower.dense_loop, the same loop the dense
+powers run: it walks the degrees up to k on integers over one running
+denominator and hands back that coefficient as an integer pair N/L.  The
+factors n1/(k+n1) and r0^(-(k+n1)) fold into the one Fraction built for k,
+the powers of r0's numerator and denominator carried from one k to the next
+as ints.  In h variables each k is a capped heap walk of the recurrence,
+and its coefficients are scaled by Fraction products.
 
 The powers can be taken of any B = phi^m instead of phi itself:
 
@@ -87,13 +93,26 @@ def _dual_from_power(
     ks = range(0, math.floor(prec * n1) + 1, step) if step else [0]
     recurrence.check_work(Fraction(-a, m), runs=len(ks))
     found = {}
-    # r0^-(k + a*n1), carried from one k to the next
-    factor, stride = r0 ** -(a * n1), r0 ** -step
-    for k in ks:
-        coeffs = recurrence(Fraction(-(k + a * n1), n1 * m), cap=k)
-        scale = factor * Fraction(a * n1, k + a * n1)
-        found.update((g, c * scale) for g, c in coeffs.items())
-        factor *= stride
+    c = a * n1
+    if power.num_vars == 1:
+        # r0^-(k + c) = r_den^e / r_num^e with e = k + c, carried as two ints
+        r_num, r_den = r0.numerator ** c, r0.denominator ** c
+        s_num, s_den = r0.numerator ** step, r0.denominator ** step
+        unit = recurrence.unit
+        for k in ks:
+            num, common = recurrence.dense_loop(-(k + c), n1 * m, k // unit)
+            if num:
+                found[(k,)] = Fraction(num * c * r_den, common * (k + c) * r_num)
+            r_num *= s_num
+            r_den *= s_den
+    else:
+        # r0^-(k + c), carried from one k to the next
+        factor, stride = r0 ** -c, r0 ** -step
+        for k in ks:
+            coeffs = recurrence(Fraction(-(k + c), n1 * m), cap=k)
+            scale = factor * Fraction(c, k + c)
+            found.update((g, v * scale) for g, v in coeffs.items())
+            factor *= stride
     return PuiseuxSeries._from_keys(found, power.ramification, prec, False)
 
 

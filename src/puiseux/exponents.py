@@ -20,10 +20,13 @@ ramification give.  S, the lattice's Hermite rows and the ramification
 points (D/N_i) e_i are mapped to integer vectors once, and S is sorted once
 by the order.  The joined lattice is kept as integer echelon rows, never
 rebuilt: a point the rows contain is skipped, and any other point becomes
-the next entry (the element of S itself is returned) and is inserted by one
-elimination pass, core._echelon_reduce, which also does the membership test.
-The sequence is complete, and the walk stops, once every ramification point
-is a member of the rows: then they hold every element of S.
+the next entry and is inserted by one elimination pass, core._echelon_reduce,
+which also does the membership test.  The sequence is complete, and the walk
+stops, once every ramification point is a member of the rows: then they hold
+every element of S.  The walk returns the positions of its entries:
+essential_exponents returns those elements of S, and essential_of_series,
+which maps a series' integer keys to the grid without building its support,
+turns those keys alone into Fraction vectors.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
 from .core import (
     AdditiveOrder,
@@ -41,6 +44,7 @@ from .core import (
     _echelon_reduce,
     as_vec,
     fmt_vec,
+    mat_vec,
     rat,
 )
 
@@ -212,15 +216,23 @@ def essential_exponents(
     vecs, _ = _normalize_set(S)
     if not vecs:
         raise PuiseuxError("essential sequence of an empty set")
-    dim = len(vecs[0])
+    denoms = [math.lcm(*(c.denominator for c in col)) for col in zip(*vecs)]
+    grid, denoms = _walk_grid(denoms, lattice, order, ramification)
+    points = [[c.numerator * (grid // c.denominator) for c in v] for v in vecs]
+    kept, complete = _essential_walk(points, grid, denoms, lattice, order)
+    return EssentialSequence(tuple([vecs[i] for i in kept]), lattice, order, complete)
+
+
+def _walk_grid(denoms, lattice, order, ramification):
+    """Check the walk's parameters against S's per-coordinate denominators
+    denoms; returns the grid D and the N_i."""
+    dim = len(denoms)
     if lattice.dim != dim:
         raise PuiseuxError("lattice dimension does not match the exponents")
     if order.dim != dim:
         raise PuiseuxError("order dimension does not match the exponents")
     if not order.dominating:
         raise PuiseuxError("essential sequences need an order dominating Q^h_+")
-
-    denoms = [math.lcm(*(v[i].denominator for v in vecs)) for i in range(dim)]
     if ramification is not None:
         if len(ramification) != dim:
             raise PuiseuxError("ramification must give one denominator per variable")
@@ -230,28 +242,38 @@ def essential_exponents(
         ]
     # One grid (1/D)Z^h holds S, the lattice and the ramification lattice
     # prod (1/N_i)Z, whose generators are the points (D/N_i) e_i.
-    grid = math.lcm(lattice.scale, *denoms)
-    points = [[c.numerator * (grid // c.denominator) for c in v] for v in vecs]
+    return math.lcm(lattice.scale, *denoms), denoms
+
+
+def _essential_walk(points, grid, denoms, lattice, order):
+    """The walk over S as integer points on (1/grid)Z^h, which it consumes.
+    Returns the positions of the entries in points, in order, and whether
+    the sequence is complete."""
+    dim = len(denoms)
     pending = [[grid // n if j == i else 0 for j in range(dim)] for i, n in enumerate(denoms)]
     rows = lattice._grid_rows(grid)
-    # lex compares the integer points as it does the exponents they scale
-    rank = points.__getitem__ if order._identity else lambda i: order.key(vecs[i])
-    walk = sorted(range(len(vecs)), key=rank)
+    # an order compares the points as it does the exponents they scale
+    if order._identity:
+        rank = points.__getitem__
+    else:
+        keys = [mat_vec(order.matrix, x) for x in points]
+        rank = keys.__getitem__
+    walk = sorted(range(len(points)), key=rank)
 
     # The joined lattice only grows, so one walk in increasing order finds
     # the greedy sequence: an element is the next entry exactly when the
     # current rows miss it, and inserting it is the same elimination.  Once
     # the rows hold every ramification point they hold every element of S,
     # and the walk stops.
-    entries = []
+    kept = []
     for i in walk:
-        if _echelon_reduce(rows, points[i], True) and entries:
+        if _echelon_reduce(rows, points[i], True) and kept:
             continue
-        entries.append(vecs[i])
+        kept.append(i)
         pending = [p for p in pending if not _echelon_reduce(rows, p[:], False)]
         if not pending:
             break
-    return EssentialSequence(tuple(entries), lattice, order, not pending)
+    return kept, not pending
 
 
 def essential_exponents_p(S, p: int, ramification=None) -> EssentialSequence:
@@ -266,13 +288,22 @@ def essential_exponents_p(S, p: int, ramification=None) -> EssentialSequence:
 
 
 def essential_of_series(series, lattice=None, order=None) -> EssentialSequence:
-    """Essential sequence of a series' support, default lattice Z^h, order lex."""
+    """Essential sequence of a series' support, default lattice Z^h, order
+    lex, relative to the series' ramification.  The walk takes the series'
+    integer keys, and only its entries become Fraction vectors."""
+    if series.is_zero():
+        raise PuiseuxError("essential sequence of an empty set")
     h = series.num_vars
     lattice = lattice if lattice is not None else Lattice.standard(h)
     order = order if order is not None else AdditiveOrder.lex(h)
-    return essential_exponents(
-        series.support(), lattice, order, ramification=series.ramification
-    )
+    n = series.ramification
+    grid, denoms = _walk_grid(n, lattice, order, None)
+    factors = [grid // d for d in n]
+    keys = list(series._keys)
+    points = [list(map(mul, g, factors)) for g in keys]
+    kept, complete = _essential_walk(points, grid, denoms, lattice, order)
+    entries = tuple([series._vec(keys[i]) for i in kept])
+    return EssentialSequence(entries, lattice, order, complete)
 
 
 @dataclass(frozen=True)

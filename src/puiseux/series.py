@@ -408,16 +408,25 @@ class PuiseuxSeries:
         # denominator that makes row i of a integral
         ratios = [[x / n for x, n in zip(row, self.ramification)] for row in q]
         grid = tuple(math.lcm(*(x.denominator for x in row)) for row in ratios)
-        a = [[int(x * m) for x in row] for row, m in zip(ratios, grid)]
-        keys = {}
-        for g, c in self._keys.items():
-            img = tuple(_degree(g, row) for row in a)
-            if any(x < 0 for x in img):
-                raise PuiseuxError(
-                    f"substitution sends {self._vec(g)} to negative exponent "
-                    f"{tuple(map(Fraction, img, grid))}"
-                )
-            keys[img] = c
+        a = [[(j, int(x * m)) for j, x in enumerate(row) if x] for row, m in zip(ratios, grid)]
+        if all(len(row) == 1 and row[0][0] == i for i, row in enumerate(a)):
+            # a diagonal maps each key one coordinate at a time
+            diagonal = [row[0][1] for row in a]
+            keys = {tuple(map(operator.mul, g, diagonal)): c for g, c in self._keys.items()}
+        else:
+            keys = {
+                tuple([sum([g[j] * x for j, x in row]) for row in a]): c
+                for g, c in self._keys.items()
+            }
+        # a non-Laurent series has non-negative keys, and so do their images;
+        # an invertible map keeps the keys distinct and in their order
+        if self.laurent:
+            for g, img in zip(self._keys, keys):
+                if any(x < 0 for x in img):
+                    raise PuiseuxError(
+                        f"substitution sends {self._vec(g)} to negative exponent "
+                        f"{tuple(map(Fraction, img, grid))}"
+                    )
         return PuiseuxSeries._from_keys(keys, grid, prec, False)
 
     # -- comparisons and formatting -----------------------------------------
@@ -488,8 +497,10 @@ class _GridPower:
     L*k for k = m/gcd(S, m); so N_i = S/gcd(S, m), and when k > 1 the last
     max s_j numerators, the only ones read again, are multiplied by k.  L
     stays the lcm of the true denominators, so the integers grow with the
-    coefficients, not with the degree.  A Fraction is built only for a key
-    that is returned.
+    coefficients, not with the degree.  dense_loop is this loop, the only
+    copy: a full run builds a Fraction for every nonzero P_i, a run capped
+    at one degree only for that one, and dual takes the pair (N_i, L) itself
+    and folds its own factors into the one Fraction it builds.
 
     In h variables a degree holds many keys, and each finished P_k is
     pushed to the keys k + j with weight a_j (r T(j) - T(k)), so keys finish
@@ -660,19 +671,27 @@ class _GridPower:
         """__call__ in one variable: the dense loop of the class docstring."""
         unit = self.unit
         if cap is None:
-            last = limit // unit
-        elif cap > limit or cap % unit:
+            out = {(0,): Fraction(1)}
+            self.dense_loop(r.numerator, r.denominator, limit // unit, out)
+            return out
+        if cap > limit or cap % unit:
             return {}
-        else:
-            last = cap // unit
-        p, q = r.numerator, r.denominator
+        num, common = self.dense_loop(r.numerator, r.denominator, cap // unit)
+        return {(cap,): Fraction(num, common)} if num else {}
+
+    def dense_loop(self, p: int, q: int, last: int, out=None) -> tuple[int, int]:
+        """The one-variable run for r = p/q up to degree last*u: returns
+        (N, L), P_last = N/L, and with out also stores every nonzero P_i
+        there as a Fraction.  p/q need not be reduced: a common factor
+        multiplies both sides of the recurrence and cancels in each gcd, so
+        the integers are the same."""
+        unit = self.unit
         qden = q * self.den
         steps = [(t // unit, a * (p + q) * (t // unit), a * q) for t, _, a in self.items]
         width = self.max_t // unit
         # nums[-s] is N_(i-s); the width zeros in front stand for i - s < 0
         nums = [0] * width + [1]
         common = 1
-        out = {(0,): Fraction(1)} if cap is None else {}
         for i in range(1, last + 1):
             acc = 0
             for s, c1, c2 in steps:
@@ -685,12 +704,10 @@ class _GridPower:
                     common *= k
                     nums[-width:] = [x * k for x in nums[-width:]]
                 acc //= g
-                if cap is None:
+                if out is not None:
                     out[(i * unit,)] = Fraction(acc, common)
             nums.append(acc)
-        if cap is not None and nums[-1]:
-            out[(cap,)] = Fraction(nums[-1], common)
-        return out
+        return nums[-1], common
 
 
 def _line(n: int) -> int:

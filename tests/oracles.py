@@ -3,11 +3,16 @@
 The brute-force oracles are written against plain dicts and integers,
 deliberately avoiding the library's own algorithms, so the tests compare two
 genuinely different computation paths.  The reference algorithms at the end
-are the library's earlier power and dual computations, built from series
-multiplication alone, its earlier essential sequences, Hermite form and
-monomial substitution, and the earlier inversion pipeline, which duals the dense unit
-part itself; the current versions must agree with them coefficient for
-coefficient.
+are the library's earlier versions, and the current ones must agree with
+them coefficient for coefficient:
+
+- power and dual computations built from series multiplication alone;
+- the per-k dual read off a power, one capped recurrence run per first
+  coordinate k, each scaled by Fraction products, where the library now
+  runs one integer loop in one variable;
+- essential sequences by repeated minima and by a walk over Fraction
+  vectors with rebuilt lattices, Hermite form and monomial substitution;
+- the inversion pipeline that duals the dense unit part itself.
 """
 
 import heapq
@@ -38,6 +43,7 @@ from puiseux.inversion import (
     _rescale_sequence,
     _unit_frame_lattice,
 )
+from puiseux.series import _GridPower
 
 # dense univariate polynomials: dict {int exponent: Fraction}, truncated
 
@@ -339,6 +345,34 @@ def dual_tower_heap(phi):
                 residual[key] = new
     terms = {tuple(Fraction(x, n) for x, n in zip(e, grid)): c for e, c in found.items()}
     return PuiseuxSeries(h, terms, prec)
+
+
+def dual_from_power_reference(power, m, c0, a):
+    """The library's earlier psi^a read off power = phi^m: every k is one
+    public recurrence run capped at first coordinate k, scaled by the
+    Fraction product r0^-(k + a*n1) * a*n1/(k + a*n1)."""
+    if c0 == 0:
+        raise PuiseuxError("dual requires a nonzero constant term")
+    if power.laurent:
+        raise PuiseuxError("dual of a Laurent series is not defined")
+    prec = power.precision
+    if prec is INF and len(power.terms) > 1:
+        raise PrecisionError("dual of an exact non-constant series has infinite support")
+    n1 = power.ramification[0]
+    r0 = c0 if n1 == 1 else rational_root(c0, n1)
+    if r0 is None:
+        raise RootError(f"no rational {n1}-th root of {c0}")
+    step = math.gcd(*(g[0] for g in power._keys))
+    recurrence = _GridPower(power)
+    ks = range(0, math.floor(prec * n1) + 1, step) if step else [0]
+    found = {}
+    factor, stride = r0 ** -(a * n1), r0 ** -step
+    for k in ks:
+        coeffs = recurrence(Fraction(-(k + a * n1), n1 * m), cap=k)
+        scale = factor * Fraction(a * n1, k + a * n1)
+        found.update((g, c * scale) for g, c in coeffs.items())
+        factor *= stride
+    return PuiseuxSeries._from_keys(found, power.ramification, prec, False)
 
 
 # reference essential sequences and monomial substitution

@@ -19,6 +19,7 @@ from puiseux import (
     AdditiveOrder,
     Lattice,
     PuiseuxError,
+    PuiseuxSeries,
     characteristic_exponents,
     essential_exponents,
     essential_exponents_p,
@@ -258,6 +259,30 @@ def test_essential_integer_walk_agrees_with_fraction_walk(h):
     kinds = [set(WALK_LATTICES), {"lex", "weighted", "composed"}, {True, False}, {True, False}]
     for i, values in enumerate(kinds):
         assert {k[i] for k in seen} == values
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_essential_walk_on_series_keys_agrees_with_the_support_walk(h):
+    # essential_of_series walks the keys; essential_exponents the support
+    rng = random.Random(89 + h)
+    seen = set()
+    for _ in range(60):
+        terms = {random_exponent(rng, h, (1, 2, 3, 4), max_num=9): F(1)
+                 for _ in range(rng.randrange(1, 9))}
+        s = PuiseuxSeries(h, terms, F(rng.randrange(2, 12)))
+        if s.is_zero():
+            continue
+        lattice_kind = rng.choice(WALK_LATTICES)
+        lattice = _walk_lattice(rng, h, lattice_kind)
+        order_kind = rng.choice(["lex", "weighted"])
+        order = _walk_order(rng, h, order_kind)
+        got = essential_of_series(s, lattice, order)
+        want = essential_exponents(s.support(), lattice, order, s.ramification)
+        assert got == want, (s, lattice, order)
+        seen.add((order_kind, got.complete))
+    assert seen == {(k, c) for k in ("lex", "weighted") for c in (True, False)}
+    with pytest.raises(PuiseuxError, match="empty set"):
+        essential_of_series(PuiseuxSeries.zero(h, 5))
 
 
 def _signed_vector(rng, h, denoms):

@@ -13,8 +13,15 @@ from fractions import Fraction as F
 import pytest
 
 from builders import NONZERO, perfect_power_unit, random_exponent, random_unit_series
-from oracles import dual_tower_heap, pow_int_products, unit_power_binomial
+from oracles import (
+    dual_from_power_reference,
+    dual_tower_heap,
+    pow_int_products,
+    unit_power_binomial,
+)
 from puiseux import INF, PrecisionError, PuiseuxError, PuiseuxSeries, dual, parse
+from puiseux.core import rational_root
+from puiseux.duality import _dual_from_power
 from puiseux.inversion import MAX_UNIT_PRECISION, BranchData, invert_branch
 from puiseux.series import MAX_POWER_WORK, _GridPower
 
@@ -167,6 +174,35 @@ def test_dense_run_matches_the_heap_walk():
         same(s.pow_int(-2), pow_int_products(s, -2))
         same(dual(s), dual_tower_heap(s))
     assert grids - {1} and units - {1} and dens - {1}
+
+
+def test_one_variable_dual_loop_matches_the_per_k_reference():
+    # psi^a read off phi^m by the one integer loop, against the earlier
+    # per-k runs and, for a = 1, the triangular solve
+    rng = random.Random(108)
+    seen = {"n1": set(), "unit": set(), "den": set(), "r0": set()}
+    for _ in range(24):
+        n1, u = rng.choice((1, 2, 3)), rng.choice((1, 2, 3))
+        terms = {(F(0),): rng.choice((F(1), F(-2), F(3, 2))) ** n1}
+        for _ in range(rng.randrange(1, 4)):
+            terms[(F(u * rng.randrange(1, 5), n1),)] = rng.choice(NONZERO)
+        phi = PuiseuxSeries(1, terms, F(rng.randrange(3, 7)))
+        c0, n1 = phi.constant_term(), phi.ramification[0]
+        seen["n1"].add(n1)
+        seen["r0"].add(c0 if n1 == 1 else rational_root(c0, n1))
+        psi = dual_tower_heap(phi)
+        for m in (1, 2, 3, 4):
+            power = phi.pow_int(m)
+            recurrence = _GridPower(power)
+            seen["unit"].add(recurrence.unit)
+            seen["den"].add(recurrence.den)
+            for a in (1, 2, 3):
+                got = _dual_from_power(power, m, c0, a)
+                same(got, dual_from_power_reference(power, m, c0, a))
+                if a == 1:
+                    same(got, psi)
+    assert seen["n1"] - {1} and seen["unit"] - {1} and seen["den"] - {1}
+    assert {F(1), F(-2), F(3, 2)} <= seen["r0"]
 
 
 def test_dense_run_of_exact_polynomials_ends_at_r_max_t():

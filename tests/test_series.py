@@ -377,3 +377,10 @@ def test_format_parse_roundtrip_laurent():
         1, {(F(-2),): F(3), (F(0),): F(-1), (F(5, 2),): F(1, 3)}, F(7), laurent=True
     )
     assert parse(format_series(s), laurent=True) == s
+
+
+def test_substitution_refuses_a_negative_image_of_a_laurent_key():
+    s = PuiseuxSeries(1, {(-1,): 1, (0,): 1}, laurent=True)
+    with pytest.raises(PuiseuxError, match=r"substitution sends \(Fraction\(-1, 1\),\) "
+                       r"to negative exponent \(Fraction\(-2, 1\),\)"):
+        s.monomial_substitute([[2]])
