@@ -32,6 +32,7 @@ from .inversion import (
     invert_series,
     lagrange_coefficient,
     lagrange_pair_check,
+    lagrange_series,
     verify_halphen_stolz,
 )
 from .quasi_ordinary import (
@@ -78,6 +79,7 @@ __all__ = [
     "irreducible_exponents",
     "lagrange_coefficient",
     "lagrange_pair_check",
+    "lagrange_series",
     "parse",
     "qo_test",
     "rational_binomial",

@@ -23,7 +23,7 @@ from .exponents import (
     exponent_to_json,
     irreducible_exponents,
 )
-from .inversion import invert_series, lagrange_coefficient, verify_halphen_stolz
+from .inversion import invert_series, lagrange_series, verify_halphen_stolz
 from .quasi_ordinary import qo_test, toric_pullback, verify_qsigma_relation
 from .reports import CheckReport
 from .series import DEFAULT_PRECISION, INF, PuiseuxSeries, default_names, format_series, parse
@@ -161,11 +161,13 @@ def _invert(args, eta: PuiseuxSeries):
     return invert_series(eta, target, root_coeff=root)
 
 
-def _lagrange_coefficients(result, bound):
-    """(exponent, oracle coefficient) of xi at every y^(q/m1) up to bound."""
+def _lagrange_coefficients(result, oracle, bound):
+    """(exponent, coefficient of oracle) at every y^(q/m1) up to bound, for
+    oracle the one-variable xi of lagrange_series."""
     q = result.n1
     while Fraction(q, result.m1) <= bound:
-        yield Fraction(q, result.m1), lagrange_coefficient(result.branch, q)
+        exponent = Fraction(q, result.m1)
+        yield exponent, oracle.coefficient((exponent,))
         q += 1
 
 
@@ -191,9 +193,10 @@ def _cmd_lagrange(args) -> int:
         raise PuiseuxError("the lagrange verb works on one-variable series")
     result = _invert(args, eta)
     target = rat(args.precision or DEFAULT_PRECISION)
+    oracle = lagrange_series(result.branch)
     lines = []
     rows = []
-    for exponent, coef in _lagrange_coefficients(result, target):
+    for exponent, coef in _lagrange_coefficients(result, oracle, target):
         if coef != 0:
             lines.append(f"[xi]_{exponent} = {coef}")
         rows.append({"exponent": str(exponent), "coef": str(coef)})
@@ -209,20 +212,23 @@ def _cmd_verify(args) -> int:
         # the unit's dual read off the sparse unit^m1 rather than the dense unit
         _dual_identity(
             data.series,
-            _dual_from_power(data.series.pow_int(result.m1), result.m1, data.root_coeff, 1),
+            _dual_from_power(data.power, result.m1, data.root_coeff, 1),
         ),
         verify_power_identity(data.series, result.m1),
     ]
-    if result.eta.num_vars == 1:
-        oracle = CheckReport("Lagrange oracle equivalence")
-        for exponent, coef in _lagrange_coefficients(result, result.xi.precision):
-            oracle.record(
-                f"coefficient at y^{exponent}",
-                result.xi.coefficient((exponent,)),
-                coef,
-                (exponent,),
+    # xi again, by the Lagrange formula alone, at xi's own precision
+    xi, oracle = result.xi, lagrange_series(data)
+    report = CheckReport("Lagrange oracle equivalence")
+    if xi.num_vars == 1:
+        for exponent, coef in _lagrange_coefficients(result, oracle, xi.precision):
+            report.record(
+                f"coefficient at y^{exponent}", xi.coefficient((exponent,)), coef, (exponent,)
             )
-        reports.append(oracle)
+    else:
+        # every exponent either side holds
+        for e in sorted(xi.support() | oracle.support(), key=lambda v: (total(v), v)):
+            report.record("coefficient of xi", xi.coefficient(e), oracle.coefficient(e), e)
+    reports.append(report)
     ok = all(r.all_passed for r in reports)
     lines = [r.describe() for r in reports]
     _emit(args, lines, {"reports": [r.to_json() for r in reports], "all_passed": ok})

@@ -5,9 +5,16 @@ substitution x_i = t_i^(n_i), where the unit part has constant term a~ with
 a~^m1 equal to the dominating coefficient.  The inverted presentation of the
 same branch is xi = (u1 * dual(unit))^n1, re-expressed in y1^(1/m1),
 x2^(1/n2), ....  The exponent and coefficient identities tying the two
-essential sequences together are verified on every run; the independent
-Lagrange-inversion oracle recomputes xi's coefficients without ever building
-the dual.
+essential sequences together are verified on every run.
+
+Everything is read off unit^m1 = eta_t/t1^m1, which holds eta's own few
+terms, while the unit part, its m1-th root, has about N: extract_branch
+keeps unit^m1 and builds the unit part only when it is read, the pipeline
+takes psi^n1 straight from unit^m1 by Lagrange-Burmann, and the independent
+Lagrange oracle expands (unit^m1/a~^m1)^(-q/m1) with plain dict products,
+never touching the dual or the power kernel.  Every frame change on the way
+(x to t, t to x, u to y) is diagonal, so on the integer grid it relabels
+the keys of one series into another.
 
 The work grows with the unit precision N = target*max(m1, n2, ..., nh) - n1;
 invert_series and invert_branch refuse an N above MAX_UNIT_PRECISION before
@@ -16,9 +23,11 @@ any work starts.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .core import (
     AdditiveOrder,
@@ -26,20 +35,28 @@ from .core import (
     PuiseuxError,
     RootError,
     fmt_vec,
-    rational_binomial,
     rational_root,
     total,
-    unit_vec,
 )
 from .duality import _dual_from_power, dual
 from .exponents import EssentialSequence, essential_of_series
 from .reports import CheckReport
-from .series import INF, PrecisionError, PuiseuxSeries
+from .series import (
+    DEGREE_COST,
+    INF,
+    MAX_POWER_WORK,
+    PrecisionError,
+    PuiseuxSeries,
+    _min_prec,
+    _norm_prec,
+)
 
 # Largest unit precision N the inversion entry points accept.  The work grows
 # faster than N^2, since the coefficients grow with N too: the two-term anchor
-# x^(3/2) + 2*x^(7/4) inverts in about 0.05 s at N = 236, 0.25 s at N = 476
-# and 1.3 s at N = 998 (Python 3.11, 2-vCPU host), and more terms cost more.
+# x^(3/2) + 2*x^(7/4) inverts in about 0.05 s at N = 236, 0.22 s at N = 476
+# and 1.2 s at N = 998 (Python 3.11, 2-vCPU host), and more terms cost more.
+# The Lagrange oracle of the same branch (lagrange_series) takes about 0.03,
+# 0.12 and 0.6 s there.
 MAX_UNIT_PRECISION = 500
 
 __all__ = [
@@ -51,6 +68,7 @@ __all__ = [
     "invert_series",
     "verify_halphen_stolz",
     "lagrange_coefficient",
+    "lagrange_series",
     "lagrange_pair_check",
 ]
 
@@ -59,19 +77,75 @@ class DominationError(PuiseuxError):
     pass
 
 
-@dataclass(frozen=True)
 class BranchData:
     """Unit-part presentation of a dominating branch.
 
     series: the unit part in the t-variables (integral exponents, constant
-    term root_coeff); exponent_m: the power m1; ramification: the source
-    series' per-variable denominators (n1, ..., nh).
+    term root_coeff); power: unit^m1, the series the unit part is the m1-th
+    root of; exponent_m: the power m1; ramification: the source series'
+    per-variable denominators (n1, ..., nh).
+
+    BranchData(series, m1, root_coeff, ramification) holds the given unit
+    part, and power is unit.pow_int(m1), computed when first read.
+    extract_branch holds power, eta_t/t1^m1 with eta's own terms, and the
+    unit part, a dense m1-th root, is computed when series is first read;
+    the inversion pipeline and the Lagrange oracle never read it.  Equality,
+    repr and to_json are those of the four fields series, exponent_m,
+    root_coeff and ramification.  Instances are immutable.
     """
 
-    series: PuiseuxSeries
-    exponent_m: int
-    root_coeff: Fraction
-    ramification: tuple[int, ...]
+    def __init__(self, series, exponent_m, root_coeff, ramification):
+        self._set(exponent_m, root_coeff, ramification, series=series)
+
+    @classmethod
+    def _from_power(cls, power, exponent_m, root_coeff, ramification) -> "BranchData":
+        obj = object.__new__(cls)
+        obj._set(exponent_m, root_coeff, ramification, power=power)
+        return obj
+
+    def _set(self, exponent_m, root_coeff, ramification, **held) -> None:
+        # series and power are cached properties: the one given is stored
+        # under its name, the other is computed and stored on first read
+        self.__dict__.update(
+            held,
+            exponent_m=exponent_m,
+            root_coeff=root_coeff,
+            ramification=ramification,
+            _from_unit="series" in held,
+        )
+
+    @functools.cached_property
+    def series(self) -> PuiseuxSeries:
+        return self.power.unit_root(self.exponent_m, self.root_coeff)
+
+    @functools.cached_property
+    def power(self) -> PuiseuxSeries:
+        return self.series.pow_int(self.exponent_m)
+
+    @property
+    def _held(self) -> PuiseuxSeries:
+        """The series given at construction, the unit part or unit^m1; both
+        have the same precision."""
+        return self.series if self._from_unit else self.power
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BranchData is immutable: cannot set {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.series, self.exponent_m, self.root_coeff, self.ramification)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"BranchData(series={self.series!r}, exponent_m={self.exponent_m!r}, "
+            f"root_coeff={self.root_coeff!r}, ramification={self.ramification!r})"
+        )
 
     def to_json(self) -> dict:
         return {
@@ -140,18 +214,16 @@ def extract_branch(
 
     When root_coeff is absent the m1-th root of the dominating coefficient is
     extracted exactly over the rationals; callers must supply it otherwise.
-    unit_precision bounds the total degree of the materialised unit part and
-    defaults to everything eta's own precision supports.
+    unit_precision bounds the total degree of unit^m1, and so of the unit
+    part, and defaults to everything eta's own precision supports.  The
+    result holds unit^m1; its unit part is computed when first read.
     """
-    return _extract_branch(eta, root_coeff, unit_precision, _dominating_profile(eta))[0]
+    return _extract_branch(eta, root_coeff, unit_precision, _dominating_profile(eta))
 
 
-def _extract_branch(eta, root_coeff, unit_precision, profile):
-    """extract_branch, given eta's _dominating_profile, also returning
-    unit^m1 = eta_t/t1^m1 at the unit's precision, the series the unit part
-    is the m1-th root of."""
+def _extract_branch(eta, root_coeff, unit_precision, profile) -> BranchData:
+    """extract_branch, given eta's _dominating_profile."""
     _, a, m1 = profile
-    h = eta.num_vars
     n = eta.ramification
     if root_coeff is None:
         atilde = rational_root(a, m1)
@@ -166,24 +238,44 @@ def _extract_branch(eta, root_coeff, unit_precision, profile):
             raise RootError(
                 f"root_coeff {atilde} fails: {atilde}^{m1} = {atilde ** m1} != {a}"
             )
-    eta_t = eta.monomial_substitute(_diag(list(n)))
-    unit_m = eta_t.shift(tuple(-m1 * c for c in unit_vec(h, 0)))
+    cap = INF
     if unit_precision is not None and unit_precision != INF:
-        unit_m = unit_m.truncate(max(Fraction(0), Fraction(unit_precision)))
+        cap = max(Fraction(0), Fraction(unit_precision))
+    # eta -> eta_t is diag(n), then t1^-m1 divides out the dominating term
+    unit_m = _reframe(eta, n, -m1, cap)
     if unit_m.precision is INF and m1 > 1 and len(unit_m._keys) > 1:
         raise PrecisionError(
             "exact input: pass unit_precision (or use invert_series with a target)"
         )
-    unit = unit_m.unit_root(m1, atilde)
-    return BranchData(unit, m1, atilde, n), unit_m
+    return BranchData._from_power(unit_m, m1, atilde, n)
 
 
-def _diag(entries) -> list[list[Fraction]]:
-    h = len(entries)
-    return [
-        [Fraction(entries[i]) if i == j else Fraction(0) for j in range(h)]
-        for i in range(h)
-    ]
+def _frame_precision(precision, diagonal, shift=0, cap=INF):
+    """The precision _reframe gives: that of monomial_substitute by
+    diag(diagonal), then of shift, then of truncate at cap."""
+    if precision is not INF:
+        precision = min(diagonal) * precision + shift
+    return _min_prec(precision, _norm_prec(cap))
+
+
+def _reframe(s: PuiseuxSeries, diagonal, shift=0, cap=INF) -> PuiseuxSeries:
+    """s with every exponent e sent to (d1 e1 + shift, d2 e2, ..., dh eh),
+    cut at total degree cap: monomial_substitute by diag(d), shift by
+    shift*v1 and truncate at cap, as one construction.
+
+    A diagonal map only relabels keys: with d_i/n_i = a_i/G_i in lowest
+    terms, n the grid of s, the key g becomes (a1 g1 + shift G1, a2 g2, ...)
+    on the grid G.  shift*G1 must be an integer and no image negative."""
+    ratios = [Fraction(d) / n for d, n in zip(diagonal, s.ramification)]
+    grid = tuple(x.denominator for x in ratios)
+    first, *rest = (x.numerator for x in ratios)
+    step = shift * grid[0]
+    keys = {
+        (g[0] * first + step, *map(operator.mul, g[1:], rest)): c
+        for g, c in s._keys.items()
+    }
+    precision = _frame_precision(s.precision, diagonal, shift, cap)
+    return PuiseuxSeries._from_keys(keys, grid, precision, False)
 
 
 def _unit_frame_lattice(h: int, first: int) -> Lattice:
@@ -244,63 +336,83 @@ def _halphen_stolz_report(
     ess(xi_u, m1 Z v1 + Z v2 + ..., lex) = (n1 v1, eps'_1, ..., eps'_d):
     d' = d, eps'_k + m1 v1 = eps_k + n1 v1, the dominating coefficient of
     xi is atilde^(-n1), and
-    [xi]_{eps'_k} = -(n1/m1) atilde^(-n1-eps_{k,1}) [eta]_{eps_k}."""
+    [xi]_{eps'_k} = -(n1/m1) atilde^(-n1-eps_{k,1}) [eta]_{eps_k}.
+
+    Both series lie on the unit grid (1, ..., 1), where an exponent is its
+    own key, so coefficients are read straight off the keys; every exponent
+    read is in the support or at a head within the window."""
     h = eta_t.num_vars
-    e1 = unit_vec(h, 0)
+    if eta_t.ramification != (1,) * h or xi_u.ramification != (1,) * h:
+        raise PuiseuxError(
+            f"the unit frame needs integral exponents: eta_t has grid "
+            f"{eta_t.ramification}, xi_u {xi_u.ramification}"
+        )
+    zero = Fraction(0)
+
+    def eta_at(e):
+        return eta_t._keys.get(e, zero)
+
+    def xi_at(e):
+        return xi_u._keys.get(e, zero)
+
     report = CheckReport("Halphen-Stolz inversion")
     report.provisional = not (ess_t.complete and ess_u.complete)
     head_t, head_u = ess_t.entries[0], ess_u.entries[0]
-    report.record("eta head is m1*v1", head_t, tuple(m1 * c for c in e1))
-    report.record("xi head is n1*v1", head_u, tuple(n1 * c for c in e1))
+    m1_v1 = (m1,) + (0,) * (h - 1)
+    n1_v1 = (n1,) + (0,) * (h - 1)
+    report.record("eta head is m1*v1", head_t, m1_v1)
+    report.record("xi head is n1*v1", head_u, n1_v1)
     eps = ess_t.entries[1:]
     eps_p = ess_u.entries[1:]
     report.record("d' = d", len(eps_p), len(eps))
-    report.record(
-        "[xi] at n1*v1 is root^(-n1)",
-        xi_u.coefficient(tuple(n1 * c for c in e1)),
-        atilde**-n1,
-        tuple(n1 * c for c in e1),
-    )
+    report.record("[xi] at n1*v1 is root^(-n1)", xi_at(n1_v1), atilde**-n1, n1_v1)
     for k, (ek, epk) in enumerate(zip(eps, eps_p), start=1):
         report.record(
             f"exponent relation k={k}",
-            tuple(c + m1 * d for c, d in zip(epk, e1)),
-            tuple(c + n1 * d for c, d in zip(ek, e1)),
+            (epk[0] + m1,) + epk[1:],
+            (ek[0] + n1,) + ek[1:],
             epk,
         )
-        ek1 = ek[0]
-        if ek1.denominator != 1:
-            raise PuiseuxError(
-                f"essential exponent {fmt_vec(ek)} of eta has a non-integral "
-                "first coordinate in the unit frame"
-            )
-        expected = -Fraction(n1, m1) * atilde ** (-n1 - int(ek1)) * eta_t.coefficient(ek)
-        report.record(
-            f"coefficient relation k={k}",
-            xi_u.coefficient(epk),
-            expected,
-            epk,
-        )
+        expected = -Fraction(n1, m1) * atilde ** (-n1 - int(ek[0])) * eta_at(ek)
+        report.record(f"coefficient relation k={k}", xi_at(epk), expected, epk)
         if atilde == 1:
             report.record(
                 f"symmetric form k={k}",
-                m1 * xi_u.coefficient(epk) + n1 * eta_t.coefficient(ek),
-                Fraction(0),
+                m1 * xi_at(epk) + n1 * eta_at(ek),
+                zero,
                 epk,
             )
     if atilde == 1:
-        report.record(
-            "unit dominating coefficients",
-            eta_t.coefficient(tuple(m1 * c for c in e1)),
-            xi_u.coefficient(tuple(n1 * c for c in e1)),
-        )
+        report.record("unit dominating coefficients", eta_at(m1_v1), xi_at(n1_v1))
     return report
 
 
+def _working_precision(data: BranchData, target_precision):
+    """The unit precision N that invert_branch(data, target_precision) and
+    lagrange_series work at; refuses a unit part too short for the target,
+    an exact unit part without a target and an N above MAX_UNIT_PRECISION."""
+    held = data._held
+    if target_precision is not None and target_precision != INF:
+        need = _required_unit_precision(
+            target_precision, data.exponent_m, data.ramification
+        )
+        if held.precision < need:
+            raise PrecisionError(
+                f"unit part precision {held.precision} is too short: target "
+                f"{target_precision} needs {need}"
+            )
+        return need
+    if held.precision is INF and len(held._keys) > 1:
+        raise PrecisionError("exact unit part: pass target_precision")
+    _check_unit_precision(held.precision)
+    return held.precision
+
+
 def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
-    """Run the full pipeline: read psi^n1, psi the dual of the unit part, off
-    unit^m1, re-express xi = u1^n1 psi^n1 in y1^(1/m1), x2^(1/n2), ...,
-    compute both essential sequences and check every inversion identity.
+    """Run the full pipeline on data.power = unit^m1: read psi^n1, psi the
+    dual of the unit part, off unit^m1, re-express xi = u1^n1 psi^n1 in
+    y1^(1/m1), x2^(1/n2), ..., compute both essential sequences and check
+    every inversion identity.
 
     psi^n1 comes straight from unit^m1 by Lagrange-Burmann; the unit part
     has integral exponents, so for every first coordinate k
@@ -308,31 +420,17 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
         [psi^n1]_k = n1/(k+n1) a~^(-(k+n1)) [t1^k] (unit^m1/a~^m1)^(-(k+n1)/m1).
 
     unit^m1 is eta_t/t1^m1, which has only eta's few terms while the unit,
-    an m1-th root, has about N, and neither the dense dual nor its n1-th
-    power is ever built.  The same power gives eta_t.
+    an m1-th root, has about N, so neither the unit part, nor the dense
+    dual, nor its n1-th power is ever built.  The same power gives eta_t.
+    For data built from a unit part, unit^m1 is computed once and kept.
 
     target_precision bounds the total degree of the output in its fractional
     frame; the unit part must carry enough precision, or an error states how
     much is required.  A unit precision N above MAX_UNIT_PRECISION is refused
     before any work.
     """
-    unit = data.series
-    m1 = data.exponent_m
-    if target_precision == INF:
-        target_precision = None
-    if target_precision is not None:
-        need = _required_unit_precision(target_precision, m1, data.ramification)
-        if unit.precision < need:
-            raise PrecisionError(
-                f"unit part precision {unit.precision} is too short: target "
-                f"{target_precision} needs {need}"
-            )
-        unit = unit.truncate(need)
-    elif unit.precision is INF and len(unit._keys) > 1:
-        raise PrecisionError("exact unit part: pass target_precision")
-    else:
-        _check_unit_precision(unit.precision)
-    return _invert(data, unit.pow_int(m1))
+    need = _working_precision(data, target_precision)
+    return _invert(data, data.power.truncate(need))
 
 
 def _invert(data: BranchData, unit_m: PuiseuxSeries) -> InversionResult:
@@ -341,22 +439,18 @@ def _invert(data: BranchData, unit_m: PuiseuxSeries) -> InversionResult:
     m1 = data.exponent_m
     n = data.ramification
     n1 = n[0]
-    h = unit_m.num_vars
+    ones = (1,) * unit_m.num_vars
     atilde = data.root_coeff
-    e1 = unit_vec(h, 0)
-    eta_t = unit_m.shift(tuple(m1 * c for c in e1))
-    xi_u = _dual_from_power(unit_m, m1, atilde, n1).shift(tuple(n1 * c for c in e1))
+    eta_t = _reframe(unit_m, ones, m1)
+    xi_u = _reframe(_dual_from_power(unit_m, m1, atilde, n1), ones, n1)
 
     ess_t, ess_u = _unit_frame_sequences(eta_t, xi_u, m1, n1)
 
-    eta_x = eta_t.monomial_substitute(_diag([Fraction(1, d) for d in n]))
     xi_divisors = [m1] + list(n[1:])
-    xi_x = xi_u.monomial_substitute(_diag([Fraction(1, d) for d in xi_divisors]))
-
     checks = _halphen_stolz_report(eta_t, xi_u, ess_t, ess_u, m1, n1, atilde)
     return InversionResult(
-        eta=eta_x,
-        xi=xi_x,
+        eta=_reframe(eta_t, [Fraction(1, d) for d in n]),
+        xi=_reframe(xi_u, [Fraction(1, d) for d in xi_divisors]),
         m1=m1,
         n1=n1,
         root_coeff=atilde,
@@ -371,9 +465,9 @@ def invert_series(
     eta: PuiseuxSeries, target_precision, root_coeff=None
 ) -> InversionResult:
     """Extract branch data from eta and invert it, sizing the intermediate
-    precision so the output is complete up to target_precision.  The unit^m1
-    that the extraction builds on the way to the unit part is handed to the
-    pipeline as it is."""
+    precision so the output is complete up to target_precision.  The
+    branch data holds unit^m1 at that precision, and the pipeline reads it
+    as it is."""
     profile = _dominating_profile(eta)
     m1 = profile[2]
     need = _required_unit_precision(target_precision, m1, eta.ramification)
@@ -385,64 +479,181 @@ def invert_series(
                 f"eta is too short: target {target_precision} needs unit "
                 f"precision {need}, input supports only {available}"
             )
-    data, unit_m = _extract_branch(eta, root_coeff, need, profile)
-    if need is INF and len(unit_m._keys) > 1:
+    data = _extract_branch(eta, root_coeff, need, profile)
+    if need is INF and len(data.power._keys) > 1:
         raise PrecisionError("exact unit part: pass target_precision")
-    return _invert(data, unit_m)
+    return _invert(data, data.power)
 
 
 def verify_halphen_stolz(result: InversionResult) -> CheckReport:
-    """Recompute the inversion identities of a result from scratch."""
+    """Recompute the inversion identities of a result from scratch: eta and
+    xi are taken back to the unit frame and walked again."""
     n = result.branch.ramification
     m1, n1 = result.m1, result.n1
-    eta_t = result.eta.monomial_substitute(_diag(list(n)))
-    xi_u = result.xi.monomial_substitute(_diag([m1] + list(n[1:])))
+    eta_frame = list(n)
+    xi_frame = [m1] + list(n[1:])
     # corresponding support elements differ by (n1 - m1)*v1, so the two
     # windows must be offset by exactly m1 - n1 or d' = d is not comparable
-    w_eta = min(eta_t.precision, xi_u.precision + m1 - n1)
+    w_eta = min(
+        _frame_precision(result.eta.precision, eta_frame),
+        _frame_precision(result.xi.precision, xi_frame, m1 - n1),
+    )
     if w_eta < m1:
         # the head m1*v1 of eta_t lies beyond the window
         raise PrecisionError(
             f"the result's window w_eta = {w_eta} is below m1 = {m1} in the "
             "unit frame; invert at a higher target precision"
         )
-    eta_t = eta_t.truncate(w_eta)
-    xi_u = xi_u.truncate(w_eta - m1 + n1)
+    eta_t = _reframe(result.eta, eta_frame, cap=w_eta)
+    xi_u = _reframe(result.xi, xi_frame, cap=w_eta - m1 + n1)
     ess_t, ess_u = _unit_frame_sequences(eta_t, xi_u, m1, n1)
     return _halphen_stolz_report(eta_t, xi_u, ess_t, ess_u, m1, n1, result.root_coeff)
 
 
+# -- the Lagrange oracle ------------------------------------------------------
+
+
+def _keys_product(a: dict, b: dict, window) -> dict:
+    """a*b on integer keys of the unit grid, cut at total degree window: a
+    plain dict convolution, independent of PuiseuxSeries.__mul__ and the power
+    kernel."""
+    b_items = sorted(((sum(g), g, c) for g, c in b.items()), key=operator.itemgetter(0))
+    out = {}
+    for g1, c1 in a.items():
+        room = window - sum(g1)
+        for d2, g2, c2 in b_items:
+            if d2 > room:
+                break
+            g = tuple(map(operator.add, g1, g2))
+            v = out.get(g)
+            out[g] = c1 * c2 if v is None else v + c1 * c2
+    return {g: c for g, c in out.items() if c}
+
+
+def _oracle_power(data: BranchData, window) -> tuple[dict, int]:
+    """unit^m1 by unit-grid key up to total degree window, as integers over
+    one denominator, without the power kernel: the keys data holds, or the
+    unit part raised to m1 by dict products."""
+    held = data._held
+    h = held.num_vars
+    if held.ramification != (1,) * h:
+        raise PuiseuxError(
+            f"the unit part needs integral exponents, not the grid {held.ramification}"
+        )
+    if held.precision < window:
+        raise PrecisionError(
+            f"unit part precision {held.precision} cannot reach exponent {window}"
+        )
+    keys = {g: c for g, c in held._keys.items() if sum(g) <= window}
+    den = math.lcm(*(c.denominator for c in keys.values()))
+    keys = {g: c.numerator * (den // c.denominator) for g, c in keys.items()}
+    if not data._from_unit:
+        return keys, den
+    power = keys
+    for _ in range(data.exponent_m - 1):
+        power = _keys_product(power, keys, window)
+    return power, den**data.exponent_m
+
+
+def _lagrange_keys(data: BranchData, window, wanted=None) -> dict:
+    """[xi_u] at every unit-frame key (q, b) with q - n1 + |b| <= window,
+    or at the keys (q - n1, b) in wanted only, by Lagrange-Burmann in t1
+    with t2, ..., th as parameters:
+
+        [xi_u]_(q,b) = (n1/q) a~^(-q) sum_i binom(-q/m1, i) [t1^(q-n1) t'^b] C^i,
+
+    C = unit^m1/a~^m1 - 1, read off unit^m1 by a scale.  The table
+    T_i = C^i, cut at the window, is built once for every q, in integers
+    over den^i, den the common denominator of C; a key of degree D reads
+    the rows i <= D/ord(C) and costs one Fraction.  The table is refused
+    past MAX_POWER_WORK/DEGREE_COST keys, each key charged as a degree of a
+    power run."""
+    m1, atilde = data.exponent_m, data.root_coeff
+    n1 = data.ramification[0]
+    power, power_den = _oracle_power(data, window)
+    zero = (0,) * len(data.ramification)
+    a = atilde**m1
+    constant = Fraction(power.get(zero, 0), power_den)
+    if not a:
+        raise PuiseuxError("the Lagrange formula needs a nonzero root_coeff")
+    if constant != a:
+        raise PuiseuxError(
+            f"unit^m1 has constant term {constant}, not root_coeff^m1 = {a}"
+        )
+    # C = power/(power_den a) - 1, in integers over den > 0 in lowest terms
+    sign = 1 if a > 0 else -1
+    c = {g: sign * v * a.denominator for g, v in power.items() if g != zero}
+    den = power_den * abs(a.numerator)
+    common = math.gcd(den, *c.values())
+    den //= common
+    c = {g: v // common for g, v in c.items()}
+    order = min(map(sum, c), default=1)
+    limit = MAX_POWER_WORK // DEGREE_COST
+    table, size = [{zero: 1}], 1
+    while c:
+        row = _keys_product(table[-1], c, window)
+        if not row:
+            break
+        size += len(row)
+        if size > limit:
+            raise PuiseuxError(
+                f"the Lagrange oracle's table passes {limit} keys, the limit "
+                "MAX_POWER_WORK/DEGREE_COST; lower the precision"
+            )
+        table.append(row)
+    if wanted is None:
+        wanted = {g for row in table for g in row}
+    out = {}
+    for g in wanted:
+        q = g[0] + n1
+        # Horner's rule from the last row that can hold g: the bracket is
+        # x_0 + c_1 (x_1 + c_2 (x_2 + ...)) with x_i = T_i[g]/den^i and
+        # c_i = (-q - (i-1) m1)/(m1 i), the ratio of consecutive binomials.
+        # The partial sum is kept as acc/(den^i f), f = prod_{j>i} m1 den j,
+        # so each step multiplies by small integers only.
+        last = min(len(table) - 1, sum(g) // order)
+        acc, f = table[last].get(g, 0), 1
+        for i in range(last, 0, -1):
+            f *= m1 * den * i
+            acc = acc * (-q - (i - 1) * m1) + table[i - 1].get(g, 0) * f
+        if acc:
+            out[(q,) + g[1:]] = Fraction(
+                n1 * acc * atilde.denominator**q, q * f * atilde.numerator**q
+            )
+    return out
+
+
+def lagrange_series(data: BranchData, target_precision=None) -> PuiseuxSeries:
+    """xi from the Lagrange formula alone, every coefficient at once, in the
+    frame and at the precision of invert_branch(data, target_precision).xi,
+    so that the two compare with ==.  See _lagrange_keys for the formula;
+    it never builds the dual or calls the power kernel."""
+    N = _working_precision(data, target_precision)
+    n = data.ramification
+    n1 = n[0]
+    window = N if N is INF else math.floor(N)
+    ones = (1,) * len(n)
+    xi_u = PuiseuxSeries._from_keys(
+        _lagrange_keys(data, window), ones, _frame_precision(N, ones, n1), False
+    )
+    return _reframe(xi_u, [Fraction(1, d) for d in [data.exponent_m, *n[1:]]])
+
+
 def lagrange_coefficient(data: BranchData, q: int) -> Fraction:
-    """The coefficient of y^(q/m) in xi, straight from the unit part of eta:
+    """The coefficient of y^(q/m) in xi, straight from eta's terms:
 
         [xi]_(q/m) = (n/q) a~^(-q) [ (1 + C)^(-q/m) ]_(q-n),
 
-    C = (eta/(a~^m t^m)) - 1, read off in the t-frame.  Independent of the
-    dual-based pipeline."""
-    if data.series.num_vars != 1:
+    C = unit^m/a~^m - 1, read off in the t-frame.  Independent of the
+    dual-based pipeline and of the power kernel; lagrange_series gives
+    every coefficient at once."""
+    if len(data.ramification) != 1:
         raise PuiseuxError("the Lagrange formula is one-variable")
     n1 = data.ramification[0]
-    m1 = data.exponent_m
-    atilde = data.root_coeff
     if q < n1:
         raise PuiseuxError(f"q = {q} must be at least n = {n1}")
-    target = q - n1
-    unit = data.series.scale(1 / atilde).pow_int(m1)
-    if unit.precision < target:
-        raise PrecisionError(
-            f"unit part precision {unit.precision} cannot reach exponent {target}"
-        )
-    c_series = (unit - 1).truncate(target)
-    bracket = Fraction(1) if target == 0 else Fraction(0)
-    power = PuiseuxSeries.one(1, target)
-    i = 1
-    while not c_series.is_zero() and i * c_series.order_total() <= target:
-        power = power * c_series
-        bracket += rational_binomial(Fraction(-q, m1), i) * power.coefficient(
-            (Fraction(target),)
-        )
-        i += 1
-    return Fraction(n1, q) * atilde**-q * bracket
+    coeffs = _lagrange_keys(data, q - n1, [(q - n1,)])
+    return coeffs.get((q,), Fraction(0))
 
 
 def lagrange_pair_check(X: PuiseuxSeries, Y: PuiseuxSeries, pairs) -> CheckReport:
@@ -459,7 +670,7 @@ def lagrange_pair_check(X: PuiseuxSeries, Y: PuiseuxSeries, pairs) -> CheckRepor
     if not dual(phi).agrees_with(psi):
         raise PuiseuxError("X and Y are not reciprocal within precision")
     report = CheckReport("Lagrange inversion")
-    x_power, y_power = cache(X.pow_int), cache(Y.pow_int)
+    x_power, y_power = functools.cache(X.pow_int), functools.cache(Y.pow_int)
     for p, q in pairs:
         lhs = p * x_power(q).coefficient((Fraction(p),))
         rhs = q * y_power(-p).coefficient((Fraction(-q),))

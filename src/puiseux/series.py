@@ -332,7 +332,7 @@ class PuiseuxSeries:
         """constant_power * (self/self_0)**r at self's precision."""
         recurrence = _GridPower(self)
         recurrence.check_work(r)
-        keys = {g: c * constant_power for g, c in recurrence(r).items()}
+        keys = recurrence(r, scale=constant_power)
         return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, laurent)
 
     def unit_root(self, m: int, root_of_constant) -> "PuiseuxSeries":
@@ -498,8 +498,9 @@ class _GridPower:
     max s_j numerators, the only ones read again, are multiplied by k.  L
     stays the lcm of the true denominators, so the integers grow with the
     coefficients, not with the degree.  dense_loop is this loop, the only
-    copy: a full run builds a Fraction for every nonzero P_i, a run capped
-    at one degree only for that one, and dual takes the pair (N_i, L) itself
+    copy: a full run builds one Fraction for every nonzero P_i, with the
+    power's constant factor folded in, a run capped at one degree only for
+    that one, and dual takes the pair (N_i, L) itself
     and folds its own factors into the one Fraction it builds.
 
     In h variables a degree holds many keys, and each finished P_k is
@@ -588,18 +589,20 @@ class _GridPower:
                 f"{MAX_POWER_WORK}; lower the precision"
             )
 
-    def __call__(self, r: Fraction, cap=None) -> dict[tuple, Fraction]:
-        """The coefficients of P = (f/f_0)**r by grid key, without zeros.
+    def __call__(self, r: Fraction, cap=None, scale=1) -> dict[tuple, Fraction]:
+        """The coefficients of scale * P, P = (f/f_0)**r, by grid key,
+        without zeros.
 
         The result stops at total degree floor(precision*L); an exact series
         raised to a non-negative integer r stops at r*max T, where the power
         ends.  With cap, only the keys at first coordinate cap are returned,
         and only keys from which one of them is still reachable within the
-        degree bound are computed.
+        degree bound are computed.  In one variable scale folds into the one
+        Fraction built per coefficient; in h variables it multiplies each.
         """
         limit = self._limit(r)
         if self.num_vars == 1:
-            return self._dense_run(r, limit, cap)
+            return self._dense_run(r, limit, cap, scale)
         # the push weight is a_j (r T(j) - T(k)) = A_j (p T(j) - q T(k)) / (q den)
         # for r = p/q
         p, q = r.numerator, r.denominator
@@ -664,28 +667,31 @@ class _GridPower:
                             s *= common // lcm_den[e]
                         level[key] = (s + c, d)
         if cap is not None:
-            return {g: v for g, v in out.items() if g[0] == cap}
+            out = {g: v for g, v in out.items() if g[0] == cap}
+        if scale != 1:
+            out = {g: v * scale for g, v in out.items()}
         return out
 
-    def _dense_run(self, r: Fraction, limit: int, cap) -> dict[tuple, Fraction]:
+    def _dense_run(self, r: Fraction, limit: int, cap, scale) -> dict[tuple, Fraction]:
         """__call__ in one variable: the dense loop of the class docstring."""
         unit = self.unit
         if cap is None:
-            out = {(0,): Fraction(1)}
-            self.dense_loop(r.numerator, r.denominator, limit // unit, out)
+            out = {(0,): Fraction(scale)}
+            self.dense_loop(r.numerator, r.denominator, limit // unit, out, scale)
             return out
         if cap > limit or cap % unit:
             return {}
         num, common = self.dense_loop(r.numerator, r.denominator, cap // unit)
-        return {(cap,): Fraction(num, common)} if num else {}
+        return {(cap,): Fraction(num, common) * scale} if num else {}
 
-    def dense_loop(self, p: int, q: int, last: int, out=None) -> tuple[int, int]:
+    def dense_loop(self, p: int, q: int, last: int, out=None, scale=1) -> tuple[int, int]:
         """The one-variable run for r = p/q up to degree last*u: returns
-        (N, L), P_last = N/L, and with out also stores every nonzero P_i
-        there as a Fraction.  p/q need not be reduced: a common factor
-        multiplies both sides of the recurrence and cancels in each gcd, so
-        the integers are the same."""
+        (N, L), P_last = N/L, and with out also stores every nonzero
+        scale * P_i there as a Fraction, the one built for that i.  p/q need
+        not be reduced: a common factor multiplies both sides of the
+        recurrence and cancels in each gcd, so the integers are the same."""
         unit = self.unit
+        s_num, s_den = scale.numerator, scale.denominator
         qden = q * self.den
         steps = [(t // unit, a * (p + q) * (t // unit), a * q) for t, _, a in self.items]
         width = self.max_t // unit
@@ -705,7 +711,7 @@ class _GridPower:
                     nums[-width:] = [x * k for x in nums[-width:]]
                 acc //= g
                 if out is not None:
-                    out[(i * unit,)] = Fraction(acc, common)
+                    out[(i * unit,)] = Fraction(acc * s_num, common * s_den)
             nums.append(acc)
         return nums[-1], common
 

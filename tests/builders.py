@@ -56,6 +56,20 @@ def random_branch_data(rng, precision=Fraction(12)):
     return BranchData(unit, m, atilde, (n,))
 
 
+def random_dominating(rng, h, m1, denoms):
+    """a x1^(m1/n1) + a few terms above it, n_i drawn from denoms; the
+    returned root is a rational m1-th root of a."""
+    n = [rng.choice(denoms) for _ in range(h)]
+    root = rng.choice(NONZERO)
+    lead = (Fraction(m1, n[0]),) + (Fraction(0),) * (h - 1)
+    terms = {lead: root**m1}
+    # the first step 1/n1 keeps n1 the first denominator, so m1 stays m1
+    for step in [1] + [rng.randrange(1, 4) for _ in range(rng.randrange(0, 3))]:
+        e = tuple(Fraction(rng.randrange(0, 5), d) for d in n)
+        terms[(lead[0] + Fraction(step, n[0]),) + e[1:]] = rng.choice(NONZERO)
+    return PuiseuxSeries(h, terms), root
+
+
 def random_unimodular(rng, h, steps=4):
     """Non-negative unimodular matrix: a product of elementary row additions
     applied to the identity."""

@@ -12,7 +12,9 @@ them coefficient for coefficient:
   runs one integer loop in one variable;
 - essential sequences by repeated minima and by a walk over Fraction
   vectors with rebuilt lattices, Hermite form and monomial substitution;
-- the inversion pipeline that duals the dense unit part itself.
+- the inversion pipeline that duals the dense unit part itself;
+- the one-variable Lagrange oracle by repeated series products, where the
+  library now reads one table of powers of C off eta's terms.
 """
 
 import heapq
@@ -37,7 +39,6 @@ from puiseux.core import (
 from puiseux.exponents import EssentialSequence
 from puiseux.inversion import (
     InversionResult,
-    _diag,
     _halphen_stolz_report,
     _required_unit_precision,
     _rescale_sequence,
@@ -522,6 +523,26 @@ def substitute_constructor(s, matrix):
     return PuiseuxSeries(s.num_vars, terms, prec)
 
 
+def _diag(entries):
+    h = len(entries)
+    return [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(h)] for i in range(h)]
+
+
+def extract_branch_eager(eta, root_coeff, unit_precision):
+    """The library's earlier extraction: unit^m1 = eta_t/t1^m1 through
+    monomial_substitute, shift and truncate, three series, and the dense
+    m1-th root built at once; returns (unit, unit^m1)."""
+    n = eta.ramification
+    m1 = int(min(e[0] for e in eta.support()) * n[0])
+    h = eta.num_vars
+    a = eta.coefficient((Fraction(m1, n[0]),) + (Fraction(0),) * (h - 1))
+    atilde = rational_root(a, m1) if root_coeff is None else Fraction(root_coeff)
+    eta_t = eta.monomial_substitute(_diag(list(n)))
+    unit_m = eta_t.shift(tuple(-m1 * c for c in unit_vec(h, 0)))
+    unit_m = unit_m.truncate(unit_precision)
+    return unit_m.unit_root(m1, atilde), unit_m
+
+
 def invert_xi_reference(data, target):
     """invert_branch with the dual taken of the unit part itself:
     xi_u = (u1 * dual(unit))^n1, one Lagrange run over the unit's N terms
@@ -549,6 +570,36 @@ def invert_xi_reference(data, target):
         checks=_halphen_stolz_report(eta_t, xi_u, ess_t, ess_u, m1, n1, data.root_coeff),
         branch=data,
     )
+
+
+def lagrange_coefficient_products(data, q):
+    """The library's earlier one-variable Lagrange oracle: unit^m1 by the
+    power kernel, then the bracket [(1 + C)^(-q/m1)]_(q-n1) by about q
+    repeated series products of C = unit^m1/a~^m1 - 1."""
+    if data.series.num_vars != 1:
+        raise PuiseuxError("the Lagrange formula is one-variable")
+    n1 = data.ramification[0]
+    m1 = data.exponent_m
+    atilde = data.root_coeff
+    if q < n1:
+        raise PuiseuxError(f"q = {q} must be at least n = {n1}")
+    target = q - n1
+    unit = data.series.scale(1 / atilde).pow_int(m1)
+    if unit.precision < target:
+        raise PrecisionError(
+            f"unit part precision {unit.precision} cannot reach exponent {target}"
+        )
+    c_series = (unit - 1).truncate(target)
+    bracket = Fraction(1) if target == 0 else Fraction(0)
+    power = PuiseuxSeries.one(1, target)
+    i = 1
+    while not c_series.is_zero() and i * c_series.order_total() <= target:
+        power = power * c_series
+        bracket += rational_binomial(Fraction(-q, m1), i) * power.coefficient(
+            (Fraction(target),)
+        )
+        i += 1
+    return Fraction(n1, q) * atilde**-q * bracket
 
 
 # reference series arithmetic on Fraction-tuple keys

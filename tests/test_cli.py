@@ -159,6 +159,41 @@ def test_verify_verb_duals_the_sparse_power(capsys, monkeypatch):
     assert power.terms == {(F(0),): 1, (F(1),): 2}
 
 
+def test_verify_verb_reuses_the_unit_power(capsys, monkeypatch):
+    # unit^m1 comes with the branch data; the one pow_int left is the power
+    # identity's own, of the unit part
+    calls = []
+    real = PuiseuxSeries.pow_int
+
+    def counted(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(PuiseuxSeries, "pow_int", counted)
+    code, out, _ = run(capsys, "verify", "x^(3/2)+2*x^(7/4)", "--precision", "4")
+    assert code == 0
+    assert calls == [6]
+
+
+def test_verify_verb_runs_the_lagrange_oracle_in_several_variables(capsys):
+    code, out, err = run(
+        capsys, "verify", "x1^(3/2) + x1^(7/4)*x2^(1/2) - 2*x1^(2)*x3^(1/3)", "--precision", "3"
+    )
+    assert code == 0, err
+    assert "Lagrange oracle equivalence: PASS" in out
+    assert "  coefficient of xi at (2/3, 0, 0): ok" in out
+    assert "  coefficient of xi at (5/6, 1/2, 0): ok" in out
+
+
+def test_verify_verb_is_quick_at_precision_40(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "x^(3/2)+2*x^(7/4)", "--precision", "40")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.count("coefficient at y^") == 237
+    assert elapsed < 3, elapsed
+
+
 def test_qo_verb(capsys):
     code, out, _ = run(capsys, "qo", "x1^(3/2) + x2^(5/2)")
     assert code == 0

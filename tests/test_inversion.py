@@ -9,6 +9,7 @@ from puiseux import (
     DominationError,
     INF,
     PrecisionError,
+    PuiseuxError,
     PuiseuxSeries,
     RootError,
     dual,
@@ -23,6 +24,7 @@ from puiseux import (
     verify_halphen_stolz,
 )
 from puiseux.corpus import PSI_MULTI
+from puiseux.inversion import _halphen_stolz_report
 
 
 def test_primitive_representation():
@@ -354,3 +356,10 @@ def test_branch_data_json():
     blob = data.to_json()
     assert blob["m"] == data.exponent_m
     assert blob["unit"]["vars"] == 1
+
+
+def test_identity_report_reads_the_unit_frame_only():
+    # the report reads coefficients by key, so it refuses a fractional grid
+    res = invert_series(parse("x^(3/2) + 2*x^(7/4)", precision=INF), F(2))
+    with pytest.raises(PuiseuxError, match="unit frame needs integral exponents"):
+        _halphen_stolz_report(res.eta, res.xi, res.ess_eta, res.ess_xi, 6, 4, F(1))

@@ -12,8 +12,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from builders import NONZERO, perfect_power_unit, random_branch_data
-from oracles import invert_xi_reference
+from builders import perfect_power_unit, random_branch_data, random_dominating
+from oracles import extract_branch_eager, invert_xi_reference
 from puiseux import (
     INF,
     BranchData,
@@ -27,7 +27,7 @@ from puiseux import (
     parse,
 )
 from puiseux.duality import _dual_from_power
-from puiseux.inversion import MAX_UNIT_PRECISION
+from puiseux.inversion import MAX_UNIT_PRECISION, _reframe
 
 
 def same_inversion(got, want):
@@ -50,20 +50,6 @@ def check_lagrange_everywhere(result):
     last = max(e[0] for e in result.xi.terms) * m1
     for q in range(n1, int(last) + 1):
         assert result.xi.coefficient((F(q, m1),)) == lagrange_coefficient(result.branch, q)
-
-
-def random_dominating(rng, h, m1, denoms):
-    """a x1^(m1/n1) + a few terms above it, n_i drawn from denoms; the
-    returned root is a rational m1-th root of a."""
-    n = [rng.choice(denoms) for _ in range(h)]
-    root = rng.choice(NONZERO)
-    lead = (F(m1, n[0]),) + (F(0),) * (h - 1)
-    terms = {lead: root**m1}
-    # the first step 1/n1 keeps n1 the first denominator, so m1 stays m1
-    for step in [1] + [rng.randrange(1, 4) for _ in range(rng.randrange(0, 3))]:
-        e = tuple(F(rng.randrange(0, 5), d) for d in n)
-        terms[(lead[0] + F(step, n[0]),) + e[1:]] = rng.choice(NONZERO)
-    return PuiseuxSeries(h, terms), root
 
 
 def run_suite(rng, h, cases, denoms, target_for):
@@ -210,3 +196,91 @@ def test_unit_precision_guard():
     assert invert_branch(constant_branch(MAX_UNIT_PRECISION)).checks.all_passed
     with pytest.raises(PuiseuxError, match=f"N = {MAX_UNIT_PRECISION + 1} exceeds"):
         invert_branch(constant_branch(MAX_UNIT_PRECISION + 1))
+
+
+# --- branch data holds unit^m1 ---------------------------------------------------
+
+
+def test_extraction_holds_unit_power_and_roots_it_on_demand():
+    # unit^m1 by key relabelling equals the substitute-shift-truncate chain,
+    # and the unit part read later equals the root the chain took at once
+    rng = random.Random(408)
+    seen_h = set()
+    for h, denoms in ((1, (1, 2, 3, 5)), (2, (1, 2, 3)), (3, (1, 2, 3))):
+        for _ in range(10):
+            m1 = rng.randrange(1, 7)
+            eta, root = random_dominating(rng, h, m1, denoms)
+            N = F(rng.randrange(0, 13))
+            data = extract_branch(eta, root, unit_precision=N)
+            unit, unit_m = extract_branch_eager(eta, root, N)
+            assert data.power == unit_m and data.power.precision == N
+            assert data.series == unit and data.series.precision == N
+            seen_h.add(h)
+    assert seen_h == {1, 2, 3}
+
+
+def test_invert_series_never_takes_the_unit_root(monkeypatch):
+    calls = []
+    real = PuiseuxSeries.unit_root
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(PuiseuxSeries, "unit_root", counted)
+    results = [
+        invert_series(parse(text, precision=INF), target)
+        for text, target in (("x^(3/2)+2*x^(7/4)", 10), ("4*x^(2)+x^(3)", 6),
+                             ("x1^(3/2) + x1^(7/4)*x2^(1/2) - 2*x1^(2)*x3^(1/3)", 2))
+    ]
+    assert calls == []
+    # read once, then kept
+    unit = results[0].branch.series
+    assert results[0].branch.series is unit
+    assert calls == [(6, F(1))]
+
+
+def test_branch_data_from_a_unit_compares_and_serialises_as_before():
+    eta = parse("x^(3/2) + 2*x^(7/4)", precision=INF)
+    held = extract_branch(eta, unit_precision=F(8))
+    given = BranchData(held.series, 6, F(1), (4,))
+    assert given == held and held == given
+    assert given.power == held.power == held.series.pow_int(6)
+    assert given != BranchData(held.series, 6, F(1), (2,))
+    assert given.__eq__("unit") is NotImplemented
+    blob = {"unit": held.series.to_json(), "m": 6, "root_coeff": "1", "ramification": [4]}
+    assert given.to_json() == held.to_json() == blob
+    assert repr(held) == repr(given) == (
+        f"BranchData(series={held.series!r}, exponent_m=6, "
+        "root_coeff=Fraction(1, 1), ramification=(4,))"
+    )
+    with pytest.raises(TypeError):
+        hash(held)
+    with pytest.raises(AttributeError, match="immutable"):
+        held.exponent_m = 2
+    # positional construction still runs the whole pipeline
+    assert invert_branch(given, 1).to_json() == invert_branch(held, 1).to_json()
+
+
+def test_reframe_matches_the_substitution_chain():
+    # one construction gives the keys, grid and precision of
+    # monomial_substitute by a diagonal, then shift, then truncate
+    rng = random.Random(409)
+    for _ in range(60):
+        h = rng.randrange(1, 4)
+        s = PuiseuxSeries(
+            h,
+            {tuple(F(rng.randrange(0, 7), rng.choice((1, 2, 3, 4))) for _ in range(h)):
+             rng.choice((1, -2, F(1, 3))) for _ in range(rng.randrange(1, 6))},
+            rng.choice((INF, F(rng.randrange(2, 12), rng.choice((1, 2, 3))))),
+        )
+        diagonal = [rng.choice((F(1), F(2), F(3), F(6), F(1, 2), F(1, 3), F(2, 3)))
+                    for _ in range(h)]
+        image = s.monomial_substitute([[diagonal[i] if i == j else F(0) for j in range(h)]
+                                       for i in range(h)])
+        low = min((e[0] for e in image.support()), default=F(0))
+        shift = rng.choice((0, 2, -int(low))) if low.denominator == 1 else 0
+        cap = rng.choice((INF, F(rng.randrange(0, 15))))
+        want = image.shift((F(shift),) + (F(0),) * (h - 1)).truncate(cap)
+        got = _reframe(s, diagonal, shift, cap)
+        assert got == want and got.ramification == want.ramification, (s, diagonal, shift, cap)
