@@ -47,8 +47,7 @@ from .series import (
     MAX_POWER_WORK,
     PrecisionError,
     PuiseuxSeries,
-    _min_prec,
-    _norm_prec,
+    _reframe_prec,
 )
 
 # Largest unit precision N the inversion entry points accept.  The work grows
@@ -242,40 +241,12 @@ def _extract_branch(eta, root_coeff, unit_precision, profile) -> BranchData:
     if unit_precision is not None and unit_precision != INF:
         cap = max(Fraction(0), Fraction(unit_precision))
     # eta -> eta_t is diag(n), then t1^-m1 divides out the dominating term
-    unit_m = _reframe(eta, n, -m1, cap)
+    unit_m = eta._reframe(n, -m1, cap)
     if unit_m.precision is INF and m1 > 1 and len(unit_m._keys) > 1:
         raise PrecisionError(
             "exact input: pass unit_precision (or use invert_series with a target)"
         )
     return BranchData._from_power(unit_m, m1, atilde, n)
-
-
-def _frame_precision(precision, diagonal, shift=0, cap=INF):
-    """The precision _reframe gives: that of monomial_substitute by
-    diag(diagonal), then of shift, then of truncate at cap."""
-    if precision is not INF:
-        precision = min(diagonal) * precision + shift
-    return _min_prec(precision, _norm_prec(cap))
-
-
-def _reframe(s: PuiseuxSeries, diagonal, shift=0, cap=INF) -> PuiseuxSeries:
-    """s with every exponent e sent to (d1 e1 + shift, d2 e2, ..., dh eh),
-    cut at total degree cap: monomial_substitute by diag(d), shift by
-    shift*v1 and truncate at cap, as one construction.
-
-    A diagonal map only relabels keys: with d_i/n_i = a_i/G_i in lowest
-    terms, n the grid of s, the key g becomes (a1 g1 + shift G1, a2 g2, ...)
-    on the grid G.  shift*G1 must be an integer and no image negative."""
-    ratios = [Fraction(d) / n for d, n in zip(diagonal, s.ramification)]
-    grid = tuple(x.denominator for x in ratios)
-    first, *rest = (x.numerator for x in ratios)
-    step = shift * grid[0]
-    keys = {
-        (g[0] * first + step, *map(operator.mul, g[1:], rest)): c
-        for g, c in s._keys.items()
-    }
-    precision = _frame_precision(s.precision, diagonal, shift, cap)
-    return PuiseuxSeries._from_keys(keys, grid, precision, False)
 
 
 def _unit_frame_lattice(h: int, first: int) -> Lattice:
@@ -388,9 +359,10 @@ def _halphen_stolz_report(
 
 
 def _working_precision(data: BranchData, target_precision):
-    """The unit precision N that invert_branch(data, target_precision) and
-    lagrange_series work at; refuses a unit part too short for the target,
-    an exact unit part without a target and an N above MAX_UNIT_PRECISION."""
+    """The unit precision N that invert_branch(data, target_precision)
+    works at, and lagrange_series(data) without a target; refuses a unit
+    part too short for the target, an exact unit part without a target and
+    an N above MAX_UNIT_PRECISION."""
     held = data._held
     if target_precision is not None and target_precision != INF:
         need = _required_unit_precision(
@@ -422,7 +394,9 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
     unit^m1 is eta_t/t1^m1, which has only eta's few terms while the unit,
     an m1-th root, has about N, so neither the unit part, nor the dense
     dual, nor its n1-th power is ever built.  The same power gives eta_t.
-    For data built from a unit part, unit^m1 is computed once and kept.
+    For data built from a unit part, unit^m1 is computed once and kept;
+    a target below the unit part's precision raises only the unit part
+    cut at N, so a long unit part costs no more than N needs.
 
     target_precision bounds the total degree of the output in its fractional
     frame; the unit part must carry enough precision, or an error states how
@@ -430,7 +404,11 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
     before any work.
     """
     need = _working_precision(data, target_precision)
-    return _invert(data, data.power.truncate(need))
+    if data._from_unit and need < data.series.precision:
+        unit_m = data.series.truncate(need).pow_int(data.exponent_m)
+    else:
+        unit_m = data.power.truncate(need)
+    return _invert(data, unit_m)
 
 
 def _invert(data: BranchData, unit_m: PuiseuxSeries) -> InversionResult:
@@ -441,16 +419,16 @@ def _invert(data: BranchData, unit_m: PuiseuxSeries) -> InversionResult:
     n1 = n[0]
     ones = (1,) * unit_m.num_vars
     atilde = data.root_coeff
-    eta_t = _reframe(unit_m, ones, m1)
-    xi_u = _reframe(_dual_from_power(unit_m, m1, atilde, n1), ones, n1)
+    eta_t = unit_m._reframe(ones, m1)
+    xi_u = _dual_from_power(unit_m, m1, atilde, n1)._reframe(ones, n1)
 
     ess_t, ess_u = _unit_frame_sequences(eta_t, xi_u, m1, n1)
 
     xi_divisors = [m1] + list(n[1:])
     checks = _halphen_stolz_report(eta_t, xi_u, ess_t, ess_u, m1, n1, atilde)
     return InversionResult(
-        eta=_reframe(eta_t, [Fraction(1, d) for d in n]),
-        xi=_reframe(xi_u, [Fraction(1, d) for d in xi_divisors]),
+        eta=eta_t._reframe([Fraction(1, d) for d in n]),
+        xi=xi_u._reframe([Fraction(1, d) for d in xi_divisors]),
         m1=m1,
         n1=n1,
         root_coeff=atilde,
@@ -495,8 +473,8 @@ def verify_halphen_stolz(result: InversionResult) -> CheckReport:
     # corresponding support elements differ by (n1 - m1)*v1, so the two
     # windows must be offset by exactly m1 - n1 or d' = d is not comparable
     w_eta = min(
-        _frame_precision(result.eta.precision, eta_frame),
-        _frame_precision(result.xi.precision, xi_frame, m1 - n1),
+        _reframe_prec(result.eta.precision, eta_frame),
+        _reframe_prec(result.xi.precision, xi_frame, m1 - n1),
     )
     if w_eta < m1:
         # the head m1*v1 of eta_t lies beyond the window
@@ -504,8 +482,8 @@ def verify_halphen_stolz(result: InversionResult) -> CheckReport:
             f"the result's window w_eta = {w_eta} is below m1 = {m1} in the "
             "unit frame; invert at a higher target precision"
         )
-    eta_t = _reframe(result.eta, eta_frame, cap=w_eta)
-    xi_u = _reframe(result.xi, xi_frame, cap=w_eta - m1 + n1)
+    eta_t = result.eta._reframe(eta_frame, cap=w_eta)
+    xi_u = result.xi._reframe(xi_frame, cap=w_eta - m1 + n1)
     ess_t, ess_u = _unit_frame_sequences(eta_t, xi_u, m1, n1)
     return _halphen_stolz_report(eta_t, xi_u, ess_t, ess_u, m1, n1, result.root_coeff)
 
@@ -623,20 +601,20 @@ def _lagrange_keys(data: BranchData, window, wanted=None) -> dict:
     return out
 
 
-def lagrange_series(data: BranchData, target_precision=None) -> PuiseuxSeries:
+def lagrange_series(data: BranchData) -> PuiseuxSeries:
     """xi from the Lagrange formula alone, every coefficient at once, in the
-    frame and at the precision of invert_branch(data, target_precision).xi,
-    so that the two compare with ==.  See _lagrange_keys for the formula;
-    it never builds the dual or calls the power kernel."""
-    N = _working_precision(data, target_precision)
+    frame and at the precision of invert_branch(data).xi, so that the two
+    compare with ==.  See _lagrange_keys for the formula; it never builds
+    the dual or calls the power kernel."""
+    N = _working_precision(data, None)
     n = data.ramification
     n1 = n[0]
     window = N if N is INF else math.floor(N)
     ones = (1,) * len(n)
     xi_u = PuiseuxSeries._from_keys(
-        _lagrange_keys(data, window), ones, _frame_precision(N, ones, n1), False
+        _lagrange_keys(data, window), ones, _reframe_prec(N, ones, n1), False
     )
-    return _reframe(xi_u, [Fraction(1, d) for d in [data.exponent_m, *n[1:]]])
+    return xi_u._reframe([Fraction(1, d) for d in [data.exponent_m, *n[1:]]])
 
 
 def lagrange_coefficient(data: BranchData, q: int) -> Fraction:

@@ -35,6 +35,8 @@ class CheckReport:
     name: str
     checks: list[Check] = field(default_factory=list)
     provisional: bool = False
+    # why the checks could not be run at all, when they could not
+    skipped: str | None = None
 
     def record(self, label: str, lhs, rhs, exponent=None) -> None:
         self.checks.append(Check(label, exponent, _fmt(lhs), _fmt(rhs)))
@@ -75,9 +77,13 @@ class CheckReport:
         }
         if self.provisional:
             out["provisional"] = True
+        if self.skipped is not None:
+            out["skipped"] = self.skipped
         return out
 
     def describe(self) -> str:
+        if self.skipped is not None:
+            return f"{self.name}: SKIPPED ({self.skipped})"
         lines = [f"{self.name}: {'PASS' if self.all_passed else 'FAIL'}"
                  + (" (provisional: incomplete certificates)" if self.provisional else "")]
         lines += ["  " + c.describe() for c in self.checks]

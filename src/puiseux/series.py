@@ -81,6 +81,23 @@ def _add_prec(a, b):
     return a + b
 
 
+def _substitute_prec(precision, col_sums):
+    """The precision after a monomial substitution whose matrix has these
+    column sums: c*T for c the least sum, the largest bound up to which the
+    image is fully determined."""
+    if precision is INF:
+        return INF
+    return min(col_sums) * precision
+
+
+def _reframe_prec(precision, diagonal, shift=0, cap=INF):
+    """The precision of PuiseuxSeries._reframe: that of monomial_substitute
+    by diag(diagonal), then of a shift of total degree shift, then of
+    truncate at cap."""
+    moved = _add_prec(_substitute_prec(precision, diagonal), shift)
+    return _min_prec(moved, _norm_prec(cap))
+
+
 def _grading(grid):
     """L = lcm(grid) and the weights L/n_i of the integer total degree."""
     lcm_all = math.lcm(*grid)
@@ -399,11 +416,8 @@ class PuiseuxSeries:
             raise PuiseuxError("substitution matrix must be non-negative")
         if mat_det(q) == 0:
             raise PuiseuxError("substitution matrix must be invertible")
-        if self.precision is INF:
-            prec = INF
-        else:
-            col_sums = [sum(q[i][j] for i in range(len(q))) for j in range(len(q))]
-            prec = min(col_sums) * self.precision
+        col_sums = [sum(q[i][j] for i in range(len(q))) for j in range(len(q))]
+        prec = _substitute_prec(self.precision, col_sums)
         # the image key is a·g with a_ij = grid_i*q_ij/n_j, grid_i the least
         # denominator that makes row i of a integral
         ratios = [[x / n for x, n in zip(row, self.ramification)] for row in q]
@@ -427,6 +441,27 @@ class PuiseuxSeries:
                         f"substitution sends {self._vec(g)} to negative exponent "
                         f"{tuple(map(Fraction, img, grid))}"
                     )
+        return PuiseuxSeries._from_keys(keys, grid, prec, False)
+
+    def _reframe(self, diagonal, shift=0, cap=INF) -> "PuiseuxSeries":
+        """self with every exponent e sent to (d1 e1 + shift, d2 e2, ...,
+        dh eh), cut at total degree cap: monomial_substitute by diag(d),
+        shift by shift*v1 and truncate at cap, as one construction, with
+        the precision _reframe_prec gives.
+
+        A diagonal map only relabels keys: with d_i/n_i = a_i/G_i in lowest
+        terms, n the grid of self, the key g becomes (a1 g1 + shift G1, a2
+        g2, ...) on the grid G.  shift*G1 must be an integer and no image
+        negative."""
+        ratios = [Fraction(d) / n for d, n in zip(diagonal, self.ramification)]
+        grid = tuple(x.denominator for x in ratios)
+        first, *rest = (x.numerator for x in ratios)
+        step = shift * grid[0]
+        keys = {
+            (g[0] * first + step, *map(operator.mul, g[1:], rest)): c
+            for g, c in self._keys.items()
+        }
+        prec = _reframe_prec(self.precision, diagonal, shift, cap)
         return PuiseuxSeries._from_keys(keys, grid, prec, False)
 
     # -- comparisons and formatting -----------------------------------------

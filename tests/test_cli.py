@@ -7,6 +7,7 @@ import pytest
 
 import puiseux.cli
 import puiseux.duality
+import puiseux.inversion
 from puiseux import PuiseuxSeries
 from puiseux.cli import build_parser, main
 
@@ -183,6 +184,23 @@ def test_verify_verb_runs_the_lagrange_oracle_in_several_variables(capsys):
     assert "Lagrange oracle equivalence: PASS" in out
     assert "  coefficient of xi at (2/3, 0, 0): ok" in out
     assert "  coefficient of xi at (5/6, 1/2, 0): ok" in out
+
+
+def test_verify_verb_reports_a_refused_oracle(capsys, monkeypatch):
+    # an oracle table past its key bound skips that report; the identities
+    # that did run still print and decide the exit code
+    monkeypatch.setattr(puiseux.inversion, "MAX_POWER_WORK", 100)
+    text = "x1^(3/2) + x1^(7/4)*x2^(1/2) - 2*x1^(2)*x3^(1/3)"
+    code, out, err = run(capsys, "verify", text, "--precision", "3")
+    assert code == 0, err
+    assert "Halphen-Stolz inversion: PASS" in out
+    assert "dual identity: PASS" in out
+    assert ("Lagrange oracle equivalence: SKIPPED (the Lagrange oracle's table passes "
+            "10 keys, the limit MAX_POWER_WORK/DEGREE_COST; lower the precision)\n") in out
+    code, out, _ = run(capsys, "verify", text, "--precision", "3", "--json")
+    blob = json.loads(out)
+    assert code == 0 and blob["all_passed"]
+    assert blob["reports"][-1]["skipped"].startswith("the Lagrange oracle's table passes")
 
 
 def test_verify_verb_is_quick_at_precision_40(capsys):

@@ -27,7 +27,7 @@ from puiseux import (
     parse,
 )
 from puiseux.duality import _dual_from_power
-from puiseux.inversion import MAX_UNIT_PRECISION, _reframe
+from puiseux.inversion import MAX_UNIT_PRECISION
 
 
 def same_inversion(got, want):
@@ -198,6 +198,28 @@ def test_unit_precision_guard():
         invert_branch(constant_branch(MAX_UNIT_PRECISION + 1))
 
 
+def test_a_long_unit_part_is_cut_before_its_power(monkeypatch):
+    # thousands of dense terms inverted at a small target: only the N = 8
+    # terms the target reads are raised to m1
+    unit = PuiseuxSeries(1, {(F(k),): F((-1) ** k, k + 1) for k in range(4000)}, 4000)
+    powered = []
+    real = PuiseuxSeries.pow_int
+
+    def recorded(self, n):
+        powered.append((self.precision, n))
+        if self.precision > 8:
+            raise AssertionError(f"unit part raised at precision {self.precision}")
+        return real(self, n)
+
+    monkeypatch.setattr(PuiseuxSeries, "pow_int", recorded)
+    long_unit = BranchData(unit, 3, F(1), (1,))
+    result = invert_branch(long_unit, 3)
+    assert powered == [(8, 3)]
+    short = BranchData(unit.truncate(8), 3, F(1), (1,))
+    assert result.to_json() == invert_branch(short, 3).to_json()
+    assert result.checks.all_passed and result.xi.precision == 3
+
+
 # --- branch data holds unit^m1 ---------------------------------------------------
 
 
@@ -260,27 +282,3 @@ def test_branch_data_from_a_unit_compares_and_serialises_as_before():
         held.exponent_m = 2
     # positional construction still runs the whole pipeline
     assert invert_branch(given, 1).to_json() == invert_branch(held, 1).to_json()
-
-
-def test_reframe_matches_the_substitution_chain():
-    # one construction gives the keys, grid and precision of
-    # monomial_substitute by a diagonal, then shift, then truncate
-    rng = random.Random(409)
-    for _ in range(60):
-        h = rng.randrange(1, 4)
-        s = PuiseuxSeries(
-            h,
-            {tuple(F(rng.randrange(0, 7), rng.choice((1, 2, 3, 4))) for _ in range(h)):
-             rng.choice((1, -2, F(1, 3))) for _ in range(rng.randrange(1, 6))},
-            rng.choice((INF, F(rng.randrange(2, 12), rng.choice((1, 2, 3))))),
-        )
-        diagonal = [rng.choice((F(1), F(2), F(3), F(6), F(1, 2), F(1, 3), F(2, 3)))
-                    for _ in range(h)]
-        image = s.monomial_substitute([[diagonal[i] if i == j else F(0) for j in range(h)]
-                                       for i in range(h)])
-        low = min((e[0] for e in image.support()), default=F(0))
-        shift = rng.choice((0, 2, -int(low))) if low.denominator == 1 else 0
-        cap = rng.choice((INF, F(rng.randrange(0, 15))))
-        want = image.shift((F(shift),) + (F(0),) * (h - 1)).truncate(cap)
-        got = _reframe(s, diagonal, shift, cap)
-        assert got == want and got.ramification == want.ramification, (s, diagonal, shift, cap)

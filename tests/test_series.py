@@ -384,3 +384,27 @@ def test_substitution_refuses_a_negative_image_of_a_laurent_key():
     with pytest.raises(PuiseuxError, match=r"substitution sends \(Fraction\(-1, 1\),\) "
                        r"to negative exponent \(Fraction\(-2, 1\),\)"):
         s.monomial_substitute([[2]])
+
+
+def test_reframe_matches_the_substitution_chain():
+    # one construction gives the keys, grid and precision of
+    # monomial_substitute by a diagonal, then shift, then truncate
+    rng = random.Random(409)
+    for _ in range(60):
+        h = rng.randrange(1, 4)
+        s = PuiseuxSeries(
+            h,
+            {tuple(F(rng.randrange(0, 7), rng.choice((1, 2, 3, 4))) for _ in range(h)):
+             rng.choice((1, -2, F(1, 3))) for _ in range(rng.randrange(1, 6))},
+            rng.choice((INF, F(rng.randrange(2, 12), rng.choice((1, 2, 3))))),
+        )
+        diagonal = [rng.choice((F(1), F(2), F(3), F(6), F(1, 2), F(1, 3), F(2, 3)))
+                    for _ in range(h)]
+        image = s.monomial_substitute([[diagonal[i] if i == j else F(0) for j in range(h)]
+                                       for i in range(h)])
+        low = min((e[0] for e in image.support()), default=F(0))
+        shift = rng.choice((0, 2, -int(low))) if low.denominator == 1 else 0
+        cap = rng.choice((INF, F(rng.randrange(0, 15))))
+        want = image.shift((F(shift),) + (F(0),) * (h - 1)).truncate(cap)
+        got = s._reframe(diagonal, shift, cap)
+        assert got == want and got.ramification == want.ramification, (s, diagonal, shift, cap)
