@@ -3,8 +3,8 @@
 Verbs: analyze, dual, invert, lagrange, verify, qo, toric, corpus.
 Typed series are taken as exact polynomials unless they carry an explicit
 O(total=R) marker.  Each verb takes only the options it reads; --precision
-is the working precision (default 10).  Exit codes: 0 success, 1 parse or
-precondition error, 2 failed verification.
+is the working precision, a non-negative rational (default 10).  Exit
+codes: 0 success, 1 parse or precondition error, 2 failed verification.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .exponents import (
 from .inversion import invert_series, lagrange_series, verify_halphen_stolz
 from .quasi_ordinary import qo_test, toric_pullback, verify_qsigma_relation
 from .reports import CheckReport
-from .series import DEFAULT_PRECISION, INF, PuiseuxSeries, default_names, format_series, parse
+from .series import (
+    DEFAULT_PRECISION, INF, PrecisionError, PuiseuxSeries, default_names, format_series, parse
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,6 +48,16 @@ def _apply_params(text: str, params: list[str]) -> str:
         rat(value)  # validate early
         text = re.sub(rf"\b{name}\b", value, text)
     return text
+
+
+def _precision(args, default=DEFAULT_PRECISION):
+    """--precision as a rational, or default when it is absent."""
+    if args.precision is None:
+        return default
+    value = rat(args.precision)
+    if value < 0:
+        raise PuiseuxError(f"--precision must be non-negative, got {args.precision}")
+    return value
 
 
 def _parse_series(args) -> PuiseuxSeries:
@@ -97,9 +109,7 @@ def _fmt_entries(entries) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    psi = _parse_series(args)
-    if args.precision is not None:
-        psi = psi.truncate(rat(args.precision))
+    psi = _parse_series(args).truncate(_precision(args, INF))
     order = _order_from_spec(args.order, psi.num_vars)
     lattice = _lattice_from_spec(args.lattice, psi.num_vars)
     ess = essential_of_series(psi, lattice=lattice, order=order)
@@ -136,7 +146,7 @@ def _report_exit(report_ok: bool) -> int:
 
 
 def _cmd_dual(args) -> int:
-    phi = _parse_series(args).truncate(rat(args.precision or DEFAULT_PRECISION))
+    phi = _parse_series(args).truncate(_precision(args))
     checked = dual(phi)
     report_dual = _dual_identity(phi, checked)
     lines = [
@@ -156,9 +166,8 @@ def _xi_names(h: int) -> list[str]:
 
 def _invert(args, eta: PuiseuxSeries):
     """Invert eta at --precision with --root-coeff (invert, lagrange, verify)."""
-    target = rat(args.precision or DEFAULT_PRECISION)
     root = None if args.root_coeff is None else rat(args.root_coeff)
-    return invert_series(eta, target, root_coeff=root)
+    return invert_series(eta, _precision(args), root_coeff=root)
 
 
 def _lagrange_coefficients(result, oracle, bound):
@@ -192,11 +201,10 @@ def _cmd_lagrange(args) -> int:
     if eta.num_vars != 1:
         raise PuiseuxError("the lagrange verb works on one-variable series")
     result = _invert(args, eta)
-    target = rat(args.precision or DEFAULT_PRECISION)
     oracle = lagrange_series(result.branch)
     lines = []
     rows = []
-    for exponent, coef in _lagrange_coefficients(result, oracle, target):
+    for exponent, coef in _lagrange_coefficients(result, oracle, _precision(args)):
         if coef != 0:
             lines.append(f"[xi]_{exponent} = {coef}")
         rows.append({"exponent": str(exponent), "coef": str(coef)})
@@ -204,8 +212,11 @@ def _cmd_lagrange(args) -> int:
     return 0
 
 
-def _record_oracle(report: CheckReport, result, oracle) -> None:
-    """One check per coefficient of xi against the oracle's."""
+def _oracle_report(result) -> CheckReport:
+    """xi again, by the Lagrange formula alone, at xi's own precision: one
+    check per coefficient of xi against the oracle's."""
+    oracle = lagrange_series(result.branch)
+    report = CheckReport("Lagrange oracle equivalence")
     xi = result.xi
     if xi.num_vars == 1:
         for exponent, coef in _lagrange_coefficients(result, oracle, xi.precision):
@@ -216,31 +227,37 @@ def _record_oracle(report: CheckReport, result, oracle) -> None:
         # every exponent either side holds
         for e in sorted(xi.support() | oracle.support(), key=lambda v: (total(v), v)):
             report.record("coefficient of xi", xi.coefficient(e), oracle.coefficient(e), e)
+    return report
+
+
+def _unless_refused(name: str, build, refusal) -> CheckReport:
+    """build()'s report, or a report name marked skipped with the reason
+    when build raises refusal, so that the other reports still print."""
+    try:
+        return build()
+    except refusal as exc:
+        return CheckReport(name, skipped=str(exc))
 
 
 def _cmd_verify(args) -> int:
     result = _invert(args, _parse_series(args))
     data = result.branch
     reports = [
-        verify_halphen_stolz(result),
+        # the recomputation refuses a result whose window misses eta's head
+        _unless_refused(
+            "Halphen-Stolz inversion", lambda: verify_halphen_stolz(result), PrecisionError
+        ),
         # the unit's dual read off the sparse unit^m1 rather than the dense unit
         _dual_identity(
             data.series,
             _dual_from_power(data.power, result.m1, data.root_coeff, 1),
         ),
         verify_power_identity(data.series, result.m1),
+        # the oracle refuses a table past its key bound
+        _unless_refused(
+            "Lagrange oracle equivalence", lambda: _oracle_report(result), PuiseuxError
+        ),
     ]
-    # xi again, by the Lagrange formula alone, at xi's own precision; an
-    # oracle refused by its table bound is reported, not raised, so the
-    # other reports still print
-    report = CheckReport("Lagrange oracle equivalence")
-    try:
-        oracle = lagrange_series(data)
-    except PuiseuxError as exc:
-        report.skipped = str(exc)
-    else:
-        _record_oracle(report, result, oracle)
-    reports.append(report)
     ok = all(r.all_passed for r in reports)
     lines = [r.describe() for r in reports]
     _emit(args, lines, {"reports": [r.to_json() for r in reports], "all_passed": ok})

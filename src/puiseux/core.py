@@ -49,7 +49,10 @@ def rat(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise PuiseuxError(f"refusing inexact float {x!r}; pass 'p/q' or Fraction")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise PuiseuxError(f"zero denominator in {x!r}") from None
 
 
 def as_vec(x, dim: int | None = None) -> Vec:

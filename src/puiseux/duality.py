@@ -25,7 +25,7 @@ denominator and hands back that coefficient as an integer pair N/L.  The
 factors n1/(k+n1) and r0^(-(k+n1)) fold into the one Fraction built for k,
 the powers of r0's numerator and denominator carried from one k to the next
 as ints.  In h variables each k is a capped heap walk of the recurrence,
-and its coefficients are scaled by Fraction products.
+which scales its coefficients by the same factors.
 
 The powers can be taken of any B = phi^m instead of phi itself:
 
@@ -109,9 +109,8 @@ def _dual_from_power(
         # r0^-(k + c), carried from one k to the next
         factor, stride = r0 ** -c, r0 ** -step
         for k in ks:
-            coeffs = recurrence(Fraction(-(k + c), n1 * m), cap=k)
             scale = factor * Fraction(c, k + c)
-            found.update((g, v * scale) for g, v in coeffs.items())
+            found.update(recurrence(Fraction(-(k + c), n1 * m), cap=k, scale=scale))
             factor *= stride
     return PuiseuxSeries._from_keys(found, power.ramification, prec, False)
 

@@ -16,9 +16,11 @@ never touching the dual or the power kernel.  Every frame change on the way
 (x to t, t to x, u to y) is diagonal, so on the integer grid it relabels
 the keys of one series into another.
 
-The work grows with the unit precision N = target*max(m1, n2, ..., nh) - n1;
-invert_series and invert_branch refuse an N above MAX_UNIT_PRECISION before
-any work starts.
+The work grows with the unit precision N = target*max(m1, n2, ..., nh) - n1.
+There is one path from eta to xi: invert_series extracts eta's branch data
+at N and hands it to invert_branch, whose precision gate, _working_precision,
+refuses an exact unit part without a target, an N above MAX_UNIT_PRECISION
+and a unit part too short for N, before any work starts.
 """
 
 from __future__ import annotations
@@ -277,20 +279,11 @@ def _rescale_sequence(seq: EssentialSequence, divisors) -> EssentialSequence:
 
 
 def _required_unit_precision(target, m1: int, n: tuple[int, ...]):
+    """N = target*max(m1, n2, ..., nh) - n1, at least 0."""
     if target == INF:
         return INF
     max_div = max([m1] + list(n[1:]))
-    need = max(Fraction(0), Fraction(target) * max_div - n[0])
-    _check_unit_precision(need)
-    return need
-
-
-def _check_unit_precision(N) -> None:
-    if N is not INF and N > MAX_UNIT_PRECISION:
-        raise PuiseuxError(
-            f"unit precision N = {N} exceeds the limit of {MAX_UNIT_PRECISION}; "
-            "lower the target precision"
-        )
+    return max(Fraction(0), Fraction(target) * max_div - n[0])
 
 
 def _halphen_stolz_report(
@@ -360,24 +353,29 @@ def _halphen_stolz_report(
 
 def _working_precision(data: BranchData, target_precision):
     """The unit precision N that invert_branch(data, target_precision)
-    works at, and lagrange_series(data) without a target; refuses a unit
-    part too short for the target, an exact unit part without a target and
-    an N above MAX_UNIT_PRECISION."""
+    works at, and lagrange_series(data) without a target: the one gate of
+    both entry points.  Refuses an exact unit part without a target, an N
+    above MAX_UNIT_PRECISION and a unit part too short for N."""
     held = data._held
-    if target_precision is not None and target_precision != INF:
+    if target_precision is None:
+        need = held.precision
+    else:
         need = _required_unit_precision(
             target_precision, data.exponent_m, data.ramification
         )
-        if held.precision < need:
-            raise PrecisionError(
-                f"unit part precision {held.precision} is too short: target "
-                f"{target_precision} needs {need}"
-            )
-        return need
-    if held.precision is INF and len(held._keys) > 1:
+    if need is INF and held.precision is INF and len(held._keys) > 1:
         raise PrecisionError("exact unit part: pass target_precision")
-    _check_unit_precision(held.precision)
-    return held.precision
+    if need is not INF and need > MAX_UNIT_PRECISION:
+        raise PuiseuxError(
+            f"unit precision N = {need} exceeds the limit of {MAX_UNIT_PRECISION}; "
+            "lower the target precision"
+        )
+    if held.precision < need:
+        raise PrecisionError(
+            f"the input is too short: target {target_precision} needs unit "
+            f"precision N = {need}, it supports only {held.precision}"
+        )
+    return need
 
 
 def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
@@ -408,12 +406,6 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
         unit_m = data.series.truncate(need).pow_int(data.exponent_m)
     else:
         unit_m = data.power.truncate(need)
-    return _invert(data, unit_m)
-
-
-def _invert(data: BranchData, unit_m: PuiseuxSeries) -> InversionResult:
-    """The pipeline of invert_branch on unit_m = unit^m1, already at the
-    working precision N."""
     m1 = data.exponent_m
     n = data.ramification
     n1 = n[0]
@@ -442,25 +434,14 @@ def _invert(data: BranchData, unit_m: PuiseuxSeries) -> InversionResult:
 def invert_series(
     eta: PuiseuxSeries, target_precision, root_coeff=None
 ) -> InversionResult:
-    """Extract branch data from eta and invert it, sizing the intermediate
-    precision so the output is complete up to target_precision.  The
-    branch data holds unit^m1 at that precision, and the pipeline reads it
-    as it is."""
+    """invert_branch of eta's branch data, extracted at the unit precision
+    N that target_precision needs, so the output is complete up to
+    target_precision.  This is the one path from eta to xi: every check
+    on the precision is invert_branch's."""
     profile = _dominating_profile(eta)
-    m1 = profile[2]
-    need = _required_unit_precision(target_precision, m1, eta.ramification)
-    available = eta.precision
-    if available is not INF:
-        available = available * min(eta.ramification) - m1
-        if available < need:
-            raise PrecisionError(
-                f"eta is too short: target {target_precision} needs unit "
-                f"precision {need}, input supports only {available}"
-            )
+    need = _required_unit_precision(target_precision, profile[2], eta.ramification)
     data = _extract_branch(eta, root_coeff, need, profile)
-    if need is INF and len(data.power._keys) > 1:
-        raise PrecisionError("exact unit part: pass target_precision")
-    return _invert(data, data.power)
+    return invert_branch(data, target_precision)
 
 
 def verify_halphen_stolz(result: InversionResult) -> CheckReport:
@@ -533,10 +514,9 @@ def _oracle_power(data: BranchData, window) -> tuple[dict, int]:
     return power, den**data.exponent_m
 
 
-def _lagrange_keys(data: BranchData, window, wanted=None) -> dict:
+def _lagrange_keys(data: BranchData, window) -> dict:
     """[xi_u] at every unit-frame key (q, b) with q - n1 + |b| <= window,
-    or at the keys (q - n1, b) in wanted only, by Lagrange-Burmann in t1
-    with t2, ..., th as parameters:
+    by Lagrange-Burmann in t1 with t2, ..., th as parameters:
 
         [xi_u]_(q,b) = (n1/q) a~^(-q) sum_i binom(-q/m1, i) [t1^(q-n1) t'^b] C^i,
 
@@ -579,10 +559,8 @@ def _lagrange_keys(data: BranchData, window, wanted=None) -> dict:
                 "MAX_POWER_WORK/DEGREE_COST; lower the precision"
             )
         table.append(row)
-    if wanted is None:
-        wanted = {g for row in table for g in row}
     out = {}
-    for g in wanted:
+    for g in {g for row in table for g in row}:
         q = g[0] + n1
         # Horner's rule from the last row that can hold g: the bracket is
         # x_0 + c_1 (x_1 + c_2 (x_2 + ...)) with x_i = T_i[g]/den^i and
@@ -623,15 +601,15 @@ def lagrange_coefficient(data: BranchData, q: int) -> Fraction:
         [xi]_(q/m) = (n/q) a~^(-q) [ (1 + C)^(-q/m) ]_(q-n),
 
     C = unit^m/a~^m - 1, read off in the t-frame.  Independent of the
-    dual-based pipeline and of the power kernel; lagrange_series gives
-    every coefficient at once."""
+    dual-based pipeline and of the power kernel: the key (q,) of the walk
+    of lagrange_series, cut at q - n, which gives every coefficient at
+    once."""
     if len(data.ramification) != 1:
         raise PuiseuxError("the Lagrange formula is one-variable")
     n1 = data.ramification[0]
     if q < n1:
         raise PuiseuxError(f"q = {q} must be at least n = {n1}")
-    coeffs = _lagrange_keys(data, q - n1, [(q - n1,)])
-    return coeffs.get((q,), Fraction(0))
+    return _lagrange_keys(data, q - n1).get((q,), Fraction(0))
 
 
 def lagrange_pair_check(X: PuiseuxSeries, Y: PuiseuxSeries, pairs) -> CheckReport:

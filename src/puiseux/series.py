@@ -319,6 +319,9 @@ class PuiseuxSeries:
 
     def truncate(self, precision) -> "PuiseuxSeries":
         prec = _min_prec(self.precision, _norm_prec(precision))
+        if prec == self.precision:
+            # series are immutable, so an uncut one is its own truncation
+            return self
         return PuiseuxSeries._from_keys(self._keys, self.ramification, prec, self.laurent)
 
     # -- powers and roots ---------------------------------------------------
@@ -394,10 +397,8 @@ class PuiseuxSeries:
             raise PuiseuxError(
                 "negative power needs a nonzero constant term when h > 1"
             )
-        lam, a = self.dominating()
-        unit = self.shift((-lam[0],)).scale(1 / a)
-        body = unit.unit_power(n).scale(a**n)
-        return body.shift((n * lam[0],))
+        lam = self.dominating()[0][0]
+        return self.shift((-lam,)).unit_power(n).shift((n * lam,))
 
     # -- substitution -------------------------------------------------------
 
@@ -417,21 +418,19 @@ class PuiseuxSeries:
         if mat_det(q) == 0:
             raise PuiseuxError("substitution matrix must be invertible")
         col_sums = [sum(q[i][j] for i in range(len(q))) for j in range(len(q))]
+        if not self.laurent and col_sums == [row[j] for j, row in enumerate(q)]:
+            # no entry is negative, so q is diagonal, which only relabels keys
+            return self._reframe(col_sums)
         prec = _substitute_prec(self.precision, col_sums)
         # the image key is a·g with a_ij = grid_i*q_ij/n_j, grid_i the least
         # denominator that makes row i of a integral
         ratios = [[x / n for x, n in zip(row, self.ramification)] for row in q]
         grid = tuple(math.lcm(*(x.denominator for x in row)) for row in ratios)
         a = [[(j, int(x * m)) for j, x in enumerate(row) if x] for row, m in zip(ratios, grid)]
-        if all(len(row) == 1 and row[0][0] == i for i, row in enumerate(a)):
-            # a diagonal maps each key one coordinate at a time
-            diagonal = [row[0][1] for row in a]
-            keys = {tuple(map(operator.mul, g, diagonal)): c for g, c in self._keys.items()}
-        else:
-            keys = {
-                tuple([sum([g[j] * x for j, x in row]) for row in a]): c
-                for g, c in self._keys.items()
-            }
+        keys = {
+            tuple([sum([g[j] * x for j, x in row]) for row in a]): c
+            for g, c in self._keys.items()
+        }
         # a non-Laurent series has non-negative keys, and so do their images;
         # an invertible map keeps the keys distinct and in their order
         if self.laurent:

@@ -203,6 +203,54 @@ def test_verify_verb_reports_a_refused_oracle(capsys, monkeypatch):
     assert blob["reports"][-1]["skipped"].startswith("the Lagrange oracle's table passes")
 
 
+def test_verify_verb_reports_a_refused_recomputation(capsys):
+    # below the head's window the Halphen-Stolz recomputation is refused;
+    # the other three reports still run and decide the exit code
+    text = "x1^(3/2) + x1^(7/4)*x2^(1/2) - 2*x1^(2)*x3^(1/3)"
+    reason = ("the result's window w_eta = 4 is below m1 = 6 in the unit frame; "
+              "invert at a higher target precision")
+    code, out, err = run(capsys, "verify", text, "--precision", "1")
+    assert code == 0, err
+    assert out.startswith(f"Halphen-Stolz inversion: SKIPPED ({reason})\n")
+    for name in ("dual identity", "power identity (N=6)", "Lagrange oracle equivalence"):
+        assert f"{name}: PASS" in out
+    code, out, _ = run(capsys, "verify", text, "--precision", "1", "--json")
+    blob = json.loads(out)
+    assert code == 0 and blob["all_passed"]
+    assert blob["reports"][0]["skipped"] == reason
+    assert all("skipped" not in r for r in blob["reports"][1:])
+
+
+def test_verify_verb_raises_every_other_error(capsys, monkeypatch):
+    def refuse(result):
+        raise puiseux.PuiseuxError("not a window refusal")
+
+    monkeypatch.setattr(puiseux.cli, "verify_halphen_stolz", refuse)
+    code, out, err = run(capsys, "verify", "x^(3/2)+2*x^(7/4)", "--precision", "2")
+    assert (code, out, err) == (1, "", "error: not a window refusal\n")
+
+
+def test_negative_precision_is_refused(capsys):
+    for verb in ("analyze", "dual", "invert", "lagrange", "verify"):
+        series = "1 + t" if verb == "dual" else "x^(3/2)+2*x^(7/4)"
+        code, out, err = run(capsys, verb, series, "--precision", "-1")
+        assert (code, out) == (1, ""), verb
+        assert err == "error: --precision must be non-negative, got -1\n", verb
+    for verb, series in (("dual", "1 + t"), ("invert", "x^(3/2)+2*x^(7/4)")):
+        code, _, err = run(capsys, verb, series, "--precision", "0")
+        assert code == 0, err
+
+
+def test_zero_denominator_is_named(capsys):
+    for argv in (
+        ("invert", "x^(3/2)+2*x^(7/4)", "--precision", "1/0"),
+        ("invert", "x^(3/2)+c*x^(7/4)", "--param", "c=1/0"),
+        ("invert", "4*x^(2)+x^(3)", "--root-coeff", "1/0"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (1, "error: zero denominator in '1/0'\n"), argv
+
+
 def test_verify_verb_is_quick_at_precision_40(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", "x^(3/2)+2*x^(7/4)", "--precision", "40")

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lattice_member_bruteforce, mat_inv
-from puiseux import AdditiveOrder, Lattice, OrderError, rational_binomial, rational_root
-from puiseux.core import mat_identity, mat_mul, vec_mat
+from puiseux import AdditiveOrder, Lattice, OrderError, PuiseuxError, rational_binomial, rational_root
+from puiseux.core import mat_identity, mat_mul, rat, vec_mat
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=24
@@ -40,6 +40,12 @@ def test_rational_root():
     assert rational_root(F(-4), 2) is None
     assert rational_root(F(2), 2) is None
     assert rational_root(F(9, 4), 2) == F(3, 2)
+
+
+def test_rat_names_a_zero_denominator():
+    assert rat("3/4") == F(3, 4)
+    with pytest.raises(PuiseuxError, match="zero denominator in '1/0'"):
+        rat("1/0")
 
 
 def test_rational_root_large_values():

@@ -239,6 +239,36 @@ def test_precision_validation():
     assert "too short" in str(err.value)
 
 
+def _refusal(call):
+    with pytest.raises(PuiseuxError) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+def test_both_entry_points_refuse_alike():
+    # invert_series is extract_branch at N followed by invert_branch, so the
+    # two refuse the same inputs with one class and one message
+    cases = [
+        ("x^(3/2) + 2*x^(7/4) + O(total=3)", F(10), None, 56),
+        ("x + x^(2)", INF, None, INF),  # exact, m1 = 1
+        ("x^(3/2) + 2*x^(7/4)", INF, None, INF),  # exact, m1 = 6
+        ("x^(3/2) + 2*x^(7/4)", F(100000), None, 599996),
+        ("16*x1^(4/3) + x1^(5/3)*x2^(1/2) - x1^(2) + O(total=2)", F(3), -2, 9),
+    ]
+    for text, target, root, n in cases:
+        eta = parse(text, precision=INF)
+        direct = _refusal(lambda: invert_series(eta, target, root_coeff=root))
+        via_branch = _refusal(
+            lambda: invert_branch(extract_branch(eta, root, unit_precision=n), target)
+        )
+        assert direct == via_branch, text
+    short = _refusal(lambda: invert_series(parse("x^(3/2) + 2*x^(7/4) + O(total=3)"), F(10)))
+    assert short == (
+        PrecisionError,
+        "the input is too short: target 10 needs unit precision N = 56, it supports only 6",
+    )
+
+
 def test_divpower_lemma():
     # ess(unit, gcd(n,m)) = (0, eps_1 - m, ..., eps_d - m) from ess(eta, n)
     rng = random.Random(59)

@@ -379,6 +379,15 @@ def test_format_parse_roundtrip_laurent():
     assert parse(format_series(s), laurent=True) == s
 
 
+def test_truncate_returns_an_uncut_series_itself():
+    s = parse("1 + x + x^(3)", precision=F(5, 2))
+    assert s.truncate(3) is s and s.truncate(F(5, 2)) is s
+    cut = s.truncate(2)
+    assert cut is not s and cut.precision == 2 and s.precision == F(5, 2)
+    exact = parse("1 + x", precision=INF)
+    assert exact.truncate(INF) is exact and exact.truncate(4).precision == 4
+
+
 def test_substitution_refuses_a_negative_image_of_a_laurent_key():
     s = PuiseuxSeries(1, {(-1,): 1, (0,): 1}, laurent=True)
     with pytest.raises(PuiseuxError, match=r"substitution sends \(Fraction\(-1, 1\),\) "
