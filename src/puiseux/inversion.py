@@ -18,9 +18,11 @@ the keys of one series into another.
 
 The work grows with the unit precision N = target*max(m1, n2, ..., nh) - n1.
 There is one path from eta to xi: invert_series extracts eta's branch data
-at N and hands it to invert_branch, whose precision gate, _working_precision,
-refuses an exact unit part without a target, an N above MAX_UNIT_PRECISION
-and a unit part too short for N, before any work starts.
+at N and hands it to invert_branch.  Input is checked in two places, before
+any work: BranchData's construction checks a hand-built unit part, and the
+precision gate _working_precision, shared by invert_branch, lagrange_series
+and lagrange_coefficient, refuses an exact unit part without a target, an N
+above MAX_UNIT_PRECISION and a unit part too short for N.
 """
 
 from __future__ import annotations
@@ -87,15 +89,32 @@ class BranchData:
     per-variable denominators (n1, ..., nh).
 
     BranchData(series, m1, root_coeff, ramification) holds the given unit
-    part, and power is unit.pow_int(m1), computed when first read.
-    extract_branch holds power, eta_t/t1^m1 with eta's own terms, and the
-    unit part, a dense m1-th root, is computed when series is first read;
-    the inversion pipeline and the Lagrange oracle never read it.  Equality,
-    repr and to_json are those of the four fields series, exponent_m,
-    root_coeff and ramification.  Instances are immutable.
+    part, and power is unit.pow_int(m1), computed when first read.  Before
+    any work it raises PuiseuxError unless the ramification is one positive
+    integer per variable, the unit part has integral exponents, m1 is a
+    positive integer, root_coeff is nonzero and unit(0)^m1 = root_coeff^m1.
+    extract_branch holds power, eta_t/t1^m1 with eta's own terms and a root
+    it checked, and the unit part, a dense m1-th root, is computed when
+    series is first read; the inversion pipeline and the Lagrange oracle
+    never read it.  Equality, repr and to_json are those of the four fields
+    series, exponent_m, root_coeff and ramification.  Instances are immutable.
     """
 
     def __init__(self, series, exponent_m, root_coeff, ramification):
+        h, grid = series.num_vars, series.ramification
+        if len(ramification) != h or not all(type(n) is int and n > 0 for n in ramification):
+            raise PuiseuxError(
+                f"ramification {ramification} is not one positive integer per variable ({h})"
+            )
+        if grid != (1,) * h:
+            raise PuiseuxError(f"the unit part needs integral exponents, not grid {grid}")
+        if type(exponent_m) is not int or exponent_m < 1:
+            raise PuiseuxError(f"exponent_m = {exponent_m!r} is not a positive integer")
+        if not root_coeff:
+            raise PuiseuxError("branch data needs a nonzero root_coeff")
+        c, a = series._keys.get((0,) * h, 0) ** exponent_m, root_coeff**exponent_m
+        if c != a:
+            raise PuiseuxError(f"unit^m1 has constant term {c}, not root_coeff^m1 = {a}")
         self._set(exponent_m, root_coeff, ramification, series=series)
 
     @classmethod
@@ -199,13 +218,8 @@ def _dominating_profile(eta: PuiseuxSeries):
         raise DominationError(
             f"series is not x1-dominating: offending exponent {fmt_vec(witness)}"
         )
-    m1 = lam1 * eta.ramification[0]
-    if m1.denominator != 1 or m1 <= 0:
-        raise PuiseuxError(
-            f"dominating exponent {lam1} times the first denominator "
-            f"{eta.ramification[0]} is {m1}, not a positive integer"
-        )
-    return lam1, eta.coefficient(candidate), int(m1)
+    # lam1 > 0 lies on the grid 1/n1, so m1 = lam1*n1 is a positive integer
+    return lam1, eta.coefficient(candidate), int(lam1 * eta.ramification[0])
 
 
 def extract_branch(
@@ -353,9 +367,9 @@ def _halphen_stolz_report(
 
 def _working_precision(data: BranchData, target_precision):
     """The unit precision N that invert_branch(data, target_precision)
-    works at, and lagrange_series(data) without a target: the one gate of
-    both entry points.  Refuses an exact unit part without a target, an N
-    above MAX_UNIT_PRECISION and a unit part too short for N."""
+    works at, lagrange_series(data) at target None and lagrange_coefficient
+    at target q/m1: their one gate.  Refuses an exact unit part without a
+    target, an N above MAX_UNIT_PRECISION and a unit part too short for N."""
     held = data._held
     if target_precision is None:
         need = held.precision
@@ -493,17 +507,7 @@ def _oracle_power(data: BranchData, window) -> tuple[dict, int]:
     """unit^m1 by unit-grid key up to total degree window, as integers over
     one denominator, without the power kernel: the keys data holds, or the
     unit part raised to m1 by dict products."""
-    held = data._held
-    h = held.num_vars
-    if held.ramification != (1,) * h:
-        raise PuiseuxError(
-            f"the unit part needs integral exponents, not the grid {held.ramification}"
-        )
-    if held.precision < window:
-        raise PrecisionError(
-            f"unit part precision {held.precision} cannot reach exponent {window}"
-        )
-    keys = {g: c for g, c in held._keys.items() if sum(g) <= window}
+    keys = {g: c for g, c in data._held._keys.items() if sum(g) <= window}
     den = math.lcm(*(c.denominator for c in keys.values()))
     keys = {g: c.numerator * (den // c.denominator) for g, c in keys.items()}
     if not data._from_unit:
@@ -531,13 +535,6 @@ def _lagrange_keys(data: BranchData, window) -> dict:
     power, power_den = _oracle_power(data, window)
     zero = (0,) * len(data.ramification)
     a = atilde**m1
-    constant = Fraction(power.get(zero, 0), power_den)
-    if not a:
-        raise PuiseuxError("the Lagrange formula needs a nonzero root_coeff")
-    if constant != a:
-        raise PuiseuxError(
-            f"unit^m1 has constant term {constant}, not root_coeff^m1 = {a}"
-        )
     # C = power/(power_den a) - 1, in integers over den > 0 in lowest terms
     sign = 1 if a > 0 else -1
     c = {g: sign * v * a.denominator for g, v in power.items() if g != zero}
@@ -602,14 +599,15 @@ def lagrange_coefficient(data: BranchData, q: int) -> Fraction:
 
     C = unit^m/a~^m - 1, read off in the t-frame.  Independent of the
     dual-based pipeline and of the power kernel: the key (q,) of the walk
-    of lagrange_series, cut at q - n, which gives every coefficient at
-    once."""
+    of lagrange_series, cut at N = q - n, the N of invert_branch(data, q/m)
+    and refused as that call refuses it."""
     if len(data.ramification) != 1:
         raise PuiseuxError("the Lagrange formula is one-variable")
     n1 = data.ramification[0]
     if q < n1:
         raise PuiseuxError(f"q = {q} must be at least n = {n1}")
-    return _lagrange_keys(data, q - n1).get((q,), Fraction(0))
+    N = _working_precision(data, Fraction(q, data.exponent_m))
+    return _lagrange_keys(data, int(N)).get((q,), Fraction(0))
 
 
 def lagrange_pair_check(X: PuiseuxSeries, Y: PuiseuxSeries, pairs) -> CheckReport:

@@ -496,13 +496,13 @@ class PuiseuxSeries:
                 for e, v in self.sorted_terms()
             ],
             "precision": None if self.precision is INF else str(self.precision),
-        }
+        } | ({"laurent": True} if self.laurent else {})
 
     @classmethod
     def from_json(cls, data: dict) -> "PuiseuxSeries":
         prec = INF if data.get("precision") is None else rat(data["precision"])
         terms = [(tuple(rat(c) for c in t["exp"]), rat(t["coef"])) for t in data["terms"]]
-        laurent = any(c < 0 for e, _ in terms for c in e)
+        laurent = data.get("laurent", False) or any(c < 0 for e, _ in terms for c in e)
         return cls(data["vars"], terms, prec, laurent)
 
 

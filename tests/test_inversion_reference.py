@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import puiseux.inversion
 from builders import perfect_power_unit, random_branch_data, random_dominating
 from oracles import extract_branch_eager, invert_xi_reference
 from puiseux import (
@@ -282,3 +283,34 @@ def test_branch_data_from_a_unit_compares_and_serialises_as_before():
         held.exponent_m = 2
     # positional construction still runs the whole pipeline
     assert invert_branch(given, 1).to_json() == invert_branch(held, 1).to_json()
+
+
+# (unit part, m1, root_coeff, ramification, the refusal's words)
+BAD_BRANCH_DATA = [
+    ("2 + t", 2, 3, (1,), r"unit\^m1 has constant term 4, not root_coeff\^m1 = 9"),
+    ("t", 2, 1, (1,), "constant term 0, not root_coeff"),
+    ("1 + t", 2, 1, (1, 2), r"ramification \(1, 2\) is not one .* per variable \(1\)"),
+    ("1 + t1*t2", 2, 1, (3,), r"ramification \(3,\) is not one .* per variable \(2\)"),
+    ("1 + t", 2, 1, (0,), "is not one positive integer per variable"),
+    ("1 + t", 2, 1, (F(2),), "is not one positive integer per variable"),
+    ("1 + t^(1/2)", 2, 1, (1,), "integral exponents"),
+    ("1 + t", 0, 1, (1,), "exponent_m = 0 is not a positive integer"),
+    ("1 + t", F(2), 1, (1,), r"exponent_m = Fraction\(2, 1\) is not a positive integer"),
+    ("1 + t", 2, 0, (1,), "nonzero root_coeff"),
+]
+
+
+@pytest.mark.parametrize(
+    "unit, m1, root, ramification, message", BAD_BRANCH_DATA, ids=range(len(BAD_BRANCH_DATA))
+)
+def test_branch_data_is_checked_before_any_work(
+    monkeypatch, unit, m1, root, ramification, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the refusal came after the work started")
+
+    monkeypatch.setattr(PuiseuxSeries, "pow_int", refuse)
+    monkeypatch.setattr(puiseux.inversion, "_dual_from_power", refuse)
+    series = parse(unit, precision=6)
+    with pytest.raises(PuiseuxError, match=message):
+        invert_branch(BranchData(series, m1, root, ramification), 2)

@@ -144,7 +144,7 @@ def test_the_oracle_checks_its_input():
     data = extract_branch(parse("x^(3/2) + 2*x^(7/4)", precision=INF), unit_precision=8)
     with pytest.raises(PuiseuxError, match="must be at least n = 4"):
         lagrange_coefficient(data, 3)
-    with pytest.raises(PrecisionError, match="precision 8 cannot reach exponent 9"):
+    with pytest.raises(PrecisionError, match="N = 9, it supports only 8"):
         lagrange_coefficient(data, 13)
     # a unit part whose m1-th power does not start with root_coeff^m1
     unit = PuiseuxSeries(1, {(F(0),): F(2), (F(1),): F(1)}, F(6))
@@ -158,3 +158,21 @@ def test_the_oracle_checks_its_input():
     h2 = extract_branch(parse("x1^(3/2) + x1^(2)*x2", precision=INF), unit_precision=4)
     with pytest.raises(PuiseuxError, match="one-variable"):
         lagrange_coefficient(h2, 4)
+
+
+def test_lagrange_coefficient_shares_the_precision_gate():
+    # lagrange_coefficient(data, q) works at N = q - n1, the N of
+    # invert_branch(data, q/m1): the same N limit and the same "too short"
+    eta = parse("x^(3/2) + 2*x^(7/4)", precision=INF)
+    deep = extract_branch(eta, unit_precision=600)
+    with pytest.raises(PuiseuxError, match="N = 596 exceeds the limit of 500"):
+        lagrange_coefficient(deep, 600)
+    data = extract_branch(eta, unit_precision=8)
+    for branch in (data, unit_built(data)):
+        with pytest.raises(PrecisionError) as coefficient:
+            lagrange_coefficient(branch, 13)
+        with pytest.raises(PrecisionError) as inversion:
+            invert_branch(branch, F(13, 6))
+        assert type(coefficient.value) is type(inversion.value)
+        assert str(coefficient.value) == str(inversion.value)
+    assert lagrange_coefficient(data, 12) == invert_branch(data, 2).xi.coefficient((F(2),))

@@ -352,6 +352,16 @@ def test_json_roundtrip():
     assert PuiseuxSeries.from_json(s.to_json()) == s
 
 
+def test_json_roundtrip_keeps_the_laurent_flag():
+    # a Laurent series without negative exponents keeps its flag, and only a
+    # Laurent series writes it
+    for s in (parse("1 + x", laurent=True, precision=5), parse("x^(-1) + 2", laurent=True)):
+        blob = s.to_json()
+        assert blob["laurent"] is True
+        assert PuiseuxSeries.from_json(blob) == s
+    assert "laurent" not in parse("1 + x", precision=5).to_json()
+
+
 def test_format_parse_roundtrip():
     s = parse("x^(3/2) - 2/3*x^(7/4) + O(total=9/2)")
     assert parse(format_series(s)) == s
