@@ -18,10 +18,13 @@ the rational n1-th root of phi_0 that rational_root picks (the positive one
 when there are two); when n1 > 1 and phi_0 has no rational n1-th root, dual
 raises RootError.
 
-In one variable the kept coefficient is a single one, and every k goes
-through one integer loop, _GridPower.dense_loop, the same loop the dense
-powers run: it walks the degrees up to k on integers over one running
-denominator and hands back that coefficient as an integer pair N/L.  The
+In one variable the kept coefficient is a single one, and the runs of all
+k go together through one integer loop, _GridPower.dual_loop.  The run for
+k stops at degree k, so the runs still going at a degree are those of the
+larger k, and the weight of one step of the recurrence is an arithmetic
+progression in k: one degree of every run is a few C-level maps over a
+range.  The runs share one running denominator, reduced by one gcd a
+degree, and each hands back its coefficient as an integer pair N/L.  The
 factors n1/(k+n1) and r0^(-(k+n1)) fold into the one Fraction built for k,
 the powers of r0's numerator and denominator carried from one k to the next
 as ints.  In h variables each k is a capped heap walk of the recurrence,
@@ -98,9 +101,10 @@ def _dual_from_power(
         # r0^-(k + c) = r_den^e / r_num^e with e = k + c, carried as two ints
         r_num, r_den = r0.numerator ** c, r0.denominator ** c
         s_num, s_den = r0.numerator ** step, r0.denominator ** step
-        unit = recurrence.unit
-        for k in ks:
-            num, common = recurrence.dense_loop(-(k + c), n1 * m, k // unit)
+        # in one variable step is the unit of the recurrence, so k = j*u is
+        # run j of the batch, at exponent -(k + c)/(n1*m)
+        runs = recurrence.dual_loop(-c, n1 * m, len(ks))
+        for k, (num, common) in zip(ks, runs):
             if num:
                 found[(k,)] = Fraction(num * c * r_den, common * (k + c) * r_num)
             r_num *= s_num

@@ -56,10 +56,10 @@ from .series import (
 
 # Largest unit precision N the inversion entry points accept.  The work grows
 # faster than N^2, since the coefficients grow with N too: the two-term anchor
-# x^(3/2) + 2*x^(7/4) inverts in about 0.05 s at N = 236, 0.22 s at N = 476
-# and 1.2 s at N = 998 (Python 3.11, 2-vCPU host), and more terms cost more.
-# The Lagrange oracle of the same branch (lagrange_series) takes about 0.03,
-# 0.12 and 0.6 s there.
+# x^(3/2) + 2*x^(7/4) inverts in about 0.012 s at N = 236, 0.08 s at N = 476
+# and 0.63 s at N = 998 (Python 3.11, 2-vCPU host), and more terms cost more.
+# The Lagrange oracle of the same branch (lagrange_series) takes about 0.014,
+# 0.11 and 0.5 s there.
 MAX_UNIT_PRECISION = 500
 
 __all__ = [
@@ -89,9 +89,10 @@ class BranchData:
     per-variable denominators (n1, ..., nh).
 
     BranchData(series, m1, root_coeff, ramification) holds the given unit
-    part, and power is unit.pow_int(m1), computed when first read.  Before
-    any work it raises PuiseuxError unless the ramification is one positive
-    integer per variable, the unit part has integral exponents, m1 is a
+    part and the ramification as a tuple, and power is unit.pow_int(m1),
+    computed when first read.  Before any work it raises PuiseuxError
+    unless the ramification is one positive integer per variable, the unit
+    part has integral exponents and is not a Laurent series, m1 is a
     positive integer, root_coeff is nonzero and unit(0)^m1 = root_coeff^m1.
     extract_branch holds power, eta_t/t1^m1 with eta's own terms and a root
     it checked, and the unit part, a dense m1-th root, is computed when
@@ -102,12 +103,15 @@ class BranchData:
 
     def __init__(self, series, exponent_m, root_coeff, ramification):
         h, grid = series.num_vars, series.ramification
+        ramification = tuple(ramification)
         if len(ramification) != h or not all(type(n) is int and n > 0 for n in ramification):
             raise PuiseuxError(
                 f"ramification {ramification} is not one positive integer per variable ({h})"
             )
         if grid != (1,) * h:
             raise PuiseuxError(f"the unit part needs integral exponents, not grid {grid}")
+        if series.laurent:
+            raise PuiseuxError("the unit part must be a power series, not a Laurent series")
         if type(exponent_m) is not int or exponent_m < 1:
             raise PuiseuxError(f"exponent_m = {exponent_m!r} is not a positive integer")
         if not root_coeff:

@@ -17,8 +17,10 @@ messages.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
+import itertools
 import math
 import operator
 import re
@@ -45,10 +47,12 @@ DEFAULT_PRECISION = Fraction(10)
 # estimate above MAX_POWER_WORK before the first run starts.  The dual of a
 # one-variable unit^m1 with all 500 nonconstant terms at N = 500 is 2.2*10^7,
 # so every one-variable inversion that MAX_UNIT_PRECISION admits fits.  On
-# the dense one-variable loop (Python 3.11, 2-vCPU host) a degree took 1-2.4
-# us, the upper end when it builds a Fraction, and a step 0.14 us with small
-# coefficients; that dense dual took 16 s (0.8 us a step, the coefficients
-# grow), and (1 + t)^-1, which fits up to precision 2.2*10^6, 2.4 us a degree.
+# the dense one-variable loop of a power (Python 3.11, 2-vCPU host) a degree
+# took 0.5-2.8 us, the upper end when it builds a Fraction, and a step 0.15
+# us with small coefficients; (1 + t)^-1, which fits up to precision
+# 2.2*10^6, took 2.6 us a degree.  The dual advances its runs together, so a
+# degree or a step of one run is one product inside a C-level map: that
+# dense dual took 4.1 s (0.19 us an estimated step, the coefficients grow).
 DEGREE_COST = 10
 MAX_POWER_WORK = 25 * 10**6
 
@@ -108,6 +112,20 @@ def _degree(key, weights) -> int:
     return sum(map(operator.mul, key, weights))
 
 
+def _cut(keys, grid, precision) -> dict:
+    """keys without zero coefficients and keys of degree above
+    precision*L on grid: what a construction that can make either drops
+    before _store."""
+    if precision is INF:
+        return {g: c for g, c in keys.items() if c}
+    lcm_all, weights = _grading(grid)
+    cutoff = math.floor(precision * lcm_all)
+    if len(grid) == 1:
+        # in one variable a key is its own degree
+        return {g: c for g, c in keys.items() if c and g[0] <= cutoff}
+    return {g: c for g, c in keys.items() if c and _degree(g, weights) <= cutoff}
+
+
 class PuiseuxSeries:
     __slots__ = ("num_vars", "_keys", "precision", "laurent", "ramification")
 
@@ -134,16 +152,14 @@ class PuiseuxSeries:
             tuple(x.numerator * (lcm_all // x.denominator) for x in exp): c
             for exp, c in clean.items()
         }
-        self._store(keys, (lcm_all,) * num_vars, precision, laurent)
+        grid = (lcm_all,) * num_vars
+        self._store(_cut(keys, grid, precision), grid, precision, laurent)
 
     def _store(self, keys, grid, precision, laurent) -> None:
         """Set every field from integer keys on grid, which may be finer
-        than the keys need: drop zero coefficients and keys of degree above
-        precision*L, then divide the grid by the per-coordinate gcd of the
-        keys."""
-        lcm_all, weights = _grading(grid)
-        cutoff = INF if precision is INF else math.floor(precision * lcm_all)
-        keys = {g: c for g, c in keys.items() if c and _degree(g, weights) <= cutoff}
+        than the keys need, dividing the grid by the per-coordinate gcd of
+        the keys.  The coefficients must be nonzero and the keys within
+        precision: a construction that can break either cuts first."""
         divisors = [math.gcd(n, *(g[i] for g in keys)) if n > 1 else 1 for i, n in enumerate(grid)]
         if any(d > 1 for d in divisors):
             grid = tuple(n // d for n, d in zip(grid, divisors))
@@ -261,6 +277,7 @@ class PuiseuxSeries:
         for g, c in other._keys_on(grid).items():
             v = keys.get(g)
             keys[g] = c if v is None else v + c
+        keys = _cut(keys, grid, prec)
         return PuiseuxSeries._from_keys(keys, grid, prec, self.laurent or other.laurent)
 
     __radd__ = __add__
@@ -275,7 +292,7 @@ class PuiseuxSeries:
 
     def scale(self, c) -> "PuiseuxSeries":
         c = rat(c)
-        keys = {g: c * v for g, v in self._keys.items()}
+        keys = {g: c * v for g, v in self._keys.items()} if c else {}
         return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, self.laurent)
 
     def __mul__(self, other):
@@ -301,6 +318,8 @@ class PuiseuxSeries:
                 e = tuple(map(operator.add, e1, e2))
                 v = raw.get(e)
                 raw[e] = c1 * c2 if v is None else v + c1 * c2
+        # the scan stops at the cutoff, but sums can cancel
+        raw = {e: c for e, c in raw.items() if c}
         return PuiseuxSeries._from_keys(raw, grid, prec, self.laurent or other.laurent)
 
     __rmul__ = __mul__
@@ -322,7 +341,8 @@ class PuiseuxSeries:
         if prec == self.precision:
             # series are immutable, so an uncut one is its own truncation
             return self
-        return PuiseuxSeries._from_keys(self._keys, self.ramification, prec, self.laurent)
+        keys = _cut(self._keys, self.ramification, prec)
+        return PuiseuxSeries._from_keys(keys, self.ramification, prec, self.laurent)
 
     # -- powers and roots ---------------------------------------------------
 
@@ -352,7 +372,7 @@ class PuiseuxSeries:
         """constant_power * (self/self_0)**r at self's precision."""
         recurrence = _GridPower(self)
         recurrence.check_work(r)
-        keys = recurrence(r, scale=constant_power)
+        keys = recurrence(r, scale=constant_power) if constant_power else {}
         return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, laurent)
 
     def unit_root(self, m: int, root_of_constant) -> "PuiseuxSeries":
@@ -440,7 +460,7 @@ class PuiseuxSeries:
                         f"substitution sends {self._vec(g)} to negative exponent "
                         f"{tuple(map(Fraction, img, grid))}"
                     )
-        return PuiseuxSeries._from_keys(keys, grid, prec, False)
+        return PuiseuxSeries._from_keys(_cut(keys, grid, prec), grid, prec, False)
 
     def _reframe(self, diagonal, shift=0, cap=INF) -> "PuiseuxSeries":
         """self with every exponent e sent to (d1 e1 + shift, d2 e2, ...,
@@ -460,7 +480,12 @@ class PuiseuxSeries:
             (g[0] * first + step, *map(operator.mul, g[1:], rest)): c
             for g, c in self._keys.items()
         }
-        prec = _reframe_prec(self.precision, diagonal, shift, cap)
+        moved = _reframe_prec(self.precision, diagonal, shift)
+        prec = _min_prec(moved, _norm_prec(cap))
+        # an image can pass the precision only below the cap, or when the d_i
+        # differ and one coordinate grows faster than the least
+        if prec is not INF and (prec < moved or min(diagonal) != max(diagonal)):
+            keys = _cut(keys, grid, prec)
         return PuiseuxSeries._from_keys(keys, grid, prec, False)
 
     # -- comparisons and formatting -----------------------------------------
@@ -531,11 +556,13 @@ class _GridPower:
     L*k for k = m/gcd(S, m); so N_i = S/gcd(S, m), and when k > 1 the last
     max s_j numerators, the only ones read again, are multiplied by k.  L
     stays the lcm of the true denominators, so the integers grow with the
-    coefficients, not with the degree.  dense_loop is this loop, the only
-    copy: a full run builds one Fraction for every nonzero P_i, with the
-    power's constant factor folded in, a run capped at one degree only for
-    that one, and dual takes the pair (N_i, L) itself
-    and folds its own factors into the one Fraction it builds.
+    coefficients, not with the degree.  dense_loop is this loop for one r:
+    a full run builds one Fraction for every nonzero P_i, with the power's
+    constant factor folded in, and a run capped at one degree only for that
+    one.  The dual needs the runs for r_j = (p - j u)/q, run j capped at
+    i = j; dual_loop advances all of them together, one degree at a time,
+    over one denominator that they share, and hands dual each pair (N_j, L_j)
+    to fold its own factors into the one Fraction it builds.
 
     In h variables a degree holds many keys, and each finished P_k is
     pushed to the keys k + j with weight a_j (r T(j) - T(k)), so keys finish
@@ -721,9 +748,7 @@ class _GridPower:
     def dense_loop(self, p: int, q: int, last: int, out=None, scale=1) -> tuple[int, int]:
         """The one-variable run for r = p/q up to degree last*u: returns
         (N, L), P_last = N/L, and with out also stores every nonzero
-        scale * P_i there as a Fraction, the one built for that i.  p/q need
-        not be reduced: a common factor multiplies both sides of the
-        recurrence and cancels in each gcd, so the integers are the same."""
+        scale * P_i there as a Fraction, the one built for that i."""
         unit = self.unit
         s_num, s_den = scale.numerator, scale.denominator
         qden = q * self.den
@@ -748,6 +773,51 @@ class _GridPower:
                     out[(i * unit,)] = Fraction(acc * s_num, common * s_den)
             nums.append(acc)
         return nums[-1], common
+
+    def dual_loop(self, p: int, q: int, runs: int):
+        """The one-variable runs for r_j = (p - j*u)/q, j = 0, ..., runs-1,
+        run j stopped at degree j*u, advanced together one degree at a time:
+        yields (N, L), P_j = N/L of run j, in order of j.
+
+        At degree i the runs still going are j = i, ..., runs-1, and the
+        weight of step s, A_s((p_j + q) s - q i) with p_j = p - j u, is an
+        arithmetic progression in j, so a step adds to all of them in one
+        map over a range.  Row i holds N_i of those runs over L_i, one
+        denominator shared by every run and reduced by one gcd a degree.  A
+        row read at a later degree is brought to the current L by the
+        integer L/L_i folded into its progression, so no row is rescaled.
+        p/q need not be reduced: a common factor multiplies both sides of the
+        recurrence and cancels in each gcd, so the integers are the same."""
+        unit = self.unit
+        qden = q * self.den
+        steps = sorted((t // unit, a) for t, _, a in self.items)
+        # rows[-s] is row i - s, the entries for runs i - s, ..., runs-1
+        rows = collections.deque([([1] * runs, 1)], maxlen=steps[-1][0] if steps else 1)
+        common = 1
+        yield 1, 1
+        for i in range(1, runs):
+            n = runs - i
+            acc = None
+            for s, a in steps:
+                if s > i:
+                    break
+                prev, at = rows[-s]
+                f = common // at
+                start = a * ((p + q - i * unit) * s - q * i) * f
+                step = -a * unit * s * f
+                terms = map(operator.mul, range(start, start + n * step, step), prev[s:])
+                acc = list(terms) if acc is None else list(map(operator.add, acc, terms))
+            if acc is None:
+                acc = [0] * n
+            else:
+                m = qden * i
+                g = math.gcd(m, *acc)
+                if g != m:
+                    common *= m // g
+                if g != 1:
+                    acc = list(map(operator.floordiv, acc, itertools.repeat(g)))
+            rows.append((acc, common))
+            yield acc[0], common
 
 
 def _line(n: int) -> int:

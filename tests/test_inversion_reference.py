@@ -300,6 +300,28 @@ BAD_BRANCH_DATA = [
 ]
 
 
+@pytest.mark.parametrize("text", ["1 + t^(-1)", "1 + t"])
+def test_a_laurent_unit_part_is_refused_before_any_work(monkeypatch, text):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the refusal came after the work started")
+
+    monkeypatch.setattr(PuiseuxSeries, "pow_int", refuse)
+    monkeypatch.setattr(puiseux.inversion, "_dual_from_power", refuse)
+    monkeypatch.setattr(puiseux.inversion, "_lagrange_keys", refuse)
+    unit = parse(text, laurent=True, precision=5)
+    with pytest.raises(PuiseuxError, match="not a Laurent series"):
+        BranchData(unit, 2, 1, (1,))
+
+
+def test_branch_data_keeps_its_ramification_as_a_tuple():
+    unit = parse("1 + t", precision=5)
+    listed, given = BranchData(unit, 2, 1, [1]), BranchData(unit, 2, 1, (1,))
+    assert listed.ramification == (1,)
+    assert listed == given
+    assert repr(listed) == repr(given)
+    assert listed.to_json() == given.to_json()
+
+
 @pytest.mark.parametrize(
     "unit, m1, root, ramification, message", BAD_BRANCH_DATA, ids=range(len(BAD_BRANCH_DATA))
 )

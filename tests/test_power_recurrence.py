@@ -19,7 +19,16 @@ from oracles import (
     pow_int_products,
     unit_power_binomial,
 )
-from puiseux import INF, PrecisionError, PuiseuxError, PuiseuxSeries, dual, parse
+from puiseux import (
+    INF,
+    PrecisionError,
+    PuiseuxError,
+    PuiseuxSeries,
+    RootError,
+    dual,
+    extract_branch,
+    parse,
+)
 from puiseux.core import rational_root
 from puiseux.duality import _dual_from_power
 from puiseux.inversion import MAX_UNIT_PRECISION, BranchData, invert_branch
@@ -203,6 +212,64 @@ def test_one_variable_dual_loop_matches_the_per_k_reference():
                     same(got, psi)
     assert seen["n1"] - {1} and seen["unit"] - {1} and seen["den"] - {1}
     assert {F(1), F(-2), F(3, 2)} <= seen["r0"]
+
+
+def test_batched_dual_matches_the_per_k_runs_to_high_precision():
+    # every run of the batch against its own capped run, with runs reaching
+    # about 40 degrees, steps that skip degrees (the first step rows are
+    # still empty at small i), step units u > 1 and r0 in {1, -2, 3/2}
+    rng = random.Random(1401)
+    seen = {"unit": set(), "first step": set(), "r0": set(), "runs": set()}
+    for _ in range(10):
+        n1, u = rng.choice((1, 2, 3)), rng.choice((1, 2, 3))
+        r0 = rng.choice((F(1), F(-2), F(3, 2)))
+        terms = {(F(0),): r0**n1}
+        for s in rng.sample((2, 3, 4, 5, 7), rng.randrange(2, 4)):
+            terms[(F(u * s, n1),)] = rng.choice(NONZERO)
+        phi = PuiseuxSeries(1, terms, F(rng.randrange(20, 41), n1))
+        c0, n1 = phi.constant_term(), phi.ramification[0]
+        seen["r0"].add(c0 if n1 == 1 else rational_root(c0, n1))
+        for m in (1, 2, 3, 4):
+            power = phi.pow_int(m)
+            recurrence = _GridPower(power)
+            seen["unit"].add(recurrence.unit)
+            seen["first step"].add(min(t for t, _, _ in recurrence.items) // recurrence.unit)
+            seen["runs"].add(int(power.precision * n1) // recurrence.unit + 1)
+            for a in (1, 2, 3):
+                same(_dual_from_power(power, m, c0, a), dual_from_power_reference(power, m, c0, a))
+    assert seen["unit"] - {1} and seen["first step"] - {1}
+    assert {F(1), F(-2), F(3, 2)} <= seen["r0"]
+    assert max(seen["runs"]) >= 35
+
+
+@pytest.mark.parametrize("text, precision", [("3", 5), ("3", INF), ("3 + t^(2)", 0)])
+def test_batched_dual_of_a_single_run(text, precision):
+    # a constant-only series and precision 0 give the one run k = 0
+    phi = parse(text, precision=precision).truncate(precision)
+    for m, a in ((1, 1), (2, 3)):
+        power = phi.pow_int(m)
+        got = _dual_from_power(power, m, phi.constant_term(), a)
+        same(got, dual_from_power_reference(power, m, phi.constant_term(), a))
+    assert dual(phi).terms == {(F(0),): F(1, 3)}
+
+
+def test_batched_dual_refuses_an_irrational_root():
+    power = parse("2 + t^(1/2)", precision=4)
+    for call in (_dual_from_power, dual_from_power_reference):
+        with pytest.raises(RootError, match="2"):
+            call(power, 1, F(2), 1)
+
+
+def test_dual_of_the_dense_anchor_unit_keeps_its_integers_reduced():
+    # the unit part of x^(3/2) + 2*x^(7/4) at N = 116 has 117 terms; runs
+    # over a fixed scaling such as i!*(q*den)^i instead of one reduced
+    # denominator take minutes here
+    unit = extract_branch(parse("x^(3/2) + 2*x^(7/4)", precision=INF), unit_precision=116).series
+    assert len(unit.terms) == 117
+    start = time.perf_counter()
+    psi = dual(unit)
+    assert time.perf_counter() - start < 2
+    assert len(psi.terms) == 117
 
 
 def test_dense_run_of_exact_polynomials_ends_at_r_max_t():
