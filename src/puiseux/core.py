@@ -79,6 +79,15 @@ def fmt_vec(a: Vec) -> str:
     return "(" + ", ".join(str(c) for c in a) + ")"
 
 
+def fmt_power(base: Fraction, m: int) -> str:
+    """base^m as text, the base in parentheses unless it is a non-negative
+    integer, so that -2^6 does not read as -(2^6)."""
+    text = str(base)
+    if base < 0 or base.denominator != 1:
+        text = f"({text})"
+    return f"{text}^{m}"
+
+
 def unit_vec(dim: int, i: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 

@@ -18,17 +18,16 @@ the rational n1-th root of phi_0 that rational_root picks (the positive one
 when there are two); when n1 > 1 and phi_0 has no rational n1-th root, dual
 raises RootError.
 
-In one variable the kept coefficient is a single one, and the runs of all
-k go together through one integer loop, _GridPower.dual_loop.  The run for
-k stops at degree k, so the runs still going at a degree are those of the
-larger k, and the weight of one step of the recurrence is an arithmetic
-progression in k: one degree of every run is a few C-level maps over a
-range.  The runs share one running denominator, reduced by one gcd a
-degree, and each hands back its coefficient as an integer pair N/L.  The
-factors n1/(k+n1) and r0^(-(k+n1)) fold into the one Fraction built for k,
-the powers of r0's numerator and denominator carried from one k to the next
-as ints.  In h variables each k is a capped heap walk of the recurrence,
-which scales its coefficients by the same factors.
+All runs advance together over one running denominator that they share,
+and the weight of one step of the recurrence is an arithmetic progression
+in k, so a step is one C-level map over the runs still going.
+_GridPower.dual_loop goes one degree at a time in one variable, where the
+runs still going are those of the larger k; _GridPower.key_walk goes one
+key at a time in h variables, where they are an interval of k that starts
+at the key's first coordinate.  Each hands back integer pairs N/L, and the
+factors n1/(k+n1) and r0^(-(k+n1)) fold into the one Fraction built for
+each coefficient, the powers of r0's numerator and denominator carried
+from one k to the next as ints.
 
 The powers can be taken of any B = phi^m instead of phi itself:
 
@@ -95,27 +94,24 @@ def _dual_from_power(
     recurrence = _GridPower(power)
     ks = range(0, math.floor(prec * n1) + 1, step) if step else [0]
     recurrence.check_work(Fraction(-a, m), runs=len(ks))
-    found = {}
     c = a * n1
+    # r0^-(k + c) = r_den^e / r_num^e with e = k + c, carried as two ints
+    powers, r_num, r_den = {}, r0.numerator ** c, r0.denominator ** c
+    s_num, s_den = r0.numerator ** step, r0.denominator ** step
+    for k in ks:
+        powers[k] = r_num, r_den
+        r_num, r_den = r_num * s_num, r_den * s_den
+    # the run for k is at exponent -(k + c)/(n1*m); in one variable step is
+    # the unit of the recurrence and the run ends at the one key (k,)
     if power.num_vars == 1:
-        # r0^-(k + c) = r_den^e / r_num^e with e = k + c, carried as two ints
-        r_num, r_den = r0.numerator ** c, r0.denominator ** c
-        s_num, s_den = r0.numerator ** step, r0.denominator ** step
-        # in one variable step is the unit of the recurrence, so k = j*u is
-        # run j of the batch, at exponent -(k + c)/(n1*m)
         runs = recurrence.dual_loop(-c, n1 * m, len(ks))
-        for k, (num, common) in zip(ks, runs):
-            if num:
-                found[(k,)] = Fraction(num * c * r_den, common * (k + c) * r_num)
-            r_num *= s_num
-            r_den *= s_den
     else:
-        # r0^-(k + c), carried from one k to the next
-        factor, stride = r0 ** -c, r0 ** -step
-        for k in ks:
-            scale = factor * Fraction(c, k + c)
-            found.update(recurrence(Fraction(-(k + c), n1 * m), cap=k, scale=scale))
-            factor *= stride
+        runs = recurrence.key_walk(-c, n1 * m, step)
+    found = {}
+    for g, num, common in runs:
+        if num:
+            r_num, r_den = powers[g[0]]
+            found[g] = Fraction(num * c * r_den, common * (g[0] + c) * r_num)
     return PuiseuxSeries._from_keys(found, power.ramification, prec, False)
 
 

@@ -38,6 +38,7 @@ from .core import (
     Lattice,
     PuiseuxError,
     RootError,
+    fmt_power,
     fmt_vec,
     rational_root,
     total,
@@ -255,7 +256,7 @@ def _extract_branch(eta, root_coeff, unit_precision, profile) -> BranchData:
         atilde = Fraction(root_coeff)
         if atilde**m1 != a:
             raise RootError(
-                f"root_coeff {atilde} fails: {atilde}^{m1} = {atilde ** m1} != {a}"
+                f"root_coeff {atilde} fails: {fmt_power(atilde, m1)} = {atilde ** m1} != {a}"
             )
     cap = INF
     if unit_precision is not None and unit_precision != INF:

@@ -31,6 +31,7 @@ from .core import (
     PuiseuxError,
     Vec,
     as_vec,
+    fmt_power,
     mat_det,
     mat_from,
     rat,
@@ -385,7 +386,7 @@ class PuiseuxSeries:
             raise PuiseuxError("unit_root requires a nonzero constant term")
         if root**m != c0:
             raise PuiseuxError(
-                f"claimed root {root} fails: {root}^{m} = {root ** m} != {c0}"
+                f"claimed root {root} fails: {fmt_power(root, m)} = {root ** m} != {c0}"
             )
         return self.unit_power(Fraction(1, m), constant_power=root)
 
@@ -556,22 +557,22 @@ class _GridPower:
     L*k for k = m/gcd(S, m); so N_i = S/gcd(S, m), and when k > 1 the last
     max s_j numerators, the only ones read again, are multiplied by k.  L
     stays the lcm of the true denominators, so the integers grow with the
-    coefficients, not with the degree.  dense_loop is this loop for one r:
-    a full run builds one Fraction for every nonzero P_i, with the power's
-    constant factor folded in, and a run capped at one degree only for that
-    one.  The dual needs the runs for r_j = (p - j u)/q, run j capped at
-    i = j; dual_loop advances all of them together, one degree at a time,
-    over one denominator that they share, and hands dual each pair (N_j, L_j)
-    to fold its own factors into the one Fraction it builds.
+    coefficients, not with the degree.  dense_loop is this loop for one r,
+    and the caller builds one Fraction for every nonzero P_i, with the
+    power's constant factor folded in.  The dual needs the runs for
+    r_j = (p - j u)/q, run j stopped at i = j; dual_loop advances all of
+    them together, one degree at a time, over one denominator that they
+    share, and hands dual each pair (N_j, L_j) to fold its own factors into
+    the one Fraction it builds.
 
-    In h variables a degree holds many keys, and each finished P_k is
-    pushed to the keys k + j with weight a_j (r T(j) - T(k)), so keys finish
-    in increasing total degree from a heap of degrees.
+    In h variables a degree holds many keys, and key_walk visits them in
+    increasing total degree in the same pull form.  It carries the runs of
+    the dual as dual_loop does, those still going at a key being an
+    interval of j, and a single power as one run.
 
     The constructor does the part that depends on f alone: the degrees of
-    f's keys, a_j = A_j/den, the last degree precision allows and the steps
-    in scan order.  Calling the object runs the recurrence for one r, so
-    many powers of one series (as in dual) share that setup.
+    f's keys, a_j = A_j/den and the last degree precision allows.  Calling
+    the object runs the recurrence for one r.
     """
 
     def __init__(self, f: PuiseuxSeries):
@@ -587,19 +588,6 @@ class _GridPower:
         self.max_t = max((t for t, _, _ in items), default=0)
         self.den = math.lcm(*((c / c0).denominator for _, _, c in items))
         self.items = [(t, g, int(c / c0 * self.den)) for t, g, c in items]
-
-    @functools.cached_property
-    def by_degree(self):
-        """Steps (t, 0, t, g, A) sorted by total degree."""
-        return sorted(((t, 0, t, g, a) for t, g, a in self.items), key=lambda s: s[0])
-
-    @functools.cached_property
-    def by_first(self):
-        """Steps (g_1, t - g_1*w0, t, g, A) sorted by first coordinate."""
-        return sorted(
-            ((g[0], t - g[0] * self.w0, t, g, a) for t, g, a in self.items),
-            key=lambda s: s[0],
-        )
 
     @functools.cached_property
     def unit(self) -> int:
@@ -622,19 +610,24 @@ class _GridPower:
     def check_work(self, r: Fraction, runs: int = 0) -> None:
         """Refuse the recurrence for r, before it starts, when its estimated
         work exceeds MAX_POWER_WORK: one run (runs=0), or the runs of dual
-        capped at the first coordinates 0, s, ..., (runs-1)*s, s the gcd of
+        stopped at the first coordinates 0, s, ..., (runs-1)*s, s the gcd of
         the steps' first coordinates.
 
         Degrees and step sizes are counted in units of their gcd.  A run
         that reaches n degrees walks a step of size s at n - s of them.  When
         every step lies in the first variable alone (in one variable, say),
-        the run capped at i*s reaches i + 1 degrees, so over all runs that
+        the run stopped at i*s reaches i + 1 degrees, so over all runs that
         is T(runs) degrees and T(runs - s) walks of the step, T(n) =
-        n(n+1)/2.  Otherwise each capped run is charged a full run.  A degree
-        of several variables may hold many keys; it counts as one.
+        n(n+1)/2.  Otherwise each run is charged a full run, and a degree of
+        several variables counts as one key however many it holds.  For the
+        dual in h variables that is not key_walk's work, which walks each key
+        once for all runs still going there: a run that stops early is
+        charged in full, and the keys of a degree are not counted.  The
+        estimate stays as it is, and so does every refusal, until one counts
+        the keys the walk reaches.
         """
-        first_only = runs and not any(s[1] for s in self.by_first)
-        sizes = [s[0] for s in (self.by_first if first_only else self.by_degree)]
+        first_only = runs and all(t == g[0] * self.w0 for t, g, _ in self.items)
+        sizes = [g[0] if first_only else t for t, g, _ in self.items]
         unit = math.gcd(*sizes) or 1
         if first_only:
             n, times, total = runs, 1, _triangle
@@ -650,113 +643,33 @@ class _GridPower:
                 f"{MAX_POWER_WORK}; lower the precision"
             )
 
-    def __call__(self, r: Fraction, cap=None, scale=1) -> dict[tuple, Fraction]:
+    def __call__(self, r: Fraction, scale=1) -> dict[tuple, Fraction]:
         """The coefficients of scale * P, P = (f/f_0)**r, by grid key,
-        without zeros.
+        without zeros, scale folded into the one Fraction built for each.
 
         The result stops at total degree floor(precision*L); an exact series
         raised to a non-negative integer r stops at r*max T, where the power
-        ends.  With cap, only the keys at first coordinate cap are returned,
-        and only keys from which one of them is still reachable within the
-        degree bound are computed.  In one variable scale folds into the one
-        Fraction built per coefficient; in h variables it multiplies each.
+        ends.
         """
-        limit = self._limit(r)
-        if self.num_vars == 1:
-            return self._dense_run(r, limit, cap, scale)
-        # the push weight is a_j (r T(j) - T(k)) = A_j (p T(j) - q T(k)) / (q den)
-        # for r = p/q
         p, q = r.numerator, r.denominator
-        den = self.den
-        # each step is checked against two additive budgets: the first is sorted
-        # and ends the scan, the second is only skipped
-        if cap is None:
-            first, second = limit, 0
-            steps = self.by_degree
+        if self.num_vars == 1:
+            runs = self.dense_loop(p, q, self._limit(r) // self.unit)
         else:
-            w0 = self.w0
-            first, second = cap, limit - cap * w0
-            steps = self.by_first
-        # Sums are kept in integers: a key finished at degree d pushes its
-        # numerator over lcm_den[d], the lcm of every denominator finished so
-        # far, and a pending sum (s, e) stands for s / lcm_den[e].  Degrees
-        # finish in increasing order, so lcm_den[e] divides every later one and
-        # a sum moves to a later denominator by an exact integer factor.
-        lcm_den = {}
-        common = 1
-        pending = {0: {(0,) * self.num_vars: None}}
-        degrees = [0]
-        out = {}
-        while degrees:
-            d = heapq.heappop(degrees)
-            finished = []
-            for g, acc in pending.pop(d).items():
-                v = Fraction(acc[0], lcm_den[acc[1]] * q * den * d) if d else Fraction(1)
-                if v:
-                    finished.append((g, v))
-                    common = math.lcm(common, v.denominator)
-            lcm_den[d] = common
-            qd = q * d
-            for g, v in finished:
-                out[g] = v
-                n = v.numerator * (common // v.denominator)
-                if cap is None:
-                    first_g, second_g = d, 0
-                else:
-                    first_g, second_g = g[0], d - g[0] * w0
-                for first_j, second_j, t, gj, a in steps:
-                    if first_g + first_j > first:
-                        break
-                    if second_g + second_j > second:
-                        continue
-                    m = p * t - qd
-                    if not m:
-                        continue
-                    key = tuple(map(operator.add, g, gj))
-                    c = n * a * m
-                    level = pending.get(d + t)
-                    if level is None:
-                        pending[d + t] = {key: (c, d)}
-                        heapq.heappush(degrees, d + t)
-                        continue
-                    old = level.get(key)
-                    if old is None:
-                        level[key] = (c, d)
-                    else:
-                        s, e = old
-                        if e != d:
-                            s *= common // lcm_den[e]
-                        level[key] = (s + c, d)
-        if cap is not None:
-            out = {g: v for g, v in out.items() if g[0] == cap}
-        if scale != 1:
-            out = {g: v * scale for g, v in out.items()}
-        return out
-
-    def _dense_run(self, r: Fraction, limit: int, cap, scale) -> dict[tuple, Fraction]:
-        """__call__ in one variable: the dense loop of the class docstring."""
-        unit = self.unit
-        if cap is None:
-            out = {(0,): Fraction(scale)}
-            self.dense_loop(r.numerator, r.denominator, limit // unit, out, scale)
-            return out
-        if cap > limit or cap % unit:
-            return {}
-        num, common = self.dense_loop(r.numerator, r.denominator, cap // unit)
-        return {(cap,): Fraction(num, common) * scale} if num else {}
-
-    def dense_loop(self, p: int, q: int, last: int, out=None, scale=1) -> tuple[int, int]:
-        """The one-variable run for r = p/q up to degree last*u: returns
-        (N, L), P_last = N/L, and with out also stores every nonzero
-        scale * P_i there as a Fraction, the one built for that i."""
-        unit = self.unit
+            runs = self.key_walk(p, q, 0)
         s_num, s_den = scale.numerator, scale.denominator
+        return {g: Fraction(num * s_num, common * s_den) for g, num, common in runs if num}
+
+    def dense_loop(self, p: int, q: int, last: int):
+        """The one-variable run for r = p/q up to degree last*u: yields
+        (g, N, L), P_g = N/L, for every key g = (i*u,) in order."""
+        unit = self.unit
         qden = q * self.den
         steps = [(t // unit, a * (p + q) * (t // unit), a * q) for t, _, a in self.items]
         width = self.max_t // unit
         # nums[-s] is N_(i-s); the width zeros in front stand for i - s < 0
         nums = [0] * width + [1]
         common = 1
+        yield (0,), 1, 1
         for i in range(1, last + 1):
             acc = 0
             for s, c1, c2 in steps:
@@ -769,15 +682,14 @@ class _GridPower:
                     common *= k
                     nums[-width:] = [x * k for x in nums[-width:]]
                 acc //= g
-                if out is not None:
-                    out[(i * unit,)] = Fraction(acc * s_num, common * s_den)
             nums.append(acc)
-        return nums[-1], common
+            yield (i * unit,), acc, common
 
     def dual_loop(self, p: int, q: int, runs: int):
         """The one-variable runs for r_j = (p - j*u)/q, j = 0, ..., runs-1,
         run j stopped at degree j*u, advanced together one degree at a time:
-        yields (N, L), P_j = N/L of run j, in order of j.
+        yields (g, N, L), P_g = N/L of run j at its last key g = (j*u,), in
+        order of j.
 
         At degree i the runs still going are j = i, ..., runs-1, and the
         weight of step s, A_s((p_j + q) s - q i) with p_j = p - j u, is an
@@ -794,7 +706,7 @@ class _GridPower:
         # rows[-s] is row i - s, the entries for runs i - s, ..., runs-1
         rows = collections.deque([([1] * runs, 1)], maxlen=steps[-1][0] if steps else 1)
         common = 1
-        yield 1, 1
+        yield (0,), 1, 1
         for i in range(1, runs):
             n = runs - i
             acc = None
@@ -817,7 +729,83 @@ class _GridPower:
                 if g != 1:
                     acc = list(map(operator.floordiv, acc, itertools.repeat(g)))
             rows.append((acc, common))
-            yield acc[0], common
+            yield (i * unit,), acc[0], common
+
+    def key_walk(self, p: int, q: int, step: int):
+        """The runs for r_j = (p - j*step)/q, run j stopped at first
+        coordinate j*step, advanced together over the keys in increasing
+        total degree: yields (g, N, L) for every key g reached, P_g = N/L of
+        run g_1/step, the run that keeps g.  With step 0 the one run is the
+        plain power for r = p/q.
+
+        No step lowers g_1 or T(g) - g_1 w0, so run j needs the keys with
+        g_1 <= j*step and T(g) - g_1 w0 <= limit - j*step*w0: an interval of
+        j that starts at g_1/step and lies inside the interval of every key
+        g reads from.  A row holds N_g of those runs over one denominator,
+        reduced by one gcd a degree, and a step's weight
+        A_s((p_j + q) T(s) - q T(g)) is an arithmetic progression in j, with
+        L/L_row folded in as in dual_loop.  Only the reached degrees are
+        visited, and only the rows the longest step can still read kept."""
+        limit = self._limit(Fraction(p, q))
+        w0, qden = self.w0, q * self.den
+        # span is the rest degree one run adds; with step 0 every key has the
+        # one run 0, and limit + 1 gives every key up to the limit that interval
+        span = step * w0 or limit + 1
+        # each step: (T(s), s, s_1/step, A_s (p + q) T(s), A_s step T(s), A_s q)
+        steps = [
+            (t, g, g[0] // step if step else 0, a * (p + q) * t, a * step * t, a * q)
+            for t, g, a in sorted(self.items, key=lambda s: s[0])
+        ]
+        zero = (0,) * self.num_vars
+        # levels[d] = (L_d, {g: (first run, row)}) for the keys g of degree d
+        levels = {0: (1, {zero: (0, [1] * (limit // span + 1))})}
+        kept = collections.deque([0])
+        degrees = sorted({t for t, *_ in steps if t <= limit})
+        reached = set(degrees)
+        common = 1
+        yield zero, 1, 1
+        while degrees:
+            d = heapq.heappop(degrees)
+            while kept[0] < d - self.max_t:
+                del levels[kept.popleft()]
+            sums = {}
+            for t, gs, ds, c1, c2, c3 in steps:
+                if t > d:
+                    break
+                level = levels.get(d - t)
+                if level is None:
+                    continue
+                at, rows = level
+                f = common // at
+                base, diff = (c1 - c3 * d) * f, -c2 * f
+                for g, (lo, prev) in rows.items():
+                    key = tuple(map(operator.add, g, gs))
+                    lo += ds
+                    old = sums.get(key)
+                    if old is None:
+                        n = (limit - d + key[0] * w0) // span - lo + 1
+                    else:
+                        n = len(old[1])
+                    terms = map(operator.mul, itertools.count(base + diff * lo, diff), prev[ds:ds + n])
+                    sums[key] = (lo, list(terms) if old is None else list(map(operator.add, old[1], terms)))
+            m = qden * d
+            g = math.gcd(m, *itertools.chain.from_iterable(acc for _, acc in sums.values()))
+            if g != m:
+                common *= m // g
+            rows = {}
+            for key, (lo, acc) in sums.items():
+                if g != 1:
+                    acc = list(map(operator.floordiv, acc, itertools.repeat(g)))
+                if any(acc):
+                    rows[key] = (lo, acc)
+                yield key, acc[0], common
+            if rows:
+                levels[d] = (common, rows)
+                kept.append(d)
+                for t, *_ in steps:
+                    if t <= limit - d and d + t not in reached:
+                        reached.add(d + t)
+                        heapq.heappush(degrees, d + t)
 
 
 def _line(n: int) -> int:

@@ -7,9 +7,10 @@ are the library's earlier versions, and the current ones must agree with
 them coefficient for coefficient:
 
 - power and dual computations built from series multiplication alone;
-- the per-k dual read off a power, one capped recurrence run per first
-  coordinate k, each scaled by Fraction products, where the library now
-  runs one integer loop in one variable;
+- the per-k dual read off a power, one capped heap walk of the recurrence
+  per first coordinate k, each scaled by Fraction products, where the
+  library now advances all runs together in one integer loop (one
+  variable) or one walk over the keys (several);
 - essential sequences by repeated minima and by a walk over Fraction
   vectors with rebuilt lattices, Hermite form and monomial substitution;
 - the inversion pipeline that duals the dense unit part itself;
@@ -19,6 +20,7 @@ them coefficient for coefficient:
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -44,7 +46,6 @@ from puiseux.inversion import (
     _rescale_sequence,
     _unit_frame_lattice,
 )
-from puiseux.series import _GridPower
 
 # dense univariate polynomials: dict {int exponent: Fraction}, truncated
 
@@ -348,10 +349,96 @@ def dual_tower_heap(phi):
     return PuiseuxSeries(h, terms, prec)
 
 
+def capped_heap_run(f, r, cap=None):
+    """The library's earlier run of Miller's recurrence for P = (f/f_0)**r,
+    by grid key without zeros: keys finish in increasing total degree from
+    a heap of degrees, each finished P_g pushed to g + j with weight
+    a_j (r T(j) - T(g)).  With cap only the keys at first coordinate cap are
+    returned, and only keys from which one of them is still reachable within
+    the degree bound are computed.
+
+    The result stops at total degree floor(precision*L); an exact series
+    raised to a non-negative integer r stops at r*max T."""
+    grid = f.ramification
+    lcm_all = math.lcm(*grid)
+    weights = [lcm_all // n for n in grid]
+    w0 = weights[0]
+    c0 = f.constant_term()
+    items = [(sum(map(operator.mul, g, weights)), g, c / c0) for g, c in f._keys.items()]
+    items = [(t, g, c) for t, g, c in items if t]
+    den = math.lcm(*(c.denominator for _, _, c in items))
+    cutoff = INF if f.precision is INF else math.floor(f.precision * lcm_all)
+    if not items:
+        limit = 0
+    elif r.denominator == 1 and r >= 0:
+        limit = min(r.numerator * max(t for t, _, _ in items), cutoff)
+    elif cutoff is INF:
+        raise PrecisionError("power of an exact non-constant series has infinite support")
+    else:
+        limit = cutoff
+    # the push weight is a_j (r T(j) - T(k)) = A_j (p T(j) - q T(k)) / (q den)
+    # for r = p/q; each step is checked against two additive budgets: the
+    # first is sorted and ends the scan, the second is only skipped
+    p, q = r.numerator, r.denominator
+    if cap is None:
+        first, second = limit, 0
+        steps = sorted((t, 0, t, g, int(c * den)) for t, g, c in items)
+    else:
+        first, second = cap, limit - cap * w0
+        steps = sorted((g[0], t - g[0] * w0, t, g, int(c * den)) for t, g, c in items)
+    # a key finished at degree d pushes its numerator over lcm_den[d], the lcm
+    # of every denominator finished so far, and a pending sum (s, e) stands
+    # for s / lcm_den[e]
+    lcm_den = {}
+    common = 1
+    pending = {0: {(0,) * len(grid): None}}
+    degrees = [0]
+    out = {}
+    while degrees:
+        d = heapq.heappop(degrees)
+        finished = []
+        for g, acc in pending.pop(d).items():
+            v = Fraction(acc[0], lcm_den[acc[1]] * q * den * d) if d else Fraction(1)
+            if v:
+                finished.append((g, v))
+                common = math.lcm(common, v.denominator)
+        lcm_den[d] = common
+        for g, v in finished:
+            out[g] = v
+            n = v.numerator * (common // v.denominator)
+            first_g, second_g = (d, 0) if cap is None else (g[0], d - g[0] * w0)
+            for first_j, second_j, t, gj, a in steps:
+                if first_g + first_j > first:
+                    break
+                if second_g + second_j > second:
+                    continue
+                mult = p * t - q * d
+                if not mult:
+                    continue
+                key = tuple(map(operator.add, g, gj))
+                c = n * a * mult
+                level = pending.get(d + t)
+                if level is None:
+                    pending[d + t] = {key: (c, d)}
+                    heapq.heappush(degrees, d + t)
+                    continue
+                old = level.get(key)
+                if old is None:
+                    level[key] = (c, d)
+                else:
+                    s, e = old
+                    if e != d:
+                        s *= common // lcm_den[e]
+                    level[key] = (s + c, d)
+    if cap is not None:
+        out = {g: v for g, v in out.items() if g[0] == cap}
+    return out
+
+
 def dual_from_power_reference(power, m, c0, a):
     """The library's earlier psi^a read off power = phi^m: every k is one
-    public recurrence run capped at first coordinate k, scaled by the
-    Fraction product r0^-(k + a*n1) * a*n1/(k + a*n1)."""
+    capped heap run at first coordinate k, scaled by the Fraction product
+    r0^-(k + a*n1) * a*n1/(k + a*n1)."""
     if c0 == 0:
         raise PuiseuxError("dual requires a nonzero constant term")
     if power.laurent:
@@ -364,12 +451,11 @@ def dual_from_power_reference(power, m, c0, a):
     if r0 is None:
         raise RootError(f"no rational {n1}-th root of {c0}")
     step = math.gcd(*(g[0] for g in power._keys))
-    recurrence = _GridPower(power)
     ks = range(0, math.floor(prec * n1) + 1, step) if step else [0]
     found = {}
     factor, stride = r0 ** -(a * n1), r0 ** -step
     for k in ks:
-        coeffs = recurrence(Fraction(-(k + a * n1), n1 * m), cap=k)
+        coeffs = capped_heap_run(power, Fraction(-(k + a * n1), n1 * m), cap=k)
         scale = factor * Fraction(a * n1, k + a * n1)
         found.update((g, c * scale) for g, c in coeffs.items())
         factor *= stride

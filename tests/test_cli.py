@@ -63,6 +63,14 @@ def test_invert_example(capsys):
     assert "PASS" in out
 
 
+def test_invert_refusal_parenthesizes_a_negative_or_fractional_root(capsys):
+    for root, power in (("-2", "(-2)^6 = 64"), ("3/2", "(3/2)^6 = 729/64"), ("2", "2^6 = 64")):
+        code, out, err = run(capsys, "invert", "4*x^(3/2)+x^(7/4)", "--root-coeff", root,
+                             "--precision", "3")
+        assert (code, out) == (1, "")
+        assert err == f"error: root_coeff {root} fails: {power} != 4\n"
+
+
 def test_invert_json_roundtrips(capsys):
     from fractions import Fraction as F
 

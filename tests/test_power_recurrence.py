@@ -1,11 +1,13 @@
 """The recurrence-based unit_power, pow_int and dual against the earlier
 product-based algorithms kept in oracles.py, and the dense one-variable run
-of the recurrence against its general heap walk.
+of the recurrence and its key walk in several variables against the earlier
+capped heap walk, also kept there.
 
 Every comparison is exact: the same terms, precision, Laurent flag and
 ramification.
 """
 
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -14,6 +16,7 @@ import pytest
 
 from builders import NONZERO, perfect_power_unit, random_exponent, random_unit_series
 from oracles import (
+    capped_heap_run,
     dual_from_power_reference,
     dual_tower_heap,
     pow_int_products,
@@ -27,6 +30,7 @@ from puiseux import (
     RootError,
     dual,
     extract_branch,
+    invert_series,
     parse,
 )
 from puiseux.core import rational_root
@@ -138,17 +142,26 @@ def test_constant_series():
 
 def embedded(s):
     """s in two variables with a zero second exponent: the same degrees,
-    walked by the heap path."""
+    walked over keys."""
     return PuiseuxSeries(2, {e + (F(0),): c for e, c in s.terms.items()}, s.precision)
 
 
 def same_runs(s, r, cap=None):
-    """The dense run of s and the heap run of s embedded agree exactly."""
-    dense = _GridPower(s)(r, cap)
-    heap = _GridPower(embedded(s))(r, cap)
-    assert dense == {g[:1]: c for g, c in heap.items()}
+    """The dense run of s, the key walk of s embedded and the heap run of s
+    embedded agree exactly; with cap, the capped heap run keeps the dense
+    run's keys at first coordinate cap."""
+    dense = _GridPower(s)(r)
+    walk = _GridPower(embedded(s))(r)
+    assert dense == {g[:1]: c for g, c in walk.items()}
+    assert all(g[1] == 0 for g in walk)
+    heap = capped_heap_run(embedded(s), r, cap)
     assert all(g[1] == 0 for g in heap)
-    return dense
+    if cap is None:
+        assert heap == walk
+        return dense
+    capped = {g[:1]: c for g, c in heap.items()}
+    assert capped == {g: c for g, c in dense.items() if g[0] == cap}
+    return capped
 
 
 DENSE_RS = [F(-3), F(-1), F(-5, 3), F(-1, 2), F(0), F(1, 2), F(2, 3), F(1), F(2), F(3)]
@@ -258,6 +271,93 @@ def test_batched_dual_refuses_an_irrational_root():
     for call in (_dual_from_power, dual_from_power_reference):
         with pytest.raises(RootError, match="2"):
             call(power, 1, F(2), 1)
+
+
+def random_several_variables(rng, h, precision, r0=F(1)):
+    """A unit in h variables whose first coordinates are multiples of u/n1,
+    some keys at first coordinate 0, and whose constant term is r0^n1, so
+    that its dual stays rational."""
+    n1, u = rng.choice((1, 2, 3)), rng.choice((1, 2, 3))
+    dens = rng.choice(((1,), (1, 2)))
+    terms = {(F(0),) * h: r0**n1}
+    for _ in range(rng.randrange(2, 5)):
+        first = F(u * rng.randrange(0, 3), n1)
+        rest = tuple(F(rng.randrange(0, 3), rng.choice(dens)) for _ in range(h - 1))
+        if first or any(rest):
+            terms[(first, *rest)] = rng.choice(NONZERO)
+    return PuiseuxSeries(h, terms, precision)
+
+
+@pytest.mark.parametrize("h, top", [(2, 12), (3, 7)])
+def test_key_walk_dual_matches_the_capped_heap_runs(h, top):
+    # psi^a read off phi^m by the one key walk, against one capped heap run
+    # per first coordinate k
+    rng = random.Random(1600 + h)
+    seen = {"step": set(), "first 0": False, "r0": set(), "precision": set()}
+    for i, precision in enumerate([top] + [rng.randrange(1, top) for _ in range(8)]):
+        phi = random_several_variables(rng, h, F(precision), (F(1), F(-2), F(3, 2))[i % 3])
+        c0, n1 = phi.constant_term(), phi.ramification[0]
+        seen["r0"].add(c0 if n1 == 1 else rational_root(c0, n1))
+        seen["precision"].add(phi.precision)
+        for m in (1, 2, 3, 4):
+            power = phi.pow_int(m)
+            seen["step"].add(math.gcd(*(g[0] for g in power._keys)))
+            seen["first 0"] |= any(g[0] == 0 and any(g) for g in power._keys)
+            for a in (1, 2, 3):
+                same(_dual_from_power(power, m, c0, a), dual_from_power_reference(power, m, c0, a))
+    assert max(seen["step"]) > 1 and seen["first 0"] and top in seen["precision"]
+    assert {F(1), F(-2), F(3, 2)} <= seen["r0"]
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_key_walk_powers_match_the_product_references(h):
+    rng = random.Random(1610 + h)
+    for _ in range(6):
+        s = random_several_variables(rng, h, F(rng.randrange(1, 6)), rng.choice(NONZERO))
+        for r in (F(-2), F(-1, 2), F(1, 3), F(2)):
+            same(s.unit_power(r, constant_power=F(7, 3)),
+                 unit_power_binomial(s, r, constant_power=F(7, 3)))
+        for n in range(-3, 4):
+            same(s.pow_int(n), pow_int_products(s, n))
+
+
+@pytest.mark.parametrize("h", [2, 3])
+@pytest.mark.parametrize("text, precision", [("3", 5), ("3", INF), ("3 + t1*t2", 0)])
+def test_key_walk_dual_of_a_single_run(h, text, precision):
+    # a constant-only power and precision 0 give the one run k = 0
+    phi = parse(text, num_vars=h, precision=precision).truncate(precision)
+    for m, a in ((1, 1), (2, 3)):
+        power = phi.pow_int(m)
+        got = _dual_from_power(power, m, phi.constant_term(), a)
+        same(got, dual_from_power_reference(power, m, phi.constant_term(), a))
+    assert dual(phi).terms == {(F(0),) * h: F(1, 3)}
+
+
+@pytest.mark.parametrize(
+    "phi, error",
+    [
+        # first denominator 2 and constant term 2: no rational square root
+        (PuiseuxSeries(2, {(F(0), F(0)): F(2), (F(1, 2), F(1)): F(1)}, F(4)), RootError),
+        (parse("t^(-1) + 1 + t", laurent=True, precision=4), PuiseuxError),
+        (parse("1 + t1*t2", num_vars=2, precision=INF), PrecisionError),
+    ],
+)
+def test_key_walk_dual_refuses_as_the_reference_does(phi, error):
+    c0 = phi.constant_term()
+    for call in (_dual_from_power, dual_from_power_reference):
+        with pytest.raises(error) as refusal:
+            call(phi, 1, c0, 1)
+        assert type(refusal.value) is error
+
+
+def test_h3_inversion_at_n_500_is_quick():
+    # a multi-variable dual is one walk over the keys, not one capped walk
+    # per first coordinate: 9-12 s before, under a second here
+    eta = parse("x1^(3/2) + 2*x1^(7/4)*x2^(1/2) - 3*x1^(2)*x2^(1/3)*x3^(1/2)", precision=INF)
+    start = time.perf_counter()
+    result = invert_series(eta, 84)
+    assert time.perf_counter() - start < 5
+    assert result.checks.all_passed
 
 
 def test_dual_of_the_dense_anchor_unit_keeps_its_integers_reduced():

@@ -145,6 +145,16 @@ def test_unit_root_rejects_wrong_root():
     assert "3" in str(err.value) and "4" in str(err.value)
 
 
+def test_unit_root_refusal_parenthesizes_a_negative_or_fractional_root():
+    s = parse("4 + t", precision=5)
+    for root, words in ((-3, "claimed root -3 fails: (-3)^2 = 9 != 4"),
+                        (F(3, 2), "claimed root 3/2 fails: (3/2)^2 = 9/4 != 4"),
+                        (3, "claimed root 3 fails: 3^2 = 9 != 4")):
+        with pytest.raises(PuiseuxError) as err:
+            s.unit_root(2, root)
+        assert str(err.value) == words
+
+
 def test_monomial_substitute_identity():
     s = parse("x1^(3/2) + x2^(1/4)")
     q = [[F(1), F(0)], [F(0), F(1)]]
