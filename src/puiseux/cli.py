@@ -50,11 +50,21 @@ def _apply_params(text: str, params: list[str]) -> str:
     return text
 
 
+def _option_rat(option: str, value: str, what: str) -> Fraction:
+    """value as a rational; text that is no rational names option and value."""
+    try:
+        return rat(value)
+    except PuiseuxError:
+        raise
+    except ValueError:
+        raise PuiseuxError(f"{option} must be {what}, got {value!r}") from None
+
+
 def _precision(args, default=DEFAULT_PRECISION):
     """--precision as a rational, or default when it is absent."""
     if args.precision is None:
         return default
-    value = rat(args.precision)
+    value = _option_rat("--precision", args.precision, "a non-negative rational")
     if value < 0:
         raise PuiseuxError(f"--precision must be non-negative, got {args.precision}")
     return value
@@ -166,7 +176,9 @@ def _xi_names(h: int) -> list[str]:
 
 def _invert(args, eta: PuiseuxSeries):
     """Invert eta at --precision with --root-coeff (invert, lagrange, verify)."""
-    root = None if args.root_coeff is None else rat(args.root_coeff)
+    root = None
+    if args.root_coeff is not None:
+        root = _option_rat("--root-coeff", args.root_coeff, "a rational p/q")
     return invert_series(eta, _precision(args), root_coeff=root)
 
 

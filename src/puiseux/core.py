@@ -340,14 +340,24 @@ class Lattice:
 
     @classmethod
     def scaled_axes(cls, dim: int, scales: Sequence) -> "Lattice":
-        """The lattice s_1 Z v_1 + ... + s_h Z v_h."""
+        """The lattice s_1 Z v_1 + ... + s_h Z v_h.  For positive s_i the
+        diagonal of the s_i*scale, scale the lcm of their denominators, is
+        its own Hermite form, and gcd(scale, s_1*scale, ...) = 1: each prime
+        p of scale has its full power in the denominator of some s_i, whose
+        numerator is prime to p, so p does not divide s_i*scale.  Zero or
+        negative s_i go through the general reduction."""
         if len(scales) != dim:
             raise DimensionError("one scale per axis required")
-        scales = [rat(s) for s in scales]
+        scales = [s if type(s) is int else rat(s) for s in scales]
         scale = math.lcm(1, *(s.denominator for s in scales))
-        diag = [int(s * scale) for s in scales]
-        rows = [[d if j == i else 0 for j in range(dim)] for i, d in enumerate(diag)]
-        return cls._from_ints(dim, scale, rows)
+        diag = [s.numerator * (scale // s.denominator) for s in scales]
+        rows = [(0,) * i + (d,) + (0,) * (dim - 1 - i) for i, d in enumerate(diag)]
+        if min(diag, default=1) <= 0:
+            return cls._from_ints(dim, scale, rows)
+        lat = cls.__new__(cls)
+        lat.dim, lat.scale = dim, scale
+        lat.rows = lat._by_pivot = tuple(rows)
+        return lat
 
     @property
     def rank(self) -> int:

@@ -219,7 +219,10 @@ def essential_exponents(
     denoms = [math.lcm(*(c.denominator for c in col)) for col in zip(*vecs)]
     grid, denoms = _walk_grid(denoms, lattice, order, ramification)
     points = [[c.numerator * (grid // c.denominator) for c in v] for v in vecs]
-    kept, complete = _essential_walk(points, grid, denoms, lattice, order)
+    # an order compares the points as it does the exponents they scale
+    ranks = points if order._identity else [mat_vec(order.matrix, x) for x in points]
+    walk = [(i, points[i]) for i in sorted(range(len(points)), key=ranks.__getitem__)]
+    kept, complete = _essential_walk(walk, grid, denoms, lattice)
     return EssentialSequence(tuple([vecs[i] for i in kept]), lattice, order, complete)
 
 
@@ -245,20 +248,13 @@ def _walk_grid(denoms, lattice, order, ramification):
     return math.lcm(lattice.scale, *denoms), denoms
 
 
-def _essential_walk(points, grid, denoms, lattice, order):
-    """The walk over S as integer points on (1/grid)Z^h, which it consumes.
-    Returns the positions of the entries in points, in order, and whether
-    the sequence is complete."""
+def _essential_walk(walk, grid, denoms, lattice):
+    """The walk over S as (position, integer point on (1/grid)Z^h) pairs in
+    increasing order, whose points it consumes.  Returns the positions of
+    the entries, in order, and whether the sequence is complete."""
     dim = len(denoms)
     pending = [[grid // n if j == i else 0 for j in range(dim)] for i, n in enumerate(denoms)]
     rows = lattice._grid_rows(grid)
-    # an order compares the points as it does the exponents they scale
-    if order._identity:
-        rank = points.__getitem__
-    else:
-        keys = [mat_vec(order.matrix, x) for x in points]
-        rank = keys.__getitem__
-    walk = sorted(range(len(points)), key=rank)
 
     # The joined lattice only grows, so one walk in increasing order finds
     # the greedy sequence: an element is the next entry exactly when the
@@ -266,8 +262,8 @@ def _essential_walk(points, grid, denoms, lattice, order):
     # the rows hold every ramification point they hold every element of S,
     # and the walk stops.
     kept = []
-    for i in walk:
-        if _echelon_reduce(rows, points[i], True) and kept:
+    for i, point in walk:
+        if _echelon_reduce(rows, point, True) and kept:
             continue
         kept.append(i)
         pending = [p for p in pending if not _echelon_reduce(rows, p[:], False)]
@@ -299,9 +295,13 @@ def essential_of_series(series, lattice=None, order=None) -> EssentialSequence:
     n = series.ramification
     grid, denoms = _walk_grid(n, lattice, order, None)
     factors = [grid // d for d in n]
-    keys = list(series._keys)
-    points = [list(map(mul, g, factors)) for g in keys]
-    kept, complete = _essential_walk(points, grid, denoms, lattice, order)
+    # the points are the exponents times grid, so they sort as the keys do
+    # under lex; a key becomes a point only when the walk, which often
+    # stops early, reaches it
+    rank = None if order._identity else lambda g: mat_vec(order.matrix, list(map(mul, g, factors)))
+    keys = sorted(series._keys, key=rank)
+    walk = ((i, list(map(mul, g, factors))) for i, g in enumerate(keys))
+    kept, complete = _essential_walk(walk, grid, denoms, lattice)
     entries = tuple([series._vec(keys[i]) for i in kept])
     return EssentialSequence(entries, lattice, order, complete)
 

@@ -207,24 +207,20 @@ class InversionResult:
 
 
 def _dominating_profile(eta: PuiseuxSeries):
-    """Locate the dominating pure-x1 term; returns (lambda1, a, m1)."""
+    """Locate the dominating pure-x1 term a*x1^(m1/n1), eta's least key; returns (a, m1)."""
     if eta.is_zero():
         raise DominationError("the zero series has no dominating term")
     if eta.laurent:
         raise DominationError("dominating extraction needs non-negative exponents")
-    support = eta.support()
-    lam1 = min(e[0] for e in support)
-    h = eta.num_vars
-    candidate = tuple(lam1 if i == 0 else Fraction(0) for i in range(h))
-    if lam1 <= 0 or candidate not in support:
+    low = min(eta._keys)
+    if low[0] <= 0 or any(low[1:]):
         witness = min(
-            (e for e in support if e[0] == lam1), key=lambda e: (total(e), e)
+            (eta._vec(g) for g in eta._keys if g[0] == low[0]), key=lambda e: (total(e), e)
         )
         raise DominationError(
             f"series is not x1-dominating: offending exponent {fmt_vec(witness)}"
         )
-    # lam1 > 0 lies on the grid 1/n1, so m1 = lam1*n1 is a positive integer
-    return lam1, eta.coefficient(candidate), int(lam1 * eta.ramification[0])
+    return eta._keys[low], low[0]
 
 
 def extract_branch(
@@ -243,7 +239,7 @@ def extract_branch(
 
 def _extract_branch(eta, root_coeff, unit_precision, profile) -> BranchData:
     """extract_branch, given eta's _dominating_profile."""
-    _, a, m1 = profile
+    a, m1 = profile
     n = eta.ramification
     if root_coeff is None:
         atilde = rational_root(a, m1)
@@ -270,39 +266,35 @@ def _extract_branch(eta, root_coeff, unit_precision, profile) -> BranchData:
     return BranchData._from_power(unit_m, m1, atilde, n)
 
 
-def _unit_frame_lattice(h: int, first: int) -> Lattice:
-    """first*Z v1 + Z v2 + ... + Z vh."""
-    return Lattice.scaled_axes(h, [first] + [1] * (h - 1))
-
-
 def _unit_frame_sequences(eta_t, xi_u, m1: int, n1: int):
     """ess(eta_t, n1 Z v1 + Z v2 + ..., lex) and ess(xi_u, m1 Z v1 + Z v2 +
     ..., lex), walked on the series' keys."""
     h = eta_t.num_vars
-    lex = AdditiveOrder.lex(h)
+    lex, ones = AdditiveOrder.lex(h), [1] * (h - 1)
     return (
-        essential_of_series(eta_t, _unit_frame_lattice(h, n1), lex),
-        essential_of_series(xi_u, _unit_frame_lattice(h, m1), lex),
+        essential_of_series(eta_t, Lattice.scaled_axes(h, [n1, *ones]), lex),
+        essential_of_series(xi_u, Lattice.scaled_axes(h, [m1, *ones]), lex),
     )
 
 
-def _rescale_sequence(seq: EssentialSequence, divisors) -> EssentialSequence:
+def _rescale_sequence(seq: EssentialSequence, first: int, divisors) -> EssentialSequence:
+    """seq, relative to first*Z v1 + Z v2 + ..., with coordinate i divided by divisors[i]."""
     entries = tuple(
-        tuple(c / d for c, d in zip(e, divisors)) for e in seq.entries
+        tuple([Fraction(c.numerator, c.denominator * d) for c, d in zip(e, divisors)])
+        for e in seq.entries
     )
-    lattice = Lattice(
-        seq.relative_to.dim,
-        [tuple(c / d for c, d in zip(b, divisors)) for b in seq.relative_to.basis()],
-    )
+    scales = [Fraction(first, divisors[0])] + [Fraction(1, d) for d in divisors[1:]]
+    lattice = Lattice.scaled_axes(len(divisors), scales)
     return EssentialSequence(entries, lattice, seq.order, seq.complete)
 
 
 def _required_unit_precision(target, m1: int, n: tuple[int, ...]):
-    """N = target*max(m1, n2, ..., nh) - n1, at least 0."""
+    """N = target*max(m1, n2, ..., nh) - n1, at least 0, one Fraction built from ints."""
     if target == INF:
         return INF
-    max_div = max([m1] + list(n[1:]))
-    return max(Fraction(0), Fraction(target) * max_div - n[0])
+    target = target if type(target) is Fraction else Fraction(target)
+    num = target.numerator * max((m1, *n[1:])) - n[0] * target.denominator
+    return Fraction(max(num, 0), target.denominator)
 
 
 def _halphen_stolz_report(
@@ -370,18 +362,16 @@ def _halphen_stolz_report(
     return report
 
 
-def _working_precision(data: BranchData, target_precision):
+def _working_precision(data: BranchData, target_precision, need=None):
     """The unit precision N that invert_branch(data, target_precision)
     works at, lagrange_series(data) at target None and lagrange_coefficient
     at target q/m1: their one gate.  Refuses an exact unit part without a
-    target, an N above MAX_UNIT_PRECISION and a unit part too short for N."""
+    target, an N above MAX_UNIT_PRECISION and a unit part too short for N;
+    need is that N when the caller has computed it."""
     held = data._held
-    if target_precision is None:
-        need = held.precision
-    else:
-        need = _required_unit_precision(
-            target_precision, data.exponent_m, data.ramification
-        )
+    if need is None:
+        need = held.precision if target_precision is None else _required_unit_precision(
+            target_precision, data.exponent_m, data.ramification)
     if need is INF and held.precision is INF and len(held._keys) > 1:
         raise PrecisionError("exact unit part: pass target_precision")
     if need is not INF and need > MAX_UNIT_PRECISION:
@@ -420,7 +410,11 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
     much is required.  A unit precision N above MAX_UNIT_PRECISION is refused
     before any work.
     """
-    need = _working_precision(data, target_precision)
+    return _invert(data, _working_precision(data, target_precision))
+
+
+def _invert(data: BranchData, need) -> InversionResult:
+    """invert_branch at the unit precision N = need its gate admitted."""
     if data._from_unit and need < data.series.precision:
         unit_m = data.series.truncate(need).pow_int(data.exponent_m)
     else:
@@ -443,8 +437,8 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
         m1=m1,
         n1=n1,
         root_coeff=atilde,
-        ess_eta=_rescale_sequence(ess_t, n),
-        ess_xi=_rescale_sequence(ess_u, xi_divisors),
+        ess_eta=_rescale_sequence(ess_t, n1, n),
+        ess_xi=_rescale_sequence(ess_u, m1, xi_divisors),
         checks=checks,
         branch=data,
     )
@@ -456,11 +450,11 @@ def invert_series(
     """invert_branch of eta's branch data, extracted at the unit precision
     N that target_precision needs, so the output is complete up to
     target_precision.  This is the one path from eta to xi: every check
-    on the precision is invert_branch's."""
+    on the precision is invert_branch's, at the N computed here once."""
     profile = _dominating_profile(eta)
-    need = _required_unit_precision(target_precision, profile[2], eta.ramification)
+    need = _required_unit_precision(target_precision, profile[1], eta.ramification)
     data = _extract_branch(eta, root_coeff, need, profile)
-    return invert_branch(data, target_precision)
+    return _invert(data, _working_precision(data, target_precision, need))
 
 
 def verify_halphen_stolz(result: InversionResult) -> CheckReport:

@@ -71,6 +71,8 @@ class PrecisionError(PuiseuxError):
 def _norm_prec(p):
     """Map any way of saying 'infinite' to the one INF object; fractions
     otherwise, so identity checks against INF stay valid internally."""
+    if type(p) is Fraction:
+        return p
     if p == INF:
         return INF
     return rat(p)
@@ -97,10 +99,14 @@ def _substitute_prec(precision, col_sums):
 
 def _reframe_prec(precision, diagonal, shift=0, cap=INF):
     """The precision of PuiseuxSeries._reframe: that of monomial_substitute
-    by diag(diagonal), then of a shift of total degree shift, then of
-    truncate at cap."""
-    moved = _add_prec(_substitute_prec(precision, diagonal), shift)
-    return _min_prec(moved, _norm_prec(cap))
+    by diag(d), min(d)*T, then of a shift of total degree shift, then of
+    truncate at cap; min(d)*T + shift is one Fraction built from integers."""
+    if precision is not INF:
+        d, t, s = min(diagonal), precision, shift
+        den = d.denominator * t.denominator
+        num = d.numerator * t.numerator * s.denominator + s.numerator * den
+        precision = Fraction(num, den * s.denominator)
+    return precision if cap is INF else _min_prec(precision, _norm_prec(cap))
 
 
 def _grading(grid):
@@ -470,22 +476,28 @@ class PuiseuxSeries:
         the precision _reframe_prec gives.
 
         A diagonal map only relabels keys: with d_i/n_i = a_i/G_i in lowest
-        terms, n the grid of self, the key g becomes (a1 g1 + shift G1, a2
-        g2, ...) on the grid G.  shift*G1 must be an integer and no image
-        negative."""
-        ratios = [Fraction(d) / n for d, n in zip(diagonal, self.ramification)]
-        grid = tuple(x.denominator for x in ratios)
-        first, *rest = (x.numerator for x in ratios)
-        step = shift * grid[0]
-        keys = {
-            (g[0] * first + step, *map(operator.mul, g[1:], rest)): c
-            for g, c in self._keys.items()
-        }
+        terms (an int pair reduced by one gcd), n the grid of self, the key
+        g becomes (a1 g1 + shift G1, a2 g2, ...) on the grid G, and (a1 g1
+        + shift G1,) in one variable.  shift*G1 must be an integer and no
+        image negative."""
+        factors, grid = [], ()
+        for d, n in zip(diagonal, self.ramification):
+            a, b = d.numerator, d.denominator * n
+            g = math.gcd(a, b)
+            factors.append(a // g)
+            grid += (b // g,)
+        first, *rest = factors
+        step, items = shift * grid[0], self._keys.items()
+        if rest:
+            keys = {(g[0] * first + step, *map(operator.mul, g[1:], rest)): c for g, c in items}
+        else:
+            keys = {(g * first + step,): c for (g,), c in items}
         moved = _reframe_prec(self.precision, diagonal, shift)
-        prec = _min_prec(moved, _norm_prec(cap))
-        # an image can pass the precision only below the cap, or when the d_i
-        # differ and one coordinate grows faster than the least
-        if prec is not INF and (prec < moved or min(diagonal) != max(diagonal)):
+        prec = moved if cap is INF else _min_prec(moved, _norm_prec(cap))
+        # an image can pass the precision only below the cap (prec is then
+        # the cap, not moved), or when the d_i differ and one coordinate
+        # grows faster than the least
+        if prec is not INF and (prec is not moved or any(d != diagonal[0] for d in diagonal[1:])):
             keys = _cut(keys, grid, prec)
         return PuiseuxSeries._from_keys(keys, grid, prec, False)
 

@@ -13,7 +13,11 @@ them coefficient for coefficient:
   variable) or one walk over the keys (several);
 - essential sequences by repeated minima and by a walk over Fraction
   vectors with rebuilt lattices, Hermite form and monomial substitution;
-- the inversion pipeline that duals the dense unit part itself;
+- the inversion pipeline that duals the dense unit part itself, with its
+  own unit-frame lattices, rescaling and unit precision, all in Fraction
+  arithmetic through the general Lattice constructor;
+- the diagonal frame change on Fraction ratios and a Fraction precision,
+  and the dominating profile read off the Fraction support;
 - the one-variable Lagrange oracle by repeated series products, where the
   library now reads one table of powers of C off eta's terms.
 """
@@ -31,21 +35,17 @@ from puiseux.core import (
     Lattice,
     OrderError,
     as_vec,
+    fmt_vec,
     mat_from,
     mat_vec,
+    rat,
     rational_binomial,
     rational_power,
     rational_root,
     unit_vec,
 )
 from puiseux.exponents import EssentialSequence
-from puiseux.inversion import (
-    InversionResult,
-    _halphen_stolz_report,
-    _required_unit_precision,
-    _rescale_sequence,
-    _unit_frame_lattice,
-)
+from puiseux.inversion import DominationError, InversionResult, _halphen_stolz_report
 
 # dense univariate polynomials: dict {int exponent: Fraction}, truncated
 
@@ -627,6 +627,68 @@ def extract_branch_eager(eta, root_coeff, unit_precision):
     unit_m = eta_t.shift(tuple(-m1 * c for c in unit_vec(h, 0)))
     unit_m = unit_m.truncate(unit_precision)
     return unit_m.unit_root(m1, atilde), unit_m
+
+
+def _unit_frame_lattice(h, first):
+    """first*Z v1 + Z v2 + ... + Z vh, through the general constructor."""
+    return Lattice(h, [[first if i == j == 0 else int(i == j) for j in range(h)]
+                       for i in range(h)])
+
+
+def _rescale_sequence(seq, divisors):
+    """The library's earlier rescaling: Fraction division of the entries and
+    of the lattice basis, and the lattice rebuilt by its constructor."""
+    entries = tuple(tuple(c / d for c, d in zip(e, divisors)) for e in seq.entries)
+    lattice = Lattice(
+        seq.relative_to.dim,
+        [tuple(c / d for c, d in zip(b, divisors)) for b in seq.relative_to.basis()],
+    )
+    return EssentialSequence(entries, lattice, seq.order, seq.complete)
+
+
+def _required_unit_precision(target, m1, n):
+    """N = target*max(m1, n2, ..., nh) - n1, at least 0, in Fraction arithmetic."""
+    if target == INF:
+        return INF
+    return max(Fraction(0), Fraction(target) * max([m1] + list(n[1:])) - n[0])
+
+
+def reframe_reference(s, diagonal, shift=0, cap=INF):
+    """The library's earlier PuiseuxSeries._reframe: the ratios d_i/n_i as
+    Fractions, the precision min(d)*T + shift in Fraction arithmetic, then
+    min with cap, and the keys past it cut by their Fraction total degree."""
+    ratios = [Fraction(d) / n for d, n in zip(diagonal, s.ramification)]
+    grid = tuple(x.denominator for x in ratios)
+    first, *rest = (x.numerator for x in ratios)
+    step = shift * grid[0]
+    keys = {
+        (g[0] * first + step, *map(operator.mul, g[1:], rest)): c
+        for g, c in s._keys.items()
+    }
+    moved = INF if s.precision is INF else min(diagonal) * s.precision + shift
+    cap = INF if cap == INF else rat(cap)
+    prec = moved if moved <= cap else cap
+    if prec is not INF and (prec < moved or min(diagonal) != max(diagonal)):
+        keys = {g: c for g, c in keys.items() if sum(map(Fraction, g, grid)) <= prec}
+    return PuiseuxSeries._from_keys(keys, grid, prec, False)
+
+
+def dominating_profile_reference(eta):
+    """(a, m1) of the dominating pure-x1 term, read off the Fraction support
+    as the library did before; DominationError names the witness."""
+    if eta.is_zero():
+        raise DominationError("the zero series has no dominating term")
+    if eta.laurent:
+        raise DominationError("dominating extraction needs non-negative exponents")
+    support = eta.support()
+    lam1 = min(e[0] for e in support)
+    candidate = (lam1,) + (Fraction(0),) * (eta.num_vars - 1)
+    if lam1 <= 0 or candidate not in support:
+        witness = min((e for e in support if e[0] == lam1), key=lambda e: (sum(e), e))
+        raise DominationError(
+            f"series is not x1-dominating: offending exponent {fmt_vec(witness)}"
+        )
+    return eta.coefficient(candidate), int(lam1 * eta.ramification[0])
 
 
 def invert_xi_reference(data, target):

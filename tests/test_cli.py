@@ -259,6 +259,24 @@ def test_zero_denominator_is_named(capsys):
         assert (code, err) == (1, "error: zero denominator in '1/0'\n"), argv
 
 
+def test_precision_that_is_no_rational_is_named(capsys):
+    for verb in ("analyze", "dual", "invert", "lagrange", "verify"):
+        series = "1 + t" if verb == "dual" else "x^(3/2)+2*x^(7/4)"
+        for value in ("inf", "abc"):
+            code, out, err = run(capsys, verb, series, "--precision", value)
+            assert (code, out) == (1, ""), (verb, value)
+            assert err == (
+                f"error: --precision must be a non-negative rational, got '{value}'\n"
+            ), (verb, value)
+
+
+def test_root_coeff_that_is_no_rational_is_named(capsys):
+    for verb in ("invert", "lagrange", "verify"):
+        code, out, err = run(capsys, verb, "4*x^(2)+x^(3)", "--root-coeff", "abc")
+        assert (code, out) == (1, ""), verb
+        assert err == "error: --root-coeff must be a rational p/q, got 'abc'\n", verb
+
+
 def test_verify_verb_is_quick_at_precision_40(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", "x^(3/2)+2*x^(7/4)", "--precision", "40")
