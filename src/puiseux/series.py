@@ -88,19 +88,12 @@ def _add_prec(a, b):
     return a + b
 
 
-def _substitute_prec(precision, col_sums):
-    """The precision after a monomial substitution whose matrix has these
-    column sums: c*T for c the least sum, the largest bound up to which the
-    image is fully determined."""
-    if precision is INF:
-        return INF
-    return min(col_sums) * precision
-
-
 def _reframe_prec(precision, diagonal, shift=0, cap=INF):
     """The precision of PuiseuxSeries._reframe: that of monomial_substitute
-    by diag(d), min(d)*T, then of a shift of total degree shift, then of
-    truncate at cap; min(d)*T + shift is one Fraction built from integers."""
+    by diag(d), min(d)*T (for any matrix, d its column sums: the largest
+    bound up to which the image is fully determined), then of a shift of
+    total degree shift, then of truncate at cap; min(d)*T + shift is one
+    Fraction built from integers."""
     if precision is not INF:
         d, t, s = min(diagonal), precision, shift
         den = d.denominator * t.denominator
@@ -448,7 +441,7 @@ class PuiseuxSeries:
         if not self.laurent and col_sums == [row[j] for j, row in enumerate(q)]:
             # no entry is negative, so q is diagonal, which only relabels keys
             return self._reframe(col_sums)
-        prec = _substitute_prec(self.precision, col_sums)
+        prec = _reframe_prec(self.precision, col_sums)
         # the image key is a·g with a_ij = grid_i*q_ij/n_j, grid_i the least
         # denominator that makes row i of a integral
         ratios = [[x / n for x, n in zip(row, self.ramification)] for row in q]
