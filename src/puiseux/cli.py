@@ -18,10 +18,10 @@ from fractions import Fraction
 from .core import AdditiveOrder, Lattice, PuiseuxError, fmt_vec, mat_from, rat, total
 from .duality import _dual_from_power, _dual_identity, dual, verify_power_identity
 from .exponents import (
+    _irreducible_points,
     characteristic_exponents,
     essential_of_series,
     exponent_to_json,
-    irreducible_exponents,
 )
 from .inversion import invert_series, lagrange_series, verify_halphen_stolz
 from .quasi_ordinary import qo_test, toric_pullback, verify_qsigma_relation
@@ -45,7 +45,7 @@ def _apply_params(text: str, params: list[str]) -> str:
         name = name.strip()
         if not re.fullmatch(r"[A-Za-z]+", name):
             raise PuiseuxError(f"parameter name {name!r} must be alphabetic")
-        rat(value)  # validate early
+        _option_rat(f"--param {name}", value, "a rational p/q")  # validate early
         text = re.sub(rf"\b{name}\b", value, text)
     return text
 
@@ -123,7 +123,7 @@ def _cmd_analyze(args) -> int:
     order = _order_from_spec(args.order, psi.num_vars)
     lattice = _lattice_from_spec(args.lattice, psi.num_vars)
     ess = essential_of_series(psi, lattice=lattice, order=order)
-    irr = irreducible_exponents(psi.support())
+    irr = [psi._vec(g) for g in _irreducible_points(psi._keys)]
     lines = [
         f"series: {format_series(psi)}",
         f"ramification: ({', '.join(str(n) for n in psi.ramification)})",

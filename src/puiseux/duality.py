@@ -53,11 +53,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
-from .core import PuiseuxError, RootError, rational_power, rational_root, total
-from .exponents import irreducible_exponents
+from .core import PuiseuxError, RootError, rational_power, rational_root
+from .exponents import _irreducible_points
 from .reports import CheckReport
-from .series import INF, PuiseuxSeries, PrecisionError, _GridPower
+from .series import INF, PuiseuxSeries, PrecisionError, _degree, _GridPower, _grading
 
 __all__ = ["dual", "verify_power_identity", "verify_dual_identity"]
 
@@ -153,22 +154,41 @@ def _irreducible_identity(
 ) -> CheckReport:
     """Check Irr(image) = Irr(phi), [image]_0 = constant and
     [image]_r = factor(r) [phi]_r at every nonzero irreducible r; name is
-    the image's name in the set check, label the coefficient checks'."""
+    the image's name in the set check, label the coefficient checks'.  The
+    irreducible keys of each series are compared on the lcm of the two
+    grids, and coefficients are read by key."""
     report = CheckReport(title)
-    irr_phi = irreducible_exponents(phi.support())
-    irr_image = irreducible_exponents(image.support())
-    for e in sorted(irr_phi ^ irr_image, key=lambda v: (total(v), v)):
-        in_phi = e in irr_phi
+    irr_phi = _irreducible_points(phi._keys)
+    irr_image = _irreducible_points(image._keys)
+    grid = tuple(map(math.lcm, phi.ramification, image.ramification))
+    on_phi = _on_grid(irr_phi, phi.ramification, grid)
+    on_image = _on_grid(irr_image, image.ramification, grid)
+    _, weights = _grading(grid)
+
+    def order(x):
+        # (degree, point) on one grid sorts as (total, vector) does
+        return _degree(x, weights), x
+
+    for x in sorted(on_phi.keys() ^ on_image.keys(), key=order):
+        in_phi = x in on_phi
         report.record(
             "irreducible sets equal",
             "phi" if in_phi else name,
             name if in_phi else "phi",
-            e,
+            tuple(map(Fraction, x, grid)),
         )
     zero = tuple(Fraction(0) for _ in range(phi.num_vars))
     report.record("constant term", image.coefficient(zero), constant, zero)
-    for r in sorted(irr_phi & irr_image, key=lambda v: (total(v), v)):
-        if r == zero:
-            continue
-        report.record(label, image.coefficient(r), factor(r) * phi.coefficient(r), r)
+    for x in sorted(on_phi.keys() & on_image.keys(), key=order):
+        if any(x):
+            r = tuple(map(Fraction, x, grid))
+            report.record(
+                label, image._keys[on_image[x]], factor(r) * phi._keys[on_phi[x]], r
+            )
     return report
+
+
+def _on_grid(keys, own, grid) -> dict:
+    """keys on the grid own mapped to grid, a multiple of it: {point: key}."""
+    factors = [m // n for m, n in zip(grid, own)]
+    return {tuple(map(mul, g, factors)): g for g in keys}

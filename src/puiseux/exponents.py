@@ -4,15 +4,18 @@ essential sequences and characteristic exponents.
 All functions accept sets whose elements are either Fractions (one variable)
 or tuples of Fractions; results keep the shape of the input.
 
-Irreducibility and semigroup membership are read off one table.  The
-exponents are scaled to the integer grid of their per-coordinate lcm
-denominators; the points reachable downward from the targets by subtracting
-nonzero generators are collected, and fewest[x], the least number of
-generators summing to x, is filled in increasing total degree.  Every point
-reached tries every nonzero generator, so the work is bounded by the grid box
-below the targets, prod_i (max_i * scale_i + 1) points, times the number of
-distinct nonzero generators; a bound above GRID_LIMIT raises PuiseuxError
-before any work starts.
+Irreducible elements come from one walk over S's distinct nonzero points on
+the integer grid of its per-coordinate lcm denominators, where a series'
+keys already lie, in increasing degree, the sum of the coordinates.  Every
+summand of a point has a smaller degree, so a point is reducible exactly
+when it lies in the monoid of the irreducible points before it.  One
+membership memo serves the whole walk: it is asked only about points of
+smaller degree than the current one, which no later irreducible point can
+reach, so no answer changes and every grid point is expanded at most once.
+semigroup_member_oracle reads fewest[x], the least number of generators
+summing to x, off a table of the points below its target.  Both refuse,
+before any work, a grid box below the points, prod_i (max_i * scale_i + 1)
+points, times distinct nonzero generators above GRID_LIMIT.
 
 An essential sequence is one walk on one integer grid (1/D)Z^h, D the lcm of
 the lattice's scale and the denominators N_i that S and the declared
@@ -48,10 +51,11 @@ from .core import (
     rat,
 )
 
-# Largest work bound, grid-box points times nonzero generators, that the
-# exponent table may take on: about 1.5-2 us per unit.  A full 10^5-point box
-# with 10 generators (10^6) takes 1.5-1.9 s, and with 40 it took 4-5 s before
-# this bound refused it (Python 3.11, 2-vCPU host), at under 45 MB peak RSS.
+# The admission bound of the walk and the table, each of which expands a box
+# point at most once per generator.  The table takes about 1.5-2 us per unit
+# (10^6 units, a 10^5-point box times 10 generators, in 1.5-1.9 s); the walk
+# took 0.14 s on 100 two-variable points in a 10^4-point box (Python 3.11,
+# 2-vCPU host).
 GRID_LIMIT = 10**6
 
 
@@ -68,13 +72,25 @@ def _normalize_set(S) -> tuple[list[Vec], bool]:
     return vecs, scalar
 
 
+def _admit(steps, tops) -> None:
+    """Refuse, before any work, nonzero generator points steps with a
+    negative coordinate, or a grid box below the points tops whose size
+    times the number of steps exceeds GRID_LIMIT."""
+    if any(c < 0 for g in steps for c in g):
+        raise PuiseuxError("semigroup generators must have non-negative exponents")
+    box = math.prod(max(0, *col) + 1 for col in zip(*tops))
+    if box * len(steps) > GRID_LIMIT:
+        raise PuiseuxError(
+            f"exponent grid box of {box} points times {len(steps)} nonzero "
+            f"generators exceeds the limit of {GRID_LIMIT}"
+        )
+
+
 def _fewest_terms(gens: list[Vec], targets: list[Vec]):
     """The exponent table.  Returns (fewest, to_grid): to_grid maps an
     exponent to its integer grid point, and fewest maps every grid point that
     is reachable downward from a target and is a sum of nonzero generators to
     the least number of them (the origin to 0).  Iterative throughout."""
-    if any(c < 0 for g in gens for c in g):
-        raise PuiseuxError("semigroup generators must have non-negative exponents")
     dim = len(targets[0])
     scale = [
         math.lcm(*(v[i].denominator for v in gens + targets)) for i in range(dim)
@@ -84,13 +100,8 @@ def _fewest_terms(gens: list[Vec], targets: list[Vec]):
         return tuple(int(c * s) for c, s in zip(v, scale))
 
     tops = [to_grid(t) for t in targets]
-    box = math.prod(max([0] + [t[i] for t in tops]) + 1 for i in range(dim))
     steps = {g for g in map(to_grid, gens) if any(g)}
-    if box * len(steps) > GRID_LIMIT:
-        raise PuiseuxError(
-            f"exponent grid box of {box} points times {len(steps)} nonzero "
-            f"generators exceeds the limit of {GRID_LIMIT}"
-        )
+    _admit(steps, tops)
     down = set(tops)
     stack = list(down)
     while stack:
@@ -109,23 +120,69 @@ def _fewest_terms(gens: list[Vec], targets: list[Vec]):
     return fewest, to_grid
 
 
+def _irreducible_points(points) -> set:
+    """The irreducible elements of distinct integer points: the origin when
+    it is there, and every nonzero point that is no sum of two or more
+    nonzero points.  A series' keys lie on the grid of its support's lcm
+    denominators, so they pass as they are and meet the bound its support
+    would.  Raises PuiseuxError on a negative coordinate or a work bound
+    above GRID_LIMIT."""
+    nonzero = [x for x in points if any(x)]
+    if not nonzero:
+        return set(points)
+    _admit(nonzero, nonzero)
+    nonzero.sort(key=sum)
+    found = []
+    member = {(0,) * len(nonzero[0]): True}
+    for x in nonzero:
+        if not _in_monoid(x, found, member):
+            found.append(x)
+        member[x] = True
+    return set(found).union(x for x in points if not any(x))
+
+
+def _in_monoid(x, gens, member) -> bool:
+    """Is x a sum of gens (the origin being the empty sum)?  A depth-first
+    search over x minus a generator, iterative, that records every point it
+    settles in member."""
+    stack = [(x, iter(gens))]
+    while stack:
+        y, untried = stack[-1]
+        for g in untried:
+            z = tuple(map(sub, y, g))
+            if min(z) < 0:
+                continue
+            known = member.get(z)
+            if known is None:
+                stack.append((z, iter(gens)))
+                break
+            if known:
+                # every point on the stack is z plus generators
+                for w, _ in stack:
+                    member[w] = True
+                return True
+        else:
+            member[y] = False
+            stack.pop()
+    return False
+
+
 def irreducible_exponents(S):
     """The elements of S that are not sums of two or more nonzero elements
-    of S.  A nonzero r is reducible exactly when r - g has an entry in the
-    exponent table for some nonzero g != r in S.  Exact on truncated
-    supports: any summand of r has total sum at most that of r, so
-    truncation below a bound cannot hide decompositions.  Raises PuiseuxError
-    on negative exponents or a work bound above GRID_LIMIT.
+    of S, found by one walk over S's grid points in increasing degree, each
+    point tested against the monoid of the irreducible points before it.
+    Exact on truncated supports: any summand of r has total sum at most that
+    of r, so truncation below a bound cannot hide decompositions.  Raises
+    PuiseuxError on negative exponents or a work bound above GRID_LIMIT.
     """
     vecs, scalar = _normalize_set(S)
-    nonzero = list({v for v in vecs if any(v)})
-    result = set(vecs) - set(nonzero)
-    if nonzero:
-        fewest, to_grid = _fewest_terms(nonzero, nonzero)
-        grid = [to_grid(v) for v in nonzero]
-        for r, x in zip(nonzero, grid):
-            if not any(g != x and tuple(map(sub, x, g)) in fewest for g in grid):
-                result.add(r)
+    distinct = set(vecs)
+    scale = [math.lcm(*(c.denominator for c in col)) for col in zip(*distinct)]
+    points = {
+        tuple([c.numerator * (s // c.denominator) for c, s in zip(v, scale)]): v
+        for v in distinct
+    }
+    result = {points[x] for x in _irreducible_points(points)}
     if scalar:
         return {v[0] for v in result}
     return result

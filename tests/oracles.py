@@ -11,6 +11,10 @@ them coefficient for coefficient:
   per first coordinate k, each scaled by Fraction products, where the
   library now advances all runs together in one integer loop (one
   variable) or one walk over the keys (several);
+- irreducible exponents read off the exponent table, every element of S
+  tried as a generator at every point below it, where the library now
+  walks the points once in increasing degree, and the identity report
+  built on them from the Fraction supports and coefficient();
 - essential sequences by repeated minima and by a walk over Fraction
   vectors with rebuilt lattices, Hermite form and monomial substitution;
 - the inversion pipeline that duals the dense unit part itself, with its
@@ -44,8 +48,9 @@ from puiseux.core import (
     rational_root,
     unit_vec,
 )
-from puiseux.exponents import EssentialSequence
+from puiseux.exponents import EssentialSequence, _fewest_terms, _normalize_set
 from puiseux.inversion import DominationError, InversionResult, _halphen_stolz_report
+from puiseux.reports import CheckReport
 
 # dense univariate polynomials: dict {int exponent: Fraction}, truncated
 
@@ -460,6 +465,46 @@ def dual_from_power_reference(power, m, c0, a):
         found.update((g, c * scale) for g, c in coeffs.items())
         factor *= stride
     return PuiseuxSeries._from_keys(found, power.ramification, prec, False)
+
+
+# reference irreducible exponents and identity report
+
+
+def irreducible_table_reference(S):
+    """The library's earlier irreducible exponents: a nonzero r is reducible
+    exactly when r - g has an entry in the exponent table of S for some
+    nonzero g != r in S."""
+    vecs, scalar = _normalize_set(S)
+    nonzero = list({v for v in vecs if any(v)})
+    result = set(vecs) - set(nonzero)
+    if nonzero:
+        fewest, to_grid = _fewest_terms(nonzero, nonzero)
+        grid = [to_grid(v) for v in nonzero]
+        for r, x in zip(nonzero, grid):
+            if not any(g != x and tuple(map(operator.sub, x, g)) in fewest for g in grid):
+                result.add(r)
+    if scalar:
+        return {v[0] for v in result}
+    return result
+
+
+def irreducible_identity_reference(title, phi, image, name, constant, label, factor):
+    """The library's earlier identity report, on the Fraction supports, the
+    reference irreducible exponents and coefficient()."""
+    report = CheckReport(title)
+    irr_phi = irreducible_table_reference(phi.support())
+    irr_image = irreducible_table_reference(image.support())
+    for e in sorted(irr_phi ^ irr_image, key=lambda v: (sum(v), v)):
+        in_phi = e in irr_phi
+        report.record(
+            "irreducible sets equal", "phi" if in_phi else name, name if in_phi else "phi", e
+        )
+    zero = tuple(Fraction(0) for _ in range(phi.num_vars))
+    report.record("constant term", image.coefficient(zero), constant, zero)
+    for r in sorted(irr_phi & irr_image, key=lambda v: (sum(v), v)):
+        if r != zero:
+            report.record(label, image.coefficient(r), factor(r) * phi.coefficient(r), r)
+    return report
 
 
 # reference essential sequences and monomial substitution

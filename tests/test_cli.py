@@ -134,6 +134,16 @@ def test_dual_refuses_a_huge_precision_at_once(capsys):
     assert "steps exceeds the limit of" in err and "Traceback" not in err
 
 
+def test_dual_refuses_an_exponent_grid_past_the_limit(capsys):
+    # the dual's 1890 keys pass the irreducible exponents' admission bound
+    code, out, err = run(capsys, "dual", "1+t1+t2", "--precision", "60")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: exponent grid box of 3721 points times 1890 nonzero generators "
+        "exceeds the limit of 1000000\n"
+    )
+
+
 def _count_runs(monkeypatch, module):
     """Record the arguments of every _dual_from_power call made through module."""
     runs = []
@@ -275,6 +285,12 @@ def test_root_coeff_that_is_no_rational_is_named(capsys):
         code, out, err = run(capsys, verb, "4*x^(2)+x^(3)", "--root-coeff", "abc")
         assert (code, out) == (1, ""), verb
         assert err == "error: --root-coeff must be a rational p/q, got 'abc'\n", verb
+
+
+def test_param_that_is_no_rational_is_named(capsys):
+    code, out, err = run(capsys, "invert", "x^(3/2)+c*x^(7/4)", "--param", "c=abc")
+    assert (code, out) == (1, "")
+    assert err == "error: --param c must be a rational p/q, got 'abc'\n"
 
 
 def test_verify_verb_is_quick_at_precision_40(capsys):

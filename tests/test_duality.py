@@ -3,12 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from builders import random_unit_series
-from oracles import reversion_oracle
+from builders import perfect_power_unit, random_unit_series
+from oracles import irreducible_identity_reference, reversion_oracle
 from puiseux import (
     INF,
     Lattice,
     PrecisionError,
+    PuiseuxError,
     PuiseuxSeries,
     dual,
     essential_exponents_p,
@@ -18,6 +19,8 @@ from puiseux import (
     verify_power_identity,
 )
 from builders import random_order
+from puiseux.core import rational_power
+from puiseux.duality import _irreducible_identity
 
 
 def test_dual_of_one():
@@ -164,6 +167,80 @@ def test_identity_failures_are_data():
     phi = parse("1 + t", precision=6)
     good = verify_dual_identity(phi)
     assert good.all_passed and good.to_json()["failures"] == []
+
+
+def _power_reference(phi, N):
+    c0 = phi.constant_term()
+    return irreducible_identity_reference(
+        f"power identity (N={N})", phi, phi.pow_int(N), "phi^N",
+        c0**N, "power coefficient", lambda r: N * c0 ** (N - 1),
+    )
+
+
+def _dual_reference(phi, psi):
+    c0 = phi.constant_term()
+    return irreducible_identity_reference(
+        "dual identity", phi, psi, "dual",
+        1 / c0, "dual coefficient", lambda r: -rational_power(c0, -r[0] - 2),
+    )
+
+
+def _rows(report):
+    return report.name, report.checks
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_identity_reports_match_the_reference_report(h):
+    rng = random.Random(83 + h)
+    for _ in range(8):
+        phi = perfect_power_unit(rng, h, F(5), denoms=(1, 2, 3) if h < 3 else (1, 2))
+        N = rng.randrange(2, 5)
+        assert _rows(verify_power_identity(phi, N)) == _rows(_power_reference(phi, N))
+        assert _rows(verify_dual_identity(phi)) == _rows(_dual_reference(phi, dual(phi)))
+
+
+def test_identity_report_on_another_grid_matches_the_reference_report():
+    # phi lies on the grid 1/2 and the image on 1/6; 3/2 is reducible in both
+    phi = parse("1 + t^(1/2) + t^(3/2)", precision=3)
+    image = parse("1 + 3*t^(1/2) + t^(1/3) + 5*t^(3/2)", precision=3)
+    args = ("power identity (N=2)", phi, image, "phi^N", F(1), "power coefficient", lambda r: 2)
+    report = _irreducible_identity(*args)
+    assert _rows(report) == _rows(irreducible_identity_reference(*args))
+    assert [c.describe() for c in report.failures] == [
+        "irreducible sets equal at 1/3: FAIL (phi^N != phi)",
+        "power coefficient at 1/2: FAIL (3 != 2)",
+    ]
+
+
+def test_identity_report_on_a_failing_image_matches_the_reference_report():
+    # a dual without its constant term and its term at (1, 0), and with a
+    # wrong coefficient at (0, 1/2): (1, 1/2), (2, 0) and (3, 0) turn
+    # irreducible, and the set rows come in the order (total, vector)
+    phi = parse("1 + t1 + 2*t2^(1/2)", precision=4)
+    terms = dual(phi).terms
+    del terms[(F(0), F(0))], terms[(F(1), F(0))]
+    terms[(F(0), F(1, 2))] += 1
+    image = PuiseuxSeries(2, terms, phi.precision)
+    # phi_0 = 1, so every factor -phi_0^(-r1-2) is -1
+    args = ("dual identity", phi, image, "dual", F(1), "dual coefficient", lambda r: -1)
+    report = _irreducible_identity(*args)
+    assert _rows(report) == _rows(irreducible_identity_reference(*args))
+    assert [c.describe() for c in report.failures] == [
+        "irreducible sets equal at (0, 0): FAIL (phi != dual)",
+        "irreducible sets equal at (1, 0): FAIL (phi != dual)",
+        "irreducible sets equal at (1, 1/2): FAIL (dual != phi)",
+        "irreducible sets equal at (2, 0): FAIL (dual != phi)",
+        "irreducible sets equal at (3, 0): FAIL (dual != phi)",
+        "constant term at (0, 0): FAIL (0 != 1)",
+        "dual coefficient at (0, 1/2): FAIL (-1 != -2)",
+    ]
+
+
+def test_power_identity_refuses_a_laurent_series():
+    phi = parse("1 + x^(-1) + x", laurent=True, precision=4)
+    with pytest.raises(PuiseuxError) as err:
+        verify_power_identity(phi, 2)
+    assert str(err.value) == "semigroup generators must have non-negative exponents"
 
 
 def test_essential_sequences_coincide_for_powers_and_dual():

@@ -11,6 +11,7 @@ from oracles import (
     essential_repeated_min,
     irr_bruteforce,
     irr_dfs,
+    irreducible_table_reference,
     lattice_reference,
     sum_search,
     sums_with_counts,
@@ -155,6 +156,64 @@ def test_irreducible_refuses_many_generators_quickly():
         irreducible_exponents(S)
     assert time.perf_counter() - start < 0.1
     assert f"limit of {GRID_LIMIT}" in str(err.value)
+
+
+def _irreducible_sample(rng, h):
+    """A seeded list of exponents with mixed denominators, one reducible
+    element, now and then the zero element, and repeated elements."""
+    denoms = (1, 2, 3, 4) if h == 1 else (1, 2, 3) if h == 2 else (1, 2)
+    S = [random_exponent(rng, h, denoms, max_num=5) for _ in range(rng.randrange(1, 7))]
+    S = [v for v in S if any(v)] or [tuple(F(1, 2) for _ in range(h))]
+    a, b = rng.choices(S, k=2)
+    S.append(tuple(x + y for x, y in zip(a, b)))
+    if rng.random() < 0.3:
+        S.append(tuple(F(0) for _ in range(h)))
+    S += rng.choices(S, k=rng.randrange(0, 3))
+    rng.shuffle(S)
+    return S
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_irreducible_walk_agrees_with_the_table_and_bruteforce(h):
+    rng = random.Random(71 + h)
+    for _ in range(40):
+        S = _irreducible_sample(rng, h)
+        if h == 1 and rng.random() < 0.5:
+            S = [v[0] for v in S]  # scalar input keeps its shape
+        irr = irreducible_exponents(S)
+        assert irr == irreducible_table_reference(S) == irr_bruteforce(S), S
+
+
+@pytest.mark.parametrize("top", [F(36, 7), F(43, 7), F(50, 7), F(281, 7)])
+def test_irreducible_adversarial_family_agrees_with_the_table(top):
+    S = {F(k, 10) for k in range(11, 20)} | {top}
+    assert irreducible_exponents(S) == irreducible_table_reference(S) == irr_bruteforce(S)
+    vectors = {(v, F(0)) for v in S}
+    assert irreducible_exponents(vectors) == irreducible_table_reference(vectors)
+
+
+def test_irreducible_walk_shares_its_memo_in_two_variables():
+    # a sum of points with i + j even has i + j even, so an odd point is a sum
+    # of an odd point and even ones or of nothing, and settling it visits the
+    # points below it that the even ones reach; one memo for the whole walk
+    # visits each of them once, not once for every odd point
+    rng = random.Random(3)
+    evens = [(i, j) for i in range(3, 30) for j in range(3, 30) if (i + j) % 2 == 0]
+    odds = [(i, j) for i in range(80, 100) for j in range(80, 100) if (i + j) % 2]
+    S = {(F(i), F(j)) for i, j in rng.sample(evens, 50) + rng.sample(odds, 50)}
+    start = time.perf_counter()
+    irr = irreducible_exponents(S)
+    assert time.perf_counter() - start < 0.5
+    assert irr == irreducible_table_reference(S)
+
+
+def test_irreducible_walk_shares_its_memo_in_one_variable():
+    # every point of 9900..9968 is a sum of 77 or 78 points of 100..129
+    S = {F(k) for k in range(100, 130)} | {F(k) for k in range(9900, 9969)}
+    start = time.perf_counter()
+    irr = irreducible_exponents(S)
+    assert time.perf_counter() - start < 0.5
+    assert irr == irreducible_table_reference(S) == {F(k) for k in range(100, 130)}
 
 
 # --- essential sequences ------------------------------------------------------
