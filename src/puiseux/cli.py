@@ -18,10 +18,10 @@ from fractions import Fraction
 from .core import AdditiveOrder, Lattice, PuiseuxError, fmt_vec, mat_from, rat, total
 from .duality import _dual_from_power, _dual_identity, dual, verify_power_identity
 from .exponents import (
-    _irreducible_points,
     characteristic_exponents,
     essential_of_series,
     exponent_to_json,
+    irreducible_exponents,
 )
 from .inversion import invert_series, lagrange_series, verify_halphen_stolz
 from .quasi_ordinary import qo_test, toric_pullback, verify_qsigma_relation
@@ -75,19 +75,26 @@ def _parse_series(args) -> PuiseuxSeries:
     return parse(text, precision=INF, laurent=getattr(args, "laurent", False))
 
 
-def _load_matrix(path: str):
+def _load_matrix(option: str, path: str):
+    """The JSON matrix of rationals in the file path; a file that holds none
+    names option and path."""
     with open(path) as fh:
-        return mat_from(json.load(fh))
+        try:
+            return mat_from(json.load(fh))
+        except (TypeError, ValueError) as exc:
+            message = f"{option} file {path!r} holds no JSON matrix of rationals: {exc}"
+            raise PuiseuxError(message) from None
 
 
 def _order_from_spec(spec: str, dim: int) -> AdditiveOrder:
     if spec == "lex":
         return AdditiveOrder.lex(dim)
     if spec.startswith("weights:"):
-        weights = [rat(w) for w in spec[len("weights:"):].split(",")]
+        texts = spec[len("weights:"):].split(",")
+        weights = [_option_rat("--order weight", w, "a rational p/q") for w in texts]
         return AdditiveOrder.weighted(weights)
     if spec.startswith("matrix:"):
-        return AdditiveOrder.from_matrix(_load_matrix(spec[len("matrix:"):]))
+        return AdditiveOrder.from_matrix(_load_matrix("--order matrix", spec[len("matrix:"):]))
     raise PuiseuxError(f"unknown order spec {spec!r}")
 
 
@@ -95,7 +102,7 @@ def _lattice_from_spec(spec: str, dim: int) -> Lattice:
     if spec == "zh":
         return Lattice.standard(dim)
     if spec.startswith("matrix:"):
-        return Lattice(dim, _load_matrix(spec[len("matrix:"):]))
+        return Lattice(dim, _load_matrix("--lattice matrix", spec[len("matrix:"):]))
     raise PuiseuxError(f"unknown lattice spec {spec!r}")
 
 
@@ -123,7 +130,7 @@ def _cmd_analyze(args) -> int:
     order = _order_from_spec(args.order, psi.num_vars)
     lattice = _lattice_from_spec(args.lattice, psi.num_vars)
     ess = essential_of_series(psi, lattice=lattice, order=order)
-    irr = [psi._vec(g) for g in _irreducible_points(psi._keys)]
+    irr = irreducible_exponents(psi.support())
     lines = [
         f"series: {format_series(psi)}",
         f"ramification: ({', '.join(str(n) for n in psi.ramification)})",
@@ -174,7 +181,7 @@ def _xi_names(h: int) -> list[str]:
     return ["y1"] + [f"x{i}" for i in range(2, h + 1)]
 
 
-def _invert(args, eta: PuiseuxSeries):
+def _invert_with_options(args, eta: PuiseuxSeries):
     """Invert eta at --precision with --root-coeff (invert, lagrange, verify)."""
     root = None
     if args.root_coeff is not None:
@@ -193,7 +200,7 @@ def _lagrange_coefficients(result, oracle, bound):
 
 
 def _cmd_invert(args) -> int:
-    result = _invert(args, _parse_series(args))
+    result = _invert_with_options(args, _parse_series(args))
     h = result.eta.num_vars
     lines = [
         f"m1 = {result.m1}, n1 = {result.n1}, root = {result.root_coeff}",
@@ -212,7 +219,7 @@ def _cmd_lagrange(args) -> int:
     eta = _parse_series(args)
     if eta.num_vars != 1:
         raise PuiseuxError("the lagrange verb works on one-variable series")
-    result = _invert(args, eta)
+    result = _invert_with_options(args, eta)
     oracle = lagrange_series(result.branch)
     lines = []
     rows = []
@@ -252,7 +259,7 @@ def _unless_refused(name: str, build, refusal) -> CheckReport:
 
 
 def _cmd_verify(args) -> int:
-    result = _invert(args, _parse_series(args))
+    result = _invert_with_options(args, _parse_series(args))
     data = result.branch
     reports = [
         # the recomputation refuses a result whose window misses eta's head
@@ -293,7 +300,7 @@ def _cmd_toric(args) -> int:
     psi = _parse_series(args)
     if args.matrix is None:
         raise PuiseuxError("the toric verb needs --matrix FILE")
-    q = _load_matrix(args.matrix)
+    q = _load_matrix("--matrix", args.matrix)
     pulled = toric_pullback(psi, q)
     order = _order_from_spec(args.order, psi.num_vars)
     report = verify_qsigma_relation(psi, q, order)

@@ -12,10 +12,10 @@ when it lies in the monoid of the irreducible points before it.  One
 membership memo serves the whole walk: it is asked only about points of
 smaller degree than the current one, which no later irreducible point can
 reach, so no answer changes and every grid point is expanded at most once.
-semigroup_member_oracle reads fewest[x], the least number of generators
-summing to x, off a table of the points below its target.  Both refuse,
-before any work, a grid box below the points, prod_i (max_i * scale_i + 1)
-points, times distinct nonzero generators above GRID_LIMIT.
+semigroup_member_oracle descends from its target, one generator per layer.
+Both map exponents to the grid by one integer rule and refuse, before any
+work, a grid box below the points, prod_i (max_i * scale_i + 1) points,
+times distinct nonzero generators above GRID_LIMIT.
 
 An essential sequence is one walk on one integer grid (1/D)Z^h, D the lcm of
 the lattice's scale and the denominators N_i that S and the declared
@@ -51,11 +51,11 @@ from .core import (
     rat,
 )
 
-# The admission bound of the walk and the table, each of which expands a box
-# point at most once per generator.  The table takes about 1.5-2 us per unit
-# (10^6 units, a 10^5-point box times 10 generators, in 1.5-1.9 s); the walk
-# took 0.14 s on 100 two-variable points in a 10^4-point box (Python 3.11,
-# 2-vCPU host).
+# The admission bound of the walk and the descent, each of which expands a
+# box point at most once per generator.  The descent takes about 0.3-0.6 us
+# per unit (10^6 units, a 10^5-point box times 10 generators, in 0.3-0.64 s);
+# the walk took 0.14 s on 100 two-variable points in a 10^4-point box
+# (Python 3.11, 2-vCPU host).
 GRID_LIMIT = 10**6
 
 
@@ -86,38 +86,11 @@ def _admit(steps, tops) -> None:
         )
 
 
-def _fewest_terms(gens: list[Vec], targets: list[Vec]):
-    """The exponent table.  Returns (fewest, to_grid): to_grid maps an
-    exponent to its integer grid point, and fewest maps every grid point that
-    is reachable downward from a target and is a sum of nonzero generators to
-    the least number of them (the origin to 0).  Iterative throughout."""
-    dim = len(targets[0])
-    scale = [
-        math.lcm(*(v[i].denominator for v in gens + targets)) for i in range(dim)
-    ]
-
-    def to_grid(v: Vec) -> tuple[int, ...]:
-        return tuple(int(c * s) for c, s in zip(v, scale))
-
-    tops = [to_grid(t) for t in targets]
-    steps = {g for g in map(to_grid, gens) if any(g)}
-    _admit(steps, tops)
-    down = set(tops)
-    stack = list(down)
-    while stack:
-        x = stack.pop()
-        for g in steps:
-            y = tuple(map(sub, x, g))
-            if y not in down and min(y) >= 0:
-                down.add(y)
-                stack.append(y)
-    fewest = {(0,) * dim: 0}
-    for x in sorted(down, key=sum):
-        below = (tuple(map(sub, x, g)) for g in steps)
-        counts = [fewest[y] for y in below if y in fewest]
-        if counts:
-            fewest[x] = min(counts) + 1
-    return fewest, to_grid
+def _grid_points(vecs: list[Vec]) -> list[tuple[int, ...]]:
+    """The exponents vecs as integer points, in order, on the grid of their
+    per-coordinate lcm denominators: numerator * (scale // denominator)."""
+    scale = [math.lcm(*(c.denominator for c in col)) for col in zip(*vecs)]
+    return [tuple([c.numerator * (s // c.denominator) for c, s in zip(v, scale)]) for v in vecs]
 
 
 def _irreducible_points(points) -> set:
@@ -176,12 +149,8 @@ def irreducible_exponents(S):
     PuiseuxError on negative exponents or a work bound above GRID_LIMIT.
     """
     vecs, scalar = _normalize_set(S)
-    distinct = set(vecs)
-    scale = [math.lcm(*(c.denominator for c in col)) for col in zip(*distinct)]
-    points = {
-        tuple([c.numerator * (s // c.denominator) for c, s in zip(v, scale)]): v
-        for v in distinct
-    }
+    distinct = list(set(vecs))
+    points = dict(zip(_grid_points(distinct), distinct))
     result = {points[x] for x in _irreducible_points(points)}
     if scalar:
         return {v[0] for v in result}
@@ -190,12 +159,23 @@ def irreducible_exponents(S):
 
 def semigroup_member_oracle(S, v, max_terms: int) -> bool:
     """True iff v is a sum of between 1 and max_terms nonzero elements of S,
-    that is 1 <= fewest[v] <= max_terms in the exponent table.  Raises
+    found by a layered descent from v on the grid of S and v: layer k holds
+    the points v minus k generators, each grid point is visited once, and
+    the descent stops at the origin or after max_terms layers.  Raises
     PuiseuxError on negative generators or a work bound above GRID_LIMIT."""
     vecs, _ = _normalize_set(S)
     v = as_vec(v, len(vecs[0]) if vecs else None)
-    fewest, to_grid = _fewest_terms(vecs, [v])
-    return 1 <= fewest.get(to_grid(v), 0) <= max_terms
+    top, *points = _grid_points([v, *vecs])
+    steps = {g for g in points if any(g)}
+    _admit(steps, [top])
+    seen, layer, origin = {top}, {top}, (0,) * len(top)
+    for _ in range(max_terms):
+        # a point first met in layer k is a sum of no fewer than k generators
+        layer = {y for x in layer for g in steps if min(y := tuple(map(sub, x, g))) >= 0} - seen
+        if origin in layer or not layer:
+            return origin in layer
+        seen |= layer
+    return False
 
 
 @dataclass(frozen=True)
@@ -335,9 +315,7 @@ def essential_exponents_p(S, p: int, ramification=None) -> EssentialSequence:
     p = _positive_integer(p, "p")
     vecs = [as_vec(v, 1) for v in S]
     ram = None if ramification is None else (ramification,)
-    return essential_exponents(
-        vecs, Lattice(1, [(Fraction(p),)]), AdditiveOrder.lex(1), ram
-    )
+    return essential_exponents(vecs, Lattice.scaled_axes(1, [p]), AdditiveOrder.lex(1), ram)
 
 
 def essential_of_series(series, lattice=None, order=None) -> EssentialSequence:

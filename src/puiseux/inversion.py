@@ -17,12 +17,12 @@ never touching the dual or the power kernel.  Every frame change on the way
 the keys of one series into another.
 
 The work grows with the unit precision N = target*max(m1, n2, ..., nh) - n1.
-There is one path from eta to xi: invert_series extracts eta's branch data
-at N and hands it to invert_branch.  Input is checked in two places, before
-any work: BranchData's construction checks a hand-built unit part, and the
-precision gate _working_precision, shared by invert_branch, lagrange_series
-and lagrange_coefficient, refuses an exact unit part without a target, an N
-above MAX_UNIT_PRECISION and a unit part too short for N.
+There is one path from eta to xi: invert_series(eta, target) is
+invert_branch(extract_branch(eta, root, N), target).  Input is checked in
+two places, before any work: BranchData's construction checks a hand-built
+unit part, and the gate _working_precision, shared by invert_branch,
+lagrange_series and lagrange_coefficient, refuses an exact unit part
+without a target, an N above MAX_UNIT_PRECISION and one too short for N.
 """
 
 from __future__ import annotations
@@ -234,12 +234,7 @@ def extract_branch(
     part, and defaults to everything eta's own precision supports.  The
     result holds unit^m1; its unit part is computed when first read.
     """
-    return _extract_branch(eta, root_coeff, unit_precision, _dominating_profile(eta))
-
-
-def _extract_branch(eta, root_coeff, unit_precision, profile) -> BranchData:
-    """extract_branch, given eta's _dominating_profile."""
-    a, m1 = profile
+    a, m1 = _dominating_profile(eta)
     n = eta.ramification
     if root_coeff is None:
         atilde = rational_root(a, m1)
@@ -362,16 +357,14 @@ def _halphen_stolz_report(
     return report
 
 
-def _working_precision(data: BranchData, target_precision, need=None):
+def _working_precision(data: BranchData, target_precision):
     """The unit precision N that invert_branch(data, target_precision)
     works at, lagrange_series(data) at target None and lagrange_coefficient
     at target q/m1: their one gate.  Refuses an exact unit part without a
-    target, an N above MAX_UNIT_PRECISION and a unit part too short for N;
-    need is that N when the caller has computed it."""
+    target, an N above MAX_UNIT_PRECISION and a unit part too short for N."""
     held = data._held
-    if need is None:
-        need = held.precision if target_precision is None else _required_unit_precision(
-            target_precision, data.exponent_m, data.ramification)
+    need = held.precision if target_precision is None else _required_unit_precision(
+        target_precision, data.exponent_m, data.ramification)
     if need is INF and held.precision is INF and len(held._keys) > 1:
         raise PrecisionError("exact unit part: pass target_precision")
     if need is not INF and need > MAX_UNIT_PRECISION:
@@ -410,11 +403,7 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
     much is required.  A unit precision N above MAX_UNIT_PRECISION is refused
     before any work.
     """
-    return _invert(data, _working_precision(data, target_precision))
-
-
-def _invert(data: BranchData, need) -> InversionResult:
-    """invert_branch at the unit precision N = need its gate admitted."""
+    need = _working_precision(data, target_precision)
     if data._from_unit and need < data.series.precision:
         unit_m = data.series.truncate(need).pow_int(data.exponent_m)
     else:
@@ -447,14 +436,13 @@ def _invert(data: BranchData, need) -> InversionResult:
 def invert_series(
     eta: PuiseuxSeries, target_precision, root_coeff=None
 ) -> InversionResult:
-    """invert_branch of eta's branch data, extracted at the unit precision
-    N that target_precision needs, so the output is complete up to
-    target_precision.  This is the one path from eta to xi: every check
-    on the precision is invert_branch's, at the N computed here once."""
-    profile = _dominating_profile(eta)
-    need = _required_unit_precision(target_precision, profile[1], eta.ramification)
-    data = _extract_branch(eta, root_coeff, need, profile)
-    return _invert(data, _working_precision(data, target_precision, need))
+    """invert_branch(extract_branch(eta, root_coeff, N), target_precision)
+    at the unit precision N that target_precision needs, so the output is
+    complete up to target_precision.  This is the one path from eta to xi:
+    every check on the precision is invert_branch's."""
+    m1 = _dominating_profile(eta)[1]
+    N = _required_unit_precision(target_precision, m1, eta.ramification)
+    return invert_branch(extract_branch(eta, root_coeff, N), target_precision)
 
 
 def verify_halphen_stolz(result: InversionResult) -> CheckReport:

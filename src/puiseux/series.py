@@ -88,18 +88,18 @@ def _add_prec(a, b):
     return a + b
 
 
-def _reframe_prec(precision, diagonal, shift=0, cap=INF):
-    """The precision of PuiseuxSeries._reframe: that of monomial_substitute
-    by diag(d), min(d)*T (for any matrix, d its column sums: the largest
-    bound up to which the image is fully determined), then of a shift of
-    total degree shift, then of truncate at cap; min(d)*T + shift is one
-    Fraction built from integers."""
+def _reframe_prec(precision, diagonal, shift=0):
+    """The precision of PuiseuxSeries._reframe before its cap: that of
+    monomial_substitute by diag(d), min(d)*T (for any matrix, d its column
+    sums: the largest bound up to which the image is fully determined), then
+    of a shift of total degree shift; min(d)*T + shift is one Fraction built
+    from integers."""
     if precision is not INF:
         d, t, s = min(diagonal), precision, shift
         den = d.denominator * t.denominator
         num = d.numerator * t.numerator * s.denominator + s.numerator * den
         precision = Fraction(num, den * s.denominator)
-    return precision if cap is INF else _min_prec(precision, _norm_prec(cap))
+    return precision
 
 
 def _grading(grid):
@@ -466,7 +466,7 @@ class PuiseuxSeries:
         """self with every exponent e sent to (d1 e1 + shift, d2 e2, ...,
         dh eh), cut at total degree cap: monomial_substitute by diag(d),
         shift by shift*v1 and truncate at cap, as one construction, with
-        the precision _reframe_prec gives.
+        the precision _reframe_prec gives, cut at cap.
 
         A diagonal map only relabels keys: with d_i/n_i = a_i/G_i in lowest
         terms (an int pair reduced by one gcd), n the grid of self, the key

@@ -11,10 +11,13 @@ them coefficient for coefficient:
   per first coordinate k, each scaled by Fraction products, where the
   library now advances all runs together in one integer loop (one
   variable) or one walk over the keys (several);
-- irreducible exponents read off the exponent table, every element of S
-  tried as a generator at every point below it, where the library now
-  walks the points once in increasing degree, and the identity report
-  built on them from the Fraction supports and coefficient();
+- the exponent table, the least number of generators summing to each
+  point below the targets.  Irreducible exponents are read off it, every
+  element of S tried as a generator at every point below it, where the
+  library now walks the points once in increasing degree; so is semigroup
+  membership, where the library now descends from the target in layers;
+  and the identity report is built on the table's irreducible exponents
+  from the Fraction supports and coefficient();
 - essential sequences by repeated minima and by a walk over Fraction
   vectors with rebuilt lattices, Hermite form and monomial substitution;
 - the inversion pipeline that duals the dense unit part itself, with its
@@ -48,7 +51,7 @@ from puiseux.core import (
     rational_root,
     unit_vec,
 )
-from puiseux.exponents import EssentialSequence, _fewest_terms, _normalize_set
+from puiseux.exponents import GRID_LIMIT, EssentialSequence
 from puiseux.inversion import DominationError, InversionResult, _halphen_stolz_report
 from puiseux.reports import CheckReport
 
@@ -467,14 +470,72 @@ def dual_from_power_reference(power, m, c0, a):
     return PuiseuxSeries._from_keys(found, power.ramification, prec, False)
 
 
-# reference irreducible exponents and identity report
+# the exponent table, and reference irreducible exponents, membership and
+# identity report
+
+
+def _exponent_set(S):
+    """(vectors, scalar input) of an exponent set: scalars or tuples."""
+    items = list(S)
+    scalar = bool(items) and not isinstance(items[0], tuple)
+    return [as_vec(v) for v in items], scalar
+
+
+def _fewest_terms(gens, targets):
+    """The exponent table.  Returns (fewest, to_grid): to_grid maps an
+    exponent to its integer grid point, and fewest maps every grid point that
+    is reachable downward from a target and is a sum of nonzero generators to
+    the least number of them (the origin to 0).  Iterative throughout."""
+    if any(c < 0 for g in gens for c in g):
+        raise PuiseuxError("semigroup generators must have non-negative exponents")
+    dim = len(targets[0])
+    scale = [
+        math.lcm(*(v[i].denominator for v in gens + targets)) for i in range(dim)
+    ]
+
+    def to_grid(v):
+        return tuple(int(c * s) for c, s in zip(v, scale))
+
+    tops = [to_grid(t) for t in targets]
+    box = math.prod(max([0] + [t[i] for t in tops]) + 1 for i in range(dim))
+    steps = {g for g in map(to_grid, gens) if any(g)}
+    if box * len(steps) > GRID_LIMIT:
+        raise PuiseuxError(
+            f"exponent grid box of {box} points times {len(steps)} nonzero "
+            f"generators exceeds the limit of {GRID_LIMIT}"
+        )
+    down = set(tops)
+    stack = list(down)
+    while stack:
+        x = stack.pop()
+        for g in steps:
+            y = tuple(map(operator.sub, x, g))
+            if y not in down and min(y) >= 0:
+                down.add(y)
+                stack.append(y)
+    fewest = {(0,) * dim: 0}
+    for x in sorted(down, key=sum):
+        below = (tuple(map(operator.sub, x, g)) for g in steps)
+        counts = [fewest[y] for y in below if y in fewest]
+        if counts:
+            fewest[x] = min(counts) + 1
+    return fewest, to_grid
+
+
+def semigroup_member_table_reference(S, v, max_terms):
+    """The library's earlier semigroup_member_oracle: 1 <= fewest[v] <=
+    max_terms in the exponent table of S below v."""
+    vecs, _ = _exponent_set(S)
+    v = as_vec(v, len(vecs[0]) if vecs else None)
+    fewest, to_grid = _fewest_terms(vecs, [v])
+    return 1 <= fewest.get(to_grid(v), 0) <= max_terms
 
 
 def irreducible_table_reference(S):
     """The library's earlier irreducible exponents: a nonzero r is reducible
     exactly when r - g has an entry in the exponent table of S for some
     nonzero g != r in S."""
-    vecs, scalar = _normalize_set(S)
+    vecs, scalar = _exponent_set(S)
     nonzero = list({v for v in vecs if any(v)})
     result = set(vecs) - set(nonzero)
     if nonzero:

@@ -293,6 +293,28 @@ def test_param_that_is_no_rational_is_named(capsys):
     assert err == "error: --param c must be a rational p/q, got 'abc'\n"
 
 
+def test_order_and_matrix_errors_name_their_option(tmp_path, capsys):
+    letters = tmp_path / "letters.json"
+    letters.write_text(json.dumps([["a", "1"], ["0", "1"]]))
+    prose = tmp_path / "prose.txt"
+    prose.write_text("not json")
+    series = "x1^(1/2)+x2"
+    bad = f"file {str(letters)!r} holds no JSON matrix of rationals: " \
+        "Invalid literal for Fraction: 'a'"
+    no_json = f"file {str(prose)!r} holds no JSON matrix of rationals: " \
+        "Expecting value: line 1 column 1 (char 0)"
+    for argv, message in (
+        (("analyze", series, "--order", "weights:a,1"),
+         "--order weight must be a rational p/q, got 'a'"),
+        (("analyze", series, "--order", f"matrix:{letters}"), f"--order matrix {bad}"),
+        (("analyze", series, "--lattice", f"matrix:{letters}"), f"--lattice matrix {bad}"),
+        (("toric", series, "--matrix", str(letters)), f"--matrix {bad}"),
+        (("toric", series, "--matrix", str(prose)), f"--matrix {no_json}"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+
+
 def test_verify_verb_is_quick_at_precision_40(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", "x^(3/2)+2*x^(7/4)", "--precision", "40")

@@ -13,6 +13,7 @@ from oracles import (
     irr_dfs,
     irreducible_table_reference,
     lattice_reference,
+    semigroup_member_table_reference,
     sum_search,
     sums_with_counts,
 )
@@ -83,6 +84,14 @@ def test_semigroup_oracle_counts_terms():
     assert not semigroup_member_oracle({F(1), F(2), F(3)}, F(60), max_terms=19)
 
 
+def _outcome(call, *args):
+    """call(*args), or the class and message of the PuiseuxError it raises."""
+    try:
+        return call(*args)
+    except PuiseuxError as exc:
+        return type(exc), str(exc)
+
+
 def test_semigroup_oracle_edge_cases():
     assert not semigroup_member_oracle({F(2), F(3)}, F(0), max_terms=5)
     assert not semigroup_member_oracle({F(2), F(3)}, F(-2), max_terms=5)
@@ -91,6 +100,43 @@ def test_semigroup_oracle_edge_cases():
         semigroup_member_oracle({F(-1), F(2)}, F(1), max_terms=5)
     with pytest.raises(PuiseuxError, match="non-negative"):
         irreducible_exponents({F(-1), F(2)})
+    # the descent answers and refuses as the exponent table did
+    cases = [
+        (set(), F(3), 5),  # empty S
+        ([], (F(1), F(2)), 3),
+        ({F(0)}, F(1), 5),  # zero generator alone
+        ({F(0), F(2)}, F(4), 2),
+        ({(F(0), F(0)), (F(1), F(1, 2))}, (F(2), F(1)), 2),
+        ({F(1)}, F(1), 0),  # max_terms 0
+        ({F(1)}, F(0), 3),  # v zero
+        ({F(2), F(3)}, F(-2), 5),  # v negative
+        ({F(2), F(4)}, F(5, 2), 9),  # v off the grid of S
+        ({(F(1), F(0)), (F(0), F(1))}, (F(3), F(-1)), 9),
+        ({F(1), F(2), F(3)}, F(60), 19),
+        ({F(1), F(2), F(3)}, F(60), 20),
+    ]
+    for S, v, max_terms in cases:
+        want = semigroup_member_table_reference(S, v, max_terms)
+        assert semigroup_member_oracle(S, v, max_terms) == want, (S, v, max_terms)
+    refusals = [
+        (
+            ({F(-1), F(2)}, F(1), 5),
+            "semigroup generators must have non-negative exponents",
+        ),
+        (
+            ({(F(1), F(-1, 2)), (F(1), F(1))}, (F(2), F(0)), 5),
+            "semigroup generators must have non-negative exponents",
+        ),
+        (
+            ({F(k) for k in range(1, 41)}, F(99999), 3),
+            "exponent grid box of 100000 points times 40 nonzero generators "
+            f"exceeds the limit of {GRID_LIMIT}",
+        ),
+    ]
+    for args, message in refusals:
+        want = (PuiseuxError, message)
+        assert _outcome(semigroup_member_oracle, *args) == want, args
+        assert _outcome(semigroup_member_table_reference, *args) == want, args
 
 
 def _random_vector_set(rng, h):
@@ -127,6 +173,42 @@ def test_semigroup_oracle_agrees_with_sums(h):
             want = any(v in table.get(k, ()) for k in range(1, max_terms + 1))
             got = semigroup_member_oracle(S, v, max_terms=max_terms)
             assert got == want == sum_search(v, S, 1, max_terms), (S, v, max_terms)
+
+
+def _membership_case(rng, h):
+    """A seeded (S, v, max_terms): S with mixed denominators, now and then
+    empty or holding the zero generator, and v a sum of a few elements of
+    S, now and then moved off S's grid, made negative or zero."""
+    denoms, top = {1: ((1, 2, 3, 4), 5), 2: ((1, 2, 3), 4), 3: ((1, 2), 3)}[h]
+    zero = tuple(F(0) for _ in range(h))
+    S = [random_exponent(rng, h, denoms, max_num=top) for _ in range(rng.randrange(0, 6))]
+    if rng.random() < 0.2:
+        S.append(zero)
+    picks = rng.choices(S, k=rng.randrange(1, 5)) if S else []
+    v = tuple(sum((p[i] for p in picks), F(0)) for i in range(h))
+    kind = rng.choice(("sum", "sum", "sum", "off", "negative", "zero"))
+    if kind == "off":
+        v = (v[0] + F(1, 5),) + v[1:]
+    elif kind == "negative":
+        v = (v[0] - 3,) + v[1:]
+    elif kind == "zero":
+        v = zero
+    return S, v, rng.randrange(0, 8), kind
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_semigroup_descent_agrees_with_the_table(h):
+    rng = random.Random(1900 + h)
+    kinds = set()
+    for _ in range(60):
+        S, v, max_terms, kind = _membership_case(rng, h)
+        if h == 1 and rng.random() < 0.5:
+            S, v = [e[0] for e in S], v[0]  # scalar input
+        got = _outcome(semigroup_member_oracle, S, v, max_terms)
+        assert got == _outcome(semigroup_member_table_reference, S, v, max_terms), (S, v)
+        kinds.add((kind, got))
+    assert {k for k, _ in kinds} == {"sum", "off", "negative", "zero"}
+    assert {True, False} <= {g for _, g in kinds}
 
 
 def test_irreducible_long_chain_is_iterative():

@@ -245,23 +245,42 @@ def _refusal(call):
     return type(err.value), str(err.value)
 
 
+def _outcome(call):
+    """The JSON and branch data of call's result, or the class and message
+    of its refusal."""
+    try:
+        result = call()
+    except PuiseuxError as exc:
+        return type(exc), str(exc)
+    return result.to_json(), result.branch
+
+
 def test_both_entry_points_refuse_alike():
     # invert_series is extract_branch at N followed by invert_branch, so the
-    # two refuse the same inputs with one class and one message
+    # two refuse the same inputs with one class and one message, and give
+    # the same result on the others
+    h3 = "x1^(3/2) + 2*x1^(7/4)*x2^(1/2) - 3*x1^(2)*x2^(1/3)*x3^(1/2)"
     cases = [
-        ("x^(3/2) + 2*x^(7/4) + O(total=3)", F(10), None, 56),
-        ("x + x^(2)", INF, None, INF),  # exact, m1 = 1
-        ("x^(3/2) + 2*x^(7/4)", INF, None, INF),  # exact, m1 = 6
-        ("x^(3/2) + 2*x^(7/4)", F(100000), None, 599996),
-        ("16*x1^(4/3) + x1^(5/3)*x2^(1/2) - x1^(2) + O(total=2)", F(3), -2, 9),
+        ("x^(3/2) + 2*x^(7/4) + O(total=3)", F(10), None, 56, False),
+        ("x + x^(2)", INF, None, INF, False),  # exact, m1 = 1
+        ("x^(3/2) + 2*x^(7/4)", INF, None, INF, False),  # exact, m1 = 6
+        ("x^(3/2) + 2*x^(7/4)", F(100000), None, 599996, False),
+        ("16*x1^(4/3) + x1^(5/3)*x2^(1/2) - x1^(2) + O(total=2)", F(3), -2, 9, False),
+        ("x^(3/2) + 2*x^(7/4)", F(5), None, 26, True),
+        ("x^(3/2) + 2*x^(7/4) + O(total=10)", F(2), None, 8, True),
+        ("4*x^(2) + x^(3)", F(4), -2, 7, True),
+        ("x1^(3/2) + x1^(2)*x2^(1/2)", F(3), None, 7, True),
+        ("16*x1^(4/3) + x1^(5/3)*x2^(1/2) - x1^(2) + O(total=5)", F(2), -2, 5, True),
+        (h3, F(3), None, 14, True),
     ]
-    for text, target, root, n in cases:
+    for text, target, root, n, succeeds in cases:
         eta = parse(text, precision=INF)
-        direct = _refusal(lambda: invert_series(eta, target, root_coeff=root))
-        via_branch = _refusal(
+        direct = _outcome(lambda: invert_series(eta, target, root_coeff=root))
+        via_branch = _outcome(
             lambda: invert_branch(extract_branch(eta, root, unit_precision=n), target)
         )
         assert direct == via_branch, text
+        assert isinstance(direct[0], dict) == succeeds, (text, direct)
     short = _refusal(lambda: invert_series(parse("x^(3/2) + 2*x^(7/4) + O(total=3)"), F(10)))
     assert short == (
         PrecisionError,
