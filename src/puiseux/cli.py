@@ -54,8 +54,6 @@ def _option_rat(option: str, value: str, what: str) -> Fraction:
     """value as a rational; text that is no rational names option and value."""
     try:
         return rat(value)
-    except PuiseuxError:
-        raise
     except ValueError:
         raise PuiseuxError(f"{option} must be {what}, got {value!r}") from None
 

@@ -63,6 +63,9 @@ from .series import (
 # 0.11 and 0.5 s there.
 MAX_UNIT_PRECISION = 500
 
+# The one refusal of an exact unit part, by extract_branch (m1 > 1) and the gate
+_EXACT_UNIT_PART = "exact unit part: pass target_precision, or unit_precision to extract_branch"
+
 __all__ = [
     "BranchData",
     "DominationError",
@@ -255,9 +258,7 @@ def extract_branch(
     # eta -> eta_t is diag(n), then t1^-m1 divides out the dominating term
     unit_m = eta._reframe(n, -m1, cap)
     if unit_m.precision is INF and m1 > 1 and len(unit_m._keys) > 1:
-        raise PrecisionError(
-            "exact input: pass unit_precision (or use invert_series with a target)"
-        )
+        raise PrecisionError(_EXACT_UNIT_PART)
     return BranchData._from_power(unit_m, m1, atilde, n)
 
 
@@ -366,7 +367,7 @@ def _working_precision(data: BranchData, target_precision):
     need = held.precision if target_precision is None else _required_unit_precision(
         target_precision, data.exponent_m, data.ramification)
     if need is INF and held.precision is INF and len(held._keys) > 1:
-        raise PrecisionError("exact unit part: pass target_precision")
+        raise PrecisionError(_EXACT_UNIT_PART)
     if need is not INF and need > MAX_UNIT_PRECISION:
         raise PuiseuxError(
             f"unit precision N = {need} exceeds the limit of {MAX_UNIT_PRECISION}; "

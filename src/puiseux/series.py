@@ -18,8 +18,6 @@ messages.
 from __future__ import annotations
 
 import collections
-import functools
-import heapq
 import itertools
 import math
 import operator
@@ -573,18 +571,20 @@ class _GridPower:
     In h variables a degree holds many keys, and key_walk visits them in
     increasing total degree in the same pull form.  It carries the runs of
     the dual as dual_loop does, those still going at a key being an
-    interval of j, and a single power as one run.
+    interval of j, and a single power as one run.  Every kernel walks the
+    multiples of the step unit u in order, the only degrees a key can have.
 
-    The constructor does the part that depends on f alone: the degrees of
-    f's keys, a_j = A_j/den and the last degree precision allows.  Calling
-    the object runs the recurrence for one r.
+    The constructor does the part that depends on f alone: the steps
+    (T(j), j, A_j) sorted by degree, den, u and the last degree precision
+    allows.  Calling the object runs the recurrence for one r, by
+    dense_loop in one variable and by key_walk in several.
     """
 
     def __init__(self, f: PuiseuxSeries):
         lcm_all, weights = _grading(f.ramification)
         c0 = f.constant_term()
         items = [(_degree(g, weights), g, c) for g, c in f._keys.items()]
-        items = [(t, g, c) for t, g, c in items if t]
+        items = sorted(((t, g, c) for t, g, c in items if t), key=operator.itemgetter(0))
         if any(t < 0 for t, _, _ in items):
             raise PuiseuxError("a power by recurrence needs non-negative exponents")
         self.num_vars = f.num_vars
@@ -593,11 +593,8 @@ class _GridPower:
         self.max_t = max((t for t, _, _ in items), default=0)
         self.den = math.lcm(*((c / c0).denominator for _, _, c in items))
         self.items = [(t, g, int(c / c0 * self.den)) for t, g, c in items]
-
-    @functools.cached_property
-    def unit(self) -> int:
-        """u, the gcd of the step degrees (1 without steps)."""
-        return math.gcd(*(t for t, _, _ in self.items)) or 1
+        # u, the gcd of the step degrees (1 without steps)
+        self.unit = math.gcd(*(t for t, _, _ in items)) or 1
 
     def _limit(self, r: Fraction) -> int:
         """The last total degree a run for r computes."""
@@ -656,18 +653,16 @@ class _GridPower:
         raised to a non-negative integer r stops at r*max T, where the power
         ends.
         """
-        p, q = r.numerator, r.denominator
-        if self.num_vars == 1:
-            runs = self.dense_loop(p, q, self._limit(r) // self.unit)
-        else:
-            runs = self.key_walk(p, q, 0)
+        kernel = self.dense_loop if self.num_vars == 1 else self.key_walk
+        runs = kernel(r.numerator, r.denominator)
         s_num, s_den = scale.numerator, scale.denominator
         return {g: Fraction(num * s_num, common * s_den) for g, num, common in runs if num}
 
-    def dense_loop(self, p: int, q: int, last: int):
-        """The one-variable run for r = p/q up to degree last*u: yields
+    def dense_loop(self, p: int, q: int):
+        """The one-variable run for r = p/q up to its last degree: yields
         (g, N, L), P_g = N/L, for every key g = (i*u,) in order."""
         unit = self.unit
+        last = self._limit(Fraction(p, q)) // unit
         qden = q * self.den
         steps = [(t // unit, a * (p + q) * (t // unit), a * q) for t, _, a in self.items]
         width = self.max_t // unit
@@ -707,7 +702,7 @@ class _GridPower:
         recurrence and cancels in each gcd, so the integers are the same."""
         unit = self.unit
         qden = q * self.den
-        steps = sorted((t // unit, a) for t, _, a in self.items)
+        steps = [(t // unit, a) for t, _, a in self.items]
         # rows[-s] is row i - s, the entries for runs i - s, ..., runs-1
         rows = collections.deque([([1] * runs, 1)], maxlen=steps[-1][0] if steps else 1)
         common = 1
@@ -736,7 +731,7 @@ class _GridPower:
             rows.append((acc, common))
             yield (i * unit,), acc[0], common
 
-    def key_walk(self, p: int, q: int, step: int):
+    def key_walk(self, p: int, q: int, step: int = 0):
         """The runs for r_j = (p - j*step)/q, run j stopped at first
         coordinate j*step, advanced together over the keys in increasing
         total degree: yields (g, N, L) for every key g reached, P_g = N/L of
@@ -749,30 +744,30 @@ class _GridPower:
         g reads from.  A row holds N_g of those runs over one denominator,
         reduced by one gcd a degree, and a step's weight
         A_s((p_j + q) T(s) - q T(g)) is an arithmetic progression in j, with
-        L/L_row folded in as in dual_loop.  Only the reached degrees are
-        visited, and only the rows the longest step can still read kept."""
+        L/L_row folded in as in dual_loop.  The walk goes over the multiples
+        d of u, as the other kernels do, keeps only the levels the longest
+        step can still read, skips a degree no kept level reaches and ends
+        once none is kept."""
         limit = self._limit(Fraction(p, q))
-        w0, qden = self.w0, q * self.den
+        w0, qden, unit = self.w0, q * self.den, self.unit
         # span is the rest degree one run adds; with step 0 every key has the
         # one run 0, and limit + 1 gives every key up to the limit that interval
         span = step * w0 or limit + 1
         # each step: (T(s), s, s_1/step, A_s (p + q) T(s), A_s step T(s), A_s q)
         steps = [
             (t, g, g[0] // step if step else 0, a * (p + q) * t, a * step * t, a * q)
-            for t, g, a in sorted(self.items, key=lambda s: s[0])
+            for t, g, a in self.items
         ]
         zero = (0,) * self.num_vars
         # levels[d] = (L_d, {g: (first run, row)}) for the keys g of degree d
+        # that hold a nonzero entry, d within the longest step below
         levels = {0: (1, {zero: (0, [1] * (limit // span + 1))})}
-        kept = collections.deque([0])
-        degrees = sorted({t for t, *_ in steps if t <= limit})
-        reached = set(degrees)
         common = 1
         yield zero, 1, 1
-        while degrees:
-            d = heapq.heappop(degrees)
-            while kept[0] < d - self.max_t:
-                del levels[kept.popleft()]
+        for d in range(unit, limit + 1, unit):
+            levels.pop(d - self.max_t - unit, None)
+            if not levels:
+                break
             sums = {}
             for t, gs, ds, c1, c2, c3 in steps:
                 if t > d:
@@ -793,6 +788,8 @@ class _GridPower:
                         n = len(old[1])
                     terms = map(operator.mul, itertools.count(base + diff * lo, diff), prev[ds:ds + n])
                     sums[key] = (lo, list(terms) if old is None else list(map(operator.add, old[1], terms)))
+            if not sums:
+                continue
             m = qden * d
             g = math.gcd(m, *itertools.chain.from_iterable(acc for _, acc in sums.values()))
             if g != m:
@@ -806,11 +803,6 @@ class _GridPower:
                 yield key, acc[0], common
             if rows:
                 levels[d] = (common, rows)
-                kept.append(d)
-                for t, *_ in steps:
-                    if t <= limit - d and d + t not in reached:
-                        reached.add(d + t)
-                        heapq.heappush(degrees, d + t)
 
 
 def _line(n: int) -> int:

@@ -260,13 +260,17 @@ def test_negative_precision_is_refused(capsys):
 
 
 def test_zero_denominator_is_named(capsys):
-    for argv in (
-        ("invert", "x^(3/2)+2*x^(7/4)", "--precision", "1/0"),
-        ("invert", "x^(3/2)+c*x^(7/4)", "--param", "c=1/0"),
-        ("invert", "4*x^(2)+x^(3)", "--root-coeff", "1/0"),
+    # 1/0 is no rational, so it names its option like any other such value
+    for argv, message in (
+        (("invert", "x^(3/2)+2*x^(7/4)", "--precision", "1/0"),
+         "--precision must be a non-negative rational"),
+        (("invert", "x^(3/2)+c*x^(7/4)", "--param", "c=1/0"), "--param c must be a rational p/q"),
+        (("invert", "4*x^(2)+x^(3)", "--root-coeff", "1/0"), "--root-coeff must be a rational p/q"),
+        (("analyze", "x1^(1/2)+x2", "--order", "weights:1/0,1"),
+         "--order weight must be a rational p/q"),
     ):
-        code, _, err = run(capsys, *argv)
-        assert (code, err) == (1, "error: zero denominator in '1/0'\n"), argv
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}, got '1/0'\n"), argv
 
 
 def test_precision_that_is_no_rational_is_named(capsys):

@@ -281,6 +281,14 @@ def test_both_entry_points_refuse_alike():
         )
         assert direct == via_branch, text
         assert isinstance(direct[0], dict) == succeeds, (text, direct)
+    # an exact eta at target INF is refused in extract_branch for m1 = 6 and
+    # in invert_branch's gate for m1 = 1, in one wording
+    exact = {_refusal(lambda: invert_series(parse(text, precision=INF), INF))
+             for text in ("x + x^(2)", "x^(3/2) + 2*x^(7/4)")}
+    assert exact == {(
+        PrecisionError,
+        "exact unit part: pass target_precision, or unit_precision to extract_branch",
+    )}
     short = _refusal(lambda: invert_series(parse("x^(3/2) + 2*x^(7/4) + O(total=3)"), F(10)))
     assert short == (
         PrecisionError,

@@ -288,6 +288,14 @@ def random_several_variables(rng, h, precision, r0=F(1)):
     return PuiseuxSeries(h, terms, precision)
 
 
+# sparse polynomials whose step degrees (5 and 7; 4, 6 and 9; 6 and 9) leave
+# most multiples of their step unit unreached by their powers
+SPARSE = {
+    2: ["1 + t1^(3)*t2^(2) - 2*t2^(7)", "2 + 3*t1^(4) + t1^(2)*t2^(4) - t1^(6)*t2^(3)"],
+    3: ["1 + t1^(3)*t3^(2) - 2*t2^(7)", "2 + t1^(2)*t2^(2)*t3^(2) - 3*t1^(3)*t3^(6)"],
+}
+
+
 @pytest.mark.parametrize("h, top", [(2, 12), (3, 7)])
 def test_key_walk_dual_matches_the_capped_heap_runs(h, top):
     # psi^a read off phi^m by the one key walk, against one capped heap run
@@ -305,6 +313,13 @@ def test_key_walk_dual_matches_the_capped_heap_runs(h, top):
             seen["first 0"] |= any(g[0] == 0 and any(g) for g in power._keys)
             for a in (1, 2, 3):
                 same(_dual_from_power(power, m, c0, a), dual_from_power_reference(power, m, c0, a))
+    for text in SPARSE[h]:
+        phi = parse(text, num_vars=h, precision=top)
+        for m, a in ((1, 1), (2, 1), (3, 2)):
+            # the power by products, so that it does not share the walk's faults
+            power = pow_int_products(phi, m)
+            same(_dual_from_power(power, m, phi.constant_term(), a),
+                 dual_from_power_reference(power, m, phi.constant_term(), a))
     assert max(seen["step"]) > 1 and seen["first 0"] and top in seen["precision"]
     assert {F(1), F(-2), F(3, 2)} <= seen["r0"]
 
@@ -319,6 +334,22 @@ def test_key_walk_powers_match_the_product_references(h):
                  unit_power_binomial(s, r, constant_power=F(7, 3)))
         for n in range(-3, 4):
             same(s.pow_int(n), pow_int_products(s, n))
+    for text in SPARSE[h]:
+        s = parse(text, num_vars=h, precision=INF)
+        for n in range(5):
+            same(s.pow_int(n), pow_int_products(s, n))
+            same(s.unit_power(n), unit_power_binomial(s, n))
+            assert _GridPower(s)(F(n)) == capped_heap_run(s, F(n))
+    # (1 + t1...th)^2 to the 1/2 is 1 + t1...th: its rows end at degree h,
+    # well inside the precision, and the walk ends once the longest step, 2h,
+    # is past them
+    monomial = "*".join(f"t{i + 1}" for i in range(h))
+    square = "*".join(f"t{i + 1}^(2)" for i in range(h))
+    for precision in (6, 12):
+        s = parse(f"1 + 2*{monomial} + {square}", num_vars=h, precision=precision)
+        root = s.unit_power(F(1, 2), constant_power=1)
+        same(root, unit_power_binomial(s, F(1, 2), constant_power=1))
+        assert root.terms == {(F(0),) * h: 1, (F(1),) * h: 1}
 
 
 @pytest.mark.parametrize("h", [2, 3])
