@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Verbs: analyze, dual, invert, lagrange, verify, qo, toric, corpus.
+lagrange prints xi by the Lagrange formula alone, in any number of variables,
+from the branch that invert reads, never its pipeline; verify compares the
+two at every exponent that either holds.
 Typed series are taken as exact polynomials unless they carry an explicit
 O(total=R) marker.  Each verb takes only the options it reads; --precision
 is the working precision, a non-negative rational (default 10).  Exit
@@ -23,7 +26,7 @@ from .exponents import (
     exponent_to_json,
     irreducible_exponents,
 )
-from .inversion import invert_series, lagrange_series, verify_halphen_stolz
+from .inversion import _branch_at, invert_series, lagrange_series, verify_halphen_stolz
 from .quasi_ordinary import qo_test, toric_pullback, verify_qsigma_relation
 from .reports import CheckReport
 from .series import (
@@ -179,26 +182,16 @@ def _xi_names(h: int) -> list[str]:
     return ["y1"] + [f"x{i}" for i in range(2, h + 1)]
 
 
-def _invert_with_options(args, eta: PuiseuxSeries):
-    """Invert eta at --precision with --root-coeff (invert, lagrange, verify)."""
-    root = None
+def _branch_options(args):
+    """(series, --precision, --root-coeff) for invert, lagrange and verify."""
+    eta, root = _parse_series(args), None
     if args.root_coeff is not None:
         root = _option_rat("--root-coeff", args.root_coeff, "a rational p/q")
-    return invert_series(eta, _precision(args), root_coeff=root)
-
-
-def _lagrange_coefficients(result, oracle, bound):
-    """(exponent, coefficient of oracle) at every y^(q/m1) up to bound, for
-    oracle the one-variable xi of lagrange_series."""
-    q = result.n1
-    while Fraction(q, result.m1) <= bound:
-        exponent = Fraction(q, result.m1)
-        yield exponent, oracle.coefficient((exponent,))
-        q += 1
+    return eta, _precision(args), root
 
 
 def _cmd_invert(args) -> int:
-    result = _invert_with_options(args, _parse_series(args))
+    result = invert_series(*_branch_options(args))
     h = result.eta.num_vars
     lines = [
         f"m1 = {result.m1}, n1 = {result.n1}, root = {result.root_coeff}",
@@ -214,36 +207,23 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_lagrange(args) -> int:
-    eta = _parse_series(args)
-    if eta.num_vars != 1:
-        raise PuiseuxError("the lagrange verb works on one-variable series")
-    result = _invert_with_options(args, eta)
-    oracle = lagrange_series(result.branch)
-    lines = []
-    rows = []
-    for exponent, coef in _lagrange_coefficients(result, oracle, _precision(args)):
-        if coef != 0:
-            lines.append(f"[xi]_{exponent} = {coef}")
-        rows.append({"exponent": str(exponent), "coef": str(coef)})
-    _emit(args, lines, {"m": result.m1, "n": result.n1, "coefficients": rows})
+    eta, target, root = _branch_options(args)
+    # the branch that invert reads, which the oracle expands without the dual
+    data = _branch_at(eta, target, root)
+    terms = lagrange_series(data).truncate(target).sorted_terms()
+    lines = [f"[xi]_{fmt_vec(e)} = {c}" for e, c in terms]
+    rows = [{"exponent": exponent_to_json(e), "coef": str(c)} for e, c in terms]
+    _emit(args, lines, {"m": data.exponent_m, "n": data.ramification[0], "coefficients": rows})
     return 0
 
 
 def _oracle_report(result) -> CheckReport:
     """xi again, by the Lagrange formula alone, at xi's own precision: one
-    check per coefficient of xi against the oracle's."""
-    oracle = lagrange_series(result.branch)
+    check at every exponent that xi or the oracle holds."""
+    xi, oracle = result.xi, lagrange_series(result.branch)
     report = CheckReport("Lagrange oracle equivalence")
-    xi = result.xi
-    if xi.num_vars == 1:
-        for exponent, coef in _lagrange_coefficients(result, oracle, xi.precision):
-            report.record(
-                f"coefficient at y^{exponent}", xi.coefficient((exponent,)), coef, (exponent,)
-            )
-    else:
-        # every exponent either side holds
-        for e in sorted(xi.support() | oracle.support(), key=lambda v: (total(v), v)):
-            report.record("coefficient of xi", xi.coefficient(e), oracle.coefficient(e), e)
+    for e in sorted(xi.support() | oracle.support(), key=lambda v: (total(v), v)):
+        report.record("coefficient of xi", xi.coefficient(e), oracle.coefficient(e), e)
     return report
 
 
@@ -257,7 +237,7 @@ def _unless_refused(name: str, build, refusal) -> CheckReport:
 
 
 def _cmd_verify(args) -> int:
-    result = _invert_with_options(args, _parse_series(args))
+    result = invert_series(*_branch_options(args))
     data = result.branch
     reports = [
         # the recomputation refuses a result whose window misses eta's head

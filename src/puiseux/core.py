@@ -53,6 +53,8 @@ def rat(x) -> Fraction:
         return Fraction(x)
     except ZeroDivisionError:
         raise PuiseuxError(f"zero denominator in {x!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise PuiseuxError(str(exc)) from None
 
 
 def as_vec(x, dim: int | None = None) -> Vec:

@@ -123,8 +123,8 @@ def verify_power_identity(phi: PuiseuxSeries, N: int) -> CheckReport:
     c0 = phi.constant_term()
     if c0 == 0:
         raise PuiseuxError("power identity needs an invertible series")
-    if N < 1:
-        raise PuiseuxError("N must be a positive integer")
+    if not isinstance(N, int) or N < 1:
+        raise PuiseuxError(f"N must be a positive integer, got {N!r}")
     return _irreducible_identity(
         f"power identity (N={N})", phi, phi.pow_int(N), "phi^N",
         c0**N, "power coefficient", lambda r: N * c0 ** (N - 1),

@@ -381,7 +381,7 @@ def characteristic_exponents(psi) -> CharacteristicSequence:
         if (n * l).denominator != 1:
             entries.append(l)
         n = math.lcm(n, l.denominator)
-    ess = essential_exponents_p(psi.support(), 1, ramification=psi.ramification[0])
+    ess = essential_of_series(psi)
     transformed = tuple(e[0] for e in drop_integral_head(ess))
     if tuple(entries) != transformed:
         raise PuiseuxError(

@@ -18,11 +18,12 @@ the keys of one series into another.
 
 The work grows with the unit precision N = target*max(m1, n2, ..., nh) - n1.
 There is one path from eta to xi: invert_series(eta, target) is
-invert_branch(extract_branch(eta, root, N), target).  Input is checked in
-two places, before any work: BranchData's construction checks a hand-built
-unit part, and the gate _working_precision, shared by invert_branch,
-lagrange_series and lagrange_coefficient, refuses an exact unit part
-without a target, an N above MAX_UNIT_PRECISION and one too short for N.
+invert_branch(_branch_at(eta, target, root), target), _branch_at being the
+extract_branch at that N.  Input is checked in two places, before any work:
+BranchData's construction checks a hand-built unit part, and the gate
+_working_precision, shared by invert_branch, lagrange_series and
+lagrange_coefficient, refuses an exact unit part without a target, an N
+above MAX_UNIT_PRECISION and one too short for N.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .core import (
     RootError,
     fmt_power,
     fmt_vec,
+    rat,
     rational_root,
     total,
 )
@@ -52,6 +54,7 @@ from .series import (
     MAX_POWER_WORK,
     PrecisionError,
     PuiseuxSeries,
+    _norm_prec,
     _reframe_prec,
 )
 
@@ -247,14 +250,12 @@ def extract_branch(
                 "pass root_coeff explicitly"
             )
     else:
-        atilde = Fraction(root_coeff)
+        atilde = rat(root_coeff)
         if atilde**m1 != a:
             raise RootError(
                 f"root_coeff {atilde} fails: {fmt_power(atilde, m1)} = {atilde ** m1} != {a}"
             )
-    cap = INF
-    if unit_precision is not None and unit_precision != INF:
-        cap = max(Fraction(0), Fraction(unit_precision))
+    cap = INF if unit_precision is None else max(Fraction(0), _norm_prec(unit_precision))
     # eta -> eta_t is diag(n), then t1^-m1 divides out the dominating term
     unit_m = eta._reframe(n, -m1, cap)
     if unit_m.precision is INF and m1 > 1 and len(unit_m._keys) > 1:
@@ -286,9 +287,9 @@ def _rescale_sequence(seq: EssentialSequence, first: int, divisors) -> Essential
 
 def _required_unit_precision(target, m1: int, n: tuple[int, ...]):
     """N = target*max(m1, n2, ..., nh) - n1, at least 0, one Fraction built from ints."""
-    if target == INF:
+    target = _norm_prec(target)
+    if target is INF:
         return INF
-    target = target if type(target) is Fraction else Fraction(target)
     num = target.numerator * max((m1, *n[1:])) - n[0] * target.denominator
     return Fraction(max(num, 0), target.denominator)
 
@@ -434,16 +435,24 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
     )
 
 
+def _branch_at(eta: PuiseuxSeries, target_precision, root_coeff=None) -> BranchData:
+    """extract_branch(eta, root_coeff, N) at the unit precision N that
+    target_precision needs, refused as invert_branch(_, target_precision)
+    refuses it."""
+    m1 = _dominating_profile(eta)[1]
+    N = _required_unit_precision(target_precision, m1, eta.ramification)
+    data = extract_branch(eta, root_coeff, N)
+    _working_precision(data, target_precision)
+    return data
+
+
 def invert_series(
     eta: PuiseuxSeries, target_precision, root_coeff=None
 ) -> InversionResult:
-    """invert_branch(extract_branch(eta, root_coeff, N), target_precision)
-    at the unit precision N that target_precision needs, so the output is
-    complete up to target_precision.  This is the one path from eta to xi:
-    every check on the precision is invert_branch's."""
-    m1 = _dominating_profile(eta)[1]
-    N = _required_unit_precision(target_precision, m1, eta.ramification)
-    return invert_branch(extract_branch(eta, root_coeff, N), target_precision)
+    """invert_branch(_branch_at(eta, target_precision, root_coeff),
+    target_precision): the one path from eta to xi, complete up to
+    target_precision."""
+    return invert_branch(_branch_at(eta, target_precision, root_coeff), target_precision)
 
 
 def verify_halphen_stolz(result: InversionResult) -> CheckReport:
@@ -591,6 +600,8 @@ def lagrange_coefficient(data: BranchData, q: int) -> Fraction:
     and refused as that call refuses it."""
     if len(data.ramification) != 1:
         raise PuiseuxError("the Lagrange formula is one-variable")
+    if not isinstance(q, int):
+        raise PuiseuxError(f"q must be an integer, got {q!r}")
     n1 = data.ramification[0]
     if q < n1:
         raise PuiseuxError(f"q = {q} must be at least n = {n1}")

@@ -397,6 +397,8 @@ class PuiseuxSeries:
         one-variable series factor out the dominating monomial and give a
         Laurent series.
         """
+        if not isinstance(n, int):
+            raise PuiseuxError(f"n must be an integer, got {n!r}")
         if n == 0:
             return PuiseuxSeries.one(self.num_vars)
         if n > 0:
@@ -596,13 +598,13 @@ class _GridPower:
         # u, the gcd of the step degrees (1 without steps)
         self.unit = math.gcd(*(t for t, _, _ in items)) or 1
 
-    def _limit(self, r: Fraction) -> int:
-        """The last total degree a run for r computes."""
+    def _limit(self, p: int, q: int) -> int:
+        """The last total degree a run for r = p/q, q > 0, computes."""
         if not self.items:
             return 0
-        if r.denominator == 1 and r >= 0:
+        if p >= 0 and p % q == 0:
             # a polynomial in the a_j: the power ends at degree r*max T
-            return min(r.numerator * self.max_t, self.cutoff)
+            return min(p // q * self.max_t, self.cutoff)
         if self.cutoff is INF:
             raise PrecisionError(
                 "power of an exact non-constant series has infinite support; truncate first"
@@ -634,7 +636,7 @@ class _GridPower:
         if first_only:
             n, times, total = runs, 1, _triangle
         else:
-            n = self._limit(r) // unit + 1 if sizes else 1
+            n = self._limit(r.numerator, r.denominator) // unit + 1 if sizes else 1
             times, total = max(runs, 1), _line
         work = times * (
             DEGREE_COST * total(n) + sum(total(n - size // unit) for size in sizes)
@@ -662,7 +664,7 @@ class _GridPower:
         """The one-variable run for r = p/q up to its last degree: yields
         (g, N, L), P_g = N/L, for every key g = (i*u,) in order."""
         unit = self.unit
-        last = self._limit(Fraction(p, q)) // unit
+        last = self._limit(p, q) // unit
         qden = q * self.den
         steps = [(t // unit, a * (p + q) * (t // unit), a * q) for t, _, a in self.items]
         width = self.max_t // unit
@@ -748,7 +750,7 @@ class _GridPower:
         d of u, as the other kernels do, keeps only the levels the longest
         step can still read, skips a degree no kept level reaches and ends
         once none is kept."""
-        limit = self._limit(Fraction(p, q))
+        limit = self._limit(p, q)
         w0, qden, unit = self.w0, q * self.den, self.unit
         # span is the rest degree one run adds; with step 0 every key has the
         # one run 0, and limit + 1 gives every key up to the limit that interval

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -10,6 +11,8 @@ import puiseux.duality
 import puiseux.inversion
 from puiseux import PuiseuxSeries
 from puiseux.cli import build_parser, main
+from puiseux.core import fmt_vec
+from puiseux.corpus import PSI_MULTI, PSI_SIGMA
 
 
 def run(capsys, *argv):
@@ -324,7 +327,7 @@ def test_verify_verb_is_quick_at_precision_40(capsys):
     code, out, _ = run(capsys, "verify", "x^(3/2)+2*x^(7/4)", "--precision", "40")
     elapsed = time.perf_counter() - start
     assert code == 0
-    assert out.count("coefficient at y^") == 237
+    assert out.count("coefficient of xi at ") == 237
     assert elapsed < 3, elapsed
 
 
@@ -333,6 +336,10 @@ def test_qo_verb(capsys):
     assert code == 0
     assert "quasi-ordinary: no" in out
     assert "witness" in out
+    code, out, _ = run(capsys, "qo", PSI_SIGMA)
+    assert code == 0
+    assert out == "quasi-ordinary: yes [certified]\n" \
+        "characteristic exponents: ((0, 1/4), (3/2, 3/2))\n"
 
 
 def test_toric_verb(tmp_path, capsys):
@@ -364,6 +371,67 @@ def test_lagrange_verb(capsys):
     assert code == 0
     assert "[xi]_2/3 = 1" in out
     assert "[xi]_5/6 = -4/3" in out
+
+
+def _xi_lines(series, precision):
+    """The lagrange verb's lines for invert's xi of series at precision."""
+    eta = puiseux.parse(series, precision=puiseux.INF)
+    xi = puiseux.invert_series(eta, F(precision)).xi
+    return [f"[xi]_{fmt_vec(e)} = {c}" for e, c in xi.sorted_terms()]
+
+
+def test_lagrange_verb_reads_the_branch_not_the_pipeline(capsys, monkeypatch):
+    anchor = "x^(3/2)+2*x^(7/4)"
+    at_40 = _xi_lines(anchor, 40)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lagrange verb ran the inversion pipeline")
+
+    monkeypatch.setattr(puiseux.inversion, "_dual_from_power", refuse)
+    monkeypatch.setattr(puiseux.inversion, "invert_branch", refuse)
+    first = ["[xi]_2/3 = 1", "[xi]_5/6 = -4/3", "[xi]_1 = 8/3"]
+    at_2 = first + [
+        "[xi]_7/6 = -494/81", "[xi]_4/3 = 3640/243", "[xi]_3/2 = -77/2",
+        "[xi]_5/3 = 670208/6561", "[xi]_11/6 = -21850253/78732", "[xi]_2 = 768",
+    ]
+    for precision, lines in (("1", first), ("2", at_2), ("40", at_40)):
+        code, out, err = run(capsys, "lagrange", anchor, "--precision", precision)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == lines, precision
+    # the 237 lines the verb printed before it stopped reading the pipeline
+    assert len(at_40) == 237
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "df84f5b2e0d16a965ef80f0944fa8fde4922048a6166baebebaefbd32054b05a"
+    )
+    code, out, _ = run(capsys, "lagrange", anchor, "--precision", "1", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "m": 6,
+        "n": 4,
+        "coefficients": [
+            {"exponent": "2/3", "coef": "1"},
+            {"exponent": "5/6", "coef": "-4/3"},
+            {"exponent": "1", "coef": "8/3"},
+        ],
+    }
+
+
+def test_lagrange_verb_prints_invert_xi_in_several_variables(capsys):
+    for precision in ("1", "2", "3"):
+        code, out, err = run(capsys, "lagrange", PSI_MULTI, "--precision", precision)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == _xi_lines(PSI_MULTI, precision), precision
+    code, out, _ = run(capsys, "lagrange", PSI_MULTI, "--precision", "1", "--json")
+    assert json.loads(out) == {
+        "m": 6, "n": 4, "coefficients": [{"exponent": ["2/3", "0", "0"], "coef": "1"}]
+    }
+
+
+def test_lagrange_verb_refuses_a_short_input(capsys):
+    code, out, err = run(capsys, "lagrange", "x^(3/2)+2*x^(7/4) + O(total=2)", "--precision", "10")
+    assert (code, out) == (1, "")
+    assert err == "error: the input is too short: target 10 needs unit precision N = 56, " \
+        "it supports only 2\n"
 
 
 def test_corpus_verb(capsys):

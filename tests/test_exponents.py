@@ -616,3 +616,8 @@ def test_characteristic_agrees_with_essential_transform():
         psi = PuiseuxSeries(1, terms, F(30))
         char = characteristic_exponents(psi)
         assert all(e in {x[0] for x in psi.support()} for e in char.entries)
+        # characteristic_exponents walks the series' keys: the same entries
+        # and certificate as the Fraction walk of the support relative to 1
+        ess = essential_of_series(psi)
+        ref = essential_exponents_p(psi.support(), 1, ramification=psi.ramification[0])
+        assert (ess.entries, ess.complete) == (ref.entries, ref.complete), psi

@@ -22,6 +22,7 @@ from puiseux import (
     parse,
     rational_binomial,
     verify_halphen_stolz,
+    verify_power_identity,
 )
 from puiseux.corpus import PSI_MULTI
 from puiseux.inversion import _halphen_stolz_report
@@ -420,3 +421,32 @@ def test_identity_report_reads_the_unit_frame_only():
     res = invert_series(parse("x^(3/2) + 2*x^(7/4)", precision=INF), F(2))
     with pytest.raises(PuiseuxError, match="unit frame needs integral exponents"):
         _halphen_stolz_report(res.eta, res.xi, res.ess_eta, res.ess_xi, 6, 4, F(1))
+
+
+_ANCHOR = parse("x^(3/2) + 2*x^(7/4)", precision=INF)
+_UNIT = parse("1 + t", precision=8)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: invert_series(_ANCHOR, "x"), PuiseuxError, "Invalid literal for Fraction: 'x'"),
+        (lambda: invert_series(_ANCHOR, 0.1), PuiseuxError, "refusing inexact float 0.1"),
+        # INF said as a float is still INF, refused only as an exact unit part
+        (lambda: invert_series(_ANCHOR, float("inf")), PrecisionError, "exact unit part"),
+        (lambda: extract_branch(_ANCHOR, root_coeff="abc"), PuiseuxError,
+         "Invalid literal for Fraction: 'abc'"),
+        (lambda: extract_branch(_ANCHOR, unit_precision="x"), PuiseuxError,
+         "Invalid literal for Fraction: 'x'"),
+        (lambda: verify_power_identity(_UNIT, 2.5), PuiseuxError,
+         "N must be a positive integer, got 2.5"),
+        (lambda: _UNIT.pow_int(0.5), PuiseuxError, "n must be an integer, got 0.5"),
+        (lambda: lagrange_coefficient(extract_branch(_ANCHOR, unit_precision=10), "7"),
+         PuiseuxError, "q must be an integer, got '7'"),
+    ],
+)
+def test_malformed_scalar_arguments_are_named(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value).startswith(message)

@@ -189,7 +189,10 @@ def test_dense_run_matches_the_heap_walk():
         for r in DENSE_RS:
             full = same_runs(s, r)
             # every cap up to two past the limit, each keeping only its own key
-            for cap in range(recurrence._limit(r) + 3):
+            limit = recurrence._limit(r.numerator, r.denominator)
+            # the kernels may pass p/q unreduced
+            assert recurrence._limit(3 * r.numerator, 3 * r.denominator) == limit
+            for cap in range(limit + 3):
                 assert same_runs(s, r, cap) == {g: c for g, c in full.items() if g[0] == cap}
         same(s.unit_power(F(-1, 2), constant_power=F(7, 3)),
              unit_power_binomial(s, F(-1, 2), constant_power=F(7, 3)))

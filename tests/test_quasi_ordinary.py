@@ -6,6 +6,7 @@ import pytest
 
 from builders import random_unimodular, random_unit_series
 from puiseux import (
+    LipmanWitness,
     PuiseuxSeries,
     parse,
     qo_test,
@@ -70,6 +71,12 @@ def test_qo_membership_witness():
     verdict = qo_test(psi)
     if verdict.is_qo is False:
         assert not recheck_witness(verdict.witness, verdict.essential.entries)
+    # the one candidate (2, 5/6) is not below the support element (3, 1/3),
+    # so that element must lie in Z^2 alone, and it does not
+    verdict = qo_test(parse("x1^(2)*x2^(5/6) + x1^(3)*x2^(1/3)"))
+    assert (verdict.is_qo, verdict.certified) == (False, True)
+    assert verdict.witness == LipmanWitness("membership", ((F(3), F(1, 3)),))
+    assert recheck_witness(verdict.witness, verdict.essential.entries) is False
 
 
 def test_qo_integral_support():
