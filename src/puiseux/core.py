@@ -78,7 +78,7 @@ def total(a: Vec) -> Fraction:
 def fmt_vec(a: Vec) -> str:
     if len(a) == 1:
         return str(a[0])
-    return "(" + ", ".join(str(c) for c in a) + ")"
+    return "(" + ", ".join(map(str, a)) + ")"
 
 
 def fmt_power(base: Fraction, m: int) -> str:

@@ -94,7 +94,7 @@ def _dual_from_power(
     step = math.gcd(*(g[0] for g in power._keys))
     recurrence = _GridPower(power)
     ks = range(0, math.floor(prec * n1) + 1, step) if step else [0]
-    recurrence.check_work(Fraction(-a, m), runs=len(ks))
+    recurrence.check_work(-a, m, runs=len(ks))
     c = a * n1
     # r0^-(k + c) = r_den^e / r_num^e with e = k + c, carried as two ints
     powers, r_num, r_den = {}, r0.numerator ** c, r0.denominator ** c

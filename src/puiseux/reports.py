@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import Vec, fmt_vec
 
 
-def _fmt(x) -> str:
-    if isinstance(x, tuple):
-        return fmt_vec(x)
-    return str(x)
+class Check(NamedTuple):
+    """One row of a report, both sides as text; a named tuple is immutable
+    and cheap to build, at one row per checked coefficient."""
 
-
-@dataclass(frozen=True)
-class Check:
     label: str
     exponent: Vec | None
     lhs: str
@@ -39,7 +36,11 @@ class CheckReport:
     skipped: str | None = None
 
     def record(self, label: str, lhs, rhs, exponent=None) -> None:
-        self.checks.append(Check(label, exponent, _fmt(lhs), _fmt(rhs)))
+        # each side written once, a vector by fmt_vec and anything else by
+        # str; tuple.__new__ builds the row without Check's Python-level __new__
+        lhs = fmt_vec(lhs) if isinstance(lhs, tuple) else str(lhs)
+        rhs = fmt_vec(rhs) if isinstance(rhs, tuple) else str(rhs)
+        self.checks.append(tuple.__new__(Check, (label, exponent, lhs, rhs)))
 
     @property
     def all_passed(self) -> bool:

@@ -10,9 +10,12 @@ is the ramification vector, the least such grid.  Terms are stored on that
 grid alone: the exponent e is the integer key g with g_i = e_i*n_i, graded by
 the integer total degree T(g) = sum g_i*(L/n_i) = L*total(e), L = lcm(n_i).
 Every construction divides the grid by the per-coordinate gcd of the keys,
-so the ramification stays primitive.  Fraction tuples appear only at the
-API: terms, support, sorted_terms, coefficient, JSON, formatting and error
-messages.
+so the ramification stays primitive.  Fraction tuples appear only in terms,
+support, sorted_terms, coefficient and error messages.  Text and JSON read
+and write keys: parse and from_json carry each exponent p/q as an int pair,
+take the grid as the lcm of the q and build one Fraction per coefficient,
+and format_series and to_json write each exponent from its key, reduced by
+one gcd.
 """
 
 from __future__ import annotations
@@ -117,41 +120,56 @@ def _cut(keys, grid, precision) -> dict:
     if precision is INF:
         return {g: c for g, c in keys.items() if c}
     lcm_all, weights = _grading(grid)
-    cutoff = math.floor(precision * lcm_all)
+    cutoff = precision.numerator * lcm_all // precision.denominator
     if len(grid) == 1:
         # in one variable a key is its own degree
         return {g: c for g, c in keys.items() if c and g[0] <= cutoff}
     return {g: c for g, c in keys.items() if c and _degree(g, weights) <= cutoff}
 
 
+def _frame(num_vars, precision, laurent):
+    """The precision of a new series in num_vars variables, normalised,
+    after the checks every construction from terms makes."""
+    if num_vars < 1:
+        raise DimensionError("a series needs at least one variable")
+    precision = _norm_prec(precision)
+    if laurent and num_vars != 1:
+        raise PuiseuxError("Laurent support is restricted to one variable")
+    return precision
+
+
+def _pair_keys(terms, num_vars, precision):
+    """(keys, grid) of terms (exponent, (a, b)), each exponent num_vars int
+    pairs (p, q) with q > 0 and each coefficient a/b != 0.  The grid is the
+    lcm G of every q in every coordinate, which _store reduces, and p/q has
+    the key p*(G//q).  One Fraction is built per term, those of one key are
+    summed, and keys whose sum is zero or whose degree passes precision are
+    dropped."""
+    grid = math.lcm(*(q for exp, _ in terms for _, q in exp))
+    keys = {}
+    for exp, (a, b) in terms:
+        key = tuple([p * (grid // q) for p, q in exp])
+        old = keys.get(key)
+        keys[key] = Fraction(a, b) if old is None else old + Fraction(a, b)
+    grid = (grid,) * num_vars
+    return _cut(keys, grid, precision), grid
+
+
 class PuiseuxSeries:
     __slots__ = ("num_vars", "_keys", "precision", "laurent", "ramification")
 
     def __init__(self, num_vars: int, terms, precision=INF, laurent: bool = False):
-        if num_vars < 1:
-            raise DimensionError("a series needs at least one variable")
-        precision = _norm_prec(precision)
-        if laurent and num_vars != 1:
-            raise PuiseuxError("Laurent support is restricted to one variable")
-        clean: dict[Vec, Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for exp, coef in items:
+        precision = _frame(num_vars, precision, laurent)
+        pairs = []
+        for exp, coef in terms.items() if isinstance(terms, dict) else terms:
             exp = as_vec(exp, num_vars)
             coef = rat(coef)
             if coef == 0:
                 continue
-            if any(c < 0 for c in exp):
-                if not laurent:
-                    raise PuiseuxError(f"negative exponent {exp} in a non-Laurent series")
-            clean[exp] = clean.get(exp, Fraction(0)) + coef
-        # one grid lcm(all denominators) in every coordinate; _store reduces it
-        lcm_all = math.lcm(1, *(x.denominator for exp in clean for x in exp))
-        keys = {
-            tuple(x.numerator * (lcm_all // x.denominator) for x in exp): c
-            for exp, c in clean.items()
-        }
-        grid = (lcm_all,) * num_vars
-        self._store(_cut(keys, grid, precision), grid, precision, laurent)
+            if not laurent and any(c < 0 for c in exp):
+                raise PuiseuxError(f"negative exponent {exp} in a non-Laurent series")
+            pairs.append(([(x.numerator, x.denominator) for x in exp], (coef.numerator, coef.denominator)))
+        self._store(*_pair_keys(pairs, num_vars, precision), precision, laurent)
 
     def _store(self, keys, grid, precision, laurent) -> None:
         """Set every field from integer keys on grid, which may be finer
@@ -182,8 +200,10 @@ class PuiseuxSeries:
 
     @classmethod
     def constant(cls, num_vars: int, value, precision=INF) -> "PuiseuxSeries":
-        zero = tuple(Fraction(0) for _ in range(num_vars))
-        return cls(num_vars, {zero: rat(value)}, precision)
+        value = rat(value)
+        precision = _frame(num_vars, precision, False)
+        grid = (1,) * num_vars
+        return cls._from_keys(_cut({(0,) * num_vars: value}, grid, precision), grid, precision, False)
 
     @classmethod
     def one(cls, num_vars: int, precision=INF) -> "PuiseuxSeries":
@@ -216,10 +236,16 @@ class PuiseuxSeries:
     def support(self) -> set[Vec]:
         return {self._vec(g) for g in self._keys}
 
-    def sorted_terms(self) -> list[tuple[Vec, Fraction]]:
+    def _sorted_keys(self) -> list:
+        """The keys by total degree, then lexicographically."""
+        if self.num_vars == 1:
+            # in one variable a key is its own degree
+            return sorted(self._keys)
         _, weights = _grading(self.ramification)
-        keys = sorted(self._keys, key=lambda g: (_degree(g, weights), g))
-        return [(self._vec(g), self._keys[g]) for g in keys]
+        return sorted(self._keys, key=lambda g: (_degree(g, weights), g))
+
+    def sorted_terms(self) -> list[tuple[Vec, Fraction]]:
+        return [(self._vec(g), self._keys[g]) for g in self._sorted_keys()]
 
     def coefficient(self, exponent) -> Fraction:
         exp = as_vec(exponent, self.num_vars)
@@ -364,13 +390,13 @@ class PuiseuxSeries:
         if constant_power is None:
             constant_power = rational_power(c0, r)
         laurent = self.laurent and r != 0 and len(self._keys) > 1
-        return self._scaled_power(r, constant_power, laurent)
+        return self._scaled_power(r.numerator, r.denominator, constant_power, laurent)
 
-    def _scaled_power(self, r, constant_power, laurent) -> "PuiseuxSeries":
-        """constant_power * (self/self_0)**r at self's precision."""
+    def _scaled_power(self, p, q, constant_power, laurent) -> "PuiseuxSeries":
+        """constant_power * (self/self_0)**(p/q) at self's precision, q > 0."""
         recurrence = _GridPower(self)
-        recurrence.check_work(r)
-        keys = recurrence(r, scale=constant_power) if constant_power else {}
+        recurrence.check_work(p, q)
+        keys = recurrence(p, q, scale=constant_power) if constant_power else {}
         return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, laurent)
 
     def unit_root(self, m: int, root_of_constant) -> "PuiseuxSeries":
@@ -404,7 +430,7 @@ class PuiseuxSeries:
         if n > 0:
             if self.order_total() == 0:
                 c0 = self.constant_term()
-                return self._scaled_power(Fraction(n), c0**n, self.laurent)
+                return self._scaled_power(n, 1, c0**n, self.laurent)
             acc = self
             for _ in range(n - 1):
                 acc = acc * self
@@ -519,12 +545,13 @@ class PuiseuxSeries:
         return format_series(self)
 
     def to_json(self) -> dict:
+        grid, keys = self.ramification, self._keys
         return {
             "vars": self.num_vars,
-            "ramification": list(self.ramification),
+            "ramification": list(grid),
             "terms": [
-                {"exp": [str(c) for c in e], "coef": str(v)}
-                for e, v in self.sorted_terms()
+                {"exp": list(map(_exponent_text, g, grid)), "coef": str(keys[g])}
+                for g in self._sorted_keys()
             ],
             "precision": None if self.precision is INF else str(self.precision),
         } | ({"laurent": True} if self.laurent else {})
@@ -532,9 +559,35 @@ class PuiseuxSeries:
     @classmethod
     def from_json(cls, data: dict) -> "PuiseuxSeries":
         prec = INF if data.get("precision") is None else rat(data["precision"])
-        terms = [(tuple(rat(c) for c in t["exp"]), rat(t["coef"])) for t in data["terms"]]
-        laurent = data.get("laurent", False) or any(c < 0 for e, _ in terms for c in e)
-        return cls(data["vars"], terms, prec, laurent)
+        terms = [([_rational_pair(c) for c in t["exp"]], _rational_pair(t["coef"])) for t in data["terms"]]
+        laurent = data.get("laurent", False) or any(p < 0 for e, _ in terms for p, _ in e)
+        num_vars = data["vars"]
+        prec = _frame(num_vars, prec, laurent)
+        for exp, _ in terms:
+            if len(exp) != num_vars:
+                raise DimensionError(f"expected dimension {num_vars}, got {len(exp)}")
+        terms = [t for t in terms if t[1][0]]
+        return cls._from_keys(*_pair_keys(terms, num_vars, prec), prec, laurent)
+
+
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+
+
+def _rational_pair(x) -> tuple[int, int]:
+    """x as an int pair (p, q), q > 0: a 'p/q' string with q != 0 read
+    directly, anything else through rat, which reads it or refuses it."""
+    m = _RATIONAL_RE.fullmatch(x) if type(x) is str else None
+    if m is None or m[2] is not None and not int(m[2]):
+        x = rat(x)
+        return x.numerator, x.denominator
+    return int(m[1]), int(m[2] or 1)
+
+
+def _exponent_text(g: int, n: int) -> str:
+    """The key g on a grid of n as text: g/n reduced by one gcd, which
+    str(Fraction(g, n)) writes the same."""
+    d = math.gcd(g, n)
+    return str(g // d) if d == n else f"{g // d}/{n // d}"
 
 
 class _GridPower:
@@ -590,11 +643,16 @@ class _GridPower:
         if any(t < 0 for t, _, _ in items):
             raise PuiseuxError("a power by recurrence needs non-negative exponents")
         self.num_vars = f.num_vars
-        self.cutoff = INF if f.precision is INF else math.floor(f.precision * lcm_all)
+        prec = f.precision
+        self.cutoff = INF if prec is INF else prec.numerator * lcm_all // prec.denominator
         self.w0 = lcm_all // f.ramification[0]
         self.max_t = max((t for t, _, _ in items), default=0)
-        self.den = math.lcm(*((c / c0).denominator for _, _, c in items))
-        self.items = [(t, g, int(c / c0 * self.den)) for t, g, c in items]
+        # a_j = f_j/f_0 = A_j/den_j, an int pair reduced by one gcd, den_j > 0
+        n0, d0 = abs(c0.numerator), c0.denominator if c0 > 0 else -c0.denominator
+        ratios = [(c.numerator * d0, c.denominator * n0) for _, _, c in items]
+        ratios = [(a // k, b // k) for a, b in ratios for k in [math.gcd(a, b)]]
+        self.den = math.lcm(*(b for _, b in ratios))
+        self.items = [(t, g, a * (self.den // b)) for (t, g, _), (a, b) in zip(items, ratios)]
         # u, the gcd of the step degrees (1 without steps)
         self.unit = math.gcd(*(t for t, _, _ in items)) or 1
 
@@ -611,11 +669,11 @@ class _GridPower:
             )
         return self.cutoff
 
-    def check_work(self, r: Fraction, runs: int = 0) -> None:
-        """Refuse the recurrence for r, before it starts, when its estimated
-        work exceeds MAX_POWER_WORK: one run (runs=0), or the runs of dual
-        stopped at the first coordinates 0, s, ..., (runs-1)*s, s the gcd of
-        the steps' first coordinates.
+    def check_work(self, p: int, q: int, runs: int = 0) -> None:
+        """Refuse the recurrence for r = p/q, q > 0, before it starts, when
+        its estimated work exceeds MAX_POWER_WORK: one run (runs=0), or the
+        runs of dual stopped at the first coordinates 0, s, ..., (runs-1)*s,
+        s the gcd of the steps' first coordinates.  p/q need not be reduced.
 
         Degrees and step sizes are counted in units of their gcd.  A run
         that reaches n degrees walks a step of size s at n - s of them.  When
@@ -636,7 +694,7 @@ class _GridPower:
         if first_only:
             n, times, total = runs, 1, _triangle
         else:
-            n = self._limit(r.numerator, r.denominator) // unit + 1 if sizes else 1
+            n = self._limit(p, q) // unit + 1 if sizes else 1
             times, total = max(runs, 1), _line
         work = times * (
             DEGREE_COST * total(n) + sum(total(n - size // unit) for size in sizes)
@@ -647,8 +705,8 @@ class _GridPower:
                 f"{MAX_POWER_WORK}; lower the precision"
             )
 
-    def __call__(self, r: Fraction, scale=1) -> dict[tuple, Fraction]:
-        """The coefficients of scale * P, P = (f/f_0)**r, by grid key,
+    def __call__(self, p: int, q: int, scale=1) -> dict[tuple, Fraction]:
+        """The coefficients of scale * P, P = (f/f_0)**(p/q), q > 0, by grid key,
         without zeros, scale folded into the one Fraction built for each.
 
         The result stops at total degree floor(precision*L); an exact series
@@ -656,7 +714,7 @@ class _GridPower:
         ends.
         """
         kernel = self.dense_loop if self.num_vars == 1 else self.key_walk
-        runs = kernel(r.numerator, r.denominator)
+        runs = kernel(p, q)
         s_num, s_den = scale.numerator, scale.denominator
         return {g: Fraction(num * s_num, common * s_den) for g, num, common in runs if num}
 
@@ -825,29 +883,23 @@ def format_series(s: PuiseuxSeries, names: list[str] | None = None) -> str:
     names = names or default_names(s.num_vars)
     if len(names) != s.num_vars:
         raise DimensionError("one name per variable required")
-    parts: list[str] = []
-    for exp, coef in s.sorted_terms():
-        factors = []
-        for name, e in zip(names, exp):
-            if e == 0:
-                continue
-            factors.append(name if e == 1 else f"{name}^({e})")
-        mag = abs(coef)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        sign = "-" if coef < 0 else "+"
-        parts.append((sign, body))
-    if not parts:
-        text = "0"
-    else:
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
+    grid, keys = s.ramification, s._keys
+    parts = []
+    for g in s._sorted_keys():
+        coef = str(keys[g])
+        negative = coef[0] == "-"
+        mag = coef[1:] if negative else coef
+        body = [
+            name if k == n else f"{name}^({_exponent_text(k, n)})"
+            for name, k, n in zip(names, g, grid)
+            if k
+        ]
+        if mag != "1" or not body:
+            body.insert(0, mag)
+        parts.append((" - " if negative else " + ") + "*".join(body))
+    # the first term drops its " + ", and its " - " becomes "-"
+    text = "".join(parts)
+    text = ("-" if text[1:2] == "-" else "") + text[3:] if text else "0"
     if s.precision is not INF:
         text += f" + O(total={s.precision})"
     return text
@@ -857,66 +909,48 @@ def format_series(s: PuiseuxSeries, names: list[str] | None = None) -> str:
 # parsing
 
 
-_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*/^()=])")
+# The scan finds every token at once; whitespace is skipped.  A text holding
+# a character that no token takes, outside whitespace, is refused before it.
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z]+\d*|[-+*/^()=]")
+_BAD_RE = re.compile(r"[^\s\dA-Za-z+\-*/^()=]")
+
+_SIGNS = {"+": 1, "-": -1}
+# the kinds of token _expect asks for, beside a single operator
+_KINDS = {"int": str.isdecimal, "name": lambda tok: tok[:1].isalpha()}
 
 _BARE_VARS = {"x", "y", "t", "u", "v", "w"}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            pos = m.end()
-            if m.lastgroup != "ws":
-                self.tokens.append((m.lastgroup, m.group(), m.start()))
-        self.i = 0
+def _fail(text: str, message: str, i: int):
+    """Raise ParseError at token i of text, or at its end past the last
+    token: the scan keeps no positions, so an error finds its own."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), i, None), None)
+    raise ParseError(message, len(text) if m is None else m.start())
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else ("eof", "", len(self.text))
 
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+def _expect(text: str, tokens: list, i: int, want: str) -> int:
+    """The index after token i, which must be the operator want, or a token
+    of the kind want names in _KINDS."""
+    tok = tokens[i]
+    if not (_KINDS[want](tok) if want in _KINDS else tok == want):
+        _fail(text, f"expected {want!r}, found {tok or 'end of input'!r}", i)
+    return i + 1
 
-    def expect(self, kind: str, value: str | None = None):
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value or kind
-            raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return tok
 
-    def parse_rational(self) -> Fraction:
-        sign = 1
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] in "+-":
-            self.next()
-            sign = -1 if tok[1] == "-" else 1
-        tok = self.expect("int")
-        num = int(tok[1])
-        if self.peek()[:2] == ("op", "/"):
-            self.next()
-            den = int(self.expect("int")[1])
-            if den == 0:
-                raise ParseError("zero denominator", tok[2])
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
-
-    def parse_factor(self) -> tuple[str, Fraction]:
-        tok = self.expect("name")
-        name = tok[1]
-        exponent = Fraction(1)
-        if self.peek()[:2] == ("op", "^"):
-            self.next()
-            self.expect("op", "(")
-            exponent = self.parse_rational()
-            self.expect("op", ")")
-        return name, exponent
+def _rational(text: str, tokens: list, i: int) -> tuple[int, int, int]:
+    """The rational [+-]int[/int] at token i: (p, q, the index after it),
+    q > 0 and p/q not reduced."""
+    sign = _SIGNS.get(tokens[i])
+    start = i if sign is None else i + 1
+    i = _expect(text, tokens, start, "int")
+    p = -int(tokens[start]) if sign == -1 else int(tokens[start])
+    if tokens[i] != "/":
+        return p, 1, i
+    i = _expect(text, tokens, i + 1, "int")
+    q = int(tokens[i - 1])
+    if q == 0:
+        _fail(text, "zero denominator", start)
+    return p, q, i
 
 
 def parse(
@@ -934,102 +968,99 @@ def parse(
     trailing '+ O(total=R)' fixes the precision; otherwise the `precision`
     argument or, failing that, DEFAULT_PRECISION applies.
     """
-    p = _Parser(text)
-    raw_terms: list[tuple[list[tuple[str, Fraction]], Fraction, int]] = []
-    explicit_precision = None
-
-    sign = Fraction(1)
-    tok = p.peek()
-    if tok[0] == "op" and tok[1] in "+-":
-        p.next()
-        sign = Fraction(-1) if tok[1] == "-" else Fraction(1)
+    bad = _BAD_RE.search(text)
+    if bad is not None:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # the end of input
+    # each term: its factors (name, p, q), its coefficient (a, b) and the
+    # index of its first token
+    raw_terms = []
+    marker = None
+    sign = _SIGNS.get(tokens[0], 1)
+    i = int(tokens[0] in _SIGNS)
     while True:
-        tok = p.peek()
-        if tok[0] == "name" and tok[1] == "O":
-            p.next()
-            p.expect("op", "(")
-            key = p.expect("name")
-            if key[1] != "total":
-                raise ParseError("precision marker must be O(total=R)", key[2])
-            p.expect("op", "=")
-            explicit_precision = p.parse_rational()
-            p.expect("op", ")")
+        if tokens[i] == "O":
+            i = _expect(text, tokens, _expect(text, tokens, i + 1, "("), "name")
+            if tokens[i - 1] != "total":
+                _fail(text, "precision marker must be O(total=R)", i - 1)
+            p, q, i = _rational(text, tokens, _expect(text, tokens, i, "="))
+            i = _expect(text, tokens, i, ")")
+            marker = Fraction(p, q)
             break
-        start = tok[2]
-        coef = sign
-        factors: list[tuple[str, Fraction]] = []
+        start = i
+        a, b = sign, 1
+        factors = []
         while True:
-            tok = p.peek()
-            if tok[0] == "int" or (tok[0] == "op" and tok[1] in "+-"):
-                coef *= p.parse_rational()
-            elif tok[0] == "name":
-                factors.append(p.parse_factor())
+            tok = tokens[i]
+            if tok.isdecimal() or tok in _SIGNS:
+                p, q, i = _rational(text, tokens, i)
+                a, b = a * p, b * q
+            elif tok[:1].isalpha():
+                if tokens[i + 1] == "^":
+                    p, q, i = _rational(text, tokens, _expect(text, tokens, i + 2, "("))
+                    i = _expect(text, tokens, i, ")")
+                else:
+                    p, q, i = 1, 1, i + 1
+                factors.append((tok, p, q))
             else:
-                raise ParseError(f"expected a term, found {tok[1] or 'end of input'!r}", tok[2])
-            if p.peek()[:2] == ("op", "*"):
-                p.next()
-                continue
+                _fail(text, f"expected a term, found {tok or 'end of input'!r}", i)
+            if tokens[i] != "*":
+                break
+            i += 1
+        raw_terms.append((factors, (a, b), start))
+        if not tokens[i]:
             break
-        raw_terms.append((factors, coef, start))
-        tok = p.peek()
-        if tok[0] == "eof":
-            break
-        if tok[0] == "op" and tok[1] in "+-":
-            p.next()
-            sign = Fraction(-1) if tok[1] == "-" else Fraction(1)
-            continue
-        raise ParseError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
-    tok = p.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        sign = _SIGNS.get(tokens[i])
+        if sign is None:
+            _fail(text, f"expected '+' or '-', found {tokens[i]!r}", i)
+        i += 1
+    if tokens[i]:
+        _fail(text, f"trailing input {tokens[i]!r}", i)
 
     # resolve variable names to coordinates
-    names = {name for factors, _, _ in raw_terms for name, _ in factors}
+    names = {name for factors, _, _ in raw_terms for name, _, _ in factors}
     bare = {n for n in names if n.isalpha()}
     indexed = {n for n in names if not n.isalpha()}
     if bare and indexed:
         raise ParseError("cannot mix bare and indexed variable names", 0)
-    if bare:
-        unknown = bare - _BARE_VARS
-        if unknown:
-            raise ParseError(
-                f"unknown symbol {sorted(unknown)[0]!r}; variables are x/y/t/u/v/w or "
-                "indexed names, parameters need --param",
-                0,
-            )
-        if len(bare) > 1:
-            raise ParseError(f"several bare variables {sorted(bare)}; index them instead", 0)
-        if num_vars is not None and num_vars != 1:
-            raise ParseError("bare variable name in a multivariate series", 0)
-        var_index = {next(iter(bare)): 0}
-        h = 1
-    else:
-        var_index = {}
-        for n in indexed:
-            suffix = int(re.search(r"\d+$", n).group())
-            if suffix < 1:
-                raise ParseError(f"variable index in {n!r} must start at 1", 0)
-            var_index[n] = suffix - 1
-        h = max(var_index.values(), default=0) + 1
+    if bare - _BARE_VARS:
+        raise ParseError(
+            f"unknown symbol {min(bare - _BARE_VARS)!r}; variables are x/y/t/u/v/w or "
+            "indexed names, parameters need --param",
+            0,
+        )
+    if len(bare) > 1:
+        raise ParseError(f"several bare variables {sorted(bare)}; index them instead", 0)
+    if bare and num_vars is not None and num_vars != 1:
+        raise ParseError("bare variable name in a multivariate series", 0)
+    # a bare name is the first variable, an indexed one that of its suffix
+    var_index = dict.fromkeys(bare, 0)
+    for n in indexed:
+        suffix = int(re.search(r"\d+$", n).group())
+        if suffix < 1:
+            raise ParseError(f"variable index in {n!r} must start at 1", 0)
+        var_index[n] = suffix - 1
+    h = max(var_index.values(), default=0) + 1
     if num_vars is not None:
         if h > num_vars:
             raise ParseError(f"variable index {h} exceeds declared {num_vars}", 0)
         h = num_vars
-    h = max(h, 1)
 
-    terms: list[tuple[Vec, Fraction]] = []
+    # each exponent coordinate an int pair, repeated factors added as pairs
+    terms = []
     for factors, coef, start in raw_terms:
-        exp = [Fraction(0)] * h
-        for name, e in factors:
-            exp[var_index[name]] += e
-        if any(c < 0 for c in exp) and not laurent:
-            raise ParseError("negative exponent in a non-Laurent series", start)
-        terms.append((tuple(exp), coef))
+        exp = [(0, 1)] * h
+        for name, p, q in factors:
+            k = var_index[name]
+            p0, q0 = exp[k]
+            exp[k] = (p0 * q + p * q0, q0 * q)
+        if not laurent and any(p < 0 for p, _ in exp):
+            _fail(text, "negative exponent in a non-Laurent series", start)
+        if coef[0]:
+            terms.append((exp, coef))
 
-    if explicit_precision is not None:
-        prec = explicit_precision
-    elif precision is not None:
-        prec = _norm_prec(precision)
-    else:
-        prec = _norm_prec(DEFAULT_PRECISION)
-    return PuiseuxSeries(h, terms, prec, laurent)
+    if marker is None:
+        marker = DEFAULT_PRECISION if precision is None else precision
+    prec = _frame(h, marker, laurent)
+    return PuiseuxSeries._from_keys(*_pair_keys(terms, h, prec), prec, laurent)

@@ -26,16 +26,28 @@ them coefficient for coefficient:
 - the diagonal frame change on Fraction ratios and a Fraction precision,
   and the dominating profile read off the Fraction support;
 - the one-variable Lagrange oracle by repeated series products, where the
-  library now reads one table of powers of C off eta's terms.
+  library now reads one table of powers of C off eta's terms;
+- the text parser and JSON reader that build a Fraction per token and a
+  Fraction tuple per term, and the writers that format sorted_terms'
+  Fraction vectors, where the library now reads and writes integer keys.
 """
 
 import heapq
 import math
 import operator
+import re
 from fractions import Fraction
 from itertools import product
 
-from puiseux import INF, PrecisionError, PuiseuxError, PuiseuxSeries, RootError, dual
+from puiseux import (
+    INF,
+    ParseError,
+    PrecisionError,
+    PuiseuxError,
+    PuiseuxSeries,
+    RootError,
+    dual,
+)
 from puiseux.core import (
     AdditiveOrder,
     DimensionError,
@@ -54,6 +66,7 @@ from puiseux.core import (
 from puiseux.exponents import GRID_LIMIT, EssentialSequence
 from puiseux.inversion import DominationError, InversionResult, _halphen_stolz_report
 from puiseux.reports import CheckReport
+from puiseux.series import DEFAULT_PRECISION, default_names
 
 # dense univariate polynomials: dict {int exponent: Fraction}, truncated
 
@@ -915,3 +928,223 @@ def truncate_fractions(a, precision):
     prec = min(a.precision, precision)
     terms = {e: c for e, c in a.terms.items() if sum(e) <= prec}
     return fraction_series(a.num_vars, terms, prec, a.laurent)
+
+
+# reference text and JSON front door on Fraction tuples
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*/^()=])"
+)
+
+_REFERENCE_BARE_VARS = {"x", "y", "t", "u", "v", "w"}
+
+
+class _ReferenceParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = []
+        pos = 0
+        while pos < len(text):
+            m = _REFERENCE_TOKEN_RE.match(text, pos)
+            if m is None:
+                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            pos = m.end()
+            if m.lastgroup != "ws":
+                self.tokens.append((m.lastgroup, m.group(), m.start()))
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else ("eof", "", len(self.text))
+
+    def next(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def expect(self, kind, value=None):
+        tok = self.next()
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            want = value or kind
+            raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
+        return tok
+
+    def parse_rational(self):
+        sign = 1
+        tok = self.peek()
+        if tok[0] == "op" and tok[1] in "+-":
+            self.next()
+            sign = -1 if tok[1] == "-" else 1
+        tok = self.expect("int")
+        num = int(tok[1])
+        if self.peek()[:2] == ("op", "/"):
+            self.next()
+            den = int(self.expect("int")[1])
+            if den == 0:
+                raise ParseError("zero denominator", tok[2])
+            return Fraction(sign * num, den)
+        return Fraction(sign * num)
+
+    def parse_factor(self):
+        tok = self.expect("name")
+        name = tok[1]
+        exponent = Fraction(1)
+        if self.peek()[:2] == ("op", "^"):
+            self.next()
+            self.expect("op", "(")
+            exponent = self.parse_rational()
+            self.expect("op", ")")
+        return name, exponent
+
+
+def parse_reference(text, num_vars=None, precision=None, laurent=False):
+    """The earlier parse: a peek/next parser over regex tokens that builds a
+    Fraction per token and a Fraction tuple per term, then the public
+    constructor."""
+    p = _ReferenceParser(text)
+    raw_terms = []
+    explicit_precision = None
+
+    sign = Fraction(1)
+    tok = p.peek()
+    if tok[0] == "op" and tok[1] in "+-":
+        p.next()
+        sign = Fraction(-1) if tok[1] == "-" else Fraction(1)
+    while True:
+        tok = p.peek()
+        if tok[0] == "name" and tok[1] == "O":
+            p.next()
+            p.expect("op", "(")
+            key = p.expect("name")
+            if key[1] != "total":
+                raise ParseError("precision marker must be O(total=R)", key[2])
+            p.expect("op", "=")
+            explicit_precision = p.parse_rational()
+            p.expect("op", ")")
+            break
+        start = tok[2]
+        coef = sign
+        factors = []
+        while True:
+            tok = p.peek()
+            if tok[0] == "int" or (tok[0] == "op" and tok[1] in "+-"):
+                coef *= p.parse_rational()
+            elif tok[0] == "name":
+                factors.append(p.parse_factor())
+            else:
+                raise ParseError(f"expected a term, found {tok[1] or 'end of input'!r}", tok[2])
+            if p.peek()[:2] == ("op", "*"):
+                p.next()
+                continue
+            break
+        raw_terms.append((factors, coef, start))
+        tok = p.peek()
+        if tok[0] == "eof":
+            break
+        if tok[0] == "op" and tok[1] in "+-":
+            p.next()
+            sign = Fraction(-1) if tok[1] == "-" else Fraction(1)
+            continue
+        raise ParseError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
+    tok = p.peek()
+    if tok[0] != "eof":
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+
+    names = {name for factors, _, _ in raw_terms for name, _ in factors}
+    bare = {n for n in names if n.isalpha()}
+    indexed = {n for n in names if not n.isalpha()}
+    if bare and indexed:
+        raise ParseError("cannot mix bare and indexed variable names", 0)
+    if bare:
+        unknown = bare - _REFERENCE_BARE_VARS
+        if unknown:
+            raise ParseError(
+                f"unknown symbol {sorted(unknown)[0]!r}; variables are x/y/t/u/v/w or "
+                "indexed names, parameters need --param",
+                0,
+            )
+        if len(bare) > 1:
+            raise ParseError(f"several bare variables {sorted(bare)}; index them instead", 0)
+        if num_vars is not None and num_vars != 1:
+            raise ParseError("bare variable name in a multivariate series", 0)
+        var_index = {next(iter(bare)): 0}
+        h = 1
+    else:
+        var_index = {}
+        for n in indexed:
+            suffix = int(re.search(r"\d+$", n).group())
+            if suffix < 1:
+                raise ParseError(f"variable index in {n!r} must start at 1", 0)
+            var_index[n] = suffix - 1
+        h = max(var_index.values(), default=0) + 1
+    if num_vars is not None:
+        if h > num_vars:
+            raise ParseError(f"variable index {h} exceeds declared {num_vars}", 0)
+        h = num_vars
+    h = max(h, 1)
+
+    terms = []
+    for factors, coef, start in raw_terms:
+        exp = [Fraction(0)] * h
+        for name, e in factors:
+            exp[var_index[name]] += e
+        if any(c < 0 for c in exp) and not laurent:
+            raise ParseError("negative exponent in a non-Laurent series", start)
+        terms.append((tuple(exp), coef))
+
+    if explicit_precision is not None:
+        prec = explicit_precision
+    elif precision is not None:
+        prec = INF if precision == INF else rat(precision)
+    else:
+        prec = DEFAULT_PRECISION
+    return PuiseuxSeries(h, terms, prec, laurent)
+
+
+def from_json_reference(data):
+    """The earlier PuiseuxSeries.from_json: Fraction(str) on every exponent
+    and coefficient, then the public constructor."""
+    prec = INF if data.get("precision") is None else rat(data["precision"])
+    terms = [(tuple(rat(c) for c in t["exp"]), rat(t["coef"])) for t in data["terms"]]
+    laurent = data.get("laurent", False) or any(c < 0 for e, _ in terms for c in e)
+    return PuiseuxSeries(data["vars"], terms, prec, laurent)
+
+
+def format_series_reference(s, names=None):
+    """The earlier format_series, written from sorted_terms' Fraction vectors."""
+    names = names or default_names(s.num_vars)
+    parts = []
+    for exp, coef in s.sorted_terms():
+        factors = []
+        for name, e in zip(names, exp):
+            if e == 0:
+                continue
+            factors.append(name if e == 1 else f"{name}^({e})")
+        mag = abs(coef)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        parts.append(("-" if coef < 0 else "+", body))
+    if not parts:
+        text = "0"
+    else:
+        first_sign, first_body = parts[0]
+        text = ("-" if first_sign == "-" else "") + first_body
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+    if s.precision is not INF:
+        text += f" + O(total={s.precision})"
+    return text
+
+
+def to_json_reference(s):
+    """The earlier to_json, written from sorted_terms' Fraction vectors."""
+    return {
+        "vars": s.num_vars,
+        "ramification": list(s.ramification),
+        "terms": [{"exp": [str(c) for c in e], "coef": str(v)} for e, v in s.sorted_terms()],
+        "precision": None if s.precision is INF else str(s.precision),
+    } | ({"laurent": True} if s.laurent else {})

@@ -68,6 +68,67 @@ def test_parse_errors_carry_position():
         parse("x + x1")  # mixed naming
 
 
+UNKNOWN_C = ("unknown symbol 'c'; variables are x/y/t/u/v/w or indexed names, "
+             "parameters need --param")
+
+# (text, keyword arguments, message, position): one row per raise site of parse
+PARSE_ERRORS = [
+    ("x^(3/2) + @", {}, "unexpected character '@'", 10),
+    ("x^(3/2", {}, "expected ')', found 'end of input'", 6),
+    ("x^3", {}, "expected '(', found '3'", 2),
+    ("x^()", {}, "expected 'int', found ')'", 3),
+    ("2 + -", {}, "expected 'int', found 'end of input'", 5),
+    ("O(total=2", {}, "expected ')', found 'end of input'", 9),
+    ("x^(3/0)", {}, "zero denominator", 3),
+    ("x^(-3/0)", {}, "zero denominator", 4),
+    ("x + O(total=1/0)", {}, "zero denominator", 12),
+    ("x + O(prec=3)", {}, "precision marker must be O(total=R)", 6),
+    ("x + *", {}, "expected a term, found '*'", 4),
+    ("x +", {}, "expected a term, found 'end of input'", 3),
+    ("", {}, "expected a term, found 'end of input'", 0),
+    ("x x", {}, "expected '+' or '-', found 'x'", 2),
+    ("O(total=3) x", {}, "trailing input 'x'", 11),
+    ("x + x1", {}, "cannot mix bare and indexed variable names", 0),
+    ("c*x", {}, UNKNOWN_C, 0),
+    ("x + y", {}, "several bare variables ['x', 'y']; index them instead", 0),
+    ("x", {"num_vars": 2}, "bare variable name in a multivariate series", 0),
+    ("x0", {}, "variable index in 'x0' must start at 1", 0),
+    ("x3", {"num_vars": 2}, "variable index 3 exceeds declared 2", 0),
+    ("1 + x^(-1)", {}, "negative exponent in a non-Laurent series", 4),
+    ("1 + 0*x^(-1)", {}, "negative exponent in a non-Laurent series", 4),
+]
+
+
+@pytest.mark.parametrize("text, kwargs, message, position", PARSE_ERRORS)
+def test_parse_error_table(text, kwargs, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, **kwargs)
+    assert type(err.value) is ParseError
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_parse_and_json_refusals_outside_the_grammar():
+    with pytest.raises(PuiseuxError) as err:
+        parse("x1 + x2", laurent=True)
+    assert type(err.value) is PuiseuxError
+    assert str(err.value) == "Laurent support is restricted to one variable"
+    for bad, message in [
+        ("3/x", "Invalid literal for Fraction: '3/x'"),
+        ("1/0", "zero denominator in '1/0'"),
+        (1.5, "refusing inexact float 1.5; pass 'p/q' or Fraction"),
+    ]:
+        for blob in (
+            {"vars": 1, "terms": [{"exp": [bad], "coef": "1"}], "precision": None},
+            {"vars": 1, "terms": [{"exp": ["1"], "coef": bad}], "precision": None},
+            {"vars": 1, "terms": [], "precision": bad},
+        ):
+            with pytest.raises(PuiseuxError) as err:
+                PuiseuxSeries.from_json(blob)
+            assert type(err.value) is PuiseuxError
+            assert str(err.value) == message
+
+
 def test_parse_laurent():
     s = parse("t^(-2) + 1", laurent=True, precision=INF)
     assert s.terms[(F(-2),)] == 1 and s.laurent
