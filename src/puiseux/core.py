@@ -9,7 +9,9 @@ them as integer keys on each series' own grid instead.
 A lattice is an integer echelon form on its own grid; one routine,
 ``_echelon_reduce``, both inserts a vector into such rows and tests
 membership, for the Hermite form, ``Lattice.contains`` and the essential
-walk alike.
+walk alike.  Matrix products and ``mat_det`` (fraction-free Bareiss
+elimination) clear denominators once and work on integers, and an
+``AdditiveOrder`` keeps integer rows that rank integer points.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -55,6 +58,11 @@ def rat(x) -> Fraction:
         raise PuiseuxError(f"zero denominator in {x!r}") from None
     except (TypeError, ValueError) as exc:
         raise PuiseuxError(str(exc)) from None
+
+
+def is_int(x, positive: bool = False) -> bool:
+    """The one rule for integer arguments: an int, not a bool, positive if asked."""
+    return isinstance(x, int) and not isinstance(x, bool) and (x > 0 or not positive)
 
 
 def as_vec(x, dim: int | None = None) -> Vec:
@@ -172,6 +180,7 @@ def mat_from(rows) -> Matrix:
     return out
 
 
+@functools.cache
 def mat_identity(h: int) -> Matrix:
     return tuple(unit_vec(h, i) for i in range(h))
 
@@ -180,16 +189,24 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
+def _cleared(a) -> tuple[int, list[list[int]]]:
+    """(s, s*a as integer rows), s the lcm of the denominators of a."""
+    s = math.lcm(*[c.denominator for row in a for c in row])
+    return s, [[c.numerator * (s // c.denominator) for c in row] for row in a]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = mat_transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    """a·b, as the integer product of s*a and t*b over s*t."""
+    (s, x), (t, y) = _cleared(a), _cleared(b)
+    cols = list(zip(*y))
+    return tuple(tuple(Fraction(sum(map(mul, row, col)), s * t) for col in cols) for row in x)
 
 
 def mat_vec(a: Matrix, v: Vec) -> Vec:
     """Column action a·v."""
     if len(a[0]) != len(v):
         raise DimensionError("matrix/vector dimension mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(r[0] for r in mat_mul(a, [[c] for c in v]))
 
 
 def vec_mat(v: Vec, a: Matrix) -> Vec:
@@ -197,30 +214,27 @@ def vec_mat(v: Vec, a: Matrix) -> Vec:
     exponent vector of the monomial substituted for the i-th variable)."""
     if len(a) != len(v):
         raise DimensionError("vector/matrix dimension mismatch")
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
+    return mat_mul([v], a)[0]
 
 
 def mat_det(a: Matrix) -> Fraction:
+    """The determinant det(s*a)/s^n, s the lcm of the denominators of a, by
+    fraction-free (Bareiss) elimination on s*a, where every division is exact."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionError("determinant of a non-square matrix")
-    m = [list(row) for row in a]
-    det = Fraction(1)
-    for j in range(n):
-        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != j:
-            m[j], m[piv] = m[piv], m[j]
-            det = -det
-        det *= m[j][j]
-        inv = 1 / m[j][j]
-        for i in range(j + 1, n):
-            if m[i][j] != 0:
-                f = m[i][j] * inv
-                for k in range(j, n):
-                    m[i][k] -= f * m[j][k]
-    return det
+    (s, m), sign, prev = _cleared(a), 1, 1
+    for j in range(n - 1):
+        if not m[j][j]:
+            piv = next((i for i in range(j + 1, n) if m[i][j]), None)
+            if piv is None:
+                return Fraction(0)
+            m[j], m[piv], sign = m[piv], m[j], -sign
+        for row in m[j + 1 :]:
+            for k in range(j + 1, n):
+                row[k] = (row[k] * m[j][j] - row[j] * m[j][k]) // prev
+        prev = m[j][j]
+    return Fraction(sign * m[-1][-1], s**n) if n else Fraction(1)
 
 
 def _mat_json(a: Matrix) -> list[list[str]]:
@@ -337,6 +351,7 @@ class Lattice:
         return lat
 
     @classmethod
+    @functools.cache
     def standard(cls, dim: int) -> "Lattice":
         return cls.scaled_axes(dim, [1] * dim)
 
@@ -351,14 +366,18 @@ class Lattice:
         if len(scales) != dim:
             raise DimensionError("one scale per axis required")
         scales = [s if type(s) is int else rat(s) for s in scales]
-        scale = math.lcm(1, *(s.denominator for s in scales))
+        scale = math.lcm(1, *[s.denominator for s in scales])
         diag = [s.numerator * (scale // s.denominator) for s in scales]
-        rows = [(0,) * i + (d,) + (0,) * (dim - 1 - i) for i, d in enumerate(diag)]
+        rows = tuple([(0,) * i + (d,) + (0,) * (dim - 1 - i) for i, d in enumerate(diag)])
         if min(diag, default=1) <= 0:
             return cls._from_ints(dim, scale, rows)
+        return cls._diagonal(dim, scale, rows)
+
+    @classmethod
+    def _diagonal(cls, dim: int, scale: int, rows: tuple) -> "Lattice":
+        """(1/scale)·span(rows), rows a positive diagonal in canonical form."""
         lat = cls.__new__(cls)
-        lat.dim, lat.scale = dim, scale
-        lat.rows = lat._by_pivot = tuple(rows)
+        lat.dim, lat.scale, lat.rows, lat._by_pivot = dim, scale, rows, rows
         return lat
 
     @property
@@ -427,9 +446,13 @@ class AdditiveOrder:
     Only orders built through the provided factories are guaranteed to
     dominate Q^h_+ (every bounded-denominator subset has a minimum); the
     ``dominating`` flag records that guarantee by construction.
+
+    _rows holds the matrix cleared of denominators by a positive factor,
+    which changes no comparison, so integer points rank by integer dot
+    products; it is None for the identity matrix.
     """
 
-    __slots__ = ("matrix", "kind", "dominating", "_identity")
+    __slots__ = ("matrix", "kind", "dominating", "_rows")
 
     def __init__(self, matrix: Matrix, kind: str, dominating: bool):
         matrix = mat_from(matrix)
@@ -437,10 +460,13 @@ class AdditiveOrder:
             raise DimensionError("order matrix must be square")
         if mat_det(matrix) == 0:
             raise OrderError("order matrix must be invertible")
-        self.matrix = matrix
-        self._identity = matrix == mat_identity(len(matrix))
-        self.kind = kind
-        self.dominating = dominating
+        self._set(matrix, kind, dominating)
+
+    def _set(self, matrix: Matrix, kind: str, dominating: bool) -> "AdditiveOrder":
+        self.matrix, self.kind, self.dominating = matrix, kind, dominating
+        identity = matrix == mat_identity(len(matrix))
+        self._rows = None if identity else tuple(map(tuple, _cleared(matrix)[1]))
+        return self
 
     @classmethod
     @functools.cache
@@ -472,7 +498,7 @@ class AdditiveOrder:
 
     def key(self, v) -> Vec:
         v = as_vec(v, self.dim)
-        return v if self._identity else mat_vec(self.matrix, v)
+        return v if self._rows is None else mat_vec(self.matrix, v)
 
     def compare(self, a, b) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -490,9 +516,15 @@ class AdditiveOrder:
         q = mat_from(q)
         if mat_det(q) == 0:
             raise OrderError("singular substitution matrix")
+        if len(q) != self.dim:
+            raise DimensionError("order matrix must be square")
+        return self._compose(q)
+
+    def _compose(self, q: Matrix) -> "AdditiveOrder":
+        """compose for an invertible q of the order's dimension, unchecked."""
         matrix = mat_mul(self.matrix, mat_transpose(q))
         dominating = self.dominating and all(c >= 0 for row in q for c in row)
-        return AdditiveOrder(matrix, "composed", dominating)
+        return object.__new__(AdditiveOrder)._set(matrix, "composed", dominating)
 
     def __eq__(self, other):
         return isinstance(other, AdditiveOrder) and self.matrix == other.matrix

@@ -55,7 +55,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .core import PuiseuxError, RootError, rational_power, rational_root
+from .core import PuiseuxError, RootError, is_int, rational_power, rational_root
 from .exponents import _irreducible_points
 from .reports import CheckReport
 from .series import INF, PuiseuxSeries, PrecisionError, _degree, _GridPower, _grading
@@ -123,7 +123,7 @@ def verify_power_identity(phi: PuiseuxSeries, N: int) -> CheckReport:
     c0 = phi.constant_term()
     if c0 == 0:
         raise PuiseuxError("power identity needs an invertible series")
-    if not isinstance(N, int) or N < 1:
+    if not is_int(N, True):
         raise PuiseuxError(f"N must be a positive integer, got {N!r}")
     return _irreducible_identity(
         f"power identity (N={N})", phi, phi.pow_int(N), "phi^N",

@@ -18,18 +18,17 @@ work, a grid box below the points, prod_i (max_i * scale_i + 1) points,
 times distinct nonzero generators above GRID_LIMIT.
 
 An essential sequence is one walk on one integer grid (1/D)Z^h, D the lcm of
-the lattice's scale and the denominators N_i that S and the declared
-ramification give.  S, the lattice's Hermite rows and the ramification
-points (D/N_i) e_i are mapped to integer vectors once, and S is sorted once
-by the order.  The joined lattice is kept as integer echelon rows, never
-rebuilt: a point the rows contain is skipped, and any other point becomes
-the next entry and is inserted by one elimination pass, core._echelon_reduce,
-which also does the membership test.  The sequence is complete, and the walk
-stops, once every ramification point is a member of the rows: then they hold
-every element of S.  The walk returns the positions of its entries:
-essential_exponents returns those elements of S, and essential_of_series,
-which maps a series' integer keys to the grid without building its support,
-turns those keys alone into Fraction vectors.
+the lattice's scale and the denominators N_i of S and the ramification.
+Each exponent becomes an integer point once, and the points are sorted
+once, a non-lex order ranking them by integer dot products with its
+integer rows.  The joined lattice is kept as integer echelon rows (in one
+variable, the gcd of its generators): a point they contain is skipped, and
+any other is the next entry, inserted by the elimination that tested it,
+core._echelon_reduce.  The walk stops, complete, once the rows hold every
+ramification point (D/N_i) e_i, and with them all of S.  The only Fraction
+vectors are the entries returned: elements of S, or, in essential_of_series,
+which walks a series' keys, one per kept key.  characteristic_exponents
+reads the keys too.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ from .core import (
     _echelon_reduce,
     as_vec,
     fmt_vec,
-    mat_vec,
-    rat,
+    is_int,
 )
 
 # The admission bound of the walk and the descent, each of which expands a
@@ -225,19 +223,6 @@ def exponent_from_json(data) -> Vec:
     return tuple(Fraction(c) for c in data)
 
 
-def _positive_integer(x, what: str) -> int:
-    """x as a positive int; a PuiseuxError naming x otherwise."""
-    if isinstance(x, int) and x > 0:
-        return x
-    try:
-        n = rat(x)
-    except (TypeError, ValueError):
-        n = None
-    if n is None or n.denominator != 1 or n <= 0:
-        raise PuiseuxError(f"{what} must be a positive integer, got {x!r}")
-    return n.numerator
-
-
 def essential_exponents(
     S, lattice: Lattice, order: AdditiveOrder, ramification=None
 ) -> EssentialSequence:
@@ -250,14 +235,18 @@ def essential_exponents(
     element of any support with those denominators can extend the sequence.
     Raises PuiseuxError unless every declared N_i is a positive integer.
     """
-    vecs, _ = _normalize_set(S)
+    return _essential(_normalize_set(S)[0], lattice, order, ramification)
+
+
+def _essential(vecs, lattice, order, ramification) -> EssentialSequence:
+    """essential_exponents of exponent vectors, each made a point once."""
     if not vecs:
         raise PuiseuxError("essential sequence of an empty set")
-    denoms = [math.lcm(*(c.denominator for c in col)) for col in zip(*vecs)]
+    denoms = [math.lcm(*[c.denominator for c in col]) for col in zip(*vecs)]
     grid, denoms = _walk_grid(denoms, lattice, order, ramification)
     points = [[c.numerator * (grid // c.denominator) for c in v] for v in vecs]
-    # an order compares the points as it does the exponents they scale
-    ranks = points if order._identity else [mat_vec(order.matrix, x) for x in points]
+    rows = order._rows
+    ranks = points if rows is None else [[sum(map(mul, r, x)) for r in rows] for x in points]
     walk = [(i, points[i]) for i in sorted(range(len(points)), key=ranks.__getitem__)]
     kept, complete = _essential_walk(walk, grid, denoms, lattice)
     return EssentialSequence(tuple([vecs[i] for i in kept]), lattice, order, complete)
@@ -276,10 +265,10 @@ def _walk_grid(denoms, lattice, order, ramification):
     if ramification is not None:
         if len(ramification) != dim:
             raise PuiseuxError("ramification must give one denominator per variable")
-        denoms = [
-            math.lcm(d, _positive_integer(n, "ramification"))
-            for d, n in zip(denoms, ramification)
-        ]
+        for n in ramification:
+            if not is_int(n, True):
+                raise PuiseuxError(f"ramification must be a positive integer, got {n!r}")
+        denoms = list(map(math.lcm, denoms, ramification))
     # One grid (1/D)Z^h holds S, the lattice and the ramification lattice
     # prod (1/N_i)Z, whose generators are the points (D/N_i) e_i.
     return math.lcm(lattice.scale, *denoms), denoms
@@ -289,16 +278,24 @@ def _essential_walk(walk, grid, denoms, lattice):
     """The walk over S as (position, integer point on (1/grid)Z^h) pairs in
     increasing order, whose points it consumes.  Returns the positions of
     the entries, in order, and whether the sequence is complete."""
-    dim = len(denoms)
+    dim, rows, kept = len(denoms), lattice._grid_rows(grid), []
+    if dim == 1:
+        # the rows are gZ (g = 0 for the zero lattice), which holds x when
+        # g divides it, and the ramification point top once g divides top
+        (g,), top = rows[0] or [0], grid // denoms[0]
+        for i, (x,) in walk:
+            if not kept or (x % g if g else x):
+                kept.append(i)
+                g = math.gcd(g, x)
+                if g and top % g == 0:
+                    return kept, True
+        return kept, False
     pending = [[grid // n if j == i else 0 for j in range(dim)] for i, n in enumerate(denoms)]
-    rows = lattice._grid_rows(grid)
-
     # The joined lattice only grows, so one walk in increasing order finds
     # the greedy sequence: an element is the next entry exactly when the
     # current rows miss it, and inserting it is the same elimination.  Once
     # the rows hold every ramification point they hold every element of S,
     # and the walk stops.
-    kept = []
     for i, point in walk:
         if _echelon_reduce(rows, point, True) and kept:
             continue
@@ -312,10 +309,11 @@ def _essential_walk(walk, grid, denoms, lattice):
 def essential_exponents_p(S, p: int, ramification=None) -> EssentialSequence:
     """One-variable essential sequence relative to the integer p (lattice pZ).
     Raises PuiseuxError unless p and the ramification are positive integers."""
-    p = _positive_integer(p, "p")
+    if not is_int(p, True):
+        raise PuiseuxError(f"p must be a positive integer, got {p!r}")
     vecs = [as_vec(v, 1) for v in S]
     ram = None if ramification is None else (ramification,)
-    return essential_exponents(vecs, Lattice.scaled_axes(1, [p]), AdditiveOrder.lex(1), ram)
+    return _essential(vecs, Lattice._diagonal(1, 1, ((p,),)), AdditiveOrder.lex(1), ram)
 
 
 def essential_of_series(series, lattice=None, order=None) -> EssentialSequence:
@@ -330,11 +328,10 @@ def essential_of_series(series, lattice=None, order=None) -> EssentialSequence:
     n = series.ramification
     grid, denoms = _walk_grid(n, lattice, order, None)
     factors = [grid // d for d in n]
-    # the points are the exponents times grid, so they sort as the keys do
-    # under lex; a key becomes a point only when the walk, which often
-    # stops early, reaches it
-    rank = None if order._identity else lambda g: mat_vec(order.matrix, list(map(mul, g, factors)))
-    keys = sorted(series._keys, key=rank)
+    # a key g ranks as the point g*factors; it becomes that point only when
+    # the walk, which often stops early, reaches it
+    rows = order._rows and [list(map(mul, r, factors)) for r in order._rows]
+    keys = sorted(series._keys, key=rows and (lambda g: [sum(map(mul, r, g)) for r in rows]))
     walk = ((i, list(map(mul, g, factors))) for i, g in enumerate(keys))
     kept, complete = _essential_walk(walk, grid, denoms, lattice)
     entries = tuple([series._vec(keys[i]) for i in kept])
@@ -374,13 +371,13 @@ def characteristic_exponents(psi) -> CharacteristicSequence:
         raise PuiseuxError("characteristic exponents of the zero series")
     if psi.constant_term() != 0:
         raise PuiseuxError("characteristic exponents need a zero constant term")
-    support = sorted(e[0] for e in psi.support())
-    entries = []
-    n = 1
-    for l in support:
-        if (n * l).denominator != 1:
-            entries.append(l)
-        n = math.lcm(n, l.denominator)
+    # the key g is the exponent g/n of denominator d = n/gcd(g, n)
+    (n,), entries, m = psi.ramification, [], 1
+    for (g,) in sorted(psi._keys):
+        d = n // math.gcd(g, n)
+        if m % d:
+            entries.append(Fraction(g, n))
+        m = math.lcm(m, d)
     ess = essential_of_series(psi)
     transformed = tuple(e[0] for e in drop_integral_head(ess))
     if tuple(entries) != transformed:

@@ -41,6 +41,7 @@ from .core import (
     RootError,
     fmt_power,
     fmt_vec,
+    is_int,
     rat,
     rational_root,
     total,
@@ -111,7 +112,7 @@ class BranchData:
     def __init__(self, series, exponent_m, root_coeff, ramification):
         h, grid = series.num_vars, series.ramification
         ramification = tuple(ramification)
-        if len(ramification) != h or not all(type(n) is int and n > 0 for n in ramification):
+        if len(ramification) != h or not all(is_int(n, True) for n in ramification):
             raise PuiseuxError(
                 f"ramification {ramification} is not one positive integer per variable ({h})"
             )
@@ -119,7 +120,7 @@ class BranchData:
             raise PuiseuxError(f"the unit part needs integral exponents, not grid {grid}")
         if series.laurent:
             raise PuiseuxError("the unit part must be a power series, not a Laurent series")
-        if type(exponent_m) is not int or exponent_m < 1:
+        if not is_int(exponent_m, True):
             raise PuiseuxError(f"exponent_m = {exponent_m!r} is not a positive integer")
         if not root_coeff:
             raise PuiseuxError("branch data needs a nonzero root_coeff")
@@ -600,7 +601,7 @@ def lagrange_coefficient(data: BranchData, q: int) -> Fraction:
     and refused as that call refuses it."""
     if len(data.ramification) != 1:
         raise PuiseuxError("the Lagrange formula is one-variable")
-    if not isinstance(q, int):
+    if not is_int(q):
         raise PuiseuxError(f"q must be an integer, got {q!r}")
     n1 = data.ramification[0]
     if q < n1:

@@ -6,25 +6,28 @@ that every support element lies in Z^h plus the group generated by the
 lambda_j below it, each lambda_i lying outside the group of its predecessors.
 The candidates are produced from the essential sequence relative to Z^h
 (dropping an integral head), so only the two order-sensitive conditions need
-explicit checking.
+explicit checking, the second on the series' integer keys.  A chart is
+checked once, as integer rows, and pulled back by an integer key map.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import le
 
 from .core import (
     AdditiveOrder,
     Lattice,
     PuiseuxError,
     Vec,
+    _cleared,
+    _echelon_reduce,
     fmt_vec,
     mat_det,
     mat_from,
+    mat_mul,
     mat_transpose,
-    total,
-    vec_mat,
 )
 from .exponents import (
     EssentialSequence,
@@ -114,35 +117,30 @@ def qo_test(psi: PuiseuxSeries) -> QOVerdict:
             witness = LipmanWitness("comparability", (a, b))
             break
     if witness is None:
-        # the candidates form a chain, so those below an element are a
-        # prefix of it, and each prefix joins Z^h once
-        lattices = [Lattice.standard(psi.num_vars)]
-        for c in candidates:
-            lattices.append(lattices[-1].join([c]))
-        for lam in sorted(psi.support(), key=lambda e: (total(e), e)):
-            below = 0
-            while below < len(candidates) and _leq(candidates[below], lam):
-                below += 1
-            if not lattices[below].contains(lam):
-                witness = LipmanWitness("membership", (lam,))
+        # on the keys Z^h is spanned by the points n_i e_i; the candidates
+        # form a chain, so those below a key are a prefix of it, and each
+        # prefix is one set of integer echelon rows grown from the one before
+        n = psi.ramification
+        chain = [[c.numerator * (m // c.denominator) for c, m in zip(e, n)] for e in candidates]
+        prefixes = [[[0] * i + [m] + [0] * (len(n) - 1 - i) for i, m in enumerate(n)]]
+        for point in chain:
+            prefixes.append([r and r[:] for r in prefixes[-1]])
+            _echelon_reduce(prefixes[-1], point[:], True)
+        for g in psi._sorted_keys():
+            below = sum(all(map(le, c, g)) for c in chain)
+            if not _echelon_reduce(prefixes[below], list(g), False):
+                witness = LipmanWitness("membership", (psi._vec(g),))
                 break
 
     if witness is not None:
         return QOVerdict(False, None, witness, certified, ess)
-    if not certified:
-        return QOVerdict(None, tuple(candidates), None, False, ess)
-    return QOVerdict(True, tuple(candidates), None, True, ess)
+    return QOVerdict(True if certified else None, tuple(candidates), None, certified, ess)
 
 
 def toric_pullback(psi: PuiseuxSeries, q_sigma) -> PuiseuxSeries:
     """Monomial pullback x^lambda -> v^(lambda . q): row i of q_sigma is the
     exponent vector of the monomial substituted for the i-th variable."""
-    q = mat_from(q_sigma)
-    if len(q) != psi.num_vars:
-        raise PuiseuxError("chart matrix dimension does not match the series")
-    if any(c.denominator != 1 or c < 0 for row in q for c in row):
-        raise PuiseuxError("chart matrix must have non-negative integer entries")
-    det = mat_det(q)
+    q, det = _chart(psi, q_sigma)
     if det == 0:
         raise PuiseuxError("chart matrix must be invertible")
     if abs(det) != 1:
@@ -150,22 +148,30 @@ def toric_pullback(psi: PuiseuxSeries, q_sigma) -> PuiseuxSeries:
             f"chart matrix determinant {det} is not +-1; the cone is not regular",
             stacklevel=2,
         )
-    return psi.monomial_substitute(mat_transpose(q))
+    return psi._substitute(mat_transpose(q))
+
+
+def _chart(psi: PuiseuxSeries, q_sigma):
+    """q_sigma as integer rows and its determinant, after every chart's checks."""
+    scale, q = _cleared(mat_from(q_sigma))
+    if len(q) != psi.num_vars or len(q[0]) != psi.num_vars:
+        raise PuiseuxError("chart matrix dimension does not match the series")
+    if scale != 1 or any(c < 0 for row in q for c in row):
+        raise PuiseuxError("chart matrix must have non-negative integer entries")
+    return q, mat_det(q)
 
 
 def verify_qsigma_relation(
     psi: PuiseuxSeries, q_sigma, order: AdditiveOrder | None = None
 ) -> CheckReport:
     """Check q(ess(psi, Z^h, order o q)) = ess(pullback(psi), Z^h, order)
-    entrywise, for a unimodular non-negative chart matrix q."""
-    q = mat_from(q_sigma)
-    if abs(mat_det(q)) != 1 or any(c.denominator != 1 for row in q for c in row):
+    entrywise, for a unimodular non-negative chart matrix q, checked once."""
+    q, det = _chart(psi, q_sigma)
+    if abs(det) != 1:
         raise PuiseuxError("the chart relation needs a unimodular integer matrix")
-    h = psi.num_vars
-    order = order if order is not None else AdditiveOrder.lex(h)
-    composed = order.compose(q)
-    left = essential_of_series(psi, order=composed)
-    pulled = toric_pullback(psi, q)
+    order = order if order is not None else AdditiveOrder.lex(psi.num_vars)
+    left = essential_of_series(psi, order=order._compose(q))
+    pulled = psi._substitute(mat_transpose(q))
     if len(pulled._keys) != len(psi._keys):
         # the chart pushed stored terms beyond the pullback's precision, so
         # the two sides would be compared over different windows
@@ -175,6 +181,7 @@ def verify_qsigma_relation(
     right = essential_of_series(pulled, order=order)
     report = CheckReport("toric chart relation")
     report.record("sequence lengths", len(left.entries), len(right.entries))
-    for k, (a, b) in enumerate(zip(left.entries, right.entries)):
-        report.record(f"entry {k}", vec_mat(a, q), b, b)
+    # the images a·q of the left entries, as one product
+    for k, (a, b) in enumerate(zip(mat_mul(left.entries, q), right.entries)):
+        report.record(f"entry {k}", a, b, b)
     return report

@@ -31,8 +31,10 @@ from .core import (
     DimensionError,
     PuiseuxError,
     Vec,
+    _cleared,
     as_vec,
     fmt_power,
+    is_int,
     mat_det,
     mat_from,
     rat,
@@ -43,6 +45,7 @@ from .core import (
 INF = math.inf
 # precision of parse without a marker or argument, and of the CLI without one
 DEFAULT_PRECISION = Fraction(10)
+_ZERO = Fraction(0)  # the coefficient of an exponent outside the support
 # Work estimates for powers and duals, in recurrence steps: _GridPower
 # charges each total degree a run reaches DEGREE_COST steps (its gcd, lcm and
 # Fraction work) and each step it walks there one.  check_work refuses an
@@ -255,10 +258,10 @@ class PuiseuxSeries:
             )
         # an integral Fraction hashes and compares like its int, and an
         # exponent off the grid gives a non-integral key that matches none
-        return self._keys.get(tuple(x * n for x, n in zip(exp, self.ramification)), Fraction(0))
+        return self._keys.get(tuple(x * n for x, n in zip(exp, self.ramification)), _ZERO)
 
     def constant_term(self) -> Fraction:
-        return self._keys.get((0,) * self.num_vars, Fraction(0))
+        return self._keys.get((0,) * self.num_vars, _ZERO)
 
     def order_total(self):
         """Least total exponent sum in the support; +inf for the zero series."""
@@ -333,7 +336,7 @@ class PuiseuxSeries:
         a_items = [(_degree(g, weights), g, c) for g, c in self._keys_on(grid).items()]
         b_items = [(_degree(g, weights), g, c) for g, c in other._keys_on(grid).items()]
         b_items.sort(key=operator.itemgetter(0))
-        cutoff = None if prec is INF else math.floor(prec * lcm_all)
+        cutoff = None if prec is INF else prec.numerator * lcm_all // prec.denominator
         raw: dict[tuple, Fraction] = {}
         for t1, e1, c1 in a_items:
             for t2, e2, c2 in b_items:
@@ -423,7 +426,7 @@ class PuiseuxSeries:
         one-variable series factor out the dominating monomial and give a
         Laurent series.
         """
-        if not isinstance(n, int):
+        if not is_int(n):
             raise PuiseuxError(f"n must be an integer, got {n!r}")
         if n == 0:
             return PuiseuxSeries.one(self.num_vars)
@@ -463,16 +466,22 @@ class PuiseuxSeries:
             raise PuiseuxError("substitution matrix must be non-negative")
         if mat_det(q) == 0:
             raise PuiseuxError("substitution matrix must be invertible")
-        col_sums = [sum(q[i][j] for i in range(len(q))) for j in range(len(q))]
-        if not self.laurent and col_sums == [row[j] for j, row in enumerate(q)]:
+        return self._substitute(q)
+
+    def _substitute(self, q) -> "PuiseuxSeries":
+        """monomial_substitute by a checked q, in integers: q = Q/t."""
+        t, ints = _cleared(q)
+        col_sums = [sum(col) for col in zip(*ints)]
+        if not self.laurent and col_sums == [row[j] for j, row in enumerate(ints)]:
             # no entry is negative, so q is diagonal, which only relabels keys
-            return self._reframe(col_sums)
-        prec = _reframe_prec(self.precision, col_sums)
+            return self._reframe([Fraction(c, t) for c in col_sums])
+        prec = _reframe_prec(self.precision, [Fraction(min(col_sums), t)])
         # the image key is a·g with a_ij = grid_i*q_ij/n_j, grid_i the least
-        # denominator that makes row i of a integral
-        ratios = [[x / n for x, n in zip(row, self.ramification)] for row in q]
-        grid = tuple(math.lcm(*(x.denominator for x in row)) for row in ratios)
-        a = [[(j, int(x * m)) for j, x in enumerate(row) if x] for row, m in zip(ratios, grid)]
+        # denominator that makes row i integral: q_ij/n_j = Q_ij/(t*n_j) has
+        # the denominator t*n_j/gcd(Q_ij, t*n_j)
+        den = [t * n for n in self.ramification]
+        grid = tuple(math.lcm(*[d // math.gcd(x, d) for x, d in zip(row, den)]) for row in ints)
+        a = [[(j, x * m // d) for j, (x, d) in enumerate(zip(row, den)) if x] for row, m in zip(ints, grid)]
         keys = {
             tuple([sum([g[j] * x for j, x in row]) for row in a]): c
             for g, c in self._keys.items()

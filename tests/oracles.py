@@ -29,7 +29,13 @@ them coefficient for coefficient:
   library now reads one table of powers of C off eta's terms;
 - the text parser and JSON reader that build a Fraction per token and a
   Fraction tuple per term, and the writers that format sorted_terms'
-  Fraction vectors, where the library now reads and writes integer keys.
+  Fraction vectors, where the library now reads and writes integer keys;
+- the determinant by Fraction elimination, where the library now runs
+  fraction-free integer elimination; the key map of a monomial
+  substitution built by dividing Fractions, where the library reduces int
+  pairs; and the Lipman test's chain of Lattice joins, each support
+  element tested by Lattice.contains, where the library walks the keys
+  against integer echelon rows.
 """
 
 import heapq
@@ -63,10 +69,16 @@ from puiseux.core import (
     rational_root,
     unit_vec,
 )
-from puiseux.exponents import GRID_LIMIT, EssentialSequence
+from puiseux.exponents import (
+    GRID_LIMIT,
+    EssentialSequence,
+    drop_integral_head,
+    essential_of_series,
+)
 from puiseux.inversion import DominationError, InversionResult, _halphen_stolz_report
+from puiseux.quasi_ordinary import LipmanWitness, QOVerdict
 from puiseux.reports import CheckReport
-from puiseux.series import DEFAULT_PRECISION, default_names
+from puiseux.series import DEFAULT_PRECISION, _cut, _reframe_prec, default_names
 
 # dense univariate polynomials: dict {int exponent: Fraction}, truncated
 
@@ -726,6 +738,99 @@ def substitute_constructor(s, matrix):
     else:
         prec = min(sum(row[j] for row in q) for j in range(len(q))) * s.precision
     return PuiseuxSeries(s.num_vars, terms, prec)
+
+
+def monomial_substitute_fractions(s, matrix):
+    """The library's earlier monomial_substitute: the key map built from
+    the Fraction ratios q_ij/n_j, each row scaled by the lcm of its
+    denominators, and the column sums added as Fractions."""
+    q = mat_from(matrix)
+    if len(q) != s.num_vars or len(q[0]) != s.num_vars:
+        raise DimensionError("substitution matrix has wrong shape")
+    if any(c < 0 for row in q for c in row):
+        raise PuiseuxError("substitution matrix must be non-negative")
+    if mat_det_fractions(q) == 0:
+        raise PuiseuxError("substitution matrix must be invertible")
+    col_sums = [sum(q[i][j] for i in range(len(q))) for j in range(len(q))]
+    if not s.laurent and col_sums == [row[j] for j, row in enumerate(q)]:
+        return s._reframe(col_sums)
+    prec = _reframe_prec(s.precision, col_sums)
+    ratios = [[x / n for x, n in zip(row, s.ramification)] for row in q]
+    grid = tuple(math.lcm(*(x.denominator for x in row)) for row in ratios)
+    a = [[(j, int(x * m)) for j, x in enumerate(row) if x] for row, m in zip(ratios, grid)]
+    keys = {
+        tuple([sum([g[j] * x for j, x in row]) for row in a]): c
+        for g, c in s._keys.items()
+    }
+    if s.laurent:
+        for g, img in zip(s._keys, keys):
+            if any(x < 0 for x in img):
+                raise PuiseuxError(
+                    f"substitution sends {s._vec(g)} to negative exponent "
+                    f"{tuple(map(Fraction, img, grid))}"
+                )
+    return PuiseuxSeries._from_keys(_cut(keys, grid, prec), grid, prec, False)
+
+
+def mat_det_fractions(a):
+    """The library's earlier determinant: Fraction elimination, the first
+    nonzero entry of each column as the pivot."""
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise DimensionError("determinant of a non-square matrix")
+    m = [[Fraction(c) for c in row] for row in a]
+    det = Fraction(1)
+    for j in range(n):
+        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != j:
+            m[j], m[piv] = m[piv], m[j]
+            det = -det
+        det *= m[j][j]
+        inv = 1 / m[j][j]
+        for i in range(j + 1, n):
+            if m[i][j] != 0:
+                f = m[i][j] * inv
+                for k in range(j, n):
+                    m[i][k] -= f * m[j][k]
+    return det
+
+
+def mat_mul_fractions(a, b):
+    """The library's earlier a·b, summing Fraction products."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def qo_test_lattices(psi):
+    """The library's earlier qo_test: the candidates' prefixes joined onto
+    Z^h as a chain of Lattice objects, and the Fraction support, sorted by
+    total degree and then lexicographically, tested with Lattice.contains."""
+    ess = essential_of_series(psi)
+    candidates = drop_integral_head(ess)
+    certified = ess.complete
+    leq = lambda a, b: all(x <= y for x, y in zip(a, b))  # noqa: E731
+    witness = None
+    for a, b in zip(candidates, candidates[1:]):
+        if not leq(a, b):
+            witness = LipmanWitness("comparability", (a, b))
+            break
+    if witness is None:
+        lattices = [Lattice.standard(psi.num_vars)]
+        for c in candidates:
+            lattices.append(lattices[-1].join([c]))
+        for lam in sorted(psi.support(), key=lambda e: (sum(e), e)):
+            below = 0
+            while below < len(candidates) and leq(candidates[below], lam):
+                below += 1
+            if not lattices[below].contains(lam):
+                witness = LipmanWitness("membership", (lam,))
+                break
+    if witness is not None:
+        return QOVerdict(False, None, witness, certified, ess)
+    if not certified:
+        return QOVerdict(None, tuple(candidates), None, False, ess)
+    return QOVerdict(True, tuple(candidates), None, True, ess)
 
 
 def _diag(entries):

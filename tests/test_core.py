@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lattice_member_bruteforce, mat_inv
+from oracles import lattice_member_bruteforce, mat_det_fractions, mat_inv, mat_mul_fractions
 from puiseux import AdditiveOrder, Lattice, OrderError, PuiseuxError, rational_binomial, rational_root
-from puiseux.core import mat_identity, mat_mul, rat, vec_mat
+from puiseux.core import mat_det, mat_identity, mat_mul, mat_vec, rat, vec_mat
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=24
@@ -265,3 +265,49 @@ def test_lattice_membership_against_inverse_oracle():
             coords = vec_mat(v, inv)
             expected = all(c.denominator == 1 for c in coords)
             assert lat.contains(v) == expected, (gens, v)
+
+
+def _random_matrix(rng, h, kind):
+    """An h x h matrix of ints or rationals; a singular one has a multiple
+    of another row or a zero column, and a swap one has a zero at (0, 0)."""
+    if kind.startswith("int"):
+        a = [[rng.randrange(-9, 10) for _ in range(h)] for _ in range(h)]
+    else:
+        a = [[F(rng.randrange(-9, 10), rng.choice((1, 2, 3, 4, 6, 7))) for _ in range(h)]
+             for _ in range(h)]
+    if kind.endswith("singular"):
+        if h > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(h), 2)
+            c = rng.choice((-2, 1, 3))
+            a[i] = [c * x for x in a[j]]
+        else:
+            col = rng.randrange(h)
+            for row in a:
+                row[col] = 0
+    elif kind.endswith("swap"):
+        a[0][0] = 0
+    return tuple(tuple(row) for row in a)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_integer_matrix_algebra_agrees_with_fraction_arithmetic(h):
+    # mat_det by fraction-free elimination, mat_mul, mat_vec and vec_mat on
+    # integer rows against the earlier Fraction elimination and products
+    rng = random.Random(401 + h)
+    seen = set()
+    for _ in range(120):
+        kind = rng.choice(["int", "int-singular", "int-swap", "rat", "rat-singular", "rat-swap"])
+        a = _random_matrix(rng, h, kind)
+        got, want = mat_det(a), mat_det_fractions(a)
+        assert type(got) is F and got == want, a
+        if kind.endswith("singular"):
+            assert got == 0
+        seen.add((kind.split("-")[-1], got == 0))
+        b = _random_matrix(rng, h, rng.choice(["int", "rat"]))
+        v = tuple(F(rng.randrange(-7, 8), rng.choice((1, 2, 5))) for _ in range(h))
+        assert mat_mul(a, b) == mat_mul_fractions(a, b)
+        assert vec_mat(v, a) == mat_mul_fractions([v], a)[0]
+        assert mat_vec(a, v) == tuple(r[0] for r in mat_mul_fractions(a, [[c] for c in v]))
+    assert {k for k, _ in seen} == {"int", "rat", "singular", "swap"}
+    # nonsingular matrices needing a row swap come up in every dimension above 1
+    assert ("swap", False) in seen or h == 1

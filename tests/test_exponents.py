@@ -426,6 +426,37 @@ def test_essential_walk_on_series_keys_agrees_with_the_support_walk(h):
         essential_of_series(PuiseuxSeries.zero(h, 5))
 
 
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_essential_entry_points_agree_with_the_fraction_walk(h):
+    # each entry point maps exponents to integer points once and ranks them
+    # by the order's integer rows; the Fraction walk ranks by order.key
+    rng = random.Random(307 + h)
+    seen = set()
+    for _ in range(100):
+        terms = {random_exponent(rng, h, (1, 2, 3, 4, 6), max_num=9): F(1)
+                 for _ in range(rng.randrange(1, 9))}
+        s = PuiseuxSeries(h, terms, F(rng.randrange(2, 12)))
+        if s.is_zero():
+            continue
+        lattice = _walk_lattice(rng, h, rng.choice(WALK_LATTICES))
+        order_kind = rng.choice(["lex", "weighted", "composed"])
+        order = _walk_order(rng, h, order_kind)
+        want = essential_fraction_walk(s.support(), lattice, order, s.ramification)
+        assert essential_of_series(s, lattice, order) == want, (s, lattice, order)
+        assert essential_exponents(list(s.support()), lattice, order, s.ramification) == want
+        seen.add((order_kind, want.complete))
+        if h == 1:
+            p, ram = rng.randrange(1, 13), rng.choice([None, rng.randrange(1, 7)])
+            values = [e for (e,) in s.support()]
+            shaped = rng.choice([values, [(v,) for v in values], [str(v) for v in values]])
+            want = essential_fraction_walk(
+                values, Lattice.scaled_axes(1, [p]), AdditiveOrder.lex(1), ram and (ram,)
+            )
+            assert essential_exponents_p(shaped, p, ramification=ram) == want, (values, p, ram)
+    assert {k for k, _ in seen} == {"lex", "weighted", "composed"}
+    assert {c for _, c in seen} == {True, False}
+
+
 def _signed_vector(rng, h, denoms):
     return tuple(F(rng.randrange(-9, 10), rng.choice(denoms)) for _ in range(h))
 
@@ -473,11 +504,6 @@ def _half_with_ramification(ram):
 def test_essential_refuses_bad_parameters(call, bad):
     with pytest.raises(PuiseuxError, match=f"must be a positive integer, got {re.escape(bad)}$"):
         call()
-
-
-def test_essential_accepts_integral_rationals():
-    seq = essential_exponents_p(E_PAPER, F(6), ramification=F(2))
-    assert seq == essential_exponents_p(E_PAPER, 6, ramification=2)
 
 
 def test_essential_p_paper_table():

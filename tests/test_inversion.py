@@ -5,14 +5,17 @@ import pytest
 
 from builders import random_branch_data, random_unit_series
 from puiseux import (
+    AdditiveOrder,
     BranchData,
     DominationError,
     INF,
+    Lattice,
     PrecisionError,
     PuiseuxError,
     PuiseuxSeries,
     RootError,
     dual,
+    essential_exponents,
     essential_exponents_p,
     extract_branch,
     invert_branch,
@@ -450,3 +453,35 @@ def test_malformed_scalar_arguments_are_named(call, error, message):
         call()
     assert type(caught.value) is error
     assert str(caught.value).startswith(message)
+
+
+def _essential_with_ramification(n):
+    return essential_exponents([(F(1, 2),)], Lattice.standard(1), AdditiveOrder.lex(1), (n,))
+
+
+_BRANCH = extract_branch(_ANCHOR, unit_precision=10)
+_UNIT_PART = parse("1 + t", precision=6)
+# (entry point taking the integer, its refusal for a value x); an int is
+# accepted and a bool, a string or a Fraction is refused, whatever its value
+INTEGER_ARGUMENTS = [
+    (lambda x: essential_exponents_p([3, 5], x), "p must be a positive integer, got {!r}"),
+    (lambda x: essential_exponents_p([3, 5], 1, ramification=x),
+     "ramification must be a positive integer, got {!r}"),
+    (_essential_with_ramification, "ramification must be a positive integer, got {!r}"),
+    (lambda x: _UNIT.pow_int(x), "n must be an integer, got {!r}"),
+    (lambda x: verify_power_identity(_UNIT, x), "N must be a positive integer, got {!r}"),
+    (lambda x: lagrange_coefficient(_BRANCH, x + 2 if type(x) is int else x),
+     "q must be an integer, got {!r}"),
+    (lambda x: BranchData(_UNIT_PART, x, 1, (1,)), "exponent_m = {!r} is not a positive integer"),
+    (lambda x: BranchData(_UNIT_PART, 2, 1, (x,)),
+     "ramification ({!r},) is not one positive integer per variable (1)"),
+]
+
+
+@pytest.mark.parametrize("call, words", INTEGER_ARGUMENTS, ids=range(len(INTEGER_ARGUMENTS)))
+@pytest.mark.parametrize("value", [True, "7", F(7), 7.0], ids=["bool", "str", "Fraction", "float"])
+def test_one_rule_for_integer_arguments(call, words, value):
+    call(7)
+    with pytest.raises(PuiseuxError) as caught:
+        call(value)
+    assert str(caught.value) == words.format(value)

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from builders import random_unimodular, random_unit_series
+from builders import random_exponent, random_unimodular, random_unit_series
+from oracles import qo_test_lattices
 from puiseux import (
     LipmanWitness,
+    PuiseuxError,
     PuiseuxSeries,
     parse,
     qo_test,
@@ -132,6 +134,46 @@ def test_qsigma_rejects_non_unimodular():
         verify_qsigma_relation(parse(PSI), [[2, 0], [0, 1]])
 
 
+NOT_UNIMODULAR = "the chart relation needs a unimodular integer matrix"
+# (chart on the h = 2 series PSI, toric_pullback's refusal or None, then
+# verify_qsigma_relation's refusal)
+BAD_CHARTS = [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "chart matrix dimension does not match the series",
+     "chart matrix dimension does not match the series"),
+    ([[1, 0, 0], [0, 1, 0]], "chart matrix dimension does not match the series",
+     "chart matrix dimension does not match the series"),
+    ([[F(1, 2), 0], [0, 2]], "chart matrix must have non-negative integer entries",
+     "chart matrix must have non-negative integer entries"),
+    ([[1, -1], [0, 1]], "chart matrix must have non-negative integer entries",
+     "chart matrix must have non-negative integer entries"),
+    ([[1, 1], [1, 1]], "chart matrix must be invertible", NOT_UNIMODULAR),
+    ([[2, 0], [0, 1]], None, NOT_UNIMODULAR),
+]
+
+
+@pytest.mark.parametrize("q, pullback, relation", BAD_CHARTS, ids=range(len(BAD_CHARTS)))
+def test_chart_refusals_are_named(q, pullback, relation):
+    psi = parse(PSI)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if pullback is None:
+            toric_pullback(psi, q)
+        else:
+            with pytest.raises(PuiseuxError) as err:
+                toric_pullback(psi, q)
+            assert str(err.value) == pullback
+    if pullback is None:
+        # |det| != 1 is only a warning for the pullback
+        assert [str(w.message) for w in caught] == [
+            "chart matrix determinant 2 is not +-1; the cone is not regular"
+        ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PuiseuxError) as err:
+            verify_qsigma_relation(psi, q)
+    assert str(err.value) == relation
+
+
 def test_qo_candidates_are_order_independent():
     # a certified QO verdict names the same characteristic exponents no
     # matter which accepted dominating order produced the essential sequence
@@ -157,3 +199,30 @@ def test_qo_verdict_json():
     assert blob["witness"]["condition"] == "comparability"
     yes = qo_test(parse(PSI_SIGMA)).to_json()
     assert yes["is_qo"] == "yes" and yes["certified"]
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_qo_test_agrees_with_the_lattice_chain(h):
+    # the Lipman test walks the keys against integer echelon rows; the
+    # earlier chain of Lattice joins must give the same verdict, witness
+    # and candidates
+    rng = random.Random(211 + h)
+    seen = set()
+    for _ in range(150):
+        terms = {random_exponent(rng, h, (1, 2, 3, 4), max_num=7): F(rng.choice((-2, 1, 3)))
+                 for _ in range(rng.randrange(1, 6))}
+        if rng.random() < 0.3:  # an integral exponent, the head when lex-least
+            terms[tuple(F(int(i == 0)) for i in range(h))] = F(1)
+        psi = PuiseuxSeries(h, terms, F(rng.randrange(3, 12)))
+        if psi.is_zero():
+            continue
+        got = qo_test(psi)
+        assert got == qo_test_lattices(psi), psi
+        if got.is_qo is False:
+            seen.add(got.witness.condition)
+        else:
+            seen.add("yes" if got.is_qo else "unknown")
+        head = got.essential.entries[0]
+        if all(c.denominator == 1 for c in head) and len(got.essential.entries) > 1:
+            seen.add("integral head")
+    assert seen == {"yes", "comparability", "membership", "unknown", "integral head"}

@@ -11,6 +11,7 @@ from oracles import (
     fraction_series,
     fraction_view,
     mul_fractions,
+    monomial_substitute_fractions,
     shift_fractions,
     substitute_constructor,
     truncate_fractions,
@@ -286,6 +287,37 @@ def test_monomial_substitute_agrees_with_constructor_path():
             if any(sum(img) > bound for img in images):
                 seen.add("dropped")
     assert seen == {"diagonal", "full", "singular", "refused", "dropped"}
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_monomial_substitute_agrees_with_the_fraction_key_map(h):
+    # the key map from the integer matrix, one gcd per entry, against the
+    # earlier map from Fraction ratios, refusals included
+    rng = random.Random(503 + h)
+    seen = set()
+    for _ in range(120):
+        s = _grid_series(rng, h, laurent=h == 1 and rng.random() < 0.3)
+        kind = rng.choice(["diagonal", "integer", "rational"])
+        denoms = {"diagonal": None, "integer": (1,), "rational": (1, 2, 3)}[kind]
+        q = [[F(rng.randrange(0, 4), rng.choice(denoms)) if denoms and i != j else F(0)
+              for j in range(h)] for i in range(h)]
+        for i in range(h):
+            q[i][i] += rng.choice((1, F(1, 2), 3))
+        outcomes = []
+        for substitute in (s.monomial_substitute, lambda m: monomial_substitute_fractions(s, m)):
+            try:
+                outcomes.append(substitute(q))
+            except PuiseuxError as exc:
+                outcomes.append((type(exc), str(exc)))
+        got, want = outcomes
+        assert got == want, (s, q)
+        if isinstance(got, PuiseuxSeries):
+            assert (got.ramification, got.precision, got.laurent) == (
+                want.ramification, want.precision, want.laurent)
+            seen.add(kind)
+        else:
+            seen.add("refused")
+    assert seen == {"diagonal", "integer", "rational", "refused"}
 
 
 def _grid_series(rng, h, laurent=False):
