@@ -209,7 +209,7 @@ def _cmd_invert(args) -> int:
 def _cmd_lagrange(args) -> int:
     eta, target, root = _branch_options(args)
     # the branch that invert reads, which the oracle expands without the dual
-    data = _branch_at(eta, target, root)
+    data, _ = _branch_at(eta, target, root)
     terms = lagrange_series(data).truncate(target).sorted_terms()
     lines = [f"[xi]_{fmt_vec(e)} = {c}" for e, c in terms]
     rows = [{"exponent": exponent_to_json(e), "coef": str(c)} for e, c in terms]
@@ -250,7 +250,7 @@ def _cmd_verify(args) -> int:
             _dual_from_power(data.power, result.m1, data.root_coeff, 1),
         ),
         verify_power_identity(data.series, result.m1),
-        # the oracle refuses a table past its key bound
+        # the oracle is refused once its charge passes the work limit
         _unless_refused(
             "Lagrange oracle equivalence", lambda: _oracle_report(result), PuiseuxError
         ),

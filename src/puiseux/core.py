@@ -42,6 +42,28 @@ class RootError(PuiseuxError):
     pass
 
 
+# The one work limit.  Every walk charges the units it performs as it goes
+# and is refused through charge once its total passes MAX_WORK.  A unit is
+# one product of an integer of one machine word inside a C-level loop, and a
+# Python-level step of a walk (the dict, tuple and list operations of one
+# point, pair or row) is STEP units; what each walk charges is stated where
+# it walks.  A unit took 0.03-0.11 us on the cases in CHANGES.md (Python
+# 3.11, 2-vCPU host), so a refused walk stops within about 3 s, 6 s on a
+# loaded host.
+MAX_WORK = 4 * 10**7
+STEP = 16
+
+
+def charge(work: int, what: str) -> int:
+    """work, the units a walk has charged so far; past MAX_WORK, the one
+    refusal of every walk, naming it."""
+    if work > MAX_WORK:
+        raise PuiseuxError(
+            f"{what} charges {work} units of work, past the limit of {MAX_WORK}"
+        )
+    return work
+
+
 # ---------------------------------------------------------------------------
 # rationals and vectors
 
@@ -60,9 +82,17 @@ def rat(x) -> Fraction:
         raise PuiseuxError(str(exc)) from None
 
 
-def is_int(x, positive: bool = False) -> bool:
-    """The one rule for integer arguments: an int, not a bool, positive if asked."""
-    return isinstance(x, int) and not isinstance(x, bool) and (x > 0 or not positive)
+def is_int(x) -> bool:
+    """The one rule for integer arguments: an int, not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def positive_int(x, name: str) -> int:
+    """x, an integer argument called name, refused with the one phrasing of
+    the rule unless it is positive."""
+    if not (is_int(x) and x > 0):
+        raise PuiseuxError(f"{name} must be a positive integer, got {x!r}")
+    return x
 
 
 def as_vec(x, dim: int | None = None) -> Vec:
@@ -443,9 +473,10 @@ class AdditiveOrder:
     """A total additive order on Q^h: compare a, b by the lexicographic order
     of matrix·a versus matrix·b.
 
-    Only orders built through the provided factories are guaranteed to
-    dominate Q^h_+ (every bounded-denominator subset has a minimum); the
-    ``dominating`` flag records that guarantee by construction.
+    The order dominates Q^h_+ (every bounded-denominator subset has a
+    minimum) exactly when every coordinate vector is positive, that is when
+    the first nonzero entry of every column of the matrix is positive; the
+    ``dominating`` flag is that rule, read off the matrix.
 
     _rows holds the matrix cleared of denominators by a positive factor,
     which changes no comparison, so integer points rank by integer dot
@@ -454,16 +485,18 @@ class AdditiveOrder:
 
     __slots__ = ("matrix", "kind", "dominating", "_rows")
 
-    def __init__(self, matrix: Matrix, kind: str, dominating: bool):
+    def __init__(self, matrix: Matrix, kind: str):
         matrix = mat_from(matrix)
         if len(matrix) != len(matrix[0]):
             raise DimensionError("order matrix must be square")
         if mat_det(matrix) == 0:
             raise OrderError("order matrix must be invertible")
-        self._set(matrix, kind, dominating)
+        self._set(matrix, kind)
 
-    def _set(self, matrix: Matrix, kind: str, dominating: bool) -> "AdditiveOrder":
-        self.matrix, self.kind, self.dominating = matrix, kind, dominating
+    def _set(self, matrix: Matrix, kind: str) -> "AdditiveOrder":
+        self.matrix, self.kind = matrix, kind
+        # an invertible matrix has a nonzero entry in every column
+        self.dominating = all(next(c for c in col if c) > 0 for col in zip(*matrix))
         identity = matrix == mat_identity(len(matrix))
         self._rows = None if identity else tuple(map(tuple, _cleared(matrix)[1]))
         return self
@@ -472,7 +505,7 @@ class AdditiveOrder:
     @functools.cache
     def lex(cls, dim: int) -> "AdditiveOrder":
         """The lexicographic order; one shared instance per dim."""
-        return cls(mat_identity(dim), "lex", True)
+        return cls(mat_identity(dim), "lex")
 
     @classmethod
     def weighted(cls, weights) -> "AdditiveOrder":
@@ -481,16 +514,14 @@ class AdditiveOrder:
             raise OrderError("weight-lex requires strictly positive weights")
         h = len(w)
         rows = [w] + [unit_vec(h, i) for i in range(h - 1)]
-        return cls(tuple(rows), "positive-weight-lex", True)
+        return cls(tuple(rows), "positive-weight-lex")
 
     @classmethod
     def from_matrix(cls, rows) -> "AdditiveOrder":
         m = mat_from(rows)
         if m == mat_identity(len(m)):
             return cls.lex(len(m))
-        dominating = all(c > 0 for c in m[0])
-        kind = "positive-weight-lex" if dominating else "matrix"
-        return cls(m, kind, dominating)
+        return cls(m, "positive-weight-lex" if all(c > 0 for c in m[0]) else "matrix")
 
     @property
     def dim(self) -> int:
@@ -523,8 +554,7 @@ class AdditiveOrder:
     def _compose(self, q: Matrix) -> "AdditiveOrder":
         """compose for an invertible q of the order's dimension, unchecked."""
         matrix = mat_mul(self.matrix, mat_transpose(q))
-        dominating = self.dominating and all(c >= 0 for row in q for c in row)
-        return object.__new__(AdditiveOrder)._set(matrix, "composed", dominating)
+        return object.__new__(AdditiveOrder)._set(matrix, "composed")
 
     def __eq__(self, other):
         return isinstance(other, AdditiveOrder) and self.matrix == other.matrix
@@ -540,4 +570,5 @@ class AdditiveOrder:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdditiveOrder":
-        return cls(mat_from(data["matrix"]), data["kind"], bool(data["dominating"]))
+        # dominating is read off the matrix, whatever data says
+        return cls(data["matrix"], data["kind"])

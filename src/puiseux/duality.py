@@ -55,7 +55,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .core import PuiseuxError, RootError, is_int, rational_power, rational_root
+from .core import PuiseuxError, RootError, positive_int, rational_power, rational_root
 from .exponents import _irreducible_points
 from .reports import CheckReport
 from .series import INF, PuiseuxSeries, PrecisionError, _degree, _GridPower, _grading
@@ -93,25 +93,27 @@ def _dual_from_power(
     # first coordinates of psi^a are sums of phi's, so multiples of their gcd
     step = math.gcd(*(g[0] for g in power._keys))
     recurrence = _GridPower(power)
-    ks = range(0, math.floor(prec * n1) + 1, step) if step else [0]
-    recurrence.check_work(-a, m, runs=len(ks))
+    # one run for each k = 0, step, 2 step, ... up to the precision
+    count = math.floor(prec * n1) // step + 1 if step else 1
     c = a * n1
-    # r0^-(k + c) = r_den^e / r_num^e with e = k + c, carried as two ints
-    powers, r_num, r_den = {}, r0.numerator ** c, r0.denominator ** c
-    s_num, s_den = r0.numerator ** step, r0.denominator ** step
-    for k in ks:
-        powers[k] = r_num, r_den
-        r_num, r_den = r_num * s_num, r_den * s_den
     # the run for k is at exponent -(k + c)/(n1*m); in one variable step is
     # the unit of the recurrence and the run ends at the one key (k,)
     if power.num_vars == 1:
-        runs = recurrence.dual_loop(-c, n1 * m, len(ks))
+        runs = recurrence.dual_loop(-c, n1 * m, count)
     else:
         runs = recurrence.key_walk(-c, n1 * m, step)
+    # r0^-(k + c) = r_den^e / r_num^e with e = k + c, carried as two ints
+    # from one run to the next, as far as the runs reach
+    powers = [(r0.numerator ** c, r0.denominator ** c)]
+    s_num, s_den = r0.numerator ** step, r0.denominator ** step
     found = {}
     for g, num, common in runs:
         if num:
-            r_num, r_den = powers[g[0]]
+            j = g[0] // step if step else 0
+            while len(powers) <= j:
+                r_num, r_den = powers[-1]
+                powers.append((r_num * s_num, r_den * s_den))
+            r_num, r_den = powers[j]
             found[g] = Fraction(num * c * r_den, common * (g[0] + c) * r_num)
     return PuiseuxSeries._from_keys(found, power.ramification, prec, False)
 
@@ -123,8 +125,7 @@ def verify_power_identity(phi: PuiseuxSeries, N: int) -> CheckReport:
     c0 = phi.constant_term()
     if c0 == 0:
         raise PuiseuxError("power identity needs an invertible series")
-    if not is_int(N, True):
-        raise PuiseuxError(f"N must be a positive integer, got {N!r}")
+    positive_int(N, "N")
     return _irreducible_identity(
         f"power identity (N={N})", phi, phi.pow_int(N), "phi^N",
         c0**N, "power coefficient", lambda r: N * c0 ** (N - 1),

@@ -13,9 +13,12 @@ membership memo serves the whole walk: it is asked only about points of
 smaller degree than the current one, which no later irreducible point can
 reach, so no answer changes and every grid point is expanded at most once.
 semigroup_member_oracle descends from its target, one generator per layer.
-Both map exponents to the grid by one integer rule and refuse, before any
-work, a grid box below the points, prod_i (max_i * scale_i + 1) points,
-times distinct nonzero generators above GRID_LIMIT.
+Both map exponents to the grid by one integer rule and refuse negative
+generators before any work.  The walk charges core.charge, for each point
+its memo settles, STEP times one more than the generators found so far,
+and the descent STEP times each layer times its steps, so either is
+refused past the one limit core.MAX_WORK, at 0.03-0.07 us a unit on a
+2-vCPU host (CHANGES.md).
 
 An essential sequence is one walk on one integer grid (1/D)Z^h, D the lcm of
 the lattice's scale and the denominators N_i of S and the ramification.
@@ -39,23 +42,17 @@ from fractions import Fraction
 from operator import mul, sub
 
 from .core import (
+    STEP,
     AdditiveOrder,
     Lattice,
     PuiseuxError,
     Vec,
     _echelon_reduce,
     as_vec,
+    charge,
     fmt_vec,
-    is_int,
+    positive_int,
 )
-
-# The admission bound of the walk and the descent, each of which expands a
-# box point at most once per generator.  The descent takes about 0.3-0.6 us
-# per unit (10^6 units, a 10^5-point box times 10 generators, in 0.3-0.64 s);
-# the walk took 0.14 s on 100 two-variable points in a 10^4-point box
-# (Python 3.11, 2-vCPU host).
-GRID_LIMIT = 10**6
-
 
 def _normalize_set(S) -> tuple[list[Vec], bool]:
     """Returns (vectors, scalar_input)."""
@@ -70,18 +67,10 @@ def _normalize_set(S) -> tuple[list[Vec], bool]:
     return vecs, scalar
 
 
-def _admit(steps, tops) -> None:
-    """Refuse, before any work, nonzero generator points steps with a
-    negative coordinate, or a grid box below the points tops whose size
-    times the number of steps exceeds GRID_LIMIT."""
+def _admit(steps) -> None:
+    """Refuse nonzero generator points steps with a negative coordinate."""
     if any(c < 0 for g in steps for c in g):
         raise PuiseuxError("semigroup generators must have non-negative exponents")
-    box = math.prod(max(0, *col) + 1 for col in zip(*tops))
-    if box * len(steps) > GRID_LIMIT:
-        raise PuiseuxError(
-            f"exponent grid box of {box} points times {len(steps)} nonzero "
-            f"generators exceeds the limit of {GRID_LIMIT}"
-        )
 
 
 def _grid_points(vecs: list[Vec]) -> list[tuple[int, ...]]:
@@ -95,28 +84,31 @@ def _irreducible_points(points) -> set:
     """The irreducible elements of distinct integer points: the origin when
     it is there, and every nonzero point that is no sum of two or more
     nonzero points.  A series' keys lie on the grid of its support's lcm
-    denominators, so they pass as they are and meet the bound its support
-    would.  Raises PuiseuxError on a negative coordinate or a work bound
-    above GRID_LIMIT."""
+    denominators, so they pass as they are.  Raises PuiseuxError on a
+    negative coordinate or once the walk's charge passes MAX_WORK."""
     nonzero = [x for x in points if any(x)]
     if not nonzero:
         return set(points)
-    _admit(nonzero, nonzero)
+    _admit(nonzero)
     nonzero.sort(key=sum)
-    found = []
+    found, spent = [], 0
     member = {(0,) * len(nonzero[0]): True}
     for x in nonzero:
-        if not _in_monoid(x, found, member):
+        reducible, spent = _in_monoid(x, found, member, spent)
+        if not reducible:
             found.append(x)
         member[x] = True
     return set(found).union(x for x in points if not any(x))
 
 
-def _in_monoid(x, gens, member) -> bool:
-    """Is x a sum of gens (the origin being the empty sum)?  A depth-first
-    search over x minus a generator, iterative, that records every point it
-    settles in member."""
-    stack = [(x, iter(gens))]
+def _in_monoid(x, gens, member, spent) -> tuple[bool, int]:
+    """(is x a sum of gens, the origin being the empty sum?, the walk's
+    units after it): a depth-first search over x minus a generator,
+    iterative, that records every point it settles in member.  Each point
+    it pushes, x too, is settled once and charged STEP times one more than
+    the generators."""
+    k = STEP * (1 + len(gens))
+    stack, spent = [(x, iter(gens))], charge(spent + k, "the irreducible walk")
     while stack:
         y, untried = stack[-1]
         for g in untried:
@@ -125,17 +117,18 @@ def _in_monoid(x, gens, member) -> bool:
                 continue
             known = member.get(z)
             if known is None:
+                spent = charge(spent + k, "the irreducible walk")
                 stack.append((z, iter(gens)))
                 break
             if known:
                 # every point on the stack is z plus generators
                 for w, _ in stack:
                     member[w] = True
-                return True
+                return True, spent
         else:
             member[y] = False
             stack.pop()
-    return False
+    return False, spent
 
 
 def irreducible_exponents(S):
@@ -144,7 +137,8 @@ def irreducible_exponents(S):
     point tested against the monoid of the irreducible points before it.
     Exact on truncated supports: any summand of r has total sum at most that
     of r, so truncation below a bound cannot hide decompositions.  Raises
-    PuiseuxError on negative exponents or a work bound above GRID_LIMIT.
+    PuiseuxError on negative exponents or once the walk's charge passes
+    MAX_WORK.
     """
     vecs, scalar = _normalize_set(S)
     distinct = list(set(vecs))
@@ -160,14 +154,16 @@ def semigroup_member_oracle(S, v, max_terms: int) -> bool:
     found by a layered descent from v on the grid of S and v: layer k holds
     the points v minus k generators, each grid point is visited once, and
     the descent stops at the origin or after max_terms layers.  Raises
-    PuiseuxError on negative generators or a work bound above GRID_LIMIT."""
+    PuiseuxError on negative generators or once the descent's charge passes
+    MAX_WORK."""
     vecs, _ = _normalize_set(S)
     v = as_vec(v, len(vecs[0]) if vecs else None)
     top, *points = _grid_points([v, *vecs])
     steps = {g for g in points if any(g)}
-    _admit(steps, [top])
-    seen, layer, origin = {top}, {top}, (0,) * len(top)
+    _admit(steps)
+    seen, layer, origin, spent = {top}, {top}, (0,) * len(top), 0
     for _ in range(max_terms):
+        spent = charge(spent + STEP * len(layer) * len(steps), "the semigroup descent")
         # a point first met in layer k is a sum of no fewer than k generators
         layer = {y for x in layer for g in steps if min(y := tuple(map(sub, x, g))) >= 0} - seen
         if origin in layer or not layer:
@@ -266,8 +262,7 @@ def _walk_grid(denoms, lattice, order, ramification):
         if len(ramification) != dim:
             raise PuiseuxError("ramification must give one denominator per variable")
         for n in ramification:
-            if not is_int(n, True):
-                raise PuiseuxError(f"ramification must be a positive integer, got {n!r}")
+            positive_int(n, "ramification")
         denoms = list(map(math.lcm, denoms, ramification))
     # One grid (1/D)Z^h holds S, the lattice and the ramification lattice
     # prod (1/N_i)Z, whose generators are the points (D/N_i) e_i.
@@ -309,8 +304,7 @@ def _essential_walk(walk, grid, denoms, lattice):
 def essential_exponents_p(S, p: int, ramification=None) -> EssentialSequence:
     """One-variable essential sequence relative to the integer p (lattice pZ).
     Raises PuiseuxError unless p and the ramification are positive integers."""
-    if not is_int(p, True):
-        raise PuiseuxError(f"p must be a positive integer, got {p!r}")
+    positive_int(p, "p")
     vecs = [as_vec(v, 1) for v in S]
     ram = None if ramification is None else (ramification,)
     return _essential(vecs, Lattice._diagonal(1, 1, ((p,),)), AdditiveOrder.lex(1), ram)

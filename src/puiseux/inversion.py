@@ -17,13 +17,16 @@ never touching the dual or the power kernel.  Every frame change on the way
 the keys of one series into another.
 
 The work grows with the unit precision N = target*max(m1, n2, ..., nh) - n1.
-There is one path from eta to xi: invert_series(eta, target) is
-invert_branch(_branch_at(eta, target, root), target), _branch_at being the
-extract_branch at that N.  Input is checked in two places, before any work:
+There is one path from eta to xi: invert_series(eta, target) is the
+inversion of _branch_at(eta, target, root), the extract_branch at that N,
+gated there once.  Input is checked in two places, before any work:
 BranchData's construction checks a hand-built unit part, and the gate
-_working_precision, shared by invert_branch, lagrange_series and
-lagrange_coefficient, refuses an exact unit part without a target, an N
-above MAX_UNIT_PRECISION and one too short for N.
+_working_precision, run once by each of invert_series, invert_branch,
+lagrange_series and lagrange_coefficient, refuses an exact unit part
+without a target and one too short for N.  No N is refused as such: the
+dual and the Lagrange oracle charge their work under the one limit
+core.MAX_WORK (0.03-0.11 us a unit on a 2-vCPU host), and a dual whose
+rows alone pass it, as at N = 599996, is refused at once.
 """
 
 from __future__ import annotations
@@ -35,13 +38,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    STEP,
     AdditiveOrder,
     Lattice,
     PuiseuxError,
     RootError,
+    charge,
     fmt_power,
     fmt_vec,
     is_int,
+    positive_int,
     rat,
     rational_root,
     total,
@@ -50,23 +56,14 @@ from .duality import _dual_from_power, dual
 from .exponents import EssentialSequence, essential_of_series
 from .reports import CheckReport
 from .series import (
-    DEGREE_COST,
     INF,
-    MAX_POWER_WORK,
     PrecisionError,
     PuiseuxSeries,
     _norm_prec,
     _reframe_prec,
 )
 
-# Largest unit precision N the inversion entry points accept.  The work grows
-# faster than N^2, since the coefficients grow with N too: the two-term anchor
-# x^(3/2) + 2*x^(7/4) inverts in about 0.012 s at N = 236, 0.08 s at N = 476
-# and 0.63 s at N = 998 (Python 3.11, 2-vCPU host), and more terms cost more.
-# The Lagrange oracle of the same branch (lagrange_series) takes about 0.014,
-# 0.11 and 0.5 s there.
-MAX_UNIT_PRECISION = 500
-
+_ORACLE = "the Lagrange oracle"
 # The one refusal of an exact unit part, by extract_branch (m1 > 1) and the gate
 _EXACT_UNIT_PART = "exact unit part: pass target_precision, or unit_precision to extract_branch"
 
@@ -112,16 +109,17 @@ class BranchData:
     def __init__(self, series, exponent_m, root_coeff, ramification):
         h, grid = series.num_vars, series.ramification
         ramification = tuple(ramification)
-        if len(ramification) != h or not all(is_int(n, True) for n in ramification):
+        if len(ramification) != h:
             raise PuiseuxError(
-                f"ramification {ramification} is not one positive integer per variable ({h})"
+                f"ramification must give one denominator per variable ({h}), got {ramification}"
             )
+        for n in ramification:
+            positive_int(n, "ramification")
         if grid != (1,) * h:
             raise PuiseuxError(f"the unit part needs integral exponents, not grid {grid}")
         if series.laurent:
             raise PuiseuxError("the unit part must be a power series, not a Laurent series")
-        if not is_int(exponent_m, True):
-            raise PuiseuxError(f"exponent_m = {exponent_m!r} is not a positive integer")
+        positive_int(exponent_m, "exponent_m")
         if not root_coeff:
             raise PuiseuxError("branch data needs a nonzero root_coeff")
         c, a = series._keys.get((0,) * h, 0) ** exponent_m, root_coeff**exponent_m
@@ -364,17 +362,13 @@ def _working_precision(data: BranchData, target_precision):
     """The unit precision N that invert_branch(data, target_precision)
     works at, lagrange_series(data) at target None and lagrange_coefficient
     at target q/m1: their one gate.  Refuses an exact unit part without a
-    target, an N above MAX_UNIT_PRECISION and a unit part too short for N."""
+    target and a unit part too short for N; the work N needs is charged by
+    the walks themselves."""
     held = data._held
     need = held.precision if target_precision is None else _required_unit_precision(
         target_precision, data.exponent_m, data.ramification)
     if need is INF and held.precision is INF and len(held._keys) > 1:
         raise PrecisionError(_EXACT_UNIT_PART)
-    if need is not INF and need > MAX_UNIT_PRECISION:
-        raise PuiseuxError(
-            f"unit precision N = {need} exceeds the limit of {MAX_UNIT_PRECISION}; "
-            "lower the target precision"
-        )
     if held.precision < need:
         raise PrecisionError(
             f"the input is too short: target {target_precision} needs unit "
@@ -403,10 +397,15 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
 
     target_precision bounds the total degree of the output in its fractional
     frame; the unit part must carry enough precision, or an error states how
-    much is required.  A unit precision N above MAX_UNIT_PRECISION is refused
-    before any work.
+    much is required.  The dual charges the work N needs and is refused
+    once it passes core.MAX_WORK, before its first degree when a count it
+    knows beforehand already does.
     """
-    need = _working_precision(data, target_precision)
+    return _invert(data, _working_precision(data, target_precision))
+
+
+def _invert(data: BranchData, need) -> InversionResult:
+    """invert_branch(data) at the unit precision need, already gated."""
     if data._from_unit and need < data.series.precision:
         unit_m = data.series.truncate(need).pow_int(data.exponent_m)
     else:
@@ -436,24 +435,23 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
     )
 
 
-def _branch_at(eta: PuiseuxSeries, target_precision, root_coeff=None) -> BranchData:
-    """extract_branch(eta, root_coeff, N) at the unit precision N that
+def _branch_at(eta: PuiseuxSeries, target_precision, root_coeff=None):
+    """(extract_branch(eta, root_coeff, N), N) at the unit precision N that
     target_precision needs, refused as invert_branch(_, target_precision)
-    refuses it."""
+    refuses it: the gate runs here, once."""
     m1 = _dominating_profile(eta)[1]
     N = _required_unit_precision(target_precision, m1, eta.ramification)
     data = extract_branch(eta, root_coeff, N)
-    _working_precision(data, target_precision)
-    return data
+    return data, _working_precision(data, target_precision)
 
 
 def invert_series(
     eta: PuiseuxSeries, target_precision, root_coeff=None
 ) -> InversionResult:
-    """invert_branch(_branch_at(eta, target_precision, root_coeff),
-    target_precision): the one path from eta to xi, complete up to
-    target_precision."""
-    return invert_branch(_branch_at(eta, target_precision, root_coeff), target_precision)
+    """invert_branch(data, target_precision) on the branch data of
+    _branch_at(eta, target_precision, root_coeff), gated there once: the one
+    path from eta to xi, complete up to target_precision."""
+    return _invert(*_branch_at(eta, target_precision, root_coeff))
 
 
 def verify_halphen_stolz(result: InversionResult) -> CheckReport:
@@ -510,8 +508,9 @@ def _oracle_power(data: BranchData, window) -> tuple[dict, int]:
     keys = {g: c.numerator * (den // c.denominator) for g, c in keys.items()}
     if not data._from_unit:
         return keys, den
-    power = keys
+    power, spent = keys, 0
     for _ in range(data.exponent_m - 1):
+        spent = charge(spent + STEP * len(power) * len(keys), _ORACLE)
         power = _keys_product(power, keys, window)
     return power, den**data.exponent_m
 
@@ -525,9 +524,10 @@ def _lagrange_keys(data: BranchData, window) -> dict:
     C = unit^m1/a~^m1 - 1, read off unit^m1 by a scale.  The table
     T_i = C^i, cut at the window, is built once for every q, in integers
     over den^i, den the common denominator of C; a key of degree D reads
-    the rows i <= D/ord(C) and costs one Fraction.  The table is refused
-    past MAX_POWER_WORK/DEGREE_COST keys, each key charged as a degree of a
-    power run."""
+    the rows i <= D/ord(C) and costs one Fraction.  The oracle charges STEP
+    for each of its rows, one per multiple of ord(C) in the window, before
+    the first, then for each key of a row times each term of C, and for
+    each Horner step of a key."""
     m1, atilde = data.exponent_m, data.root_coeff
     n1 = data.ramification[0]
     power, power_den = _oracle_power(data, window)
@@ -541,18 +541,14 @@ def _lagrange_keys(data: BranchData, window) -> dict:
     den //= common
     c = {g: v // common for g, v in c.items()}
     order = min(map(sum, c), default=1)
-    limit = MAX_POWER_WORK // DEGREE_COST
-    table, size = [{zero: 1}], 1
+    table = [{zero: 1}]
+    spent = charge(STEP * (window // order + 1 if c else 1), _ORACLE)
     while c:
-        row = _keys_product(table[-1], c, window)
+        prev = table[-1]
+        spent = charge(spent + STEP * len(prev) * len(c), _ORACLE)
+        row = _keys_product(prev, c, window)
         if not row:
             break
-        size += len(row)
-        if size > limit:
-            raise PuiseuxError(
-                f"the Lagrange oracle's table passes {limit} keys, the limit "
-                "MAX_POWER_WORK/DEGREE_COST; lower the precision"
-            )
         table.append(row)
     out = {}
     for g in {g for row in table for g in row}:
@@ -567,6 +563,7 @@ def _lagrange_keys(data: BranchData, window) -> dict:
         for i in range(last, 0, -1):
             f *= m1 * den * i
             acc = acc * (-q - (i - 1) * m1) + table[i - 1].get(g, 0) * f
+        spent = charge(spent + STEP * last, _ORACLE)
         if acc:
             out[(q,) + g[1:]] = Fraction(
                 n1 * acc * atilde.denominator**q, q * f * atilde.numerator**q

@@ -16,6 +16,10 @@ and write keys: parse and from_json carry each exponent p/q as an int pair,
 take the grid as the lcm of the q and build one Fraction per coefficient,
 and format_series and to_json write each exponent from its key, reduced by
 one gcd.
+
+Powers and duals run in the kernels of _GridPower, each of which charges
+core.charge the work it does, as its docstring states, under the one limit
+core.MAX_WORK: 0.03-0.11 us a unit on a 2-vCPU host (CHANGES.md).
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ import re
 from fractions import Fraction
 
 from .core import (
+    STEP,
     DimensionError,
     PuiseuxError,
     Vec,
     _cleared,
     as_vec,
+    charge,
     fmt_power,
     is_int,
     mat_det,
@@ -46,20 +52,7 @@ INF = math.inf
 # precision of parse without a marker or argument, and of the CLI without one
 DEFAULT_PRECISION = Fraction(10)
 _ZERO = Fraction(0)  # the coefficient of an exponent outside the support
-# Work estimates for powers and duals, in recurrence steps: _GridPower
-# charges each total degree a run reaches DEGREE_COST steps (its gcd, lcm and
-# Fraction work) and each step it walks there one.  check_work refuses an
-# estimate above MAX_POWER_WORK before the first run starts.  The dual of a
-# one-variable unit^m1 with all 500 nonconstant terms at N = 500 is 2.2*10^7,
-# so every one-variable inversion that MAX_UNIT_PRECISION admits fits.  On
-# the dense one-variable loop of a power (Python 3.11, 2-vCPU host) a degree
-# took 0.5-2.8 us, the upper end when it builds a Fraction, and a step 0.15
-# us with small coefficients; (1 + t)^-1, which fits up to precision
-# 2.2*10^6, took 2.6 us a degree.  The dual advances its runs together, so a
-# degree or a step of one run is one product inside a C-level map: that
-# dense dual took 4.1 s (0.19 us an estimated step, the coefficients grow).
-DEGREE_COST = 10
-MAX_POWER_WORK = 25 * 10**6
+_POWER, _DUAL = "the power recurrence", "the dual"
 
 
 class ParseError(PuiseuxError):
@@ -397,9 +390,7 @@ class PuiseuxSeries:
 
     def _scaled_power(self, p, q, constant_power, laurent) -> "PuiseuxSeries":
         """constant_power * (self/self_0)**(p/q) at self's precision, q > 0."""
-        recurrence = _GridPower(self)
-        recurrence.check_work(p, q)
-        keys = recurrence(p, q, scale=constant_power) if constant_power else {}
+        keys = _GridPower(self)(p, q, scale=constant_power) if constant_power else {}
         return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, laurent)
 
     def unit_root(self, m: int, root_of_constant) -> "PuiseuxSeries":
@@ -678,42 +669,6 @@ class _GridPower:
             )
         return self.cutoff
 
-    def check_work(self, p: int, q: int, runs: int = 0) -> None:
-        """Refuse the recurrence for r = p/q, q > 0, before it starts, when
-        its estimated work exceeds MAX_POWER_WORK: one run (runs=0), or the
-        runs of dual stopped at the first coordinates 0, s, ..., (runs-1)*s,
-        s the gcd of the steps' first coordinates.  p/q need not be reduced.
-
-        Degrees and step sizes are counted in units of their gcd.  A run
-        that reaches n degrees walks a step of size s at n - s of them.  When
-        every step lies in the first variable alone (in one variable, say),
-        the run stopped at i*s reaches i + 1 degrees, so over all runs that
-        is T(runs) degrees and T(runs - s) walks of the step, T(n) =
-        n(n+1)/2.  Otherwise each run is charged a full run, and a degree of
-        several variables counts as one key however many it holds.  For the
-        dual in h variables that is not key_walk's work, which walks each key
-        once for all runs still going there: a run that stops early is
-        charged in full, and the keys of a degree are not counted.  The
-        estimate stays as it is, and so does every refusal, until one counts
-        the keys the walk reaches.
-        """
-        first_only = runs and all(t == g[0] * self.w0 for t, g, _ in self.items)
-        sizes = [g[0] if first_only else t for t, g, _ in self.items]
-        unit = math.gcd(*sizes) or 1
-        if first_only:
-            n, times, total = runs, 1, _triangle
-        else:
-            n = self._limit(p, q) // unit + 1 if sizes else 1
-            times, total = max(runs, 1), _line
-        work = times * (
-            DEGREE_COST * total(n) + sum(total(n - size // unit) for size in sizes)
-        )
-        if work > MAX_POWER_WORK:
-            raise PuiseuxError(
-                f"estimated power work of {work} steps exceeds the limit of "
-                f"{MAX_POWER_WORK}; lower the precision"
-            )
-
     def __call__(self, p: int, q: int, scale=1) -> dict[tuple, Fraction]:
         """The coefficients of scale * P, P = (f/f_0)**(p/q), q > 0, by grid key,
         without zeros, scale folded into the one Fraction built for each.
@@ -729,9 +684,13 @@ class _GridPower:
 
     def dense_loop(self, p: int, q: int):
         """The one-variable run for r = p/q up to its last degree: yields
-        (g, N, L), P_g = N/L, for every key g = (i*u,) in order."""
+        (g, N, L), P_g = N/L, for every key g = (i*u,) in order.  Each
+        degree's gcd, rescale and Fraction, 4 STEP, are charged before the
+        first degree, then each degree its steps times the words of the
+        numerator found there."""
         unit = self.unit
         last = self._limit(p, q) // unit
+        spent = charge(4 * STEP * last, _POWER)
         qden = q * self.den
         steps = [(t // unit, a * (p + q) * (t // unit), a * q) for t, _, a in self.items]
         width = self.max_t // unit
@@ -752,6 +711,7 @@ class _GridPower:
                     nums[-width:] = [x * k for x in nums[-width:]]
                 acc //= g
             nums.append(acc)
+            spent = charge(spent + len(steps) * ((acc.bit_length() >> 6) + 1), _POWER)
             yield (i * unit,), acc, common
 
     def dual_loop(self, p: int, q: int, runs: int):
@@ -768,12 +728,19 @@ class _GridPower:
         row read at a later degree is brought to the current L by the
         integer L/L_i folded into its progression, so no row is rescaled.
         p/q need not be reduced: a common factor multiplies both sides of the
-        recurrence and cancels in each gcd, so the integers are the same."""
+        recurrence and cancels in each gcd, so the integers are the same.
+
+        The rows' runs + (runs - 1) + ... + 1 entries are charged before the
+        first, then each (degree, step) pair 4 STEP for its slice, map and
+        list, and the runs still going times the words of the row's entries
+        times those of L/L_i, the two integers multiplied."""
         unit = self.unit
         qden = q * self.den
         steps = [(t // unit, a) for t, _, a in self.items]
-        # rows[-s] is row i - s, the entries for runs i - s, ..., runs-1
-        rows = collections.deque([([1] * runs, 1)], maxlen=steps[-1][0] if steps else 1)
+        spent, pair = charge(runs * (runs + 1) // 2, _DUAL), 4 * STEP
+        # rows[-s] is row i - s, the entries for runs i - s, ..., runs-1, with
+        # their denominator and the words of their outer entries
+        rows = collections.deque([([1] * runs, 1, 1)], maxlen=steps[-1][0] if steps else 1)
         common = 1
         yield (0,), 1, 1
         for i in range(1, runs):
@@ -782,8 +749,9 @@ class _GridPower:
             for s, a in steps:
                 if s > i:
                     break
-                prev, at = rows[-s]
+                prev, at, w = rows[-s]
                 f = common // at
+                spent += pair + n * w * ((f.bit_length() >> 6) + 1)
                 start = a * ((p + q - i * unit) * s - q * i) * f
                 step = -a * unit * s * f
                 terms = map(operator.mul, range(start, start + n * step, step), prev[s:])
@@ -797,7 +765,8 @@ class _GridPower:
                     common *= m // g
                 if g != 1:
                     acc = list(map(operator.floordiv, acc, itertools.repeat(g)))
-            rows.append((acc, common))
+            rows.append((acc, common, (max(acc[0].bit_length(), acc[-1].bit_length()) >> 6) + 1))
+            charge(spent, _DUAL)
             yield (i * unit,), acc[0], common
 
     def key_walk(self, p: int, q: int, step: int = 0):
@@ -816,21 +785,29 @@ class _GridPower:
         L/L_row folded in as in dual_loop.  The walk goes over the multiples
         d of u, as the other kernels do, keeps only the levels the longest
         step can still read, skips a degree no kept level reaches and ends
-        once none is kept."""
+        once none is kept.
+
+        The runs of the first row are charged before it is made, then each
+        (key, step) pair 4 STEP, and the runs it carries times the words of
+        their entries times those of L/L_row, the two integers multiplied."""
         limit = self._limit(p, q)
         w0, qden, unit = self.w0, q * self.den, self.unit
         # span is the rest degree one run adds; with step 0 every key has the
         # one run 0, and limit + 1 gives every key up to the limit that interval
         span = step * w0 or limit + 1
+        what = _DUAL if step else _POWER
+        runs = spent = charge(limit // span + 1, what)
+        pair = 4 * STEP
         # each step: (T(s), s, s_1/step, A_s (p + q) T(s), A_s step T(s), A_s q)
         steps = [
             (t, g, g[0] // step if step else 0, a * (p + q) * t, a * step * t, a * q)
             for t, g, a in self.items
         ]
         zero = (0,) * self.num_vars
-        # levels[d] = (L_d, {g: (first run, row)}) for the keys g of degree d
-        # that hold a nonzero entry, d within the longest step below
-        levels = {0: (1, {zero: (0, [1] * (limit // span + 1))})}
+        # levels[d] = (L_d, {g: (first run, row)}, load) for the keys g of
+        # degree d that hold a nonzero entry, d within the longest step
+        # below; load is the entries of the rows times their words
+        levels = {0: (1, {zero: (0, [1] * runs)}, runs)}
         common = 1
         yield zero, 1, 1
         for d in range(unit, limit + 1, unit):
@@ -844,8 +821,9 @@ class _GridPower:
                 level = levels.get(d - t)
                 if level is None:
                     continue
-                at, rows = level
+                at, rows, load = level
                 f = common // at
+                spent += pair * len(rows) + load * ((f.bit_length() >> 6) + 1)
                 base, diff = (c1 - c3 * d) * f, -c2 * f
                 for g, (lo, prev) in rows.items():
                     key = tuple(map(operator.add, g, gs))
@@ -857,29 +835,23 @@ class _GridPower:
                         n = len(old[1])
                     terms = map(operator.mul, itertools.count(base + diff * lo, diff), prev[ds:ds + n])
                     sums[key] = (lo, list(terms) if old is None else list(map(operator.add, old[1], terms)))
+            charge(spent, what)
             if not sums:
                 continue
             m = qden * d
             g = math.gcd(m, *itertools.chain.from_iterable(acc for _, acc in sums.values()))
             if g != m:
                 common *= m // g
-            rows = {}
+            rows, load = {}, 0
             for key, (lo, acc) in sums.items():
                 if g != 1:
                     acc = list(map(operator.floordiv, acc, itertools.repeat(g)))
                 if any(acc):
                     rows[key] = (lo, acc)
+                    load += len(acc) * ((max(acc[0].bit_length(), acc[-1].bit_length()) >> 6) + 1)
                 yield key, acc[0], common
             if rows:
-                levels[d] = (common, rows)
-
-
-def _line(n: int) -> int:
-    return max(n, 0)
-
-
-def _triangle(n: int) -> int:
-    return n * (n + 1) // 2 if n > 0 else 0
+                levels[d] = (common, rows, load)
 
 
 def default_names(num_vars: int, first: str = "x") -> list[str]:

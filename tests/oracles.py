@@ -70,7 +70,6 @@ from puiseux.core import (
     unit_vec,
 )
 from puiseux.exponents import (
-    GRID_LIMIT,
     EssentialSequence,
     drop_integral_head,
     essential_of_series,
@@ -504,6 +503,11 @@ def _exponent_set(S):
     items = list(S)
     scalar = bool(items) and not isinstance(items[0], tuple)
     return [as_vec(v) for v in items], scalar
+
+
+# the exponent table's own bound, box points times generators: the
+# references below refuse past it rather than fill a table that large
+GRID_LIMIT = 10**6
 
 
 def _fewest_terms(gens, targets):

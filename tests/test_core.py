@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lattice_member_bruteforce, mat_det_fractions, mat_inv, mat_mul_fractions
-from puiseux import AdditiveOrder, Lattice, OrderError, PuiseuxError, rational_binomial, rational_root
+from puiseux import (
+    AdditiveOrder,
+    Lattice,
+    OrderError,
+    PuiseuxError,
+    essential_of_series,
+    parse,
+    rational_binomial,
+    rational_root,
+)
 from puiseux.core import mat_det, mat_identity, mat_mul, mat_vec, rat, vec_mat
 
 rationals = st.fractions(
@@ -227,6 +236,39 @@ def test_order_json_roundtrip():
     order = AdditiveOrder.weighted((F(1), F(3, 2)))
     again = AdditiveOrder.from_json(order.to_json())
     assert again == order and again.dominating
+
+
+def test_order_json_reads_dominating_off_the_matrix():
+    # the JSON flag is not trusted: under [[1, -1], [0, 1]] the vector (0, 1)
+    # ranks below the origin, so the order does not dominate Q^2_+, and the
+    # essential walk refuses it rather than pick (0, 1/4) second
+    data = {"kind": "lex", "matrix": [["1", "-1"], ["0", "1"]], "dominating": True}
+    order = AdditiveOrder.from_json(data)
+    assert not order.dominating
+    psi = parse("x1^(3/2) + x2^(1/4) + x1^(7/2)*x2^(5/2)")
+    with pytest.raises(PuiseuxError, match="dominating Q\\^h_\\+"):
+        essential_of_series(psi, order=order)
+    # every factory order, composed or not, round-trips with its flag
+    weighted = AdditiveOrder.weighted((F(1), F(3, 2)))
+    orders = {
+        AdditiveOrder.lex(1): True,
+        AdditiveOrder.lex(3): True,
+        weighted: True,
+        AdditiveOrder.from_matrix([[1, 1], [1, 0]]): True,
+        AdditiveOrder.from_matrix([[1, 0], [1, 1]]): True,
+        AdditiveOrder.from_matrix([[-1, 0], [0, 1]]): False,
+        AdditiveOrder.from_matrix([[1, -1], [0, 1]]): False,
+        AdditiveOrder.lex(2).compose([[0, 1], [1, 0]]): True,
+        weighted.compose([[1, 1], [0, 1]]): True,
+        # v -> v.q sends (1, 0) to (1, -1) and (0, 1) to (0, 1), both
+        # positive under lex, though q has a negative entry
+        AdditiveOrder.lex(2).compose([[1, -1], [0, 1]]): True,
+        AdditiveOrder.lex(2).compose([[-1, 0], [1, 1]]): False,
+    }
+    for order, dominating in orders.items():
+        again = AdditiveOrder.from_json(order.to_json())
+        assert (again, again.kind, again.dominating) == (order, order.kind, dominating)
+        assert order.dominating == dominating
 
 
 def test_lattice_json_roundtrip():

@@ -472,9 +472,8 @@ INTEGER_ARGUMENTS = [
     (lambda x: verify_power_identity(_UNIT, x), "N must be a positive integer, got {!r}"),
     (lambda x: lagrange_coefficient(_BRANCH, x + 2 if type(x) is int else x),
      "q must be an integer, got {!r}"),
-    (lambda x: BranchData(_UNIT_PART, x, 1, (1,)), "exponent_m = {!r} is not a positive integer"),
-    (lambda x: BranchData(_UNIT_PART, 2, 1, (x,)),
-     "ramification ({!r},) is not one positive integer per variable (1)"),
+    (lambda x: BranchData(_UNIT_PART, x, 1, (1,)), "exponent_m must be a positive integer, got {!r}"),
+    (lambda x: BranchData(_UNIT_PART, 2, 1, (x,)), "ramification must be a positive integer, got {!r}"),
 ]
 
 

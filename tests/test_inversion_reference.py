@@ -18,6 +18,7 @@ from oracles import extract_branch_eager, invert_xi_reference
 from puiseux import (
     INF,
     BranchData,
+    PrecisionError,
     PuiseuxError,
     PuiseuxSeries,
     dual,
@@ -27,8 +28,8 @@ from puiseux import (
     lagrange_coefficient,
     parse,
 )
+from puiseux.core import MAX_WORK
 from puiseux.duality import _dual_from_power
-from puiseux.inversion import MAX_UNIT_PRECISION
 
 
 def same_inversion(got, want):
@@ -182,21 +183,45 @@ def test_series_and_branch_entry_points_agree():
 
 
 def test_unit_precision_guard():
+    # N = 599996: the dual's rows alone pass the limit, so the charge refuses
+    # the inversion before the dual's first degree; a unit part too short
+    # for N is refused by the gate before that
     eta = parse("x^(3/2)+2*x^(7/4)", precision=INF)
     start = time.perf_counter()
-    with pytest.raises(PuiseuxError, match=f"N = 599996 exceeds the limit of {MAX_UNIT_PRECISION}"):
+    refused = rf"^the dual charges \d+ units of work, past the limit of {MAX_WORK}$"
+    with pytest.raises(PuiseuxError, match=refused):
         invert_series(eta, 100000)
     data = extract_branch(eta, unit_precision=20)
-    with pytest.raises(PuiseuxError, match="N = 599996 exceeds"):
+    with pytest.raises(PrecisionError, match="target 100000 needs unit precision N = 599996"):
         invert_branch(data, 100000)
     assert time.perf_counter() - start < 0.1
-    # without a target, N is the unit part's own precision
+    # without a target, N is the unit part's own precision; no N is refused
+    # as such, only the work it needs
     def constant_branch(N):
         return BranchData(PuiseuxSeries.constant(1, 2, precision=N), 2, F(2), (1,))
 
-    assert invert_branch(constant_branch(MAX_UNIT_PRECISION)).checks.all_passed
-    with pytest.raises(PuiseuxError, match=f"N = {MAX_UNIT_PRECISION + 1} exceeds"):
-        invert_branch(constant_branch(MAX_UNIT_PRECISION + 1))
+    for N in (500, 501, 5000):
+        assert invert_branch(constant_branch(N)).checks.all_passed
+
+
+def test_each_entry_point_runs_the_gate_once(monkeypatch):
+    # invert_series gates the branch it extracts, and invert_branch the data
+    # it is given, each once; the lagrange verb's refusal of a short input
+    # is the gate's, in test_cli
+    calls = []
+    real = puiseux.inversion._working_precision
+
+    def counted(data, target):
+        calls.append(target)
+        return real(data, target)
+
+    monkeypatch.setattr(puiseux.inversion, "_working_precision", counted)
+    eta = parse("x^(3/2)+2*x^(7/4)", precision=INF)
+    assert invert_series(eta, 4).checks.all_passed
+    assert calls == [4]
+    calls.clear()
+    assert invert_branch(extract_branch(eta, unit_precision=20), 2).checks.all_passed
+    assert calls == [2]
 
 
 def test_a_long_unit_part_is_cut_before_its_power(monkeypatch):
@@ -289,13 +314,13 @@ def test_branch_data_from_a_unit_compares_and_serialises_as_before():
 BAD_BRANCH_DATA = [
     ("2 + t", 2, 3, (1,), r"unit\^m1 has constant term 4, not root_coeff\^m1 = 9"),
     ("t", 2, 1, (1,), "constant term 0, not root_coeff"),
-    ("1 + t", 2, 1, (1, 2), r"ramification \(1, 2\) is not one .* per variable \(1\)"),
-    ("1 + t1*t2", 2, 1, (3,), r"ramification \(3,\) is not one .* per variable \(2\)"),
-    ("1 + t", 2, 1, (0,), "is not one positive integer per variable"),
-    ("1 + t", 2, 1, (F(2),), "is not one positive integer per variable"),
+    ("1 + t", 2, 1, (1, 2), r"ramification must give one denominator per variable \(1\), got \(1, 2\)"),
+    ("1 + t1*t2", 2, 1, (3,), r"ramification must give one denominator per variable \(2\), got \(3,\)"),
+    ("1 + t", 2, 1, (0,), "ramification must be a positive integer, got 0"),
+    ("1 + t", 2, 1, (F(2),), r"ramification must be a positive integer, got Fraction\(2, 1\)"),
     ("1 + t^(1/2)", 2, 1, (1,), "integral exponents"),
-    ("1 + t", 0, 1, (1,), "exponent_m = 0 is not a positive integer"),
-    ("1 + t", F(2), 1, (1,), r"exponent_m = Fraction\(2, 1\) is not a positive integer"),
+    ("1 + t", 0, 1, (1,), "exponent_m must be a positive integer, got 0"),
+    ("1 + t", F(2), 1, (1,), r"exponent_m must be a positive integer, got Fraction\(2, 1\)"),
     ("1 + t", 2, 0, (1,), "nonzero root_coeff"),
 ]
 

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import puiseux.core
 import puiseux.inversion
 from builders import random_dominating
 from oracles import lagrange_coefficient_products
@@ -134,11 +135,14 @@ def test_the_oracle_does_not_use_the_power_kernel(monkeypatch):
 
 def test_the_oracle_table_is_bounded(monkeypatch):
     data = extract_branch(parse("x^(3/2) + 2*x^(7/4) - x^(2)", precision=INF), unit_precision=40)
-    # 41 table rows of up to 41 keys: over 200 keys, under 2000
-    monkeypatch.setattr(puiseux.inversion, "MAX_POWER_WORK", 2000)
-    with pytest.raises(PuiseuxError, match="passes 200 keys, the limit MAX_POWER_WORK/DEGREE_COST"):
+    # 41 table rows charged before the first, then each row its keys times
+    # the two terms of C: the table passes 2000 units, one coefficient does not
+    want = lagrange_coefficient_products(data, 10)
+    monkeypatch.setattr(puiseux.core, "MAX_WORK", 2000)
+    message = r"^the Lagrange oracle charges \d+ units of work, past the limit of 2000$"
+    with pytest.raises(PuiseuxError, match=message):
         lagrange_series(data)
-    assert lagrange_coefficient(data, 10) == lagrange_coefficient_products(data, 10)
+    assert lagrange_coefficient(data, 10) == want
 
 
 def test_the_oracle_checks_its_input():
@@ -163,11 +167,11 @@ def test_the_oracle_checks_its_input():
 
 def test_lagrange_coefficient_shares_the_precision_gate():
     # lagrange_coefficient(data, q) works at N = q - n1, the N of
-    # invert_branch(data, q/m1): the same N limit and the same "too short"
+    # invert_branch(data, q/m1): the same "too short", and no limit on N
+    # beyond the work each walk charges
     eta = parse("x^(3/2) + 2*x^(7/4)", precision=INF)
     deep = extract_branch(eta, unit_precision=600)
-    with pytest.raises(PuiseuxError, match="N = 596 exceeds the limit of 500"):
-        lagrange_coefficient(deep, 600)
+    assert lagrange_coefficient(deep, 600) == invert_branch(deep, 100).xi.coefficient((F(100),))
     data = extract_branch(eta, unit_precision=8)
     for branch in (data, unit_built(data)):
         with pytest.raises(PrecisionError) as coefficient:

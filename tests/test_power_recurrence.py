@@ -14,6 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import puiseux.core
 from builders import NONZERO, perfect_power_unit, random_exponent, random_unit_series
 from oracles import (
     capped_heap_run,
@@ -33,10 +34,10 @@ from puiseux import (
     invert_series,
     parse,
 )
-from puiseux.core import rational_root
+from puiseux.core import MAX_WORK, STEP, rational_root
 from puiseux.duality import _dual_from_power
-from puiseux.inversion import MAX_UNIT_PRECISION, BranchData, invert_branch
-from puiseux.series import MAX_POWER_WORK, _GridPower
+from puiseux.inversion import BranchData, invert_branch
+from puiseux.series import _GridPower
 
 EXPONENTS = [F(-3), F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(2), F(5, 2), F(3)]
 
@@ -461,7 +462,8 @@ def test_power_answers_or_refuses_at_once_on_a_huge_precision(name, call, terms)
     s = parse("1+t", precision=HUGE)
     start = time.perf_counter()
     if terms is None:
-        message = rf"estimated power work of \d+ steps exceeds the limit of {MAX_POWER_WORK}"
+        # the run's degrees, or the dual's rows, are charged before the first
+        message = rf"the (dual|power recurrence) charges \d+ units of work, past the limit of {MAX_WORK}"
         with pytest.raises(PuiseuxError, match=message):
             call(s)
     else:
@@ -469,22 +471,29 @@ def test_power_answers_or_refuses_at_once_on_a_huge_precision(name, call, terms)
     assert time.perf_counter() - start < 1, name
 
 
-def test_power_work_bound_admits_every_one_variable_inversion():
-    # the dual of a unit^m1 with every term up to N = MAX_UNIT_PRECISION fits
-    # the bound; twice its runs do not
-    n = MAX_UNIT_PRECISION
-    dense = PuiseuxSeries(1, {(F(e),): F(1) for e in range(n + 1)}, F(n))
-    recurrence = _GridPower(dense)
-    recurrence.check_work(-1, 6, runs=n + 1)
-    with pytest.raises(PuiseuxError, match="exceeds the limit"):
-        recurrence.check_work(-1, 6, runs=2 * n)
+def test_the_dual_charges_its_rows_before_its_first_degree(monkeypatch):
+    # the one-variable dual's rows hold runs + (runs - 1) + ... + 1 entries:
+    # past the limit, the dual is refused before its first degree, and
+    # below it, each (degree, step) pair is charged as the walk goes
+    dense = PuiseuxSeries(1, {(F(e),): F(1) for e in range(41)}, F(40))
+    monkeypatch.setattr(puiseux.core, "MAX_WORK", 41 * 42 // 2 - 1)
+    runs = _GridPower(dense).dual_loop(-1, 1, 41)
+    with pytest.raises(PuiseuxError, match=r"^the dual charges 861 units of work, past the limit of 860$"):
+        next(runs)
+    # degree 1 walks one step for the 40 runs still going, with one word
+    monkeypatch.setattr(puiseux.core, "MAX_WORK", 41 * 42 // 2 + 4 * STEP + 40)
+    runs = _GridPower(dense).dual_loop(-1, 1, 41)
+    assert next(runs) == ((0,), 1, 1) and next(runs)[0] == (1,)
+    with pytest.raises(PuiseuxError, match="the dual charges"):
+        next(runs)
 
 
 def test_inversion_of_a_41_term_eta_at_the_precision_limit():
     # m1 = 1: eta = x^(1/2) + x^(2/2) + ... + x^(41/2), so unit^m1 has 40
-    # nonconstant terms, inverted at N = MAX_UNIT_PRECISION
-    unit = PuiseuxSeries(1, {(F(e),): F(1) for e in range(41)}, F(MAX_UNIT_PRECISION))
+    # nonconstant terms, inverted at N = 500, the old limit of N, which the
+    # charge of its dual admits
+    unit = PuiseuxSeries(1, {(F(e),): F(1) for e in range(41)}, F(500))
     result = invert_branch(BranchData(unit, 1, F(1), (2,)))
     assert len(result.eta.terms) == 41
-    assert len(result.xi.terms) == MAX_UNIT_PRECISION + 1
+    assert len(result.xi.terms) == 501
     assert result.checks.all_passed
