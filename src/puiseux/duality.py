@@ -20,8 +20,9 @@ raises RootError.
 
 All runs advance together over one running denominator that they share,
 and the weight of one step of the recurrence is an arithmetic progression
-in k, so a step is one C-level map over the runs still going.
-_GridPower.dual_loop goes one degree at a time in one variable, where the
+in k, so a step is one C-level map over the runs still going.  They are
+the power kernels called with the step of k, which _GridPower.walk picks:
+_GridPower.line_walk goes one degree at a time in one variable, where the
 runs still going are those of the larger k; _GridPower.key_walk goes one
 key at a time in h variables, where they are an interval of k that starts
 at the key's first coordinate.  Each hands back integer pairs N/L, and the
@@ -92,16 +93,11 @@ def _dual_from_power(
         )
     # first coordinates of psi^a are sums of phi's, so multiples of their gcd
     step = math.gcd(*(g[0] for g in power._keys))
-    recurrence = _GridPower(power)
-    # one run for each k = 0, step, 2 step, ... up to the precision
-    count = math.floor(prec * n1) // step + 1 if step else 1
     c = a * n1
-    # the run for k is at exponent -(k + c)/(n1*m); in one variable step is
-    # the unit of the recurrence and the run ends at the one key (k,)
-    if power.num_vars == 1:
-        runs = recurrence.dual_loop(-c, n1 * m, count)
-    else:
-        runs = recurrence.key_walk(-c, n1 * m, step)
+    # one run for each k = 0, step, 2 step, ... up to the precision, the run
+    # for k at exponent -(k + c)/(n1*m); in one variable step is the unit of
+    # the recurrence and the run ends at the one key (k,)
+    runs = _GridPower(power).walk(-c, n1 * m, step)
     # r0^-(k + c) = r_den^e / r_num^e with e = k + c, carried as two ints
     # from one run to the next, as far as the runs reach
     powers = [(r0.numerator ** c, r0.denominator ** c)]

@@ -14,9 +14,9 @@ smaller degree than the current one, which no later irreducible point can
 reach, so no answer changes and every grid point is expanded at most once.
 semigroup_member_oracle descends from its target, one generator per layer.
 Both map exponents to the grid by one integer rule and refuse negative
-generators before any work.  The walk charges core.charge, for each point
-its memo settles, STEP times one more than the generators found so far,
-and the descent STEP times each layer times its steps, so either is
+generators before any work.  The walk charges core.charge STEP for each
+point its memo settles and STEP for each generator its search tries, and
+the descent STEP times each layer times its steps, so either is
 refused past the one limit core.MAX_WORK, at 0.03-0.07 us a unit on a
 2-vCPU host (CHANGES.md).
 
@@ -53,6 +53,9 @@ from .core import (
     fmt_vec,
     positive_int,
 )
+
+_IRREDUCIBLE = "the irreducible walk"
+
 
 def _normalize_set(S) -> tuple[list[Vec], bool]:
     """Returns (vectors, scalar_input)."""
@@ -105,30 +108,30 @@ def _in_monoid(x, gens, member, spent) -> tuple[bool, int]:
     """(is x a sum of gens, the origin being the empty sum?, the walk's
     units after it): a depth-first search over x minus a generator,
     iterative, that records every point it settles in member.  Each point
-    it pushes, x too, is settled once and charged STEP times one more than
-    the generators."""
-    k = STEP * (1 + len(gens))
-    stack, spent = [(x, iter(gens))], charge(spent + k, "the irreducible walk")
+    it pushes, x too, is settled once and charged STEP, and each generator
+    it tries STEP, checked against the limit at each push and at the end."""
+    stack, spent = [(x, iter(gens))], charge(spent + STEP, _IRREDUCIBLE)
     while stack:
         y, untried = stack[-1]
         for g in untried:
+            spent += STEP
             z = tuple(map(sub, y, g))
             if min(z) < 0:
                 continue
             known = member.get(z)
             if known is None:
-                spent = charge(spent + k, "the irreducible walk")
+                spent = charge(spent + STEP, _IRREDUCIBLE)
                 stack.append((z, iter(gens)))
                 break
             if known:
                 # every point on the stack is z plus generators
                 for w, _ in stack:
                     member[w] = True
-                return True, spent
+                return True, charge(spent, _IRREDUCIBLE)
         else:
             member[y] = False
             stack.pop()
-    return False, spent
+    return False, charge(spent, _IRREDUCIBLE)
 
 
 def irreducible_exponents(S):

@@ -17,9 +17,10 @@ take the grid as the lcm of the q and build one Fraction per coefficient,
 and format_series and to_json write each exponent from its key, reduced by
 one gcd.
 
-Powers and duals run in the kernels of _GridPower, each of which charges
-core.charge the work it does, as its docstring states, under the one limit
-core.MAX_WORK: 0.03-0.11 us a unit on a 2-vCPU host (CHANGES.md).
+Powers and duals run in the two kernels of _GridPower, line_walk in one
+variable and key_walk in several, each of which charges core.charge the work
+it does, as its docstring states, under the one limit core.MAX_WORK:
+0.03-0.11 us a unit on a 2-vCPU host (CHANGES.md).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ INF = math.inf
 # precision of parse without a marker or argument, and of the CLI without one
 DEFAULT_PRECISION = Fraction(10)
 _ZERO = Fraction(0)  # the coefficient of an exponent outside the support
-_POWER, _DUAL = "the power recurrence", "the dual"
+_POWER, _DUAL, _PRODUCT = "the power recurrence", "the dual", "the power by squaring"
 
 
 class ParseError(PuiseuxError):
@@ -412,33 +413,39 @@ class PuiseuxSeries:
 
         When the constant term is the lowest term (nonzero, no negative
         exponents) every power comes from Miller's recurrence, as in
-        unit_power; the power of an exact series is exact.  Otherwise
-        positive powers multiply repeatedly, and negative powers of a
-        one-variable series factor out the dominating monomial and give a
-        Laurent series.
+        unit_power; the power of an exact series is exact.  Otherwise a
+        one-variable series factors out its lowest monomial x^lam, and its
+        power is x^(n lam) times that of the unit left, a Laurent series for
+        negative n.  In h > 1 variables only positive powers are defined
+        then, by repeated squaring, each product charging core.charge 4 STEP
+        for each pair of terms it may multiply: a term of a^(2k) within
+        T + (2k-1) lam reads only terms of a^k within T + (k-1) lam, so the
+        result and its precision are those of n - 1 products.
         """
         if not is_int(n):
             raise PuiseuxError(f"n must be an integer, got {n!r}")
         if n == 0:
             return PuiseuxSeries.one(self.num_vars)
-        if n > 0:
-            if self.order_total() == 0:
-                c0 = self.constant_term()
-                return self._scaled_power(n, 1, c0**n, self.laurent)
-            acc = self
-            for _ in range(n - 1):
-                acc = acc * self
-            return acc
         if self.order_total() == 0:
-            return self.unit_power(n)
-        if self.is_zero():
+            if n < 0:
+                return self.unit_power(n)
+            return self._scaled_power(n, 1, self.constant_term() ** n, self.laurent)
+        if n < 0 and self.is_zero():
             raise PuiseuxError("negative power of the zero series")
-        if self.num_vars != 1:
-            raise PuiseuxError(
-                "negative power needs a nonzero constant term when h > 1"
-            )
-        lam = self.dominating()[0][0]
-        return self.shift((-lam,)).unit_power(n).shift((n * lam,))
+        if self.num_vars == 1 and self._keys:
+            lam = Fraction(min(self._keys)[0], self.ramification[0])
+            return self.shift((-lam,)).pow_int(n).shift((n * lam,))
+        if n < 0:
+            raise PuiseuxError("negative power needs a nonzero constant term when h > 1")
+        # left to right over the bits of n: square, then multiply by self
+        power, spent = self, 0
+        for bit in bin(n)[3:]:
+            spent = charge(spent + 4 * STEP * len(power._keys) ** 2, _PRODUCT)
+            power = power * power
+            if bit == "1":
+                spent = charge(spent + 4 * STEP * len(power._keys) * len(self._keys), _PRODUCT)
+                power = power * self
+        return power
 
     # -- substitution -------------------------------------------------------
 
@@ -603,36 +610,33 @@ class _GridPower:
     a fractional grid (Knuth, TAOCP Vol. 2, §4.7).
 
     In one variable each degree holds one key, and the degrees reached are
-    the multiples i*u of u, the gcd of the step degrees.  The run is then a
-    dense loop over i in the pull form of the recurrence: for r = p/q,
-    a_j = A_j/den with integers A_j, and steps s_j = T(j)/u,
+    the multiples i*u of u, the gcd of the step degrees.  For r = p/q,
+    a_j = A_j/den with integers A_j, and steps s_j = T(j)/u, the pull form
+    of the recurrence reads
 
         q den i P_i = sum_j A_j ((p+q) s_j - q i) P_(i-s_j).
 
     The P_i are kept as integers N_i over one running lcm L of the
-    denominators finished so far.  The sum S of the right-hand side over L
-    gives P_i = S/(L m) with m = q den i, and lcm(L, denominator of P_i) is
-    L*k for k = m/gcd(S, m); so N_i = S/gcd(S, m), and when k > 1 the last
-    max s_j numerators, the only ones read again, are multiplied by k.  L
-    stays the lcm of the true denominators, so the integers grow with the
-    coefficients, not with the degree.  dense_loop is this loop for one r,
-    and the caller builds one Fraction for every nonzero P_i, with the
-    power's constant factor folded in.  The dual needs the runs for
-    r_j = (p - j u)/q, run j stopped at i = j; dual_loop advances all of
-    them together, one degree at a time, over one denominator that they
-    share, and hands dual each pair (N_j, L_j) to fold its own factors into
-    the one Fraction it builds.
+    denominators finished so far: the sum S of the right-hand side over L
+    gives P_i = S/(L m) with m = q den i, so N_i = S/gcd(S, m) over
+    L*m/gcd(S, m).  L stays the lcm of the true denominators, so the
+    integers grow with the coefficients, not with the degree.
 
-    In h variables a degree holds many keys, and key_walk visits them in
-    increasing total degree in the same pull form.  It carries the runs of
-    the dual as dual_loop does, those still going at a key being an
-    interval of j, and a single power as one run.  Every kernel walks the
-    multiples of the step unit u in order, the only degrees a key can have.
+    The dual needs the runs for r_j = (p - j*step)/q, run j stopped at first
+    coordinate j*step, and a power is the one run of step 0.  Both kernels
+    take (p, q, step) and advance every run together over one denominator
+    that they share, a step's weight being an arithmetic progression in j:
+    line_walk one degree at a time in one variable, where the runs still
+    going are those of the larger j, and key_walk one key at a time in
+    increasing total degree in h variables, where they are an interval of
+    j.  Both walk the multiples of u in order, the only degrees a key can
+    have, and hand back each (N, L) for the caller to fold its own factors
+    into the one Fraction it builds.
 
     The constructor does the part that depends on f alone: the steps
     (T(j), j, A_j) sorted by degree, den, u and the last degree precision
-    allows.  Calling the object runs the recurrence for one r, by
-    dense_loop in one variable and by key_walk in several.
+    allows.  walk picks the kernel by the number of variables; calling the
+    object runs it for the one run of a power.
     """
 
     def __init__(self, f: PuiseuxSeries):
@@ -677,88 +681,67 @@ class _GridPower:
         raised to a non-negative integer r stops at r*max T, where the power
         ends.
         """
-        kernel = self.dense_loop if self.num_vars == 1 else self.key_walk
-        runs = kernel(p, q)
+        runs = self.walk(p, q, 0)
         s_num, s_den = scale.numerator, scale.denominator
         return {g: Fraction(num * s_num, common * s_den) for g, num, common in runs if num}
 
-    def dense_loop(self, p: int, q: int):
-        """The one-variable run for r = p/q up to its last degree: yields
-        (g, N, L), P_g = N/L, for every key g = (i*u,) in order.  Each
-        degree's gcd, rescale and Fraction, 4 STEP, are charged before the
-        first degree, then each degree its steps times the words of the
-        numerator found there."""
-        unit = self.unit
-        last = self._limit(p, q) // unit
-        spent = charge(4 * STEP * last, _POWER)
-        qden = q * self.den
-        steps = [(t // unit, a * (p + q) * (t // unit), a * q) for t, _, a in self.items]
-        width = self.max_t // unit
-        # nums[-s] is N_(i-s); the width zeros in front stand for i - s < 0
-        nums = [0] * width + [1]
-        common = 1
-        yield (0,), 1, 1
-        for i in range(1, last + 1):
-            acc = 0
-            for s, c1, c2 in steps:
-                acc += (c1 - c2 * i) * nums[-s]
-            if acc:
-                m = qden * i
-                g = math.gcd(acc, m)
-                if g != m:
-                    k = m // g
-                    common *= k
-                    nums[-width:] = [x * k for x in nums[-width:]]
-                acc //= g
-            nums.append(acc)
-            spent = charge(spent + len(steps) * ((acc.bit_length() >> 6) + 1), _POWER)
-            yield (i * unit,), acc, common
+    def walk(self, p: int, q: int, step: int):
+        """The kernel's runs for r_j = (p - j*step)/q: line_walk in one
+        variable, key_walk in several."""
+        kernel = self.line_walk if self.num_vars == 1 else self.key_walk
+        return kernel(p, q, step)
 
-    def dual_loop(self, p: int, q: int, runs: int):
-        """The one-variable runs for r_j = (p - j*u)/q, j = 0, ..., runs-1,
-        run j stopped at degree j*u, advanced together one degree at a time:
-        yields (g, N, L), P_g = N/L of run j at its last key g = (j*u,), in
-        order of j.
+    def line_walk(self, p: int, q: int, step: int):
+        """The one-variable runs for r_j = (p - j*step)/q, run j stopped at
+        degree j*step, advanced together one degree at a time: yields (g, N,
+        L), P_g = N/L of run g_1/step at its last key g.  step is u, or 0 for
+        the one run of the plain power for r = p/q, which keeps every key up
+        to the limit.
 
-        At degree i the runs still going are j = i, ..., runs-1, and the
-        weight of step s, A_s((p_j + q) s - q i) with p_j = p - j u, is an
-        arithmetic progression in j, so a step adds to all of them in one
-        map over a range.  Row i holds N_i of those runs over L_i, one
-        denominator shared by every run and reduced by one gcd a degree.  A
-        row read at a later degree is brought to the current L by the
-        integer L/L_i folded into its progression, so no row is rescaled.
-        p/q need not be reduced: a common factor multiplies both sides of the
-        recurrence and cancels in each gcd, so the integers are the same.
+        At degree i*u the runs still going are j = lo, ..., runs-1, lo = i
+        with step u and 0 with the one run, and the weight of step s,
+        A_s((p_j + q) s - q i) with p_j = p - j step, is an arithmetic
+        progression in j, so a step adds to all of them in one map.  Row i
+        holds N_i of those runs over L_i, one denominator shared by every run
+        and reduced by one gcd a degree.  A row read at a later degree is
+        brought to the current L by the integer L/L_i folded into its
+        progression, so no row is rescaled.  p/q need not be reduced: a
+        common factor multiplies both sides of the recurrence and cancels in
+        each gcd, so the integers are the same.
 
-        The rows' runs + (runs - 1) + ... + 1 entries are charged before the
-        first, then each (degree, step) pair 4 STEP for its slice, map and
-        list, and the runs still going times the words of the row's entries
-        times those of L/L_i, the two integers multiplied."""
-        unit = self.unit
-        qden = q * self.den
+        A power's degrees are charged 4 STEP each and a dual's rows their
+        runs + (runs - 1) + ... + 1 entries before the first degree, then each
+        (degree, step) pair 4 STEP for its slice, maps and sums, and the runs
+        still going times the words of the row's entries times those of
+        L/L_i, the two integers multiplied."""
+        unit, limit = self.unit, self._limit(p, q)
+        runs = limit // step + 1 if step else 1
+        what = _DUAL if step else _POWER
+        spent = charge(runs * (runs + 1) // 2 if step else 4 * STEP * (limit // unit), what)
+        qden, pair = q * self.den, 4 * STEP
         steps = [(t // unit, a) for t, _, a in self.items]
-        spent, pair = charge(runs * (runs + 1) // 2, _DUAL), 4 * STEP
-        # rows[-s] is row i - s, the entries for runs i - s, ..., runs-1, with
-        # their denominator and the words of their outer entries
+        # rows[-s] is row i - s, the entries of the runs still going there,
+        # with their denominator and the words of their outer entries
         rows = collections.deque([([1] * runs, 1, 1)], maxlen=steps[-1][0] if steps else 1)
         common = 1
         yield (0,), 1, 1
-        for i in range(1, runs):
-            n = runs - i
-            acc = None
+        for i in range(1, limit // unit + 1):
+            lo = i if step else 0
+            n = runs - lo
+            terms = []
             for s, a in steps:
                 if s > i:
                     break
                 prev, at, w = rows[-s]
                 f = common // at
                 spent += pair + n * w * ((f.bit_length() >> 6) + 1)
-                start = a * ((p + q - i * unit) * s - q * i) * f
-                step = -a * unit * s * f
-                terms = map(operator.mul, range(start, start + n * step, step), prev[s:])
-                acc = list(terms) if acc is None else list(map(operator.add, acc, terms))
-            if acc is None:
+                start = a * ((p + q - lo * step) * s - q * i) * f
+                terms.append(map(operator.mul, itertools.count(start, -a * step * s * f), prev[-n:]))
+            if not terms:
                 acc = [0] * n
             else:
+                # each run's entry is the sum of its terms over the steps
+                acc = list(map(sum, zip(*terms)))
                 m = qden * i
                 g = math.gcd(m, *acc)
                 if g != m:
@@ -766,10 +749,10 @@ class _GridPower:
                 if g != 1:
                     acc = list(map(operator.floordiv, acc, itertools.repeat(g)))
             rows.append((acc, common, (max(acc[0].bit_length(), acc[-1].bit_length()) >> 6) + 1))
-            charge(spent, _DUAL)
+            charge(spent, what)
             yield (i * unit,), acc[0], common
 
-    def key_walk(self, p: int, q: int, step: int = 0):
+    def key_walk(self, p: int, q: int, step: int):
         """The runs for r_j = (p - j*step)/q, run j stopped at first
         coordinate j*step, advanced together over the keys in increasing
         total degree: yields (g, N, L) for every key g reached, P_g = N/L of
@@ -782,21 +765,24 @@ class _GridPower:
         g reads from.  A row holds N_g of those runs over one denominator,
         reduced by one gcd a degree, and a step's weight
         A_s((p_j + q) T(s) - q T(g)) is an arithmetic progression in j, with
-        L/L_row folded in as in dual_loop.  The walk goes over the multiples
-        d of u, as the other kernels do, keeps only the levels the longest
-        step can still read, skips a degree no kept level reaches and ends
-        once none is kept.
+        L/L_row folded in as in line_walk.  The walk goes over the multiples
+        d of u, as line_walk does, keeps only the levels the longest step can
+        still read, skips a degree no kept level reaches and ends once none
+        is kept.
 
-        The runs of the first row are charged before it is made, then each
-        (key, step) pair 4 STEP, and the runs it carries times the words of
-        their entries times those of L/L_row, the two integers multiplied."""
+        The runs of the first row and STEP for each multiple of u up to the
+        limit, which the loop visits, are charged before the first degree,
+        then each (key, step) pair 4 STEP, and the runs it carries times the
+        words of their entries times those of L/L_row, the two integers
+        multiplied."""
         limit = self._limit(p, q)
         w0, qden, unit = self.w0, q * self.den, self.unit
         # span is the rest degree one run adds; with step 0 every key has the
         # one run 0, and limit + 1 gives every key up to the limit that interval
         span = step * w0 or limit + 1
         what = _DUAL if step else _POWER
-        runs = spent = charge(limit // span + 1, what)
+        runs = limit // span + 1
+        spent = charge(runs + STEP * (limit // unit), what)
         pair = 4 * STEP
         # each step: (T(s), s, s_1/step, A_s (p + q) T(s), A_s step T(s), A_s q)
         steps = [

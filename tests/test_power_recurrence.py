@@ -357,6 +357,29 @@ def test_key_walk_powers_match_the_product_references(h):
 
 
 @pytest.mark.parametrize("h", [2, 3])
+def test_squared_powers_without_a_constant_term_match_the_products(h):
+    # positive powers of a series without a constant term in h > 1
+    # variables square repeatedly; results and precisions are those of the
+    # n - 1 products, truncated or exact, zero or not
+    rng = random.Random(1620 + h)
+    for i in range(8):
+        terms = {}
+        for _ in range(rng.randrange(1, 4)):
+            exp = random_exponent(rng, h, (1, 2), max_num=3)
+            if any(exp):
+                terms[exp] = rng.choice(NONZERO)
+        precision = INF if i % 4 == 0 else F(rng.randrange(1, 9), rng.choice((1, 2)))
+        s = PuiseuxSeries(h, terms, precision)
+        for n in range(1, 10 if precision is not INF else 5):
+            same(s.pow_int(n), pow_int_products(s, n))
+        with pytest.raises(PuiseuxError, match="^negative power"):
+            s.pow_int(-1)
+    zero = PuiseuxSeries.zero(h, F(3, 2))
+    for n in (1, 2, 5):
+        same(zero.pow_int(n), pow_int_products(zero, n))
+
+
+@pytest.mark.parametrize("h", [2, 3])
 @pytest.mark.parametrize("text, precision", [("3", 5), ("3", INF), ("3 + t1*t2", 0)])
 def test_key_walk_dual_of_a_single_run(h, text, precision):
     # a constant-only power and precision 0 give the one run k = 0
@@ -443,9 +466,22 @@ def test_long_one_variable_run_keeps_its_integers_reduced():
     assert inverse.terms == {(F(k),): F((-1) ** k) for k in range(20001)}
 
 
+def test_powers_of_a_series_without_a_constant_term_factor_out_its_lowest_term():
+    # (x + x^2)^n is x^n (1 + x)^n: a run of ten degrees for any n, not
+    # n - 1 products
+    s = parse("x + x^(2)", precision=10)
+    same(s.pow_int(50), pow_int_products(s, 50))
+    start = time.perf_counter()
+    power = s.pow_int(10**5)
+    assert time.perf_counter() - start < 1
+    assert power.precision == 10 + (10**5 - 1)
+    assert power.terms == {(F(10**5 + k),): F(math.comb(10**5, k)) for k in range(10)}
+
+
 HUGE = 10**9
 
 
+@pytest.mark.parametrize("text", ["1+t", "1+t1+t2"])
 @pytest.mark.parametrize(
     "name, call, terms",
     [
@@ -454,12 +490,12 @@ HUGE = 10**9
         ("unit_power(1/2)", lambda s: s.unit_power(F(1, 2)), None),
         ("unit_power(-3)", lambda s: s.unit_power(-3), None),
         # a non-negative integer power ends at its own degree
-        ("pow_int(3)", lambda s: s.pow_int(3), 4),
-        ("unit_power(2)", lambda s: s.unit_power(2), 3),
+        ("pow_int(3)", lambda s: s.pow_int(3), {"1+t": 4, "1+t1+t2": 10}),
+        ("unit_power(2)", lambda s: s.unit_power(2), {"1+t": 3, "1+t1+t2": 6}),
     ],
 )
-def test_power_answers_or_refuses_at_once_on_a_huge_precision(name, call, terms):
-    s = parse("1+t", precision=HUGE)
+def test_power_answers_or_refuses_at_once_on_a_huge_precision(text, name, call, terms):
+    s = parse(text, precision=HUGE)
     start = time.perf_counter()
     if terms is None:
         # the run's degrees, or the dual's rows, are charged before the first
@@ -467,7 +503,7 @@ def test_power_answers_or_refuses_at_once_on_a_huge_precision(name, call, terms)
         with pytest.raises(PuiseuxError, match=message):
             call(s)
     else:
-        assert len(call(s).terms) == terms
+        assert len(call(s).terms) == terms[text]
     assert time.perf_counter() - start < 1, name
 
 
@@ -477,12 +513,12 @@ def test_the_dual_charges_its_rows_before_its_first_degree(monkeypatch):
     # below it, each (degree, step) pair is charged as the walk goes
     dense = PuiseuxSeries(1, {(F(e),): F(1) for e in range(41)}, F(40))
     monkeypatch.setattr(puiseux.core, "MAX_WORK", 41 * 42 // 2 - 1)
-    runs = _GridPower(dense).dual_loop(-1, 1, 41)
+    runs = _GridPower(dense).line_walk(-1, 1, 1)
     with pytest.raises(PuiseuxError, match=r"^the dual charges 861 units of work, past the limit of 860$"):
         next(runs)
     # degree 1 walks one step for the 40 runs still going, with one word
     monkeypatch.setattr(puiseux.core, "MAX_WORK", 41 * 42 // 2 + 4 * STEP + 40)
-    runs = _GridPower(dense).dual_loop(-1, 1, 41)
+    runs = _GridPower(dense).line_walk(-1, 1, 1)
     assert next(runs) == ((0,), 1, 1) and next(runs)[0] == (1,)
     with pytest.raises(PuiseuxError, match="the dual charges"):
         next(runs)
