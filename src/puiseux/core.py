@@ -158,8 +158,8 @@ def _iroot(n: int, m: int) -> int | None:
 
 def rational_root(q: Fraction, m: int) -> Fraction | None:
     """The real m-th root of q when it is rational, preferring the positive one."""
-    if m <= 0:
-        raise ValueError("root index must be positive")
+    q = rat(q)
+    positive_int(m, "m")
     if q == 0:
         return Fraction(0)
     if q < 0:
@@ -190,8 +190,8 @@ def rational_power(base: Fraction, e: Fraction) -> Fraction:
 
 def rational_binomial(r, k: int) -> Fraction:
     """Generalized binomial coefficient r(r-1)...(r-k+1)/k! for rational r."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    if not (is_int(k) and k >= 0):
+        raise PuiseuxError(f"k must be a non-negative integer, got {k!r}")
     r = rat(r)
     num = Fraction(1)
     for i in range(k):

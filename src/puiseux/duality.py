@@ -21,14 +21,13 @@ raises RootError.
 All runs advance together over one running denominator that they share,
 and the weight of one step of the recurrence is an arithmetic progression
 in k, so a step is one C-level map over the runs still going.  They are
-the power kernels called with the step of k, which _GridPower.walk picks:
-_GridPower.line_walk goes one degree at a time in one variable, where the
-runs still going are those of the larger k; _GridPower.key_walk goes one
-key at a time in h variables, where they are an interval of k that starts
-at the key's first coordinate.  Each hands back integer pairs N/L, and the
-factors n1/(k+n1) and r0^(-(k+n1)) fold into the one Fraction built for
-each coefficient, the powers of r0's numerator and denominator carried
-from one k to the next as ints.
+the power kernel, _GridPower.key_walk, called with the step of k: it goes
+one key at a time in increasing total degree, in any number of variables,
+and the runs still going at a key are an interval of k that starts at the
+key's first coordinate.  It hands back integer pairs N/L, and the factors
+n1/(k+n1) and r0^(-(k+n1)) fold into the one Fraction built for each
+coefficient, the powers of r0's numerator and denominator carried from one
+k to the next as ints.
 
 The powers can be taken of any B = phi^m instead of phi itself:
 
@@ -95,9 +94,8 @@ def _dual_from_power(
     step = math.gcd(*(g[0] for g in power._keys))
     c = a * n1
     # one run for each k = 0, step, 2 step, ... up to the precision, the run
-    # for k at exponent -(k + c)/(n1*m); in one variable step is the unit of
-    # the recurrence and the run ends at the one key (k,)
-    runs = _GridPower(power).walk(-c, n1 * m, step)
+    # for k at exponent -(k + c)/(n1*m), kept at the keys of first coordinate k
+    runs = _GridPower(power).key_walk(-c, n1 * m, step)
     # r0^-(k + c) = r_den^e / r_num^e with e = k + c, carried as two ints
     # from one run to the next, as far as the runs reach
     powers = [(r0.numerator ** c, r0.denominator ** c)]

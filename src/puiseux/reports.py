@@ -51,11 +51,8 @@ class CheckReport:
         return [c for c in self.checks if not c.passed]
 
     def checked_exponents(self) -> list[Vec]:
-        seen = []
-        for c in self.checks:
-            if c.exponent is not None and c.exponent not in seen:
-                seen.append(c.exponent)
-        return seen
+        # a dict keeps the first occurrence of each, in order
+        return list(dict.fromkeys(c.exponent for c in self.checks if c.exponent is not None))
 
     def to_json(self) -> dict:
         from .exponents import exponent_to_json

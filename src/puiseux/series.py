@@ -17,15 +17,14 @@ take the grid as the lcm of the q and build one Fraction per coefficient,
 and format_series and to_json write each exponent from its key, reduced by
 one gcd.
 
-Powers and duals run in the two kernels of _GridPower, line_walk in one
-variable and key_walk in several, each of which charges core.charge the work
-it does, as its docstring states, under the one limit core.MAX_WORK:
-0.03-0.11 us a unit on a 2-vCPU host (CHANGES.md).
+Powers and duals run in the one kernel of _GridPower, key_walk, in any
+number of variables; it charges core.charge the work it does, as its
+docstring states, under the one limit core.MAX_WORK: 0.03-0.11 us a unit on
+a 2-vCPU host (CHANGES.md).
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -44,6 +43,7 @@ from .core import (
     is_int,
     mat_det,
     mat_from,
+    positive_int,
     rat,
     rational_power,
     total,
@@ -396,8 +396,7 @@ class PuiseuxSeries:
 
     def unit_root(self, m: int, root_of_constant) -> "PuiseuxSeries":
         """The unique m-th root whose constant term is root_of_constant."""
-        if m <= 0:
-            raise PuiseuxError("root index must be positive")
+        positive_int(m, "root index m")
         root = rat(root_of_constant)
         c0 = self.constant_term()
         if c0 == 0:
@@ -566,9 +565,12 @@ class PuiseuxSeries:
     @classmethod
     def from_json(cls, data: dict) -> "PuiseuxSeries":
         prec = INF if data.get("precision") is None else rat(data["precision"])
-        terms = [([_rational_pair(c) for c in t["exp"]], _rational_pair(t["coef"])) for t in data["terms"]]
+        try:
+            num_vars = data["vars"]
+            terms = [([_rational_pair(c) for c in t["exp"]], _rational_pair(t["coef"])) for t in data["terms"]]
+        except KeyError as exc:
+            raise PuiseuxError(f"series JSON has no {exc.args[0]!r} key") from None
         laurent = data.get("laurent", False) or any(p < 0 for e, _ in terms for p, _ in e)
-        num_vars = data["vars"]
         prec = _frame(num_vars, prec, laurent)
         for exp, _ in terms:
             if len(exp) != num_vars:
@@ -609,34 +611,32 @@ class _GridPower:
     at every key k of total degree D, in one variable or h, on an integer or
     a fractional grid (Knuth, TAOCP Vol. 2, §4.7).
 
-    In one variable each degree holds one key, and the degrees reached are
-    the multiples i*u of u, the gcd of the step degrees.  For r = p/q,
-    a_j = A_j/den with integers A_j, and steps s_j = T(j)/u, the pull form
-    of the recurrence reads
+    The degrees reached are the multiples of u, the gcd of the step
+    degrees.  For r = p/q and a_j = A_j/den with integers A_j, the pull form
+    of the recurrence at a key k of degree D reads
 
-        q den i P_i = sum_j A_j ((p+q) s_j - q i) P_(i-s_j).
+        q den D P_k = sum_j A_j ((p+q) T(j) - q D) P_(k-j).
 
-    The P_i are kept as integers N_i over one running lcm L of the
-    denominators finished so far: the sum S of the right-hand side over L
-    gives P_i = S/(L m) with m = q den i, so N_i = S/gcd(S, m) over
-    L*m/gcd(S, m).  L stays the lcm of the true denominators, so the
-    integers grow with the coefficients, not with the degree.
+    The P_k of a degree are kept as integers N_k over one running lcm L of
+    the denominators finished so far: the sum S of the right-hand side over
+    L gives P_k = S/(L m) with m = q den D, so, g being the gcd of m and
+    every S of the degree, N_k = S/g over L*m/g.  L stays the lcm of the
+    true denominators, so the integers grow with the coefficients, not with
+    the degree.
 
     The dual needs the runs for r_j = (p - j*step)/q, run j stopped at first
-    coordinate j*step, and a power is the one run of step 0.  Both kernels
-    take (p, q, step) and advance every run together over one denominator
-    that they share, a step's weight being an arithmetic progression in j:
-    line_walk one degree at a time in one variable, where the runs still
-    going are those of the larger j, and key_walk one key at a time in
-    increasing total degree in h variables, where they are an interval of
-    j.  Both walk the multiples of u in order, the only degrees a key can
-    have, and hand back each (N, L) for the caller to fold its own factors
-    into the one Fraction it builds.
+    coordinate j*step, and a power is the one run of step 0.  The one
+    kernel, key_walk(p, q, step), advances every run together over that
+    shared denominator, one key at a time in increasing total degree, the
+    runs still going at a key being an interval of j and a step's weight an
+    arithmetic progression in j.  It walks the multiples of u in order, the
+    only degrees a key can have, in one variable as in several, and hands
+    back each (N, L) for the caller to fold its own factors into the one
+    Fraction it builds.
 
     The constructor does the part that depends on f alone: the steps
     (T(j), j, A_j) sorted by degree, den, u and the last degree precision
-    allows.  walk picks the kernel by the number of variables; calling the
-    object runs it for the one run of a power.
+    allows.  Calling the object runs the kernel for the one run of a power.
     """
 
     def __init__(self, f: PuiseuxSeries):
@@ -646,7 +646,7 @@ class _GridPower:
         items = sorted(((t, g, c) for t, g, c in items if t), key=operator.itemgetter(0))
         if any(t < 0 for t, _, _ in items):
             raise PuiseuxError("a power by recurrence needs non-negative exponents")
-        self.num_vars = f.num_vars
+        self.zero = (0,) * f.num_vars
         prec = f.precision
         self.cutoff = INF if prec is INF else prec.numerator * lcm_all // prec.denominator
         self.w0 = lcm_all // f.ramification[0]
@@ -681,76 +681,9 @@ class _GridPower:
         raised to a non-negative integer r stops at r*max T, where the power
         ends.
         """
-        runs = self.walk(p, q, 0)
+        runs = self.key_walk(p, q, 0)
         s_num, s_den = scale.numerator, scale.denominator
         return {g: Fraction(num * s_num, common * s_den) for g, num, common in runs if num}
-
-    def walk(self, p: int, q: int, step: int):
-        """The kernel's runs for r_j = (p - j*step)/q: line_walk in one
-        variable, key_walk in several."""
-        kernel = self.line_walk if self.num_vars == 1 else self.key_walk
-        return kernel(p, q, step)
-
-    def line_walk(self, p: int, q: int, step: int):
-        """The one-variable runs for r_j = (p - j*step)/q, run j stopped at
-        degree j*step, advanced together one degree at a time: yields (g, N,
-        L), P_g = N/L of run g_1/step at its last key g.  step is u, or 0 for
-        the one run of the plain power for r = p/q, which keeps every key up
-        to the limit.
-
-        At degree i*u the runs still going are j = lo, ..., runs-1, lo = i
-        with step u and 0 with the one run, and the weight of step s,
-        A_s((p_j + q) s - q i) with p_j = p - j step, is an arithmetic
-        progression in j, so a step adds to all of them in one map.  Row i
-        holds N_i of those runs over L_i, one denominator shared by every run
-        and reduced by one gcd a degree.  A row read at a later degree is
-        brought to the current L by the integer L/L_i folded into its
-        progression, so no row is rescaled.  p/q need not be reduced: a
-        common factor multiplies both sides of the recurrence and cancels in
-        each gcd, so the integers are the same.
-
-        A power's degrees are charged 4 STEP each and a dual's rows their
-        runs + (runs - 1) + ... + 1 entries before the first degree, then each
-        (degree, step) pair 4 STEP for its slice, maps and sums, and the runs
-        still going times the words of the row's entries times those of
-        L/L_i, the two integers multiplied."""
-        unit, limit = self.unit, self._limit(p, q)
-        runs = limit // step + 1 if step else 1
-        what = _DUAL if step else _POWER
-        spent = charge(runs * (runs + 1) // 2 if step else 4 * STEP * (limit // unit), what)
-        qden, pair = q * self.den, 4 * STEP
-        steps = [(t // unit, a) for t, _, a in self.items]
-        # rows[-s] is row i - s, the entries of the runs still going there,
-        # with their denominator and the words of their outer entries
-        rows = collections.deque([([1] * runs, 1, 1)], maxlen=steps[-1][0] if steps else 1)
-        common = 1
-        yield (0,), 1, 1
-        for i in range(1, limit // unit + 1):
-            lo = i if step else 0
-            n = runs - lo
-            terms = []
-            for s, a in steps:
-                if s > i:
-                    break
-                prev, at, w = rows[-s]
-                f = common // at
-                spent += pair + n * w * ((f.bit_length() >> 6) + 1)
-                start = a * ((p + q - lo * step) * s - q * i) * f
-                terms.append(map(operator.mul, itertools.count(start, -a * step * s * f), prev[-n:]))
-            if not terms:
-                acc = [0] * n
-            else:
-                # each run's entry is the sum of its terms over the steps
-                acc = list(map(sum, zip(*terms)))
-                m = qden * i
-                g = math.gcd(m, *acc)
-                if g != m:
-                    common *= m // g
-                if g != 1:
-                    acc = list(map(operator.floordiv, acc, itertools.repeat(g)))
-            rows.append((acc, common, (max(acc[0].bit_length(), acc[-1].bit_length()) >> 6) + 1))
-            charge(spent, what)
-            yield (i * unit,), acc[0], common
 
     def key_walk(self, p: int, q: int, step: int):
         """The runs for r_j = (p - j*step)/q, run j stopped at first
@@ -762,19 +695,29 @@ class _GridPower:
         No step lowers g_1 or T(g) - g_1 w0, so run j needs the keys with
         g_1 <= j*step and T(g) - g_1 w0 <= limit - j*step*w0: an interval of
         j that starts at g_1/step and lies inside the interval of every key
-        g reads from.  A row holds N_g of those runs over one denominator,
-        reduced by one gcd a degree, and a step's weight
-        A_s((p_j + q) T(s) - q T(g)) is an arithmetic progression in j, with
-        L/L_row folded in as in line_walk.  The walk goes over the multiples
-        d of u, as line_walk does, keeps only the levels the longest step can
-        still read, skips a degree no kept level reaches and ends once none
-        is kept.
+        g reads from.  A level's rows hold N_g of those runs over one
+        denominator L_d, reduced by one gcd a degree, and a step's weight
+        A_s((p_j + q) T(s) - q T(g)) is an arithmetic progression in j, so a
+        step adds to all of a row's runs in one map.  A row read at a later
+        degree is brought to the current L by the integer L/L_d folded into
+        its progression, so no row is rescaled.  p/q need not be reduced: a
+        common factor multiplies both sides of the recurrence and cancels in
+        each gcd, so the integers are the same.  The walk goes over the
+        multiples d of u, keeps only the levels with a nonzero entry that the
+        longest step can still read, skips a degree no kept level reaches
+        and ends once none is kept.
 
-        The runs of the first row and STEP for each multiple of u up to the
-        limit, which the loop visits, are charged before the first degree,
-        then each (key, step) pair 4 STEP, and the runs it carries times the
-        words of their entries times those of L/L_row, the two integers
+        Before the first degree a dual charges the entries of its rows on
+        the first axis, which only its pure first-axis steps reach: every
+        row in one variable, a lower bound on the walk in several.  Both
+        kinds of run then charge STEP for each multiple of u up to the
+        limit, which the loop visits, then each (key, step) pair 4 STEP, and
+        the read row's runs from the key's first run on (the entries it
+        multiplies in one variable, a bound on them in several) times the
+        words of the row's entries times those of L/L_d, the two integers
         multiplied."""
+        add, mul, floordiv = operator.add, operator.mul, operator.floordiv
+        count, repeat, gcd = itertools.count, itertools.repeat, math.gcd
         limit = self._limit(p, q)
         w0, qden, unit = self.w0, q * self.den, self.unit
         # span is the rest degree one run adds; with step 0 every key has the
@@ -782,22 +725,28 @@ class _GridPower:
         span = step * w0 or limit + 1
         what = _DUAL if step else _POWER
         runs = limit // span + 1
-        spent = charge(runs + STEP * (limit // unit), what)
+        # a dual's rows on the first axis: its pure first-axis steps reach the
+        # keys at the multiples c of axis*step, each holding the runs from
+        # c/step on
+        axis = gcd(*(g[0] // step for _, g, _ in self.items if not any(g[1:]))) if step else 0
+        k = limit // (axis * span) if axis else 0
+        spent = charge((k + 1) * runs - axis * k * (k + 1) // 2 + STEP * (limit // unit), what)
         pair = 4 * STEP
         # each step: (T(s), s, s_1/step, A_s (p + q) T(s), A_s step T(s), A_s q)
         steps = [
             (t, g, g[0] // step if step else 0, a * (p + q) * t, a * step * t, a * q)
             for t, g, a in self.items
         ]
-        zero = (0,) * self.num_vars
-        # levels[d] = (L_d, {g: (first run, row)}, load) for the keys g of
-        # degree d that hold a nonzero entry, d within the longest step
-        # below; load is the entries of the rows times their words
-        levels = {0: (1, {zero: (0, [1] * runs)}, runs)}
-        common = 1
+        zero = self.zero
+        # levels[d] = (L_d, [(g, first run, row)], load, words) for the keys
+        # g of degree d that hold a nonzero entry, d within the longest step
+        # below; load is the entries of the rows times their words, and a
+        # step that moves the first run by ds reads ds * words fewer
+        levels = {0: (1, [(zero, 0, [1] * runs)], runs, 1)}
+        common, reach = 1, self.max_t + unit
         yield zero, 1, 1
         for d in range(unit, limit + 1, unit):
-            levels.pop(d - self.max_t - unit, None)
+            levels.pop(d - reach, None)
             if not levels:
                 break
             sums = {}
@@ -807,37 +756,40 @@ class _GridPower:
                 level = levels.get(d - t)
                 if level is None:
                     continue
-                at, rows, load = level
+                at, rows, load, words = level
                 f = common // at
-                spent += pair * len(rows) + load * ((f.bit_length() >> 6) + 1)
+                spent += pair * len(rows) + (load - ds * words) * ((f.bit_length() >> 6) + 1)
                 base, diff = (c1 - c3 * d) * f, -c2 * f
-                for g, (lo, prev) in rows.items():
-                    key = tuple(map(operator.add, g, gs))
+                for g, lo, prev in rows:
+                    key = tuple(map(add, g, gs))
                     lo += ds
                     old = sums.get(key)
                     if old is None:
                         n = (limit - d + key[0] * w0) // span - lo + 1
+                        sums[key] = (lo, list(map(mul, count(base + diff * lo, diff), prev[ds:ds + n])))
                     else:
-                        n = len(old[1])
-                    terms = map(operator.mul, itertools.count(base + diff * lo, diff), prev[ds:ds + n])
-                    sums[key] = (lo, list(terms) if old is None else list(map(operator.add, old[1], terms)))
+                        acc = old[1]
+                        acc[:] = map(add, acc, map(mul, count(base + diff * lo, diff), prev[ds:ds + len(acc)]))
             charge(spent, what)
             if not sums:
                 continue
-            m = qden * d
-            g = math.gcd(m, *itertools.chain.from_iterable(acc for _, acc in sums.values()))
+            m = g = qden * d
+            for _, acc in sums.values():
+                g = gcd(g, *acc)
             if g != m:
                 common *= m // g
-            rows, load = {}, 0
+            kept, load, words = [], 0, 0
             for key, (lo, acc) in sums.items():
                 if g != 1:
-                    acc = list(map(operator.floordiv, acc, itertools.repeat(g)))
+                    acc = list(map(floordiv, acc, repeat(g)))
                 if any(acc):
-                    rows[key] = (lo, acc)
-                    load += len(acc) * ((max(acc[0].bit_length(), acc[-1].bit_length()) >> 6) + 1)
+                    w = (max(acc[0].bit_length(), acc[-1].bit_length()) >> 6) + 1
+                    kept.append((key, lo, acc))
+                    load += len(acc) * w
+                    words += w
                 yield key, acc[0], common
-            if rows:
-                levels[d] = (common, rows, load)
+            if kept:
+                levels[d] = (common, kept, load, words)
 
 
 def default_names(num_vars: int, first: str = "x") -> list[str]:
@@ -935,6 +887,8 @@ def parse(
     trailing '+ O(total=R)' fixes the precision; otherwise the `precision`
     argument or, failing that, DEFAULT_PRECISION applies.
     """
+    if not isinstance(text, str):
+        raise PuiseuxError(f"text must be a string, got {text!r}")
     bad = _BAD_RE.search(text)
     if bad is not None:
         raise ParseError(f"unexpected character {bad.group()!r}", bad.start())

@@ -11,6 +11,7 @@ from puiseux import (
     Lattice,
     OrderError,
     PuiseuxError,
+    PuiseuxSeries,
     essential_of_series,
     parse,
     rational_binomial,
@@ -49,6 +50,32 @@ def test_rational_root():
     assert rational_root(F(-4), 2) is None
     assert rational_root(F(2), 2) is None
     assert rational_root(F(9, 4), 2) == F(3, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rational_root(F(4), 0), "m must be a positive integer, got 0"),
+        (lambda: rational_binomial(1, -1), "k must be a non-negative integer, got -1"),
+        (lambda: rational_root("four", 2), "Invalid literal for Fraction: 'four'"),
+        (lambda: rational_binomial(1, 2.5), "k must be a non-negative integer, got 2.5"),
+        (lambda: PuiseuxSeries.from_json({}), "series JSON has no 'vars' key"),
+        (lambda: PuiseuxSeries.from_json({"vars": 1}), "series JSON has no 'terms' key"),
+        (lambda: PuiseuxSeries.from_json({"vars": 1, "terms": [{"exp": ["1"]}]}),
+         "series JSON has no 'coef' key"),
+        (lambda: parse(None), "text must be a string, got None"),
+    ],
+)
+def test_exported_names_refuse_with_a_puiseux_error(call, message):
+    with pytest.raises(PuiseuxError) as err:
+        call()
+    assert type(err.value) is PuiseuxError
+    assert str(err.value) == message
+
+
+def test_rational_root_reads_its_radicand_as_every_rational_argument():
+    assert rational_root("4", 2) == 2
+    assert rational_root("-8/27", 3) == F(-2, 3)
 
 
 def test_rat_names_a_zero_denominator():

@@ -118,8 +118,7 @@ def test_the_oracle_does_not_use_the_power_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Lagrange oracle reached the power kernel")
 
-    for owner, name in ((_GridPower, "__call__"), (_GridPower, "walk"),
-                        (_GridPower, "line_walk"), (_GridPower, "key_walk"),
+    for owner, name in ((_GridPower, "__call__"), (_GridPower, "key_walk"),
                         (PuiseuxSeries, "pow_int"), (PuiseuxSeries, "unit_root"),
                         (PuiseuxSeries, "__mul__")):
         monkeypatch.setattr(owner, name, refuse)

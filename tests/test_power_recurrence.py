@@ -1,7 +1,7 @@
 """The recurrence-based unit_power, pow_int and dual against the earlier
-product-based algorithms kept in oracles.py, and the dense one-variable run
-of the recurrence and its key walk in several variables against the earlier
-capped heap walk, also kept there.
+product-based algorithms kept in oracles.py, and the one kernel of the
+recurrence, _GridPower.key_walk, in one variable and in several, against the
+earlier capped heap walk, also kept there.
 
 Every comparison is exact: the same terms, precision, Laurent flag and
 ramification.
@@ -148,8 +148,8 @@ def embedded(s):
 
 
 def same_runs(s, r, cap=None):
-    """The dense run of s, the key walk of s embedded and the heap run of s
-    embedded agree exactly; with cap, the capped heap run keeps the dense
+    """The run of s, the run of s embedded in two variables and the heap run
+    of s embedded agree exactly; with cap, the capped heap run keeps the
     run's keys at first coordinate cap."""
     dense = _GridPower(s)(r.numerator, r.denominator)
     walk = _GridPower(embedded(s))(r.numerator, r.denominator)
@@ -178,7 +178,7 @@ def random_one_variable(rng, precision):
     return PuiseuxSeries(1, terms, precision)
 
 
-def test_dense_run_matches_the_heap_walk():
+def test_one_variable_runs_match_the_capped_heap_runs():
     rng = random.Random(106)
     grids, units, dens = set(), set(), set()
     for _ in range(24):
@@ -508,20 +508,44 @@ def test_power_answers_or_refuses_at_once_on_a_huge_precision(text, name, call, 
 
 
 def test_the_dual_charges_its_rows_before_its_first_degree(monkeypatch):
-    # the one-variable dual's rows hold runs + (runs - 1) + ... + 1 entries:
-    # past the limit, the dual is refused before its first degree, and
-    # below it, each (degree, step) pair is charged as the walk goes
-    dense = PuiseuxSeries(1, {(F(e),): F(1) for e in range(41)}, F(40))
-    monkeypatch.setattr(puiseux.core, "MAX_WORK", 41 * 42 // 2 - 1)
-    runs = _GridPower(dense).line_walk(-1, 1, 1)
-    with pytest.raises(PuiseuxError, match=r"^the dual charges 861 units of work, past the limit of 860$"):
-        next(runs)
-    # degree 1 walks one step for the 40 runs still going, with one word
-    monkeypatch.setattr(puiseux.core, "MAX_WORK", 41 * 42 // 2 + 4 * STEP + 40)
-    runs = _GridPower(dense).line_walk(-1, 1, 1)
-    assert next(runs) == ((0,), 1, 1) and next(runs)[0] == (1,)
-    with pytest.raises(PuiseuxError, match="the dual charges"):
-        next(runs)
+    # the dual's rows on the first axis hold runs + (runs - 1) + ... + 1
+    # entries, every row in one variable and in two those that the pure
+    # first-axis steps reach: past the limit, the dual is refused before its
+    # first degree, and below it, each (key, step) pair is charged as the
+    # walk goes
+    line = {(F(e),): F(1) for e in range(41)}
+    plane = {(F(e), F(0)): F(1) for e in range(41)} | {(F(0), F(1)): F(1)}
+    # 861 row entries, and STEP for each of the 40 degrees the loop visits
+    before = 41 * 42 // 2 + 40 * STEP
+    message = rf"^the dual charges {before} units of work, past the limit of {before - 1}$"
+    # at degree 1 each step reads the one row of degree 0, one word an
+    # entry: its 40 runs still going for the first-axis step, 41 for (0, 1)
+    for terms, degree_one, work in [
+        (line, [(1,)], 4 * STEP + 40),
+        (plane, [(1, 0), (0, 1)], 8 * STEP + 40 + 41),
+    ]:
+        dense = PuiseuxSeries(len(degree_one[0]), terms, F(40))
+        monkeypatch.setattr(puiseux.core, "MAX_WORK", before - 1)
+        runs = _GridPower(dense).key_walk(-1, 1, 1)
+        with pytest.raises(PuiseuxError, match=message):
+            next(runs)
+        monkeypatch.setattr(puiseux.core, "MAX_WORK", before + work)
+        runs = _GridPower(dense).key_walk(-1, 1, 1)
+        assert next(runs) == ((0,) * dense.num_vars, 1, 1)
+        assert [next(runs)[0] for _ in degree_one] == degree_one
+        with pytest.raises(PuiseuxError, match="the dual charges"):
+            next(runs)
+
+
+def test_a_sparse_power_skips_the_zero_levels(monkeypatch):
+    # 1/(1 + t + ... + t^40) = (1 - t)/(1 - t^41) is zero at 39 of every 41
+    # degrees, which no step reads again
+    s = PuiseuxSeries(1, {(F(e),): F(1) for e in range(41)}, F(2000))
+    want = {(F(k),): F(1 if k % 41 == 0 else -1) for k in range(2001) if k % 41 < 2}
+    monkeypatch.setattr(puiseux.core, "MAX_WORK", 10**6 - 1)
+    inverse = s.pow_int(-1)
+    assert inverse.terms == want and inverse.precision == 2000
+    assert inverse._keys == capped_heap_run(s, F(-1))
 
 
 def test_inversion_of_a_41_term_eta_at_the_precision_limit():

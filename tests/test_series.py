@@ -217,6 +217,14 @@ def test_unit_root_refusal_parenthesizes_a_negative_or_fractional_root():
         assert str(err.value) == words
 
 
+@pytest.mark.parametrize("m", [F(1, 2), True, 2.0, 0, -2])
+def test_unit_root_refuses_an_index_that_is_no_positive_integer(m):
+    with pytest.raises(PuiseuxError) as err:
+        parse("1+t", precision=5).unit_root(m, 1)
+    assert type(err.value) is PuiseuxError
+    assert str(err.value) == f"root index m must be a positive integer, got {m!r}"
+
+
 def test_monomial_substitute_identity():
     s = parse("x1^(3/2) + x2^(1/4)")
     q = [[F(1), F(0)], [F(0), F(1)]]
