@@ -359,16 +359,13 @@ class Lattice:
         self._set(dim, scale, [[int(c * scale) for c in g] for g in gens])
 
     def _set(self, dim: int, scale: int, int_rows) -> None:
-        """Store the lattice (1/scale)·span(int_rows) in canonical form."""
-        rows = _hermite_rows(int_rows, dim)
-        # normalise the (scale, rows) pair so it does not depend on the input scale
-        g = math.gcd(scale, *(c for r in rows for c in r))
-        if g > 1:
-            scale //= g
-            rows = [tuple(c // g for c in r) for r in rows]
+        """Store the lattice (1/scale)·span(int_rows) in canonical form.
+        scale must be the least that clears the generators: then each prime
+        p of scale leaves an entry of some generator prime to p, so the
+        Hermite rows, which span the same group, have gcd(scale, rows) = 1."""
         self.dim = dim
         self.scale = scale
-        self.rows = tuple(rows)
+        self.rows = tuple(_hermite_rows(int_rows, dim))
         by_pivot = [None] * dim
         for r in self.rows:
             by_pivot[next(j for j, c in enumerate(r) if c)] = r

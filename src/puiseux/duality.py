@@ -21,7 +21,7 @@ raises RootError.
 All runs advance together over one running denominator that they share,
 and the weight of one step of the recurrence is an arithmetic progression
 in k, so a step is one C-level map over the runs still going.  They are
-the power kernel, _GridPower.key_walk, called with the step of k: it goes
+the power kernel, _key_walk, called with the step of k: it goes
 one key at a time in increasing total degree, in any number of variables,
 and the runs still going at a key are an interval of k that starts at the
 key's first coordinate.  It hands back integer pairs N/L, and the factors
@@ -53,12 +53,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
 from .core import PuiseuxError, RootError, positive_int, rational_power, rational_root
 from .exponents import _irreducible_points
 from .reports import CheckReport
-from .series import INF, PuiseuxSeries, PrecisionError, _degree, _GridPower, _grading
+from .series import INF, PuiseuxSeries, PrecisionError, _degree, _grading, _key_walk
 
 __all__ = ["dual", "verify_power_identity", "verify_dual_identity"]
 
@@ -95,7 +94,7 @@ def _dual_from_power(
     c = a * n1
     # one run for each k = 0, step, 2 step, ... up to the precision, the run
     # for k at exponent -(k + c)/(n1*m), kept at the keys of first coordinate k
-    runs = _GridPower(power).key_walk(-c, n1 * m, step)
+    runs = _key_walk(power, -c, n1 * m, step)
     # r0^-(k + c) = r_den^e / r_num^e with e = k + c, carried as two ints
     # from one run to the next, as far as the runs reach
     powers = [(r0.numerator ** c, r0.denominator ** c)]
@@ -153,19 +152,18 @@ def _irreducible_identity(
     irreducible keys of each series are compared on the lcm of the two
     grids, and coefficients are read by key."""
     report = CheckReport(title)
-    irr_phi = _irreducible_points(phi._keys)
-    irr_image = _irreducible_points(image._keys)
     grid = tuple(map(math.lcm, phi.ramification, image.ramification))
-    on_phi = _on_grid(irr_phi, phi.ramification, grid)
-    on_image = _on_grid(irr_image, image.ramification, grid)
+    # scaling a coordinate keeps irreducibility, so both walks run on grid
+    on_phi, on_image = phi._keys_on(grid), image._keys_on(grid)
+    irr_phi, irr_image = _irreducible_points(on_phi), _irreducible_points(on_image)
     _, weights = _grading(grid)
 
     def order(x):
         # (degree, point) on one grid sorts as (total, vector) does
         return _degree(x, weights), x
 
-    for x in sorted(on_phi.keys() ^ on_image.keys(), key=order):
-        in_phi = x in on_phi
+    for x in sorted(irr_phi ^ irr_image, key=order):
+        in_phi = x in irr_phi
         report.record(
             "irreducible sets equal",
             "phi" if in_phi else name,
@@ -174,16 +172,9 @@ def _irreducible_identity(
         )
     zero = tuple(Fraction(0) for _ in range(phi.num_vars))
     report.record("constant term", image.coefficient(zero), constant, zero)
-    for x in sorted(on_phi.keys() & on_image.keys(), key=order):
+    for x in sorted(irr_phi & irr_image, key=order):
         if any(x):
             r = tuple(map(Fraction, x, grid))
-            report.record(
-                label, image._keys[on_image[x]], factor(r) * phi._keys[on_phi[x]], r
-            )
+            report.record(label, on_image[x], factor(r) * on_phi[x], r)
     return report
 
-
-def _on_grid(keys, own, grid) -> dict:
-    """keys on the grid own mapped to grid, a multiple of it: {point: key}."""
-    factors = [m // n for m, n in zip(grid, own)]
-    return {tuple(map(mul, g, factors)): g for g in keys}

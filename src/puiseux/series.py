@@ -17,8 +17,8 @@ take the grid as the lcm of the q and build one Fraction per coefficient,
 and format_series and to_json write each exponent from its key, reduced by
 one gcd.
 
-Powers and duals run in the one kernel of _GridPower, key_walk, in any
-number of variables; it charges core.charge the work it does, as its
+Powers and duals run in the one kernel, _key_walk, in any number of
+variables; it charges core.charge the work it does, as its
 docstring states, under the one limit core.MAX_WORK: 0.03-0.11 us a unit on
 a 2-vCPU host (CHANGES.md).
 """
@@ -127,6 +127,8 @@ def _cut(keys, grid, precision) -> dict:
 def _frame(num_vars, precision, laurent):
     """The precision of a new series in num_vars variables, normalised,
     after the checks every construction from terms makes."""
+    if not is_int(num_vars):
+        raise PuiseuxError(f"the number of variables must be an integer, got {num_vars!r}")
     if num_vars < 1:
         raise DimensionError("a series needs at least one variable")
     precision = _norm_prec(precision)
@@ -391,7 +393,11 @@ class PuiseuxSeries:
 
     def _scaled_power(self, p, q, constant_power, laurent) -> "PuiseuxSeries":
         """constant_power * (self/self_0)**(p/q) at self's precision, q > 0."""
-        keys = _GridPower(self)(p, q, scale=constant_power) if constant_power else {}
+        keys = {}
+        if constant_power:
+            s_num, s_den = constant_power.numerator, constant_power.denominator
+            runs = _key_walk(self, p, q, 0)
+            keys = {g: Fraction(num * s_num, common * s_den) for g, num, common in runs if num}
         return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, laurent)
 
     def unit_root(self, m: int, root_of_constant) -> "PuiseuxSeries":
@@ -564,10 +570,19 @@ class PuiseuxSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "PuiseuxSeries":
+        if not isinstance(data, dict):
+            raise PuiseuxError(f"series JSON must be an object, got {type(data).__name__}")
         prec = INF if data.get("precision") is None else rat(data["precision"])
         try:
-            num_vars = data["vars"]
-            terms = [([_rational_pair(c) for c in t["exp"]], _rational_pair(t["coef"])) for t in data["terms"]]
+            num_vars, terms = data["vars"], data["terms"]
+            if not isinstance(terms, list):
+                raise PuiseuxError(f"series JSON terms must be a list, got {type(terms).__name__}")
+            for t in terms:
+                if not isinstance(t, dict):
+                    raise PuiseuxError(f"series JSON term must be an object, got {type(t).__name__}")
+                if not isinstance(t["exp"], list):
+                    raise PuiseuxError(f"series JSON exp must be a list, got {type(t['exp']).__name__}")
+            terms = [([_rational_pair(c) for c in t["exp"]], _rational_pair(t["coef"])) for t in terms]
         except KeyError as exc:
             raise PuiseuxError(f"series JSON has no {exc.args[0]!r} key") from None
         laurent = data.get("laurent", False) or any(p < 0 for e, _ in terms for p, _ in e)
@@ -599,8 +614,13 @@ def _exponent_text(g: int, n: int) -> str:
     return str(g // d) if d == n else f"{g // d}/{n // d}"
 
 
-class _GridPower:
-    """P = (f/f_0)**r on f's integer grid, by J.C.P. Miller's recurrence.
+def _key_walk(f: PuiseuxSeries, p: int, q: int, step: int):
+    """The runs of P = (f/f_0)**r_j for r_j = (p - j*step)/q, q > 0, on
+    f's integer grid, by J.C.P. Miller's recurrence: run j stopped at first
+    coordinate j*step, advanced together over the keys in increasing total
+    degree.  Yields (g, N, L) for every key g reached, P_g = N/L of run
+    g_1/step, the run that keeps g.  With step 0 the one run is the plain
+    power for r = p/q.
 
     The Euler operator E = L*sum x_i d/dx_i multiplies the monomial at grid
     key k by its total degree T(k).  Since f_0 is a constant, P satisfies
@@ -622,174 +642,137 @@ class _GridPower:
     L gives P_k = S/(L m) with m = q den D, so, g being the gcd of m and
     every S of the degree, N_k = S/g over L*m/g.  L stays the lcm of the
     true denominators, so the integers grow with the coefficients, not with
-    the degree.
+    the degree.  A run stops at total degree floor(precision*L); an exact
+    series raised to a non-negative integer r stops at r*max T, where the
+    power ends, and to any other r is refused.
 
-    The dual needs the runs for r_j = (p - j*step)/q, run j stopped at first
-    coordinate j*step, and a power is the one run of step 0.  The one
-    kernel, key_walk(p, q, step), advances every run together over that
-    shared denominator, one key at a time in increasing total degree, the
-    runs still going at a key being an interval of j and a step's weight an
-    arithmetic progression in j.  It walks the multiples of u in order, the
-    only degrees a key can have, in one variable as in several, and hands
-    back each (N, L) for the caller to fold its own factors into the one
-    Fraction it builds.
+    No step lowers g_1 or T(g) - g_1 w0, so run j needs the keys with
+    g_1 <= j*step and T(g) - g_1 w0 <= limit - j*step*w0: an interval of
+    j that starts at g_1/step and lies inside the interval of every key
+    g reads from.  A level's rows hold N_g of those runs over one
+    denominator L_d, reduced by one gcd a degree, and a step's weight
+    A_s((p_j + q) T(s) - q T(g)) is an arithmetic progression in j, so a
+    step adds to all of a row's runs in one map.  A row read at a later
+    degree is brought to the current L by the integer L/L_d folded into
+    its progression, so no row is rescaled.  p/q need not be reduced: a
+    common factor multiplies both sides of the recurrence and cancels in
+    each gcd, so the integers are the same.  The walk goes over the
+    multiples d of u, keeps only the levels with a nonzero entry that the
+    longest step can still read, skips a degree no kept level reaches
+    and ends once none is kept.  The caller folds its own factors into
+    the one Fraction it builds from each (N, L).
 
-    The constructor does the part that depends on f alone: the steps
-    (T(j), j, A_j) sorted by degree, den, u and the last degree precision
-    allows.  Calling the object runs the kernel for the one run of a power.
-    """
-
-    def __init__(self, f: PuiseuxSeries):
-        lcm_all, weights = _grading(f.ramification)
-        c0 = f.constant_term()
-        items = [(_degree(g, weights), g, c) for g, c in f._keys.items()]
-        items = sorted(((t, g, c) for t, g, c in items if t), key=operator.itemgetter(0))
-        if any(t < 0 for t, _, _ in items):
-            raise PuiseuxError("a power by recurrence needs non-negative exponents")
-        self.zero = (0,) * f.num_vars
-        prec = f.precision
-        self.cutoff = INF if prec is INF else prec.numerator * lcm_all // prec.denominator
-        self.w0 = lcm_all // f.ramification[0]
-        self.max_t = max((t for t, _, _ in items), default=0)
-        # a_j = f_j/f_0 = A_j/den_j, an int pair reduced by one gcd, den_j > 0
-        n0, d0 = abs(c0.numerator), c0.denominator if c0 > 0 else -c0.denominator
-        ratios = [(c.numerator * d0, c.denominator * n0) for _, _, c in items]
-        ratios = [(a // k, b // k) for a, b in ratios for k in [math.gcd(a, b)]]
-        self.den = math.lcm(*(b for _, b in ratios))
-        self.items = [(t, g, a * (self.den // b)) for (t, g, _), (a, b) in zip(items, ratios)]
-        # u, the gcd of the step degrees (1 without steps)
-        self.unit = math.gcd(*(t for t, _, _ in items)) or 1
-
-    def _limit(self, p: int, q: int) -> int:
-        """The last total degree a run for r = p/q, q > 0, computes."""
-        if not self.items:
-            return 0
-        if p >= 0 and p % q == 0:
-            # a polynomial in the a_j: the power ends at degree r*max T
-            return min(p // q * self.max_t, self.cutoff)
-        if self.cutoff is INF:
-            raise PrecisionError(
-                "power of an exact non-constant series has infinite support; truncate first"
-            )
-        return self.cutoff
-
-    def __call__(self, p: int, q: int, scale=1) -> dict[tuple, Fraction]:
-        """The coefficients of scale * P, P = (f/f_0)**(p/q), q > 0, by grid key,
-        without zeros, scale folded into the one Fraction built for each.
-
-        The result stops at total degree floor(precision*L); an exact series
-        raised to a non-negative integer r stops at r*max T, where the power
-        ends.
-        """
-        runs = self.key_walk(p, q, 0)
-        s_num, s_den = scale.numerator, scale.denominator
-        return {g: Fraction(num * s_num, common * s_den) for g, num, common in runs if num}
-
-    def key_walk(self, p: int, q: int, step: int):
-        """The runs for r_j = (p - j*step)/q, run j stopped at first
-        coordinate j*step, advanced together over the keys in increasing
-        total degree: yields (g, N, L) for every key g reached, P_g = N/L of
-        run g_1/step, the run that keeps g.  With step 0 the one run is the
-        plain power for r = p/q.
-
-        No step lowers g_1 or T(g) - g_1 w0, so run j needs the keys with
-        g_1 <= j*step and T(g) - g_1 w0 <= limit - j*step*w0: an interval of
-        j that starts at g_1/step and lies inside the interval of every key
-        g reads from.  A level's rows hold N_g of those runs over one
-        denominator L_d, reduced by one gcd a degree, and a step's weight
-        A_s((p_j + q) T(s) - q T(g)) is an arithmetic progression in j, so a
-        step adds to all of a row's runs in one map.  A row read at a later
-        degree is brought to the current L by the integer L/L_d folded into
-        its progression, so no row is rescaled.  p/q need not be reduced: a
-        common factor multiplies both sides of the recurrence and cancels in
-        each gcd, so the integers are the same.  The walk goes over the
-        multiples d of u, keeps only the levels with a nonzero entry that the
-        longest step can still read, skips a degree no kept level reaches
-        and ends once none is kept.
-
-        Before the first degree a dual charges the entries of its rows on
-        the first axis, which only its pure first-axis steps reach: every
-        row in one variable, a lower bound on the walk in several.  Both
-        kinds of run then charge STEP for each multiple of u up to the
-        limit, which the loop visits, then each (key, step) pair 4 STEP, and
-        the read row's runs from the key's first run on (the entries it
-        multiplies in one variable, a bound on them in several) times the
-        words of the row's entries times those of L/L_d, the two integers
-        multiplied."""
-        add, mul, floordiv = operator.add, operator.mul, operator.floordiv
-        count, repeat, gcd = itertools.count, itertools.repeat, math.gcd
-        limit = self._limit(p, q)
-        w0, qden, unit = self.w0, q * self.den, self.unit
-        # span is the rest degree one run adds; with step 0 every key has the
-        # one run 0, and limit + 1 gives every key up to the limit that interval
-        span = step * w0 or limit + 1
-        what = _DUAL if step else _POWER
-        runs = limit // span + 1
-        # a dual's rows on the first axis: its pure first-axis steps reach the
-        # keys at the multiples c of axis*step, each holding the runs from
-        # c/step on
-        axis = gcd(*(g[0] // step for _, g, _ in self.items if not any(g[1:]))) if step else 0
-        k = limit // (axis * span) if axis else 0
-        spent = charge((k + 1) * runs - axis * k * (k + 1) // 2 + STEP * (limit // unit), what)
-        pair = 4 * STEP
-        # each step: (T(s), s, s_1/step, A_s (p + q) T(s), A_s step T(s), A_s q)
-        steps = [
-            (t, g, g[0] // step if step else 0, a * (p + q) * t, a * step * t, a * q)
-            for t, g, a in self.items
-        ]
-        zero = self.zero
-        # levels[d] = (L_d, [(g, first run, row)], load, words) for the keys
-        # g of degree d that hold a nonzero entry, d within the longest step
-        # below; load is the entries of the rows times their words, and a
-        # step that moves the first run by ds reads ds * words fewer
-        levels = {0: (1, [(zero, 0, [1] * runs)], runs, 1)}
-        common, reach = 1, self.max_t + unit
-        yield zero, 1, 1
-        for d in range(unit, limit + 1, unit):
-            levels.pop(d - reach, None)
-            if not levels:
+    Before the first degree a dual charges the entries of its rows on
+    the first axis, which only its pure first-axis steps reach: every
+    row in one variable, a lower bound on the walk in several.  Both
+    kinds of run then charge STEP for each multiple of u up to the
+    limit, which the loop visits, then each (key, step) pair 4 STEP, and
+    the read row's runs from the key's first run on (the entries it
+    multiplies in one variable, a bound on them in several) times the
+    words of the row's entries times those of L/L_d, the two integers
+    multiplied."""
+    add, mul, floordiv = operator.add, operator.mul, operator.floordiv
+    count, repeat, gcd = itertools.count, itertools.repeat, math.gcd
+    lcm_all, weights = _grading(f.ramification)
+    c0 = f.constant_term()
+    items = [(_degree(g, weights), g, c) for g, c in f._keys.items()]
+    items = sorted(((t, g, c) for t, g, c in items if t), key=operator.itemgetter(0))
+    if any(t < 0 for t, _, _ in items):
+        raise PuiseuxError("a power by recurrence needs non-negative exponents")
+    prec = f.precision
+    cutoff = INF if prec is INF else prec.numerator * lcm_all // prec.denominator
+    w0 = lcm_all // f.ramification[0]
+    max_t = max((t for t, _, _ in items), default=0)
+    # a_j = f_j/f_0 = A_j/den_j, an int pair reduced by one gcd, den_j > 0
+    n0, d0 = abs(c0.numerator), c0.denominator if c0 > 0 else -c0.denominator
+    ratios = [(c.numerator * d0, c.denominator * n0) for _, _, c in items]
+    ratios = [(a // k, b // k) for a, b in ratios for k in [gcd(a, b)]]
+    den = math.lcm(*(b for _, b in ratios))
+    # u, the gcd of the step degrees (1 without steps)
+    unit = gcd(*(t for t, _, _ in items)) or 1
+    # the last total degree a run computes
+    if not items:
+        limit = 0
+    elif p >= 0 and p % q == 0:
+        # a polynomial in the a_j: the power ends at degree r*max T
+        limit = min(p // q * max_t, cutoff)
+    elif cutoff is INF:
+        raise PrecisionError(
+            "power of an exact non-constant series has infinite support; truncate first"
+        )
+    else:
+        limit = cutoff
+    qden = q * den
+    # span is the rest degree one run adds; with step 0 every key has the
+    # one run 0, and limit + 1 gives every key up to the limit that interval
+    span = step * w0 or limit + 1
+    what = _DUAL if step else _POWER
+    runs = limit // span + 1
+    # a dual's rows on the first axis: its pure first-axis steps reach the
+    # keys at the multiples c of axis*step, each holding the runs from
+    # c/step on
+    axis = gcd(*(g[0] // step for _, g, _ in items if not any(g[1:]))) if step else 0
+    k = limit // (axis * span) if axis else 0
+    spent = charge((k + 1) * runs - axis * k * (k + 1) // 2 + STEP * (limit // unit), what)
+    pair = 4 * STEP
+    # each step: (T(s), s, s_1/step, A_s (p + q) T(s), A_s step T(s), A_s q)
+    steps = []
+    for (t, g, _), (a, b) in zip(items, ratios):
+        a *= den // b
+        steps.append((t, g, g[0] // step if step else 0, a * (p + q) * t, a * step * t, a * q))
+    zero = (0,) * f.num_vars
+    # levels[d] = (L_d, [(g, first run, row)], load, words) for the keys
+    # g of degree d that hold a nonzero entry, d within the longest step
+    # below; load is the entries of the rows times their words, and a
+    # step that moves the first run by ds reads ds * words fewer
+    levels = {0: (1, [(zero, 0, [1] * runs)], runs, 1)}
+    common, reach = 1, max_t + unit
+    yield zero, 1, 1
+    for d in range(unit, limit + 1, unit):
+        levels.pop(d - reach, None)
+        if not levels:
+            break
+        sums = {}
+        for t, gs, ds, c1, c2, c3 in steps:
+            if t > d:
                 break
-            sums = {}
-            for t, gs, ds, c1, c2, c3 in steps:
-                if t > d:
-                    break
-                level = levels.get(d - t)
-                if level is None:
-                    continue
-                at, rows, load, words = level
-                f = common // at
-                spent += pair * len(rows) + (load - ds * words) * ((f.bit_length() >> 6) + 1)
-                base, diff = (c1 - c3 * d) * f, -c2 * f
-                for g, lo, prev in rows:
-                    key = tuple(map(add, g, gs))
-                    lo += ds
-                    old = sums.get(key)
-                    if old is None:
-                        n = (limit - d + key[0] * w0) // span - lo + 1
-                        sums[key] = (lo, list(map(mul, count(base + diff * lo, diff), prev[ds:ds + n])))
-                    else:
-                        acc = old[1]
-                        acc[:] = map(add, acc, map(mul, count(base + diff * lo, diff), prev[ds:ds + len(acc)]))
-            charge(spent, what)
-            if not sums:
+            level = levels.get(d - t)
+            if level is None:
                 continue
-            m = g = qden * d
-            for _, acc in sums.values():
-                g = gcd(g, *acc)
-            if g != m:
-                common *= m // g
-            kept, load, words = [], 0, 0
-            for key, (lo, acc) in sums.items():
-                if g != 1:
-                    acc = list(map(floordiv, acc, repeat(g)))
-                if any(acc):
-                    w = (max(acc[0].bit_length(), acc[-1].bit_length()) >> 6) + 1
-                    kept.append((key, lo, acc))
-                    load += len(acc) * w
-                    words += w
-                yield key, acc[0], common
-            if kept:
-                levels[d] = (common, kept, load, words)
+            at, rows, load, words = level
+            lift = common // at
+            spent += pair * len(rows) + (load - ds * words) * ((lift.bit_length() >> 6) + 1)
+            base, diff = (c1 - c3 * d) * lift, -c2 * lift
+            for g, lo, prev in rows:
+                key = tuple(map(add, g, gs))
+                lo += ds
+                old = sums.get(key)
+                if old is None:
+                    n = (limit - d + key[0] * w0) // span - lo + 1
+                    sums[key] = (lo, list(map(mul, count(base + diff * lo, diff), prev[ds:ds + n])))
+                else:
+                    acc = old[1]
+                    acc[:] = map(add, acc, map(mul, count(base + diff * lo, diff), prev[ds:ds + len(acc)]))
+        charge(spent, what)
+        if not sums:
+            continue
+        m = g = qden * d
+        for _, acc in sums.values():
+            g = gcd(g, *acc)
+        if g != m:
+            common *= m // g
+        kept, load, words = [], 0, 0
+        for key, (lo, acc) in sums.items():
+            if g != 1:
+                acc = list(map(floordiv, acc, repeat(g)))
+            if any(acc):
+                w = (max(acc[0].bit_length(), acc[-1].bit_length()) >> 6) + 1
+                kept.append((key, lo, acc))
+                load += len(acc) * w
+                words += w
+            yield key, acc[0], common
+        if kept:
+            levels[d] = (common, kept, load, words)
 
 
 def default_names(num_vars: int, first: str = "x") -> list[str]:

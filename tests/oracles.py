@@ -86,13 +86,6 @@ def p_trim(p, bound):
     return {e: c for e, c in p.items() if c != 0 and e <= bound}
 
 
-def p_add(p, q, bound):
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, Fraction(0)) + c
-    return p_trim(out, bound)
-
-
 def p_mul(p, q, bound):
     out = {}
     for e1, c1 in p.items():

@@ -63,6 +63,20 @@ def test_rational_root():
         (lambda: PuiseuxSeries.from_json({"vars": 1}), "series JSON has no 'terms' key"),
         (lambda: PuiseuxSeries.from_json({"vars": 1, "terms": [{"exp": ["1"]}]}),
          "series JSON has no 'coef' key"),
+        (lambda: PuiseuxSeries.from_json([]), "series JSON must be an object, got list"),
+        (lambda: PuiseuxSeries.from_json({"vars": "1", "terms": []}),
+         "the number of variables must be an integer, got '1'"),
+        (lambda: PuiseuxSeries.from_json({"vars": 2.0, "terms": []}),
+         "the number of variables must be an integer, got 2.0"),
+        (lambda: PuiseuxSeries.from_json({"vars": 1, "terms": 5}),
+         "series JSON terms must be a list, got int"),
+        (lambda: PuiseuxSeries.from_json({"vars": 1, "terms": [5]}),
+         "series JSON term must be an object, got int"),
+        (lambda: PuiseuxSeries.from_json({"vars": 1, "terms": [{"exp": 5, "coef": "1"}]}),
+         "series JSON exp must be a list, got int"),
+        (lambda: PuiseuxSeries(1.0, {}), "the number of variables must be an integer, got 1.0"),
+        (lambda: PuiseuxSeries("1", {}), "the number of variables must be an integer, got '1'"),
+        (lambda: PuiseuxSeries(True, {}), "the number of variables must be an integer, got True"),
         (lambda: parse(None), "text must be a string, got None"),
     ],
 )

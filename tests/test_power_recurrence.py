@@ -1,6 +1,6 @@
 """The recurrence-based unit_power, pow_int and dual against the earlier
 product-based algorithms kept in oracles.py, and the one kernel of the
-recurrence, _GridPower.key_walk, in one variable and in several, against the
+recurrence, _key_walk, in one variable and in several, against the
 earlier capped heap walk, also kept there.
 
 Every comparison is exact: the same terms, precision, Laurent flag and
@@ -37,7 +37,7 @@ from puiseux import (
 from puiseux.core import MAX_WORK, STEP, rational_root
 from puiseux.duality import _dual_from_power
 from puiseux.inversion import BranchData, invert_branch
-from puiseux.series import _GridPower
+from puiseux.series import _key_walk
 
 EXPONENTS = [F(-3), F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(2), F(5, 2), F(3)]
 
@@ -141,6 +141,23 @@ def test_constant_series():
             assert dual(s).terms == {(F(0),) * h: F(-27, 8)}
 
 
+def run(s, p, q):
+    """The coefficients of (s/s_0)**(p/q) by grid key, without zeros, from
+    the kernel's one run of step 0."""
+    return {g: F(num, common) for g, num, common in _key_walk(s, p, q, 0) if num}
+
+
+def step_unit(s):
+    """u, the gcd of the step degrees of a one-variable series."""
+    return math.gcd(*(g[0] for g in s._keys)) or 1
+
+
+def step_den(s):
+    """den, the lcm of the denominators of the ratios s_j/s_0."""
+    c0 = s.constant_term()
+    return math.lcm(*((c / c0).denominator for c in s._keys.values()))
+
+
 def embedded(s):
     """s in two variables with a zero second exponent: the same degrees,
     walked over keys."""
@@ -151,8 +168,8 @@ def same_runs(s, r, cap=None):
     """The run of s, the run of s embedded in two variables and the heap run
     of s embedded agree exactly; with cap, the capped heap run keeps the
     run's keys at first coordinate cap."""
-    dense = _GridPower(s)(r.numerator, r.denominator)
-    walk = _GridPower(embedded(s))(r.numerator, r.denominator)
+    dense = run(s, r.numerator, r.denominator)
+    walk = run(embedded(s), r.numerator, r.denominator)
     assert dense == {g[:1]: c for g, c in walk.items()}
     assert all(g[1] == 0 for g in walk)
     heap = capped_heap_run(embedded(s), r, cap)
@@ -183,17 +200,18 @@ def test_one_variable_runs_match_the_capped_heap_runs():
     grids, units, dens = set(), set(), set()
     for _ in range(24):
         s = random_one_variable(rng, F(rng.randrange(3, 8)))
-        recurrence = _GridPower(s)
         grids.add(s.ramification[0])
-        units.add(recurrence.unit)
-        dens.add(recurrence.den)
+        units.add(step_unit(s))
+        dens.add(step_den(s))
+        # the last degree the precision allows, at or past every run's limit
+        top = int(s.precision * s.ramification[0])
         for r in DENSE_RS:
             full = same_runs(s, r)
-            # every cap up to two past the limit, each keeping only its own key
-            limit = recurrence._limit(r.numerator, r.denominator)
             # the kernels may pass p/q unreduced
-            assert recurrence._limit(3 * r.numerator, 3 * r.denominator) == limit
-            for cap in range(limit + 3):
+            p, q = r.numerator, r.denominator
+            assert list(_key_walk(s, 3 * p, 3 * q, 0)) == list(_key_walk(s, p, q, 0))
+            # every cap up to two past the precision, each keeping only its own key
+            for cap in range(top + 3):
                 assert same_runs(s, r, cap) == {g: c for g, c in full.items() if g[0] == cap}
         same(s.unit_power(F(-1, 2), constant_power=F(7, 3)),
              unit_power_binomial(s, F(-1, 2), constant_power=F(7, 3)))
@@ -219,9 +237,8 @@ def test_one_variable_dual_loop_matches_the_per_k_reference():
         psi = dual_tower_heap(phi)
         for m in (1, 2, 3, 4):
             power = phi.pow_int(m)
-            recurrence = _GridPower(power)
-            seen["unit"].add(recurrence.unit)
-            seen["den"].add(recurrence.den)
+            seen["unit"].add(step_unit(power))
+            seen["den"].add(step_den(power))
             for a in (1, 2, 3):
                 got = _dual_from_power(power, m, c0, a)
                 same(got, dual_from_power_reference(power, m, c0, a))
@@ -248,10 +265,10 @@ def test_batched_dual_matches_the_per_k_runs_to_high_precision():
         seen["r0"].add(c0 if n1 == 1 else rational_root(c0, n1))
         for m in (1, 2, 3, 4):
             power = phi.pow_int(m)
-            recurrence = _GridPower(power)
-            seen["unit"].add(recurrence.unit)
-            seen["first step"].add(min(t for t, _, _ in recurrence.items) // recurrence.unit)
-            seen["runs"].add(int(power.precision * n1) // recurrence.unit + 1)
+            unit = step_unit(power)
+            seen["unit"].add(unit)
+            seen["first step"].add(min(g[0] for g in power._keys if any(g)) // unit)
+            seen["runs"].add(int(power.precision * n1) // unit + 1)
             for a in (1, 2, 3):
                 same(_dual_from_power(power, m, c0, a), dual_from_power_reference(power, m, c0, a))
     assert seen["unit"] - {1} and seen["first step"] - {1}
@@ -343,7 +360,7 @@ def test_key_walk_powers_match_the_product_references(h):
         for n in range(5):
             same(s.pow_int(n), pow_int_products(s, n))
             same(s.unit_power(n), unit_power_binomial(s, n))
-            assert _GridPower(s)(n, 1) == capped_heap_run(s, F(n))
+            assert run(s, n, 1) == capped_heap_run(s, F(n))
     # (1 + t1...th)^2 to the 1/2 is 1 + t1...th: its rows end at degree h,
     # well inside the precision, and the walk ends once the longest step, 2h,
     # is past them
@@ -444,7 +461,7 @@ def test_dense_run_of_exact_polynomials_ends_at_r_max_t():
 def test_dense_run_with_a_step_unit_and_vanishing_coefficients():
     # the step degrees of 1 + t^2 + t^6 are multiples of u = 2
     s = parse("1 + t^(2) + t^(6)", precision=20)
-    assert _GridPower(s).unit == 2
+    assert step_unit(s) == 2
     for r in DENSE_RS:
         same_runs(s, r)
         same_runs(s, r, cap=7)
@@ -526,11 +543,11 @@ def test_the_dual_charges_its_rows_before_its_first_degree(monkeypatch):
     ]:
         dense = PuiseuxSeries(len(degree_one[0]), terms, F(40))
         monkeypatch.setattr(puiseux.core, "MAX_WORK", before - 1)
-        runs = _GridPower(dense).key_walk(-1, 1, 1)
+        runs = _key_walk(dense, -1, 1, 1)
         with pytest.raises(PuiseuxError, match=message):
             next(runs)
         monkeypatch.setattr(puiseux.core, "MAX_WORK", before + work)
-        runs = _GridPower(dense).key_walk(-1, 1, 1)
+        runs = _key_walk(dense, -1, 1, 1)
         assert next(runs) == ((0,) * dense.num_vars, 1, 1)
         assert [next(runs)[0] for _ in degree_one] == degree_one
         with pytest.raises(PuiseuxError, match="the dual charges"):
