@@ -140,8 +140,6 @@ def _iroot(n: int, m: int) -> int | None:
     """Exact m-th root of a non-negative integer, or None.
 
     Integer Newton iteration from above, so radicands of any size work."""
-    if n < 0:
-        raise ValueError("negative radicand")
     if n in (0, 1) or m == 1:
         return n
     if m == 2:
@@ -175,13 +173,11 @@ def rational_root(q: Fraction, m: int) -> Fraction | None:
 
 
 def rational_power(base: Fraction, e: Fraction) -> Fraction:
-    """Exact base**e for rational e; raises RootError when the value is irrational."""
+    """Exact base**e for rational e, base != 0 when e < 0; raises RootError
+    when the value is irrational."""
     e = rat(e)
     if e.denominator == 1:
-        k = e.numerator
-        if base == 0 and k < 0:
-            raise RootError("zero base with negative exponent")
-        return base**k
+        return base**e.numerator
     root = rational_root(base, e.denominator)
     if root is None:
         raise RootError(f"{base} has no rational {e.denominator}-th root")
@@ -542,10 +538,12 @@ class AdditiveOrder:
         """The order comparing a, b by comparing q(a), q(b) under self, where
         q acts on exponent vectors by the row convention v -> v·q."""
         q = mat_from(q)
+        if len(q) != self.dim or len(q[0]) != self.dim:
+            raise DimensionError(
+                f"substitution matrix is {len(q)}x{len(q[0])}, the order's dimension is {self.dim}"
+            )
         if mat_det(q) == 0:
             raise OrderError("singular substitution matrix")
-        if len(q) != self.dim:
-            raise DimensionError("order matrix must be square")
         return self._compose(q)
 
     def _compose(self, q: Matrix) -> "AdditiveOrder":

@@ -26,8 +26,8 @@ one key at a time in increasing total degree, in any number of variables,
 and the runs still going at a key are an interval of k that starts at the
 key's first coordinate.  It hands back integer pairs N/L, and the factors
 n1/(k+n1) and r0^(-(k+n1)) fold into the one Fraction built for each
-coefficient, the powers of r0's numerator and denominator carried from one
-k to the next as ints.
+coefficient, r0^(-(k+n1)) as the ints r0's denominator and numerator
+raised to k+n1 at each key.
 
 The powers can be taken of any B = phi^m instead of phi itself:
 
@@ -95,19 +95,13 @@ def _dual_from_power(
     # one run for each k = 0, step, 2 step, ... up to the precision, the run
     # for k at exponent -(k + c)/(n1*m), kept at the keys of first coordinate k
     runs = _key_walk(power, -c, n1 * m, step)
-    # r0^-(k + c) = r_den^e / r_num^e with e = k + c, carried as two ints
-    # from one run to the next, as far as the runs reach
-    powers = [(r0.numerator ** c, r0.denominator ** c)]
-    s_num, s_den = r0.numerator ** step, r0.denominator ** step
+    # c/e * r0^-e with e = k + c, r0^-e = r_den^e / r_num^e
+    r_num, r_den = r0.numerator, r0.denominator
     found = {}
     for g, num, common in runs:
         if num:
-            j = g[0] // step if step else 0
-            while len(powers) <= j:
-                r_num, r_den = powers[-1]
-                powers.append((r_num * s_num, r_den * s_den))
-            r_num, r_den = powers[j]
-            found[g] = Fraction(num * c * r_den, common * (g[0] + c) * r_num)
+            e = g[0] + c
+            found[g] = Fraction(num * c * r_den**e, common * e * r_num**e)
     return PuiseuxSeries._from_keys(found, power.ramification, prec, False)
 
 

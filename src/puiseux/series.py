@@ -40,6 +40,7 @@ from .core import (
     as_vec,
     charge,
     fmt_power,
+    fmt_vec,
     is_int,
     mat_det,
     mat_from,
@@ -166,7 +167,7 @@ class PuiseuxSeries:
             if coef == 0:
                 continue
             if not laurent and any(c < 0 for c in exp):
-                raise PuiseuxError(f"negative exponent {exp} in a non-Laurent series")
+                raise PuiseuxError(f"negative exponent {fmt_vec(exp)} in a non-Laurent series")
             pairs.append(([(x.numerator, x.denominator) for x in exp], (coef.numerator, coef.denominator)))
         self._store(*_pair_keys(pairs, num_vars, precision), precision, laurent)
 
@@ -210,7 +211,7 @@ class PuiseuxSeries:
 
     @classmethod
     def monomial(cls, num_vars: int, exponent, coef=1, precision=INF, laurent=False) -> "PuiseuxSeries":
-        return cls(num_vars, {as_vec(exponent, num_vars): rat(coef)}, precision, laurent)
+        return cls(num_vars, [(exponent, coef)], precision, laurent)
 
     # -- inspection ---------------------------------------------------------
 
@@ -386,18 +387,13 @@ class PuiseuxSeries:
         c0 = self.constant_term()
         if c0 == 0:
             raise PuiseuxError("unit_power requires a nonzero constant term")
-        if constant_power is None:
-            constant_power = rational_power(c0, r)
-        laurent = self.laurent and r != 0 and len(self._keys) > 1
-        return self._scaled_power(r.numerator, r.denominator, constant_power, laurent)
-
-    def _scaled_power(self, p, q, constant_power, laurent) -> "PuiseuxSeries":
-        """constant_power * (self/self_0)**(p/q) at self's precision, q > 0."""
+        constant_power = rational_power(c0, r) if constant_power is None else rat(constant_power)
         keys = {}
         if constant_power:
             s_num, s_den = constant_power.numerator, constant_power.denominator
-            runs = _key_walk(self, p, q, 0)
+            runs = _key_walk(self, r.numerator, r.denominator, 0)
             keys = {g: Fraction(num * s_num, common * s_den) for g, num, common in runs if num}
+        laurent = self.laurent and r != 0 and len(self._keys) > 1
         return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, laurent)
 
     def unit_root(self, m: int, root_of_constant) -> "PuiseuxSeries":
@@ -417,8 +413,8 @@ class PuiseuxSeries:
         """self**n for an integer n.
 
         When the constant term is the lowest term (nonzero, no negative
-        exponents) every power comes from Miller's recurrence, as in
-        unit_power; the power of an exact series is exact.  Otherwise a
+        exponents) the power is unit_power(n), from Miller's recurrence;
+        the power of an exact series is exact.  Otherwise a
         one-variable series factors out its lowest monomial x^lam, and its
         power is x^(n lam) times that of the unit left, a Laurent series for
         negative n.  In h > 1 variables only positive powers are defined
@@ -432,9 +428,7 @@ class PuiseuxSeries:
         if n == 0:
             return PuiseuxSeries.one(self.num_vars)
         if self.order_total() == 0:
-            if n < 0:
-                return self.unit_power(n)
-            return self._scaled_power(n, 1, self.constant_term() ** n, self.laurent)
+            return self.unit_power(n)
         if n < 0 and self.is_zero():
             raise PuiseuxError("negative power of the zero series")
         if self.num_vars == 1 and self._keys:

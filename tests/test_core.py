@@ -8,14 +8,26 @@ from hypothesis import strategies as st
 from oracles import lattice_member_bruteforce, mat_det_fractions, mat_inv, mat_mul_fractions
 from puiseux import (
     AdditiveOrder,
+    DimensionError,
+    DominationError,
     Lattice,
     OrderError,
     PuiseuxError,
     PuiseuxSeries,
+    RootError,
+    characteristic_exponents,
+    essential_exponents,
     essential_of_series,
+    extract_branch,
+    format_series,
+    irreducible_exponents,
+    lagrange_pair_check,
     parse,
+    qo_test,
     rational_binomial,
     rational_root,
+    verify_dual_identity,
+    verify_power_identity,
 )
 from puiseux.core import mat_det, mat_identity, mat_mul, mat_vec, rat, vec_mat
 
@@ -77,6 +89,8 @@ def test_rational_root():
         (lambda: PuiseuxSeries(1.0, {}), "the number of variables must be an integer, got 1.0"),
         (lambda: PuiseuxSeries("1", {}), "the number of variables must be an integer, got '1'"),
         (lambda: PuiseuxSeries(True, {}), "the number of variables must be an integer, got True"),
+        (lambda: PuiseuxSeries.monomial("1", 1),
+         "the number of variables must be an integer, got '1'"),
         (lambda: parse(None), "text must be a string, got None"),
     ],
 )
@@ -84,6 +98,76 @@ def test_exported_names_refuse_with_a_puiseux_error(call, message):
     with pytest.raises(PuiseuxError) as err:
         call()
     assert type(err.value) is PuiseuxError
+    assert str(err.value) == message
+
+
+LEX1, LEX2, STD1, STD2 = AdditiveOrder.lex(1), AdditiveOrder.lex(2), Lattice.standard(1), Lattice.standard(2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PuiseuxSeries(1, {(F(-1),): 1}), PuiseuxError,
+         "negative exponent -1 in a non-Laurent series"),
+        (lambda: parse("1+x") * parse("1+x1+x2"), DimensionError,
+         "series have different numbers of variables"),
+        (lambda: parse("x1+x2").shift((F(-1), F(0))), PuiseuxError,
+         "a shift below zero requires a one-variable Laurent series"),
+        (lambda: parse("x").unit_power(2), PuiseuxError,
+         "unit_power requires a nonzero constant term"),
+        (lambda: parse("x").unit_root(2, 0), PuiseuxError,
+         "unit_root requires a nonzero constant term"),
+        (lambda: parse("2+x").unit_power(F(1, 2)), RootError, "2 has no rational 2-th root"),
+        (lambda: parse("4+x").unit_power(F(1, 2), 2.0), PuiseuxError,
+         "refusing inexact float 2.0; pass 'p/q' or Fraction"),
+        (lambda: parse("x1+x2").monomial_substitute([[1, 0]]), DimensionError,
+         "substitution matrix has wrong shape"),
+        (lambda: parse("x1+x2").monomial_substitute([[1, 0], [-1, 1]]), PuiseuxError,
+         "substitution matrix must be non-negative"),
+        (lambda: format_series(parse("x"), ["a", "b"]), DimensionError,
+         "one name per variable required"),
+        (lambda: essential_exponents([(F(1),)], STD2, LEX1), PuiseuxError,
+         "lattice dimension does not match the exponents"),
+        (lambda: essential_exponents([(F(1),)], STD1, LEX2), PuiseuxError,
+         "order dimension does not match the exponents"),
+        (lambda: essential_exponents([(F(1),)], STD1, LEX1, [1, 2]), PuiseuxError,
+         "ramification must give one denominator per variable"),
+        (lambda: essential_exponents([(F(1), F(0))], STD2, LEX2).scalars, PuiseuxError,
+         "scalars only available for one-variable sequences"),
+        (lambda: characteristic_exponents(parse("x1+x2")), PuiseuxError,
+         "characteristic exponents are defined for one variable"),
+        (lambda: qo_test(PuiseuxSeries.zero(2)), PuiseuxError,
+         "quasi-ordinary test of the zero series"),
+        (lambda: verify_power_identity(parse("x"), 2), PuiseuxError,
+         "power identity needs an invertible series"),
+        (lambda: verify_dual_identity(parse("x")), PuiseuxError,
+         "dual identity needs an invertible series"),
+        (lambda: lagrange_pair_check(parse("x1+x2"), parse("x1"), [(1, 1)]), PuiseuxError,
+         "Lagrange pairs are one-variable"),
+        (lambda: lagrange_pair_check(parse("x^(2)"), parse("x"), [(1, 1)]), PuiseuxError,
+         "X must be an order-1 series with integer exponents"),
+        (lambda: extract_branch(parse("x", laurent=True)), DominationError,
+         "dominating extraction needs non-negative exponents"),
+        (lambda: irreducible_exponents({(F(1),), (F(1), F(2))}), PuiseuxError,
+         "mixed dimensions in exponent set"),
+        (lambda: Lattice.scaled_axes(2, [1]), DimensionError, "one scale per axis required"),
+        (lambda: STD2.contains_lattice(STD1), DimensionError, "lattice dimensions differ"),
+        (lambda: AdditiveOrder([[1, 0]], "x"), DimensionError, "order matrix must be square"),
+        (lambda: LEX1.min([]), PuiseuxError, "minimum of an empty collection"),
+        (lambda: AdditiveOrder.from_matrix([[1, 0], [1]]), DimensionError,
+         "matrix rows must be non-empty and rectangular"),
+        (lambda: LEX2.compose([[1]]), DimensionError,
+         "substitution matrix is 1x1, the order's dimension is 2"),
+        (lambda: LEX2.compose([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), DimensionError,
+         "substitution matrix is 3x3, the order's dimension is 2"),
+        (lambda: LEX2.compose([[1, 0, 0], [0, 1, 0]]), DimensionError,
+         "substitution matrix is 2x3, the order's dimension is 2"),
+    ],
+)
+def test_public_refusals_name_their_type_and_cause(call, error, message):
+    with pytest.raises(PuiseuxError) as err:
+        call()
+    assert type(err.value) is error
     assert str(err.value) == message
 
 

@@ -174,6 +174,23 @@ def test_negative_power_is_meromorphic():
     assert inv2.precision == 5
 
 
+def test_every_power_of_a_laurent_flagged_unit_keeps_one_flag():
+    # pow_int of a unit is unit_power, so a Laurent-flagged constant loses
+    # the flag at every power and a Laurent-flagged unit with more terms
+    # keeps it at every power
+    constant = PuiseuxSeries(1, {(F(0),): F(2)}, laurent=True)
+    powers = constant.pow_int(3), constant.pow_int(-3), constant.unit_power(3)
+    assert [p.laurent for p in powers] == [False, False, False]
+    assert [p.coefficient((F(0),)) for p in powers] == [8, F(1, 8), 8]
+    unit = parse("2 + x", laurent=True, precision=4)
+    assert [p.laurent for p in (unit.pow_int(3), unit.pow_int(-3), unit.unit_power(3))] == [True] * 3
+
+
+def test_unit_power_reads_its_constant_power_as_every_rational_argument():
+    s = parse("1 + x", precision=3)
+    assert s.unit_power(2, "4") == s.unit_power(2, 4) == s.unit_power(2, F(4)) == s.pow_int(2).scale(4)
+
+
 def test_unit_root_trivial():
     one = PuiseuxSeries.one(1)
     assert one.unit_root(4, 1).terms == {(F(0),): F(1)}
