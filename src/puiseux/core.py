@@ -97,7 +97,7 @@ def positive_int(x, name: str) -> int:
 
 def as_vec(x, dim: int | None = None) -> Vec:
     """Normalise a scalar or an iterable of rationals to an exponent vector."""
-    if isinstance(x, tuple) and x and isinstance(x[0], Fraction):
+    if type(x) is tuple and x and all(type(c) is Fraction for c in x):
         v = x
     elif isinstance(x, (int, Fraction, str)):
         v = (rat(x),)
@@ -172,15 +172,21 @@ def rational_root(q: Fraction, m: int) -> Fraction | None:
     return Fraction(num, den)
 
 
+def _root_name(m: int) -> str:
+    """'square root', 'cube root', then '4th', '21st', '22nd', '23rd', '11th root'."""
+    if m in (2, 3):
+        return ("square", "cube")[m - 2] + " root"
+    suffix = "th" if m % 100 in (11, 12, 13) else {1: "st", 2: "nd", 3: "rd"}.get(m % 10, "th")
+    return f"{m}{suffix} root"
+
+
 def rational_power(base: Fraction, e: Fraction) -> Fraction:
-    """Exact base**e for rational e, base != 0 when e < 0; raises RootError
-    when the value is irrational."""
+    """Exact base**e for rational e, base != 0 when e < 0: a power of
+    rational_root(base, q), q the denominator of e; RootError when irrational."""
     e = rat(e)
-    if e.denominator == 1:
-        return base**e.numerator
     root = rational_root(base, e.denominator)
     if root is None:
-        raise RootError(f"{base} has no rational {e.denominator}-th root")
+        raise RootError(f"{base} has no rational {_root_name(e.denominator)}")
     return root**e.numerator
 
 
@@ -350,9 +356,7 @@ class Lattice:
     __slots__ = ("dim", "scale", "rows", "_by_pivot")
 
     def __init__(self, dim: int, generators: Iterable = ()):
-        gens = [as_vec(g, dim) for g in generators]
-        scale = math.lcm(1, *(c.denominator for g in gens for c in g))
-        self._set(dim, scale, [[int(c * scale) for c in g] for g in gens])
+        self._set(dim, *_cleared([as_vec(g, dim) for g in generators]))
 
     def _set(self, dim: int, scale: int, int_rows) -> None:
         """Store the lattice (1/scale)·span(int_rows) in canonical form.

@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import PuiseuxError, RootError, positive_int, rational_power, rational_root
+from .core import PuiseuxError, RootError, _root_name, positive_int, rational_power, rational_root
 from .exponents import _irreducible_points
 from .reports import CheckReport
 from .series import INF, PuiseuxSeries, PrecisionError, _degree, _grading, _key_walk
@@ -83,11 +83,11 @@ def _dual_from_power(
     # phi and its power generate the same exponent group, so they share the
     # first denominator and the gcd below
     n1 = power.ramification[0]
-    r0 = c0 if n1 == 1 else rational_root(c0, n1)
+    r0 = rational_root(c0, n1)
     if r0 is None:
         raise RootError(
             f"dual with first-variable denominator {n1} needs a rational "
-            f"{n1}-th root of the constant term {c0}"
+            f"{_root_name(n1)} of the constant term {c0}"
         )
     # first coordinates of psi^a are sums of phi's, so multiples of their gcd
     step = math.gcd(*(g[0] for g in power._keys))

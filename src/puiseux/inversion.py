@@ -43,6 +43,7 @@ from .core import (
     Lattice,
     PuiseuxError,
     RootError,
+    _root_name,
     charge,
     fmt_power,
     fmt_vec,
@@ -245,7 +246,7 @@ def extract_branch(
         atilde = rational_root(a, m1)
         if atilde is None:
             raise RootError(
-                f"dominating coefficient {a} has no rational {m1}-th root; "
+                f"dominating coefficient {a} has no rational {_root_name(m1)}; "
                 "pass root_coeff explicitly"
             )
     else:

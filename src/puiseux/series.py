@@ -77,10 +77,6 @@ def _norm_prec(p):
     return rat(p)
 
 
-def _min_prec(a, b):
-    return a if a <= b else b
-
-
 def _add_prec(a, b):
     if a is INF or b is INF:
         return INF
@@ -269,7 +265,7 @@ class PuiseuxSeries:
 
     def _order_bound(self):
         # sound lower bound for the order, finite for truncated zero series
-        return _min_prec(self.order_total(), self.precision)
+        return min(self.order_total(), self.precision)
 
     def min_exponent(self, order=None) -> Vec:
         """Least exponent, by total sum then lexicographically, or under a
@@ -296,7 +292,7 @@ class PuiseuxSeries:
         if isinstance(other, (int, Fraction)):
             other = PuiseuxSeries.constant(self.num_vars, other)
         grid = self._check_compat(other)
-        prec = _min_prec(self.precision, other.precision)
+        prec = min(self.precision, other.precision)
         keys = dict(self._keys_on(grid))
         for g, c in other._keys_on(grid).items():
             v = keys.get(g)
@@ -310,8 +306,6 @@ class PuiseuxSeries:
         return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PuiseuxSeries.constant(self.num_vars, other)
         return self + (-other)
 
     def scale(self, c) -> "PuiseuxSeries":
@@ -323,7 +317,7 @@ class PuiseuxSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         grid = self._check_compat(other)
-        prec = _min_prec(
+        prec = min(
             _add_prec(self.precision, other._order_bound()),
             _add_prec(other.precision, self._order_bound()),
         )
@@ -361,7 +355,7 @@ class PuiseuxSeries:
         return PuiseuxSeries._from_keys(keys, grid, prec, laurent)
 
     def truncate(self, precision) -> "PuiseuxSeries":
-        prec = _min_prec(self.precision, _norm_prec(precision))
+        prec = min(self.precision, _norm_prec(precision))
         if prec == self.precision:
             # series are immutable, so an uncut one is its own truncation
             return self
@@ -454,7 +448,7 @@ class PuiseuxSeries:
         The matrix must be invertible with non-negative rational entries and
         every image exponent must be non-negative.  Precision becomes c*T
         where c is the least column sum of the matrix, the largest bound up
-        to which the image is fully determined.
+        to which the image is fully determined.  Every matrix is one key map.
         """
         q = mat_from(matrix)
         if len(q) != self.num_vars or len(q[0]) != self.num_vars:
@@ -466,13 +460,10 @@ class PuiseuxSeries:
         return self._substitute(q)
 
     def _substitute(self, q) -> "PuiseuxSeries":
-        """monomial_substitute by a checked q, in integers: q = Q/t."""
+        """monomial_substitute by a checked q, in integers: q = Q/t, one key
+        map and _reframe_prec's rule at the least column sum for every q."""
         t, ints = _cleared(q)
-        col_sums = [sum(col) for col in zip(*ints)]
-        if not self.laurent and col_sums == [row[j] for j, row in enumerate(ints)]:
-            # no entry is negative, so q is diagonal, which only relabels keys
-            return self._reframe([Fraction(c, t) for c in col_sums])
-        prec = _reframe_prec(self.precision, [Fraction(min(col_sums), t)])
+        prec = _reframe_prec(self.precision, [Fraction(min(map(sum, zip(*ints))), t)])
         # the image key is a·g with a_ij = grid_i*q_ij/n_j, grid_i the least
         # denominator that makes row i integral: q_ij/n_j = Q_ij/(t*n_j) has
         # the denominator t*n_j/gcd(Q_ij, t*n_j)
@@ -489,8 +480,8 @@ class PuiseuxSeries:
             for g, img in zip(self._keys, keys):
                 if any(x < 0 for x in img):
                     raise PuiseuxError(
-                        f"substitution sends {self._vec(g)} to negative exponent "
-                        f"{tuple(map(Fraction, img, grid))}"
+                        f"substitution sends {fmt_vec(self._vec(g))} to negative exponent "
+                        f"{fmt_vec(tuple(map(Fraction, img, grid)))}"
                     )
         return PuiseuxSeries._from_keys(_cut(keys, grid, prec), grid, prec, False)
 
@@ -518,7 +509,7 @@ class PuiseuxSeries:
         else:
             keys = {(g * first + step,): c for (g,), c in items}
         moved = _reframe_prec(self.precision, diagonal, shift)
-        prec = moved if cap is INF else _min_prec(moved, _norm_prec(cap))
+        prec = moved if cap is INF else min(moved, _norm_prec(cap))
         # an image can pass the precision only below the cap (prec is then
         # the cap, not moved), or when the d_i differ and one coordinate
         # grows faster than the least

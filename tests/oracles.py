@@ -763,8 +763,8 @@ def monomial_substitute_fractions(s, matrix):
         for g, img in zip(s._keys, keys):
             if any(x < 0 for x in img):
                 raise PuiseuxError(
-                    f"substitution sends {s._vec(g)} to negative exponent "
-                    f"{tuple(map(Fraction, img, grid))}"
+                    f"substitution sends {fmt_vec(s._vec(g))} to negative exponent "
+                    f"{fmt_vec(tuple(map(Fraction, img, grid)))}"
                 )
     return PuiseuxSeries._from_keys(_cut(keys, grid, prec), grid, prec, False)
 

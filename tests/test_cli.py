@@ -306,6 +306,15 @@ def test_param_that_is_no_rational_is_named(capsys):
     assert err == "error: --param c must be a rational p/q, got 'abc'\n"
 
 
+def test_malformed_param_is_refused(capsys):
+    for param, message in (
+        ("c2", "--param needs NAME=p/q, got 'c2'"),
+        ("c1=2", "parameter name 'c1' must be alphabetic"),
+    ):
+        code, out, err = run(capsys, "invert", "x^(3/2)+c*x^(7/4)", "--param", param)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), param
+
+
 def test_order_and_matrix_errors_name_their_option(tmp_path, capsys):
     letters = tmp_path / "letters.json"
     letters.write_text(json.dumps([["a", "1"], ["0", "1"]]))
@@ -323,6 +332,9 @@ def test_order_and_matrix_errors_name_their_option(tmp_path, capsys):
         (("analyze", series, "--lattice", f"matrix:{letters}"), f"--lattice matrix {bad}"),
         (("toric", series, "--matrix", str(letters)), f"--matrix {bad}"),
         (("toric", series, "--matrix", str(prose)), f"--matrix {no_json}"),
+        (("toric", series), "the toric verb needs --matrix FILE"),
+        (("analyze", series, "--order", "bogus"), "unknown order spec 'bogus'"),
+        (("analyze", series, "--lattice", "bogus"), "unknown lattice spec 'bogus'"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
@@ -431,6 +443,14 @@ def test_lagrange_verb_prints_invert_xi_in_several_variables(capsys):
     assert json.loads(out) == {
         "m": 6, "n": 4, "coefficients": [{"exponent": ["2/3", "0", "0"], "coef": "1"}]
     }
+
+
+def test_invert_verb_writes_xi_in_several_variables(capsys):
+    code, out, err = run(capsys, "invert", PSI_MULTI, "--precision", "2")
+    assert (code, err) == (0, "")
+    assert "xi: y1^(2/3) - 2/3*y1^(5/6)*x2^(1/2) + 4/3*y1*x3^(1/3) + 2/3*y1*x2 " \
+        "- 26/9*y1^(7/6)*x2^(1/2)*x3^(1/3) + 28/9*y1^(4/3)*x3^(2/3) + O(total=2)" in out.splitlines()
+    assert "Halphen-Stolz inversion: PASS" in out
 
 
 def test_lagrange_verb_refuses_a_short_input(capsys):

@@ -16,6 +16,7 @@ from puiseux import (
     PuiseuxSeries,
     RootError,
     characteristic_exponents,
+    dual,
     essential_exponents,
     essential_of_series,
     extract_branch,
@@ -62,6 +63,7 @@ def test_rational_root():
     assert rational_root(F(-4), 2) is None
     assert rational_root(F(2), 2) is None
     assert rational_root(F(9, 4), 2) == F(3, 2)
+    assert rational_root(0, 3) == 0
 
 
 @pytest.mark.parametrize(
@@ -92,6 +94,13 @@ def test_rational_root():
         (lambda: PuiseuxSeries.monomial("1", 1),
          "the number of variables must be an integer, got '1'"),
         (lambda: parse(None), "text must be a string, got None"),
+        # a tuple that starts with a Fraction is read coordinate by coordinate
+        (lambda: PuiseuxSeries(2, {(F(1), "x"): 1}), "Invalid literal for Fraction: 'x'"),
+        (lambda: PuiseuxSeries(2, {(F(1), 1.5): 1}),
+         "refusing inexact float 1.5; pass 'p/q' or Fraction"),
+        (lambda: Lattice(2, [(F(1), "a")]), "Invalid literal for Fraction: 'a'"),
+        (lambda: parse("x1+x2").coefficient((F(1), "q")), "Invalid literal for Fraction: 'q'"),
+        (lambda: irreducible_exponents({(F(1), "z")}), "Invalid literal for Fraction: 'z'"),
     ],
 )
 def test_exported_names_refuse_with_a_puiseux_error(call, message):
@@ -117,7 +126,15 @@ LEX1, LEX2, STD1, STD2 = AdditiveOrder.lex(1), AdditiveOrder.lex(2), Lattice.sta
          "unit_power requires a nonzero constant term"),
         (lambda: parse("x").unit_root(2, 0), PuiseuxError,
          "unit_root requires a nonzero constant term"),
-        (lambda: parse("2+x").unit_power(F(1, 2)), RootError, "2 has no rational 2-th root"),
+        (lambda: parse("2+x").unit_power(F(1, 2)), RootError, "2 has no rational square root"),
+        (lambda: parse("2+x").unit_power(F(1, 11)), RootError, "2 has no rational 11th root"),
+        (lambda: parse("2+x").unit_power(F(1, 21)), RootError, "2 has no rational 21st root"),
+        (lambda: parse("2+x").unit_power(F(1, 22)), RootError, "2 has no rational 22nd root"),
+        (lambda: parse("2+x").unit_power(F(1, 23)), RootError, "2 has no rational 23rd root"),
+        (lambda: extract_branch(parse("2*x^(3) + x^(4)", precision=6)), RootError,
+         "dominating coefficient 2 has no rational cube root; pass root_coeff explicitly"),
+        (lambda: dual(parse("2 + t^(1/4)", precision=2)), RootError,
+         "dual with first-variable denominator 4 needs a rational 4th root of the constant term 2"),
         (lambda: parse("4+x").unit_power(F(1, 2), 2.0), PuiseuxError,
          "refusing inexact float 2.0; pass 'p/q' or Fraction"),
         (lambda: parse("x1+x2").monomial_substitute([[1, 0]]), DimensionError,
@@ -394,6 +411,12 @@ def test_order_json_reads_dominating_off_the_matrix():
         again = AdditiveOrder.from_json(order.to_json())
         assert (again, again.kind, again.dominating) == (order, order.kind, dominating)
         assert order.dominating == dominating
+
+
+def test_lattice_and_order_reprs():
+    assert repr(Lattice(2, [(F(1, 2), 0), (0, 1)])) == "Lattice(2, ['(1/2, 0)', '(0, 1)'])"
+    assert repr(AdditiveOrder.weighted([2, 1])) == \
+        "AdditiveOrder(positive-weight-lex, [['2', '1'], ['1', '0']])"
 
 
 def test_lattice_json_roundtrip():

@@ -20,7 +20,7 @@ from puiseux import (
 )
 from builders import random_order
 from puiseux.core import rational_power
-from puiseux.duality import _irreducible_identity
+from puiseux.duality import _dual_identity, _irreducible_identity
 
 
 def test_dual_of_one():
@@ -167,6 +167,12 @@ def test_identity_failures_are_data():
     phi = parse("1 + t", precision=6)
     good = verify_dual_identity(phi)
     assert good.all_passed and good.to_json()["failures"] == []
+    bad = _dual_identity(phi, dual(phi) + parse("2*t", precision=6))
+    assert bad.to_json() == {
+        "checked_exponents": ["0", "1"],
+        "all_passed": False,
+        "failures": [{"exponent": "1", "lhs": "1", "rhs": "-1"}],
+    }
 
 
 def _power_reference(phi, N):

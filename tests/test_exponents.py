@@ -557,6 +557,13 @@ def test_essential_integral_support_stops_at_head():
     assert seq.complete
 
 
+def test_drop_integral_head_of_an_empty_sequence():
+    from puiseux.exponents import EssentialSequence, drop_integral_head
+
+    empty = EssentialSequence((), Lattice.standard(2), AdditiveOrder.lex(2), True)
+    assert drop_integral_head(empty) == ()
+
+
 def test_essential_requires_dominating_order():
     order = AdditiveOrder.from_matrix([[-1, 0], [0, 1]])
     with pytest.raises(Exception):

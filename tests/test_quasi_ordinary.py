@@ -78,6 +78,8 @@ def test_qo_membership_witness():
     verdict = qo_test(parse("x1^(2)*x2^(5/6) + x1^(3)*x2^(1/3)"))
     assert (verdict.is_qo, verdict.certified) == (False, True)
     assert verdict.witness == LipmanWitness("membership", ((F(3), F(1, 3)),))
+    assert verdict.witness.describe() == \
+        "support element (3, 1/3) escapes the group of the candidates below it"
     assert recheck_witness(verdict.witness, verdict.essential.entries) is False
 
 
