@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -99,13 +99,36 @@ def as_vec(x, dim: int | None = None) -> Vec:
     """Normalise a scalar or an iterable of rationals to an exponent vector."""
     if type(x) is tuple and x and all(type(c) is Fraction for c in x):
         v = x
-    elif isinstance(x, (int, Fraction, str)):
+    elif isinstance(x, (int, Fraction, str, float)):
         v = (rat(x),)
-    else:
+    elif hasattr(x, "__iter__"):
         v = tuple(rat(c) for c in x)
+    else:
+        raise PuiseuxError(f"expected a rational or a vector of rationals, got {x!r}")
     if dim is not None and len(v) != dim:
         raise DimensionError(f"expected dimension {dim}, got {len(v)}")
     return v
+
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
+
+
+def json_shape(value, kind: type, what: str):
+    """value, refused by name unless it is of the JSON kind kind (dict,
+    list, str or bool): 'what must be a list, got int'."""
+    if not isinstance(value, kind):
+        raise PuiseuxError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def json_fields(data, keys: tuple, what: str, document: str | None = None):
+    """The values at two or more keys of data, a JSON object what, part of
+    the document named document (what itself by default): 'document has no 'k' key'."""
+    json_shape(data, dict, what)
+    try:
+        return itemgetter(*keys)(data)
+    except KeyError as exc:
+        raise PuiseuxError(f"{document or what} has no {exc.args[0]!r} key") from None
 
 
 def total(a: Vec) -> Fraction:
@@ -117,6 +140,10 @@ def fmt_vec(a: Vec) -> str:
     if len(a) == 1:
         return str(a[0])
     return "(" + ", ".join(map(str, a)) + ")"
+
+
+def fmt_entries(entries) -> str:
+    return "(" + ", ".join(map(fmt_vec, entries)) + ")"
 
 
 def fmt_power(base: Fraction, m: int) -> str:
@@ -206,7 +233,10 @@ def rational_binomial(r, k: int) -> Fraction:
 
 
 def mat_from(rows) -> Matrix:
-    out = tuple(tuple(rat(c) for c in row) for row in rows)
+    try:
+        out = tuple(tuple(rat(c) for c in row) for row in rows)
+    except TypeError:
+        raise DimensionError("matrix rows must be sequences of rationals") from None
     if not out or any(len(r) != len(out[0]) for r in out):
         raise DimensionError("matrix rows must be non-empty and rectangular")
     return out
@@ -235,26 +265,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Vec) -> Vec:
-    """Column action a·v."""
-    if len(a[0]) != len(v):
-        raise DimensionError("matrix/vector dimension mismatch")
+    """Column action a·v, v of the width of a."""
     return tuple(r[0] for r in mat_mul(a, [[c] for c in v]))
 
 
-def vec_mat(v: Vec, a: Matrix) -> Vec:
-    """Row action v·a (the convention of toric charts: row i of a is the
-    exponent vector of the monomial substituted for the i-th variable)."""
-    if len(a) != len(v):
-        raise DimensionError("vector/matrix dimension mismatch")
-    return mat_mul([v], a)[0]
-
-
 def mat_det(a: Matrix) -> Fraction:
-    """The determinant det(s*a)/s^n, s the lcm of the denominators of a, by
-    fraction-free (Bareiss) elimination on s*a, where every division is exact."""
+    """The determinant of the square matrix a, det(s*a)/s^n, s the lcm of
+    the denominators of a, by fraction-free (Bareiss) elimination on s*a,
+    where every division is exact.  Every caller checks the shape first."""
     n = len(a)
-    if any(len(r) != n for r in a):
-        raise DimensionError("determinant of a non-square matrix")
     (s, m), sign, prev = _cleared(a), 1, 1
     for j in range(n - 1):
         if not m[j][j]:
@@ -356,7 +375,7 @@ class Lattice:
     __slots__ = ("dim", "scale", "rows", "_by_pivot")
 
     def __init__(self, dim: int, generators: Iterable = ()):
-        self._set(dim, *_cleared([as_vec(g, dim) for g in generators]))
+        self._set(positive_int(dim, "lattice dim"), *_cleared([as_vec(g, dim) for g in generators]))
 
     def _set(self, dim: int, scale: int, int_rows) -> None:
         """Store the lattice (1/scale)·span(int_rows) in canonical form.
@@ -459,7 +478,8 @@ class Lattice:
 
     @classmethod
     def from_json(cls, data: dict) -> "Lattice":
-        return cls(data["dim"], data["basis"])
+        dim, basis = json_fields(data, ("dim", "basis"), "lattice JSON")
+        return cls(dim, json_shape(basis, list, "lattice JSON basis"))
 
 
 # ---------------------------------------------------------------------------
@@ -570,4 +590,5 @@ class AdditiveOrder:
     @classmethod
     def from_json(cls, data: dict) -> "AdditiveOrder":
         # dominating is read off the matrix, whatever data says
-        return cls(data["matrix"], data["kind"])
+        matrix, kind = json_fields(data, ("matrix", "kind"), "order JSON")
+        return cls(json_shape(matrix, list, "order JSON matrix"), json_shape(kind, str, "order JSON kind"))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from .core import AdditiveOrder, Lattice, rational_binomial
+from .core import AdditiveOrder, Lattice, fmt_entries, rational_binomial
 from .duality import verify_dual_identity, verify_power_identity
 from .exponents import (
     characteristic_exponents,
@@ -146,14 +146,10 @@ def _case_toric_pullback():
     return got.agrees_with(parse(PSI_SIGMA)), "x1 = v1 v2, x2 = v2 chart"
 
 
-def _fmt_entries(entries) -> str:
-    return "(" + ", ".join("(" + ", ".join(str(c) for c in e) + ")" for e in entries) + ")"
-
-
 def _case_ess_sigma():
     seq = essential_of_series(parse(PSI_SIGMA))
     want = ((F(0), F(1, 4)), (F(3, 2), F(3, 2)))
-    return seq.entries == want and seq.complete, f"ess = {_fmt_entries(seq.entries)}"
+    return seq.entries == want and seq.complete, f"ess = {fmt_entries(seq.entries)}"
 
 
 def _case_ess_composed():
@@ -162,7 +158,7 @@ def _case_ess_composed():
         parse(PSI_TOR).support(), Lattice.standard(2), order, (2, 4)
     )
     want = ((F(0), F(1, 4)), (F(3, 2), F(0)))
-    return seq.entries == want, f"ess under the chart order = {_fmt_entries(seq.entries)}"
+    return seq.entries == want, f"ess under the chart order = {fmt_entries(seq.entries)}"
 
 
 def _case_qo_yes():

@@ -51,6 +51,8 @@ from .core import (
     as_vec,
     charge,
     fmt_vec,
+    json_fields,
+    json_shape,
     positive_int,
 )
 
@@ -201,12 +203,15 @@ class EssentialSequence:
 
     @classmethod
     def from_json(cls, data: dict) -> "EssentialSequence":
-        return cls(
-            tuple(exponent_from_json(e) for e in data["entries"]),
-            Lattice.from_json(data["lattice"]),
-            AdditiveOrder.from_json(data["order"]),
-            bool(data["complete"]),
-        )
+        what = "essential sequence JSON"
+        keys = ("entries", "lattice", "order", "complete")
+        entries, lattice, order, complete = json_fields(data, keys, what)
+        lattice, order = Lattice.from_json(lattice), AdditiveOrder.from_json(order)
+        if order.dim != lattice.dim:
+            raise PuiseuxError(f"{what} order has dimension {order.dim}, its lattice {lattice.dim}")
+        entries = tuple(as_vec(e, lattice.dim) for e in json_shape(entries, list, f"{what} entries"))
+        complete = json_shape(complete, bool, f"{what} complete")
+        return cls(entries, lattice, order, complete)
 
 
 def exponent_to_json(e: Vec):
@@ -214,12 +219,6 @@ def exponent_to_json(e: Vec):
     if len(e) == 1:
         return str(e[0])
     return [str(c) for c in e]
-
-
-def exponent_from_json(data) -> Vec:
-    if isinstance(data, str):
-        return (Fraction(data),)
-    return tuple(Fraction(c) for c in data)
 
 
 def essential_exponents(

@@ -18,7 +18,6 @@ from operator import le
 
 from .core import (
     AdditiveOrder,
-    Lattice,
     PuiseuxError,
     Vec,
     _cleared,
@@ -59,23 +58,9 @@ class LipmanWitness:
         }
 
 
-def recheck_witness(witness: LipmanWitness, candidates) -> bool:
-    """Re-evaluate the violated condition; False confirms the failure."""
-    candidates = list(candidates)
-    if witness.condition == "comparability":
-        return _leq(*witness.elements)
-    (lam,) = witness.elements
-    return _graded_member(lam, candidates)
-
-
 def _leq(a: Vec, b: Vec) -> bool:
     """a <= b in every coordinate."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def _graded_member(lam: Vec, candidates) -> bool:
-    below = [c for c in candidates if _leq(c, lam)]
-    return Lattice.standard(len(lam)).join(below).contains(lam)
 
 
 @dataclass(frozen=True)

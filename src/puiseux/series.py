@@ -42,6 +42,8 @@ from .core import (
     fmt_power,
     fmt_vec,
     is_int,
+    json_fields,
+    json_shape,
     mat_det,
     mat_from,
     positive_int,
@@ -145,8 +147,9 @@ def _pair_keys(terms, num_vars, precision):
     keys = {}
     for exp, (a, b) in terms:
         key = tuple([p * (grid // q) for p, q in exp])
+        c = Fraction(a) if b == 1 else Fraction(a, b)  # an integer needs no gcd
         old = keys.get(key)
-        keys[key] = Fraction(a, b) if old is None else old + Fraction(a, b)
+        keys[key] = c if old is None else old + c
     grid = (grid,) * num_vars
     return _cut(keys, grid, precision), grid
 
@@ -198,8 +201,9 @@ class PuiseuxSeries:
     def constant(cls, num_vars: int, value, precision=INF) -> "PuiseuxSeries":
         value = rat(value)
         precision = _frame(num_vars, precision, False)
-        grid = (1,) * num_vars
-        return cls._from_keys(_cut({(0,) * num_vars: value}, grid, precision), grid, precision, False)
+        # the constant key has degree 0, which a precision below 0 cuts
+        keys = {(0,) * num_vars: value} if value and precision >= 0 else {}
+        return cls._from_keys(keys, (1,) * num_vars, precision, False)
 
     @classmethod
     def one(cls, num_vars: int, precision=INF) -> "PuiseuxSeries":
@@ -288,9 +292,17 @@ class PuiseuxSeries:
             raise DimensionError("series have different numbers of variables")
         return tuple(map(math.lcm, self.ramification, other.ramification))
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """The one rule for an operand of +, - and *: a series as it is, an int or a
+        Fraction as the exact constant, anything else None (NotImplemented)."""
         if isinstance(other, (int, Fraction)):
-            other = PuiseuxSeries.constant(self.num_vars, other)
+            return PuiseuxSeries.constant(self.num_vars, other)
+        return other if isinstance(other, PuiseuxSeries) else None
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         grid = self._check_compat(other)
         prec = min(self.precision, other.precision)
         keys = dict(self._keys_on(grid))
@@ -306,7 +318,11 @@ class PuiseuxSeries:
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def scale(self, c) -> "PuiseuxSeries":
         c = rat(c)
@@ -316,6 +332,9 @@ class PuiseuxSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         grid = self._check_compat(other)
         prec = min(
             _add_prec(self.precision, other._order_bound()),
@@ -555,36 +574,32 @@ class PuiseuxSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "PuiseuxSeries":
-        if not isinstance(data, dict):
-            raise PuiseuxError(f"series JSON must be an object, got {type(data).__name__}")
+        num_vars, terms = json_fields(data, ("vars", "terms"), "series JSON")
         prec = INF if data.get("precision") is None else rat(data["precision"])
-        try:
-            num_vars, terms = data["vars"], data["terms"]
-            if not isinstance(terms, list):
-                raise PuiseuxError(f"series JSON terms must be a list, got {type(terms).__name__}")
-            for t in terms:
-                if not isinstance(t, dict):
-                    raise PuiseuxError(f"series JSON term must be an object, got {type(t).__name__}")
-                if not isinstance(t["exp"], list):
-                    raise PuiseuxError(f"series JSON exp must be a list, got {type(t['exp']).__name__}")
-            terms = [([_rational_pair(c) for c in t["exp"]], _rational_pair(t["coef"])) for t in terms]
-        except KeyError as exc:
-            raise PuiseuxError(f"series JSON has no {exc.args[0]!r} key") from None
-        laurent = data.get("laurent", False) or any(p < 0 for e, _ in terms for p, _ in e)
+        pairs = []
+        for t in json_shape(terms, list, "series JSON terms"):
+            exp, coef = json_fields(t, ("exp", "coef"), "series JSON term", "series JSON")
+            exp = json_shape(exp, list, "series JSON exp")
+            pairs.append(([_rational_pair(c) for c in exp], _rational_pair(coef)))
+        laurent = json_shape(data.get("laurent", False), bool, "series JSON laurent")
+        laurent = laurent or any(p < 0 for e, _ in pairs for p, _ in e)
         prec = _frame(num_vars, prec, laurent)
-        for exp, _ in terms:
+        for exp, _ in pairs:
             if len(exp) != num_vars:
                 raise DimensionError(f"expected dimension {num_vars}, got {len(exp)}")
-        terms = [t for t in terms if t[1][0]]
-        return cls._from_keys(*_pair_keys(terms, num_vars, prec), prec, laurent)
+        pairs = [t for t in pairs if t[1][0]]
+        return cls._from_keys(*_pair_keys(pairs, num_vars, prec), prec, laurent)
 
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def _rational_pair(x) -> tuple[int, int]:
-    """x as an int pair (p, q), q > 0: a 'p/q' string with q != 0 read
-    directly, anything else through rat, which reads it or refuses it."""
+    """x as an int pair (p, q), q > 0: an integer string read by int, the most
+    common, a 'p/q' string with q != 0 by the regex, anything else through
+    rat, which reads it or refuses it."""
+    if type(x) is str and (x.isdecimal() or x[:1] == "-" and x[1:].isdecimal()):
+        return int(x), 1
     m = _RATIONAL_RE.fullmatch(x) if type(x) is str else None
     if m is None or m[2] is not None and not int(m[2]):
         x = rat(x)

@@ -35,7 +35,8 @@ them coefficient for coefficient:
   substitution built by dividing Fractions, where the library reduces int
   pairs; and the Lipman test's chain of Lattice joins, each support
   element tested by Lattice.contains, where the library walks the keys
-  against integer echelon rows.
+  against integer echelon rows; and a Lipman witness rechecked by the
+  same Lattice joins.
 """
 
 import heapq
@@ -799,6 +800,12 @@ def mat_mul_fractions(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
+def vec_mat(v, a):
+    """The row action v·a, the convention of toric charts: row i of a is
+    the exponent vector of the monomial substituted for the i-th variable."""
+    return mat_mul_fractions([v], a)[0]
+
+
 def qo_test_lattices(psi):
     """The library's earlier qo_test: the candidates' prefixes joined onto
     Z^h as a chain of Lattice objects, and the Fraction support, sorted by
@@ -828,6 +835,17 @@ def qo_test_lattices(psi):
     if not certified:
         return QOVerdict(None, tuple(candidates), None, False, ess)
     return QOVerdict(True, tuple(candidates), None, True, ess)
+
+
+def recheck_witness(witness, candidates) -> bool:
+    """Re-evaluate the condition a LipmanWitness names as violated, by
+    Lattice joins on Fraction vectors; False confirms the failure."""
+    leq = lambda a, b: all(x <= y for x, y in zip(a, b))  # noqa: E731
+    if witness.condition == "comparability":
+        return leq(*witness.elements)
+    (lam,) = witness.elements
+    below = [c for c in candidates if leq(c, lam)]
+    return Lattice.standard(len(lam)).join(below).contains(lam)
 
 
 def _diag(entries):

@@ -152,7 +152,8 @@ def test_criterion_10_lemma_suite():
         assert set(essential_exponents_p(S, p).scalars) <= irreducible_exponents(S)
 
     # ess-Pgen: q(ess(E, M, order o q)) = ess(q(E), q(M), order)
-    from puiseux.core import mat_det, vec_mat
+    from oracles import vec_mat
+    from puiseux.core import mat_det
 
     for _ in range(50):
         h = 2

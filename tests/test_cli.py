@@ -384,6 +384,22 @@ def test_verify_verb(capsys):
         assert "Lagrange oracle equivalence: PASS" in out
 
 
+def test_verify_verb_builds_only_the_form_asked_for(capsys, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("this form was not asked for")
+
+    argv = ("verify", "x^(3/2)+2*x^(7/4)", "--precision", "2")
+    with monkeypatch.context() as patch:
+        patch.setattr(puiseux.CheckReport, "to_json", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert "Halphen-Stolz inversion: PASS" in out
+    monkeypatch.setattr(puiseux.CheckReport, "describe", refuse)
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0, err
+    assert json.loads(out)["all_passed"] is True
+
+
 def test_lagrange_verb(capsys):
     code, out, _ = run(capsys, "lagrange", "x^(3/2)+2*x^(7/4)", "--precision", "1")
     assert code == 0
@@ -520,12 +536,18 @@ def test_order_and_lattice_flags(tmp_path, capsys):
     assert code2 == 0
 
 
-def test_failed_verification_exits_two(capsys):
-    # a hand-corrupted report exercises the exit-code mapping
-    from puiseux.cli import _report_exit
+def test_failed_verification_exits_two(capsys, monkeypatch):
+    # a hand-corrupted report exercises the exit-code mapping, in both forms
+    def corrupted(phi, psi):
+        report = puiseux.CheckReport("dual identity")
+        report.record("constant term", 1, 2)
+        return report
 
-    assert _report_exit(False) == 2
-    assert _report_exit(True) == 0
+    monkeypatch.setattr(puiseux.cli, "_dual_identity", corrupted)
+    code, out, _ = run(capsys, "dual", "1 + t", "--precision", "2")
+    assert code == 2 and "dual identity: FAIL" in out
+    code, out, _ = run(capsys, "dual", "1 + t", "--precision", "2", "--json")
+    assert code == 2 and json.loads(out)["report"]["all_passed"] is False
 
 
 # one value for every option of the CLI, and the options each verb reads

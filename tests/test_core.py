@@ -1,3 +1,7 @@
+import contextlib
+import copy
+import functools
+import operator
 import random
 from fractions import Fraction as F
 
@@ -5,11 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lattice_member_bruteforce, mat_det_fractions, mat_inv, mat_mul_fractions
+from oracles import (
+    lattice_member_bruteforce,
+    mat_det_fractions,
+    mat_inv,
+    mat_mul_fractions,
+    vec_mat,
+)
 from puiseux import (
     AdditiveOrder,
     DimensionError,
     DominationError,
+    EssentialSequence,
     Lattice,
     OrderError,
     PuiseuxError,
@@ -30,7 +41,7 @@ from puiseux import (
     verify_dual_identity,
     verify_power_identity,
 )
-from puiseux.core import mat_det, mat_identity, mat_mul, mat_vec, rat, vec_mat
+from puiseux.core import mat_det, mat_identity, mat_mul, mat_vec, rat
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=24
@@ -64,6 +75,10 @@ def test_rational_root():
     assert rational_root(F(2), 2) is None
     assert rational_root(F(9, 4), 2) == F(3, 2)
     assert rational_root(0, 3) == 0
+
+
+# a well-formed essential sequence document, for the rows that spoil one field
+ESSENTIAL_JSON = essential_exponents([F(3, 2)], Lattice.standard(1), AdditiveOrder.lex(1)).to_json()
 
 
 @pytest.mark.parametrize(
@@ -101,6 +116,26 @@ def test_rational_root():
         (lambda: Lattice(2, [(F(1), "a")]), "Invalid literal for Fraction: 'a'"),
         (lambda: parse("x1+x2").coefficient((F(1), "q")), "Invalid literal for Fraction: 'q'"),
         (lambda: irreducible_exponents({(F(1), "z")}), "Invalid literal for Fraction: 'z'"),
+        # every from_json reads its fields through one shape check
+        (lambda: EssentialSequence.from_json({}),
+         "essential sequence JSON has no 'entries' key"),
+        (lambda: EssentialSequence.from_json({**ESSENTIAL_JSON, "entries": ["x"]}),
+         "Invalid literal for Fraction: 'x'"),
+        (lambda: EssentialSequence.from_json({**ESSENTIAL_JSON, "complete": "yes"}),
+         "essential sequence JSON complete must be a boolean, got str"),
+        (lambda: EssentialSequence.from_json({**ESSENTIAL_JSON, "order": LEX2.to_json()}),
+         "essential sequence JSON order has dimension 2, its lattice 1"),
+        (lambda: Lattice.from_json([]), "lattice JSON must be an object, got list"),
+        (lambda: Lattice.from_json({"dim": 1, "basis": [None]}),
+         "expected a rational or a vector of rationals, got None"),
+        (lambda: Lattice.from_json({"dim": "2", "basis": []}),
+         "lattice dim must be a positive integer, got '2'"),
+        (lambda: Lattice(2.0, [(1, 2)]), "lattice dim must be a positive integer, got 2.0"),
+        (lambda: PuiseuxSeries.from_json({"vars": 1, "terms": [], "laurent": "no"}),
+         "series JSON laurent must be a boolean, got str"),
+        (lambda: AdditiveOrder.from_json({}), "order JSON has no 'matrix' key"),
+        (lambda: AdditiveOrder.from_json({"matrix": 5, "kind": "lex"}),
+         "order JSON matrix must be a list, got int"),
     ],
 )
 def test_exported_names_refuse_with_a_puiseux_error(call, message):
@@ -108,6 +143,53 @@ def test_exported_names_refuse_with_a_puiseux_error(call, message):
         call()
     assert type(err.value) is PuiseuxError
     assert str(err.value) == message
+
+
+_DROP = object()
+_MALFORMED = [None, 5, 2.5, "x", "1/0", [], {}, [None], ["x"], [[]], True, -1]
+
+
+def _paths(value, path=()):
+    """The path of every value inside the JSON value value, its own first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _paths(inner, path + (key,))
+
+
+def _spoiled(doc):
+    """Copies of the JSON document doc with each of its values in turn
+    replaced by a malformed one, or dropped from its object."""
+    for path in _paths(doc):
+        for bad in _MALFORMED + ([_DROP] if path and isinstance(path[-1], str) else []):
+            if not path:
+                yield bad
+                continue
+            out = copy.deepcopy(doc)
+            *head, last = path
+            parent = functools.reduce(operator.getitem, head, out)
+            if bad is _DROP:
+                del parent[last]
+            else:
+                parent[last] = bad
+            yield out
+
+
+@pytest.mark.parametrize(
+    "cls, doc",
+    [
+        (PuiseuxSeries, parse("x1^(3/2) - 2/3*x2 + x1*x2^(1/4)").to_json()),
+        (Lattice, Lattice(2, [(F(1, 2), F(1)), (0, 3)]).to_json()),
+        (AdditiveOrder, AdditiveOrder.weighted([2, 1]).to_json()),
+        (EssentialSequence, essential_of_series(parse("x1^(3/2) + x2^(5/2)")).to_json()),
+    ],
+    ids=["PuiseuxSeries", "Lattice", "AdditiveOrder", "EssentialSequence"],
+)
+def test_every_from_json_refuses_a_spoiled_document_with_a_puiseux_error(cls, doc):
+    for spoiled in _spoiled(doc):
+        # an answer or a PuiseuxError; any other exception fails the test
+        with contextlib.suppress(PuiseuxError):
+            cls.from_json(spoiled)
 
 
 LEX1, LEX2, STD1, STD2 = AdditiveOrder.lex(1), AdditiveOrder.lex(2), Lattice.standard(1), Lattice.standard(2)
@@ -173,6 +255,8 @@ LEX1, LEX2, STD1, STD2 = AdditiveOrder.lex(1), AdditiveOrder.lex(2), Lattice.sta
         (lambda: LEX1.min([]), PuiseuxError, "minimum of an empty collection"),
         (lambda: AdditiveOrder.from_matrix([[1, 0], [1]]), DimensionError,
          "matrix rows must be non-empty and rectangular"),
+        (lambda: AdditiveOrder.from_json({"matrix": [5], "kind": "lex"}), DimensionError,
+         "matrix rows must be sequences of rationals"),
         (lambda: LEX2.compose([[1]]), DimensionError,
          "substitution matrix is 1x1, the order's dimension is 2"),
         (lambda: LEX2.compose([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), DimensionError,
@@ -428,8 +512,6 @@ def test_lattice_membership_against_inverse_oracle():
     # full-rank case: v lies in the lattice iff v expressed in the basis has
     # integer coordinates, an independent check via exact matrix inversion
     rng = random.Random(97)
-    from puiseux.core import mat_det, vec_mat
-
     for _ in range(40):
         h = rng.choice([2, 3])
         while True:
@@ -481,8 +563,8 @@ def _random_matrix(rng, h, kind):
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
 def test_integer_matrix_algebra_agrees_with_fraction_arithmetic(h):
-    # mat_det by fraction-free elimination, mat_mul, mat_vec and vec_mat on
-    # integer rows against the earlier Fraction elimination and products
+    # mat_det by fraction-free elimination, mat_mul and mat_vec on integer
+    # rows against the earlier Fraction elimination and products
     rng = random.Random(401 + h)
     seen = set()
     for _ in range(120):
@@ -496,7 +578,6 @@ def test_integer_matrix_algebra_agrees_with_fraction_arithmetic(h):
         b = _random_matrix(rng, h, rng.choice(["int", "rat"]))
         v = tuple(F(rng.randrange(-7, 8), rng.choice((1, 2, 5))) for _ in range(h))
         assert mat_mul(a, b) == mat_mul_fractions(a, b)
-        assert vec_mat(v, a) == mat_mul_fractions([v], a)[0]
         assert mat_vec(a, v) == tuple(r[0] for r in mat_mul_fractions(a, [[c] for c in v]))
     assert {k for k, _ in seen} == {"int", "rat", "singular", "swap"}
     # nonsingular matrices needing a row swap come up in every dimension above 1

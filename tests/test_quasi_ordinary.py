@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from builders import random_exponent, random_unimodular, random_unit_series
-from oracles import qo_test_lattices
+from oracles import qo_test_lattices, recheck_witness
 from puiseux import (
     LipmanWitness,
     PuiseuxError,
@@ -15,7 +15,6 @@ from puiseux import (
     toric_pullback,
     verify_qsigma_relation,
 )
-from puiseux.quasi_ordinary import recheck_witness
 
 PSI = "x1^(3/2) + x2^(1/4) + x1^(7/2)*x2^(5/2)"
 PSI_SIGMA = "v1^(3/2)*v2^(3/2) + v2^(1/4) + v1^(7/2)*v2^(6)"

@@ -164,6 +164,17 @@ def test_scalar_product_and_text():
     assert str(s) == "3 + 3*x + O(total=10)"
 
 
+def test_operators_take_series_ints_and_fractions_on_either_side():
+    s = parse("1+x")
+    assert 2 - s == parse("1 - x")
+    assert F(1, 2) - parse("x") == parse("1/2 - x")
+    assert 2 + s == s + 2 == parse("3 + x")
+    # any other operand gets the operator protocol's TypeError
+    for call in (lambda: s + 1.5, lambda: s * "x", lambda: s - "x", lambda: 1.5 - s):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_min_exponent_under_a_weighted_order():
     # weights (2, 1) rank x2 below x1
     assert parse("x1 + x2").min_exponent(AdditiveOrder.weighted([2, 1])) == (0, 1)
