@@ -108,18 +108,18 @@ def _lattice_from_spec(spec: str, dim: int) -> Lattice:
 
 
 def _emit(args, lines, payload, ok: bool = True) -> int:
-    """Build and print only the form asked for, the dict payload() as JSON
-    under --json and the text lines() otherwise; the exit code, 2 unless ok."""
-    print(json.dumps(payload(), indent=2) if args.json else "\n".join(lines()))
+    """Build and print only the form asked for: the dict payload() as JSON
+    under --json, the text lines lines() yields otherwise; the exit code, 2
+    unless ok."""
+    if args.json:
+        print(json.dumps(payload(), indent=2))
+    else:
+        print("\n".join(lines()))
     return 0 if ok else 2
 
 
-def _by_degree(vectors) -> list:
-    return sorted(vectors, key=lambda v: (total(v), v))
-
-
-def _fmt_sequence(seq) -> str:
-    return fmt_entries(seq.entries) + (" [complete]" if seq.complete else " [provisional]")
+def _fmt_set(vectors) -> str:
+    return ", ".join(fmt_vec(v) for v in sorted(vectors, key=lambda v: (total(v), v)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,43 +129,58 @@ def _fmt_sequence(seq) -> str:
 def _cmd_analyze(args) -> int:
     psi = _parse_series(args).truncate(_precision(args, INF))
     order = _order_from_spec(args.order, psi.num_vars)
-    ess = essential_of_series(psi, _lattice_from_spec(args.lattice, psi.num_vars), order)
-    irr = _by_degree(irreducible_exponents(psi.support()))
+    lattice = _lattice_from_spec(args.lattice, psi.num_vars)
+    ess = essential_of_series(psi, lattice=lattice, order=order)
+    irr = irreducible_exponents(psi.support())
     char = None
     if psi.num_vars == 1 and not psi.is_zero() and psi.constant_term() == 0:
         char = characteristic_exponents(psi)
-    return _emit(
-        args,
-        lambda: [
-            f"series: {format_series(psi)}",
-            f"ramification: ({', '.join(map(str, psi.ramification))})",
-            f"support: {', '.join(map(fmt_vec, _by_degree(psi.support())))}",
-            f"irreducible exponents: {', '.join(map(fmt_vec, irr))}",
-            f"essential exponents: {_fmt_sequence(ess)}",
-        ] + ([f"characteristic exponents: ({', '.join(map(str, char.entries))})"] if char else []),
-        lambda: {
+
+    def lines():
+        yield f"series: {format_series(psi)}"
+        yield f"ramification: ({', '.join(str(n) for n in psi.ramification)})"
+        yield f"support: {_fmt_set(psi.support())}"
+        yield f"irreducible exponents: {_fmt_set(irr)}"
+        yield f"essential exponents: {fmt_entries(ess.entries)}" + (
+            " [complete]" if ess.complete else " [provisional]"
+        )
+        if char is not None:
+            yield "characteristic exponents: (" + ", ".join(str(e) for e in char.entries) + ")"
+
+    def payload():
+        out = {
             "series": psi.to_json(),
-            "irreducible": [exponent_to_json(v) for v in irr],
+            "irreducible": [
+                exponent_to_json(v) for v in sorted(irr, key=lambda v: (total(v), v))
+            ],
             "essential": ess.to_json(),
-        } | ({"characteristic": char.to_json()} if char else {}),
-    )
+        }
+        if char is not None:
+            out["characteristic"] = char.to_json()
+        return out
+
+    return _emit(args, lines, payload)
 
 
 def _cmd_dual(args) -> int:
     phi = _parse_series(args).truncate(_precision(args))
     checked = dual(phi)
-    report = _dual_identity(phi, checked)
+    report_dual = _dual_identity(phi, checked)
     return _emit(
         args,
-        lambda: [f"dual: {format_series(checked, default_names(checked.num_vars, 'u'))}",
-                 report.describe()],
-        lambda: {"dual": checked.to_json(), "report": report.to_json()},
-        report.all_passed,
+        lambda: [
+            f"dual: {format_series(checked, default_names(checked.num_vars, 'u'))}",
+            report_dual.describe(),
+        ],
+        lambda: {"dual": checked.to_json(), "report": report_dual.to_json()},
+        report_dual.all_passed,
     )
 
 
 def _xi_names(h: int) -> list[str]:
-    return ["y"] if h == 1 else ["y1"] + [f"x{i}" for i in range(2, h + 1)]
+    if h == 1:
+        return ["y"]
+    return ["y1"] + [f"x{i}" for i in range(2, h + 1)]
 
 
 def _branch_options(args):
@@ -178,13 +193,16 @@ def _branch_options(args):
 
 def _cmd_invert(args) -> int:
     result = invert_series(*_branch_options(args))
+    h = result.eta.num_vars
     return _emit(
         args,
         lambda: [
             f"m1 = {result.m1}, n1 = {result.n1}, root = {result.root_coeff}",
-            f"xi: {format_series(result.xi, _xi_names(result.eta.num_vars))}",
-            f"essential exponents of eta: {_fmt_sequence(result.ess_eta)}",
-            f"essential exponents of xi:  {_fmt_sequence(result.ess_xi)}",
+            f"xi: {format_series(result.xi, _xi_names(h))}",
+            "essential exponents of eta: " + fmt_entries(result.ess_eta.entries)
+            + (" [complete]" if result.ess_eta.complete else " [provisional]"),
+            "essential exponents of xi:  " + fmt_entries(result.ess_xi.entries)
+            + (" [complete]" if result.ess_xi.complete else " [provisional]"),
             result.checks.describe(),
         ],
         result.to_json,
@@ -197,12 +215,12 @@ def _cmd_lagrange(args) -> int:
     # the branch that invert reads, which the oracle expands without the dual
     data, _ = _branch_at(eta, target, root)
     terms = lagrange_series(data).truncate(target).sorted_terms()
-    return _emit(
-        args,
-        lambda: [f"[xi]_{fmt_vec(e)} = {c}" for e, c in terms],
-        lambda: {"m": data.exponent_m, "n": data.ramification[0], "coefficients": [
-            {"exponent": exponent_to_json(e), "coef": str(c)} for e, c in terms]},
-    )
+
+    def payload():
+        rows = [{"exponent": exponent_to_json(e), "coef": str(c)} for e, c in terms]
+        return {"m": data.exponent_m, "n": data.ramification[0], "coefficients": rows}
+
+    return _emit(args, lambda: [f"[xi]_{fmt_vec(e)} = {c}" for e, c in terms], payload)
 
 
 def _oracle_report(result) -> CheckReport:
@@ -210,7 +228,7 @@ def _oracle_report(result) -> CheckReport:
     check at every exponent that xi or the oracle holds."""
     xi, oracle = result.xi, lagrange_series(result.branch)
     report = CheckReport("Lagrange oracle equivalence")
-    for e in _by_degree(xi.support() | oracle.support()):
+    for e in sorted(xi.support() | oracle.support(), key=lambda v: (total(v), v)):
         report.record("coefficient of xi", xi.coefficient(e), oracle.coefficient(e), e)
     return report
 
@@ -229,12 +247,19 @@ def _cmd_verify(args) -> int:
     data = result.branch
     reports = [
         # the recomputation refuses a result whose window misses eta's head
-        _unless_refused("Halphen-Stolz inversion", lambda: verify_halphen_stolz(result), PrecisionError),
+        _unless_refused(
+            "Halphen-Stolz inversion", lambda: verify_halphen_stolz(result), PrecisionError
+        ),
         # the unit's dual read off the sparse unit^m1 rather than the dense unit
-        _dual_identity(data.series, _dual_from_power(data.power, result.m1, data.root_coeff, 1)),
+        _dual_identity(
+            data.series,
+            _dual_from_power(data.power, result.m1, data.root_coeff, 1),
+        ),
         verify_power_identity(data.series, result.m1),
         # the oracle is refused once its charge passes the work limit
-        _unless_refused("Lagrange oracle equivalence", lambda: _oracle_report(result), PuiseuxError),
+        _unless_refused(
+            "Lagrange oracle equivalence", lambda: _oracle_report(result), PuiseuxError
+        ),
     ]
     ok = all(r.all_passed for r in reports)
     return _emit(
@@ -246,16 +271,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_qo(args) -> int:
-    verdict = qo_test(_parse_series(args))
+    psi = _parse_series(args)
+    verdict = qo_test(psi)
     label = {True: "yes", False: "no", None: "unknown beyond precision"}[verdict.is_qo]
-    chars, witness = verdict.char_exponents, verdict.witness
-    return _emit(
-        args,
-        lambda: [f"quasi-ordinary: {label}" + (" [certified]" if verdict.certified else "")]
-        + ([f"characteristic exponents: {fmt_entries(chars)}"] if chars is not None else [])
-        + ([f"witness: {witness.describe()}"] if witness is not None else []),
-        verdict.to_json,
-    )
+
+    def lines():
+        yield f"quasi-ordinary: {label}" + (" [certified]" if verdict.certified else "")
+        if verdict.char_exponents is not None:
+            yield "characteristic exponents: " + fmt_entries(verdict.char_exponents)
+        if verdict.witness is not None:
+            yield "witness: " + verdict.witness.describe()
+
+    return _emit(args, lines, verdict.to_json)
 
 
 def _cmd_toric(args) -> int:
@@ -266,9 +293,10 @@ def _cmd_toric(args) -> int:
     pulled = toric_pullback(psi, q)
     order = _order_from_spec(args.order, psi.num_vars)
     report = verify_qsigma_relation(psi, q, order)
+    names = default_names(psi.num_vars, "v")
     return _emit(
         args,
-        lambda: [f"pullback: {format_series(pulled, default_names(psi.num_vars, 'v'))}", report.describe()],
+        lambda: [f"pullback: {format_series(pulled, names)}", report.describe()],
         lambda: {"pullback": pulled.to_json(), "report": report.to_json()},
         report.all_passed,
     )
@@ -279,17 +307,22 @@ def _cmd_corpus(args) -> int:
 
     cases = run_corpus()
     ok = all(passed for _, passed, _ in cases)
-    width = max(len(name) for name, _, _ in cases)
-    return _emit(
-        args,
-        lambda: [f"{'PASS' if p else 'FAIL'}  {n.ljust(width)}  {d}" for n, p, d in cases]
-        + [f"{sum(p for _, p, _ in cases)}/{len(cases)} corpus cases passed"],
-        lambda: {
-            "cases": [{"name": n, "passed": p, "detail": d} for n, p, d in cases],
+
+    def lines():
+        width = max(len(name) for name, _, _ in cases)
+        for name, passed, detail in cases:
+            yield f"{'PASS' if passed else 'FAIL'}  {name.ljust(width)}  {detail}"
+        yield f"{sum(p for _, p, _ in cases)}/{len(cases)} corpus cases passed"
+
+    def payload():
+        return {
+            "cases": [
+                {"name": n, "passed": p, "detail": d} for n, p, d in cases
+            ],
             "all_passed": ok,
-        },
-        ok,
-    )
+        }
+
+    return _emit(args, lines, payload, ok)
 
 
 # ---------------------------------------------------------------------------

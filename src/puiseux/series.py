@@ -147,9 +147,8 @@ def _pair_keys(terms, num_vars, precision):
     keys = {}
     for exp, (a, b) in terms:
         key = tuple([p * (grid // q) for p, q in exp])
-        c = Fraction(a) if b == 1 else Fraction(a, b)  # an integer needs no gcd
         old = keys.get(key)
-        keys[key] = c if old is None else old + c
+        keys[key] = Fraction(a, b) if old is None else old + Fraction(a, b)
     grid = (grid,) * num_vars
     return _cut(keys, grid, precision), grid
 
@@ -201,9 +200,8 @@ class PuiseuxSeries:
     def constant(cls, num_vars: int, value, precision=INF) -> "PuiseuxSeries":
         value = rat(value)
         precision = _frame(num_vars, precision, False)
-        # the constant key has degree 0, which a precision below 0 cuts
-        keys = {(0,) * num_vars: value} if value and precision >= 0 else {}
-        return cls._from_keys(keys, (1,) * num_vars, precision, False)
+        grid = (1,) * num_vars
+        return cls._from_keys(_cut({(0,) * num_vars: value}, grid, precision), grid, precision, False)
 
     @classmethod
     def one(cls, num_vars: int, precision=INF) -> "PuiseuxSeries":
@@ -581,7 +579,9 @@ class PuiseuxSeries:
             exp, coef = json_fields(t, ("exp", "coef"), "series JSON term", "series JSON")
             exp = json_shape(exp, list, "series JSON exp")
             pairs.append(([_rational_pair(c) for c in exp], _rational_pair(coef)))
-        laurent = json_shape(data.get("laurent", False), bool, "series JSON laurent")
+        # a null laurent, like a null precision, reads as absent
+        laurent = data.get("laurent")
+        laurent = False if laurent is None else json_shape(laurent, bool, "series JSON laurent")
         laurent = laurent or any(p < 0 for e, _ in pairs for p, _ in e)
         prec = _frame(num_vars, prec, laurent)
         for exp, _ in pairs:
@@ -595,11 +595,8 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def _rational_pair(x) -> tuple[int, int]:
-    """x as an int pair (p, q), q > 0: an integer string read by int, the most
-    common, a 'p/q' string with q != 0 by the regex, anything else through
-    rat, which reads it or refuses it."""
-    if type(x) is str and (x.isdecimal() or x[:1] == "-" and x[1:].isdecimal()):
-        return int(x), 1
+    """x as an int pair (p, q), q > 0: a 'p/q' string with q != 0 read
+    directly, anything else through rat, which reads it or refuses it."""
     m = _RATIONAL_RE.fullmatch(x) if type(x) is str else None
     if m is None or m[2] is not None and not int(m[2]):
         x = rat(x)

@@ -518,6 +518,9 @@ def test_json_roundtrip_keeps_the_laurent_flag():
         assert blob["laurent"] is True
         assert PuiseuxSeries.from_json(blob) == s
     assert "laurent" not in parse("1 + x", precision=5).to_json()
+    # a null flag, like a null precision, reads as absent
+    blob = dict(parse("1 + x", precision=5).to_json(), laurent=None)
+    assert PuiseuxSeries.from_json(blob) == parse("1 + x", precision=5)
 
 
 def test_format_parse_roundtrip():
