@@ -501,6 +501,7 @@ class AdditiveOrder:
     """
 
     __slots__ = ("matrix", "kind", "dominating", "_rows")
+    _KINDS = ("lex", "positive-weight-lex", "matrix", "composed")  # the kinds the package writes
 
     def __init__(self, matrix: Matrix, kind: str):
         matrix = mat_from(matrix)
@@ -508,6 +509,8 @@ class AdditiveOrder:
             raise DimensionError("order matrix must be square")
         if mat_det(matrix) == 0:
             raise OrderError("order matrix must be invertible")
+        if kind not in self._KINDS:
+            raise PuiseuxError(f"order kind must be one of {', '.join(self._KINDS)}, got {kind!r}")
         self._set(matrix, kind)
 
     def _set(self, matrix: Matrix, kind: str) -> "AdditiveOrder":

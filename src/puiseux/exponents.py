@@ -30,8 +30,8 @@ any other is the next entry, inserted by the elimination that tested it,
 core._echelon_reduce.  The walk stops, complete, once the rows hold every
 ramification point (D/N_i) e_i, and with them all of S.  The only Fraction
 vectors are the entries returned: elements of S, or, in essential_of_series,
-which walks a series' keys, one per kept key.  characteristic_exponents
-reads the keys too.
+which walks a series' keys, one per kept key; characteristic_exponents
+is that walk relative to Z with an integral head dropped.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .core import (
     _echelon_reduce,
     as_vec,
     charge,
-    fmt_vec,
     json_fields,
     json_shape,
     positive_int,
@@ -355,30 +354,15 @@ def drop_integral_head(seq: EssentialSequence) -> tuple[Vec, ...]:
 
 
 def characteristic_exponents(psi) -> CharacteristicSequence:
-    """Characteristic exponents of a one-variable series: support elements
-    whose denominator exceeds the lcm denominator of all earlier support.
-
-    Cross-checked against the essential sequence relative to 1 with its
-    integral head dropped; the two constructions provably agree.
-    """
+    """Characteristic exponents of a one-variable series: its essential
+    sequence relative to Z with an integral head dropped: the support
+    elements whose denominator does not divide the lcm denominator of all
+    earlier support."""
     if psi.num_vars != 1:
         raise PuiseuxError("characteristic exponents are defined for one variable")
     if psi.is_zero():
         raise PuiseuxError("characteristic exponents of the zero series")
     if psi.constant_term() != 0:
         raise PuiseuxError("characteristic exponents need a zero constant term")
-    # the key g is the exponent g/n of denominator d = n/gcd(g, n)
-    (n,), entries, m = psi.ramification, [], 1
-    for (g,) in sorted(psi._keys):
-        d = n // math.gcd(g, n)
-        if m % d:
-            entries.append(Fraction(g, n))
-        m = math.lcm(m, d)
     ess = essential_of_series(psi)
-    transformed = tuple(e[0] for e in drop_integral_head(ess))
-    if tuple(entries) != transformed:
-        raise PuiseuxError(
-            f"characteristic exponents {fmt_vec(tuple(entries))} disagree with "
-            f"the essential sequence relative to 1, {fmt_vec(transformed)}"
-        )
-    return CharacteristicSequence(tuple(entries), ess.complete)
+    return CharacteristicSequence(tuple(e for (e,) in drop_integral_head(ess)), ess.complete)

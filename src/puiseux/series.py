@@ -25,6 +25,7 @@ a 2-vCPU host (CHANGES.md).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -56,7 +57,8 @@ INF = math.inf
 # precision of parse without a marker or argument, and of the CLI without one
 DEFAULT_PRECISION = Fraction(10)
 _ZERO = Fraction(0)  # the coefficient of an exponent outside the support
-_POWER, _DUAL, _PRODUCT = "the power recurrence", "the dual", "the power by squaring"
+_POWER, _DUAL = "the power recurrence", "the dual"
+_MUL, _PRODUCT = "the product", "the power by products"
 
 
 class ParseError(PuiseuxError):
@@ -338,18 +340,22 @@ class PuiseuxSeries:
             _add_prec(self.precision, other._order_bound()),
             _add_prec(other.precision, self._order_bound()),
         )
-        # convolve on the common integer grid: integer keys hash and add far
-        # faster than Fraction tuples
+        # convolve on the common integer grid (integer keys hash and add far
+        # faster than Fraction tuples); each row of self reads the terms of
+        # other up to the cutoff, charged 4 STEP a pair before it is read
         lcm_all, weights = _grading(grid)
-        a_items = [(_degree(g, weights), g, c) for g, c in self._keys_on(grid).items()]
         b_items = [(_degree(g, weights), g, c) for g, c in other._keys_on(grid).items()]
         b_items.sort(key=operator.itemgetter(0))
+        b_degrees = [t for t, _, _ in b_items]
         cutoff = None if prec is INF else prec.numerator * lcm_all // prec.denominator
         raw: dict[tuple, Fraction] = {}
-        for t1, e1, c1 in a_items:
-            for t2, e2, c2 in b_items:
-                if cutoff is not None and t1 + t2 > cutoff:
-                    break
+        spent = 0
+        for e1, c1 in self._keys_on(grid).items():
+            pairs = len(b_items)
+            if cutoff is not None:
+                pairs = bisect.bisect_right(b_degrees, cutoff - _degree(e1, weights))
+            spent = charge(spent + 4 * STEP * pairs, _MUL)
+            for _, e2, c2 in itertools.islice(b_items, pairs):
                 e = tuple(map(operator.add, e1, e2))
                 v = raw.get(e)
                 raw[e] = c1 * c2 if v is None else v + c1 * c2
@@ -358,6 +364,14 @@ class PuiseuxSeries:
         return PuiseuxSeries._from_keys(raw, grid, prec, self.laurent or other.laurent)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """self/c for an int or Fraction c, as scale(1/c)."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise PuiseuxError("division of a series by zero")
+        return self.scale(Fraction(1, other))
 
     def shift(self, delta) -> "PuiseuxSeries":
         """Multiply by the monomial with exponent vector delta."""
@@ -421,40 +435,36 @@ class PuiseuxSeries:
         return self.unit_power(Fraction(1, m), constant_power=root)
 
     def pow_int(self, n: int) -> "PuiseuxSeries":
-        """self**n for an integer n.
+        """self**n for an integer n, by one rule in any number of variables.
 
-        When the constant term is the lowest term (nonzero, no negative
-        exponents) the power is unit_power(n), from Miller's recurrence;
-        the power of an exact series is exact.  Otherwise a
-        one-variable series factors out its lowest monomial x^lam, and its
-        power is x^(n lam) times that of the unit left, a Laurent series for
-        negative n.  In h > 1 variables only positive powers are defined
-        then, by repeated squaring, each product charging core.charge 4 STEP
-        for each pair of terms it may multiply: a term of a^(2k) within
-        T + (2k-1) lam reads only terms of a^k within T + (k-1) lam, so the
-        result and its precision are those of n - 1 products.
+        When the least exponent lam, coordinate by coordinate, is a term of
+        self (every unit, where lam = 0, every one-variable series and every
+        dominating branch), the power is x^(n lam) times unit_power(n) of the
+        unit self/x^lam, from Miller's recurrence: a Laurent series for
+        negative n in one variable, exact for an exact series.  Otherwise
+        only positive powers are defined, as n - 1 products, which together
+        charge core.charge 4 STEP for each pair of terms they may multiply,
+        beside each product's own charge.  For n > 0 both ways give the
+        result and the precision of the n - 1 products.
         """
         if not is_int(n):
             raise PuiseuxError(f"n must be an integer, got {n!r}")
         if n == 0:
             return PuiseuxSeries.one(self.num_vars)
-        if self.order_total() == 0:
-            return self.unit_power(n)
         if n < 0 and self.is_zero():
             raise PuiseuxError("negative power of the zero series")
-        if self.num_vars == 1 and self._keys:
-            lam = Fraction(min(self._keys)[0], self.ramification[0])
-            return self.shift((-lam,)).pow_int(n).shift((n * lam,))
-        if n < 0:
+        if n < 0 and self.num_vars > 1 and not self.constant_term():
             raise PuiseuxError("negative power needs a nonzero constant term when h > 1")
-        # left to right over the bits of n: square, then multiply by self
+        lam = tuple(map(min, zip(*self._keys)))
+        if lam in self._keys:
+            if not any(lam):
+                return self.unit_power(n)
+            lam = self._vec(lam)
+            return self.shift([-x for x in lam]).unit_power(n).shift([n * x for x in lam])
         power, spent = self, 0
-        for bit in bin(n)[3:]:
-            spent = charge(spent + 4 * STEP * len(power._keys) ** 2, _PRODUCT)
-            power = power * power
-            if bit == "1":
-                spent = charge(spent + 4 * STEP * len(power._keys) * len(self._keys), _PRODUCT)
-                power = power * self
+        for _ in range(n - 1):
+            spent = charge(spent + 4 * STEP * len(power._keys) * len(self._keys), _PRODUCT)
+            power = power * self
         return power
 
     # -- substitution -------------------------------------------------------

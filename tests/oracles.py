@@ -19,7 +19,9 @@ them coefficient for coefficient:
   and the identity report is built on the table's irreducible exponents
   from the Fraction supports and coefficient();
 - essential sequences by repeated minima and by a walk over Fraction
-  vectors with rebuilt lattices, Hermite form and monomial substitution;
+  vectors with rebuilt lattices, Hermite form and monomial substitution,
+  and characteristic exponents by the denominator rule, where the library
+  now reads them off the essential walk relative to Z;
 - the inversion pipeline that duals the dense unit part itself, with its
   own unit-frame lattices, rescaling and unit precision, all in Fraction
   arithmetic through the general Lattice constructor;
@@ -276,7 +278,8 @@ def unit_power_binomial(s, r, constant_power=None):
 
 def pow_int_products(s, n):
     """s**n by repeated multiplication; negative n through the binomial
-    expansion, factoring out the dominating monomial when s_0 = 0."""
+    expansion, factoring out the dominating monomial when it is not the
+    constant term (s_0 = 0, or a Laurent series below its constant term)."""
     if n == 0:
         return PuiseuxSeries.one(s.num_vars)
     if n > 0:
@@ -284,10 +287,10 @@ def pow_int_products(s, n):
         for _ in range(n - 1):
             acc = acc * s
         return acc
-    if s.constant_term() != 0:
-        return unit_power_binomial(s, n)
     if s.is_zero():
         raise PuiseuxError("negative power of the zero series")
+    if s.order_total() == 0:
+        return unit_power_binomial(s, n)
     if s.num_vars != 1:
         raise PuiseuxError("negative power needs a nonzero constant term when h > 1")
     lam, a = s.dominating()
@@ -618,6 +621,18 @@ def essential_repeated_min(S, lattice, order, ramification=None):
     ram_lattice = Lattice.scaled_axes(dim, [Fraction(1, d) for d in denoms])
     complete = current.contains_lattice(ram_lattice)
     return EssentialSequence(tuple(entries), lattice, order, complete)
+
+
+def characteristic_denominator_rule(psi):
+    """The library's earlier characteristic exponents of a one-variable
+    series: the support elements, in increasing order, whose denominator
+    does not divide the lcm denominator of all earlier support."""
+    entries, m = [], 1
+    for (e,) in sorted(psi.support()):
+        if m % e.denominator:
+            entries.append(e)
+        m = math.lcm(m, e.denominator)
+    return tuple(entries)
 
 
 def essential_fraction_walk(S, lattice, order, ramification=None):

@@ -136,6 +136,11 @@ ESSENTIAL_JSON = essential_exponents([F(3, 2)], Lattice.standard(1), AdditiveOrd
         (lambda: AdditiveOrder.from_json({}), "order JSON has no 'matrix' key"),
         (lambda: AdditiveOrder.from_json({"matrix": 5, "kind": "lex"}),
          "order JSON matrix must be a list, got int"),
+        # a label the package never writes, from JSON or the constructor
+        (lambda: AdditiveOrder.from_json({"matrix": [["1"]], "kind": "bogus"}),
+         "order kind must be one of lex, positive-weight-lex, matrix, composed, got 'bogus'"),
+        (lambda: AdditiveOrder([[1]], "bogus"),
+         "order kind must be one of lex, positive-weight-lex, matrix, composed, got 'bogus'"),
     ],
 )
 def test_exported_names_refuse_with_a_puiseux_error(call, message):

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from builders import random_exponent, random_lattice, random_scalar_set
+from builders import NONZERO, random_exponent, random_lattice, random_scalar_set
 from oracles import (
+    characteristic_denominator_rule,
     essential_fraction_walk,
     essential_repeated_min,
     irr_bruteforce,
@@ -18,6 +19,7 @@ from oracles import (
     sums_with_counts,
 )
 from puiseux import (
+    INF,
     AdditiveOrder,
     Lattice,
     PuiseuxError,
@@ -598,6 +600,28 @@ def test_characteristic_examples():
     big = parse("2*x - x^(5/2) + x^(8/3) - 3*x^(7/2) + x^(23/6)")
     assert characteristic_exponents(big).entries == (F(5, 2), F(8, 3))
     assert characteristic_exponents(parse("x^(2)")).entries == ()
+
+
+def test_characteristic_exponents_match_the_denominator_rule():
+    # the essential walk relative to Z with an integral head dropped, against
+    # the earlier rule: each exponent whose denominator does not divide the
+    # lcm denominator of the support below it
+    rng = random.Random(41)
+    seen = set()
+    for i in range(80):
+        # every fourth support a Laurent one, reaching below zero
+        laurent, terms = i % 4 == 0, {}
+        for _ in range(rng.randrange(1, 8)):
+            e = F(rng.randrange(-12 if laurent else 1, 40), rng.choice((1, 2, 3, 4, 5, 6, 10, 12)))
+            if e:
+                terms[(e,)] = rng.choice(NONZERO)
+        psi = PuiseuxSeries(1, terms, F(rng.randrange(4, 40)) if i % 3 else INF, laurent)
+        if psi.is_zero():
+            continue
+        want = characteristic_denominator_rule(psi)
+        assert characteristic_exponents(psi).entries == want, psi
+        seen.add(len(want))
+    assert {0, 1, 2, 3} <= seen
 
 
 def test_characteristic_preconditions():

@@ -373,11 +373,70 @@ def test_key_walk_powers_match_the_product_references(h):
         assert root.terms == {(F(0),) * h: 1, (F(1),) * h: 1}
 
 
+def random_power_base(rng, h, precision, least, laurent=False):
+    """Two to four terms in h variables on the grid 1/2, where the least
+    exponent, coordinate by coordinate, is a term exactly when least; a
+    Laurent series reaches below zero."""
+    while True:
+        low = F(-rng.randrange(1, 4), rng.choice((1, 2))) if laurent else F(0)
+        # a third of them start from the term x1^low
+        terms = {(low,) + (F(0),) * (h - 1): F(3, 2)} if rng.randrange(3) == 0 else {}
+        for _ in range(rng.randrange(2, 5)):
+            exp = random_exponent(rng, h, (1, 2), max_num=3)
+            terms[(exp[0] + low, *exp[1:])] = rng.choice(NONZERO)
+        s = PuiseuxSeries(h, terms, precision, laurent)
+        support = s.support()
+        least_exp = tuple(map(min, zip(*support)))
+        if support and (least_exp in support) == least and (least_exp[0] < 0) == laurent:
+            return s
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_every_integer_power_matches_the_products(h):
+    # one rule in every dimension: a series whose least exponent is a term
+    # runs the kernel on its unit part, any other has positive powers only,
+    # n - 1 products; the result, its grid and its precision are those of
+    # the products wherever the power is defined
+    rng = random.Random(1630 + h)
+    names, seen = ["x1", "x2", "x3"], set()
+    for i in range(24):
+        precision = INF if i % 4 == 0 else F(rng.randrange(2, 7), rng.choice((1, 2)))
+        least = h == 1 or i % 3 != 0
+        laurent = h == 1 and i % 3 == 0
+        s = random_power_base(rng, h, precision, least, laurent)
+        for n in range(-3, 7):
+            try:
+                want = pow_int_products(s, n)
+            except PuiseuxError as err:
+                # an exact non-monomial to a negative power, or h > 1
+                # without a constant term
+                with pytest.raises(type(err)):
+                    s.pow_int(n)
+                continue
+            same(s.pow_int(n), want)
+            seen.add((least, precision is INF, n < 0, s.constant_term() != 0))
+    # (least term, exact, n < 0, constant term)
+    assert {(True, False, True, True), (True, False, False, False)} <= seen
+    assert any(least and exact for least, exact, _, _ in seen)
+    if h == 1:
+        assert (True, False, True, False) in seen
+    else:
+        assert {(False, False, False, False), (False, True, False, False)} <= seen
+        # with or without a least term
+        refusal = "^negative power needs a nonzero constant term when h > 1$"
+        for text in (" + ".join(names[:h]), f"{names[0]} + {'*'.join(names[:h])}"):
+            with pytest.raises(PuiseuxError, match=refusal):
+                parse(text, precision=3).pow_int(-1)
+    with pytest.raises(PuiseuxError, match="^negative power of the zero series$"):
+        PuiseuxSeries.zero(h, F(3, 2)).pow_int(-2)
+
+
 @pytest.mark.parametrize("h", [2, 3])
-def test_squared_powers_without_a_constant_term_match_the_products(h):
+def test_powers_without_a_constant_term_match_the_products(h):
     # positive powers of a series without a constant term in h > 1
-    # variables square repeatedly; results and precisions are those of the
-    # n - 1 products, truncated or exact, zero or not
+    # variables, through the unit part when the least exponent is a term and
+    # n - 1 products otherwise: results and precisions are those of the
+    # products, truncated or exact, zero or not
     rng = random.Random(1620 + h)
     for i in range(8):
         terms = {}

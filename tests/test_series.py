@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import puiseux.core
 from builders import NONZERO, random_exponent
 from oracles import (
     add_fractions,
@@ -173,6 +174,37 @@ def test_operators_take_series_ints_and_fractions_on_either_side():
     for call in (lambda: s + 1.5, lambda: s * "x", lambda: s - "x", lambda: 1.5 - s):
         with pytest.raises(TypeError):
             call()
+
+
+def test_division_by_an_int_or_a_fraction_scales():
+    s = parse("1+x")
+    assert s / 2 == parse("1/2 + 1/2*x")
+    assert s / F(2, 3) == parse("3/2 + 3/2*x")
+    with pytest.raises(PuiseuxError, match="^division of a series by zero$"):
+        s / 0
+    # any other divisor gets the operator protocol's TypeError
+    for call in (lambda: s / parse("x"), lambda: s / 1.5, lambda: 2 / s):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_the_product_charges_the_pairs_it_reads(monkeypatch):
+    # 4 STEP a pair of terms, row by row: a cutoff that ends a row early is
+    # not charged for the pairs past it
+    square = " + ".join(f"x1^({i})*x2^({j})" for i in range(40) for j in range(40))
+    s = parse(square, precision=INF)
+    monkeypatch.setattr(puiseux.core, "MAX_WORK", 10**5)
+    refusal = r"^the product charges \d+ units of work, past the limit of 100000$"
+    with pytest.raises(PuiseuxError, match=refusal):
+        s * s
+    small = parse("1 + x1 + x2", precision=INF)
+    assert small * small == parse("1 + 2*x1 + 2*x2 + x1^(2) + 2*x1*x2 + x2^(2)", precision=INF)
+    # 1 + x1 + x2 cut at total degree 1 times the 1600 terms reads five
+    # pairs, three in the row of 1 and one in each of x1 and x2: 4 * 16 * 5
+    # units, however many terms the rows would hold without the cutoff
+    monkeypatch.setattr(puiseux.core, "MAX_WORK", 4 * 16 * 5)
+    cut = parse("1 + x1 + x2", precision=1)
+    assert cut * s == parse("1 + 2*x1 + 2*x2", precision=1)
 
 
 def test_min_exponent_under_a_weighted_order():
