@@ -26,7 +26,7 @@ from .exponents import (
     exponent_to_json,
     irreducible_exponents,
 )
-from .inversion import _branch_at, invert_series, lagrange_series, verify_halphen_stolz
+from .inversion import _branch_at, _working_precision, invert_series, lagrange_series, verify_halphen_stolz
 from .quasi_ordinary import qo_test, toric_pullback, verify_qsigma_relation
 from .reports import CheckReport
 from .series import (
@@ -212,8 +212,9 @@ def _cmd_invert(args) -> int:
 
 def _cmd_lagrange(args) -> int:
     eta, target, root = _branch_options(args)
-    # the branch that invert reads, which the oracle expands without the dual
-    data, _ = _branch_at(eta, target, root)
+    # the branch invert reads, gated at the target as invert gates it
+    data = _branch_at(eta, target, root)
+    _working_precision(data, target)
     terms = lagrange_series(data).truncate(target).sorted_terms()
 
     def payload():

@@ -169,15 +169,12 @@ def _iroot(n: int, m: int) -> int | None:
     Integer Newton iteration from above, so radicands of any size work."""
     if n in (0, 1) or m == 1:
         return n
-    if m == 2:
-        r = math.isqrt(n)
-    else:
-        r = 1 << -(-n.bit_length() // m)  # 2^ceil(bits/m) > n^(1/m)
-        while True:
-            nxt = ((m - 1) * r + n // r ** (m - 1)) // m
-            if nxt >= r:
-                break
-            r = nxt
+    r = 1 << -(-n.bit_length() // m)  # 2^ceil(bits/m) > n^(1/m)
+    while True:
+        nxt = ((m - 1) * r + n // r ** (m - 1)) // m
+        if nxt >= r:
+            break
+        r = nxt
     return r if r**m == n else None
 
 

@@ -17,16 +17,16 @@ never touching the dual or the power kernel.  Every frame change on the way
 the keys of one series into another.
 
 The work grows with the unit precision N = target*max(m1, n2, ..., nh) - n1.
-There is one path from eta to xi: invert_series(eta, target) is the
-inversion of _branch_at(eta, target, root), the extract_branch at that N,
-gated there once.  Input is checked in two places, before any work:
-BranchData's construction checks a hand-built unit part, and the gate
-_working_precision, run once by each of invert_series, invert_branch,
-lagrange_series and lagrange_coefficient, refuses an exact unit part
-without a target and one too short for N.  No N is refused as such: the
-dual and the Lagrange oracle charge their work under the one limit
-core.MAX_WORK (0.03-0.11 us a unit on a 2-vCPU host), and a dual whose
-rows alone pass it, as at N = 599996, is refused at once.
+There is one path from eta to xi: invert_series(eta, target) is
+invert_branch(_branch_at(eta, target, root), target), the branch extracted
+at that N.  Input is checked in two places, before any work: BranchData's
+construction checks a hand-built unit part, and the gate
+_working_precision, run once by each of invert_branch, lagrange_series and
+lagrange_coefficient, refuses an exact unit part without a target and one
+too short for N.  No N is refused as such: the dual and the Lagrange
+oracle charge their work under the one limit core.MAX_WORK (0.03-0.11 us
+a unit on a 2-vCPU host), and a dual whose rows alone pass it, as at
+N = 599996, is refused at once.
 """
 
 from __future__ import annotations
@@ -257,7 +257,7 @@ def extract_branch(
             )
     cap = INF if unit_precision is None else max(Fraction(0), _norm_prec(unit_precision))
     # eta -> eta_t is diag(n), then t1^-m1 divides out the dominating term
-    unit_m = eta._reframe(n, -m1, cap)
+    unit_m = eta._reframe(n, -m1).truncate(cap)
     if unit_m.precision is INF and m1 > 1 and len(unit_m._keys) > 1:
         raise PrecisionError(_EXACT_UNIT_PART)
     return BranchData._from_power(unit_m, m1, atilde, n)
@@ -402,11 +402,7 @@ def invert_branch(data: BranchData, target_precision=None) -> InversionResult:
     once it passes core.MAX_WORK, before its first degree when a count it
     knows beforehand already does.
     """
-    return _invert(data, _working_precision(data, target_precision))
-
-
-def _invert(data: BranchData, need) -> InversionResult:
-    """invert_branch(data) at the unit precision need, already gated."""
+    need = _working_precision(data, target_precision)
     if data._from_unit and need < data.series.precision:
         unit_m = data.series.truncate(need).pow_int(data.exponent_m)
     else:
@@ -436,23 +432,18 @@ def _invert(data: BranchData, need) -> InversionResult:
     )
 
 
-def _branch_at(eta: PuiseuxSeries, target_precision, root_coeff=None):
-    """(extract_branch(eta, root_coeff, N), N) at the unit precision N that
-    target_precision needs, refused as invert_branch(_, target_precision)
-    refuses it: the gate runs here, once."""
+def _branch_at(eta: PuiseuxSeries, target_precision, root_coeff=None) -> BranchData:
+    """extract_branch(eta, root_coeff, N) at the unit precision N that
+    target_precision needs."""
     m1 = _dominating_profile(eta)[1]
     N = _required_unit_precision(target_precision, m1, eta.ramification)
-    data = extract_branch(eta, root_coeff, N)
-    return data, _working_precision(data, target_precision)
+    return extract_branch(eta, root_coeff, N)
 
 
-def invert_series(
-    eta: PuiseuxSeries, target_precision, root_coeff=None
-) -> InversionResult:
-    """invert_branch(data, target_precision) on the branch data of
-    _branch_at(eta, target_precision, root_coeff), gated there once: the one
-    path from eta to xi, complete up to target_precision."""
-    return _invert(*_branch_at(eta, target_precision, root_coeff))
+def invert_series(eta: PuiseuxSeries, target_precision, root_coeff=None) -> InversionResult:
+    """invert_branch on _branch_at(eta, target_precision, root_coeff): the
+    one path from eta to xi, complete up to target_precision."""
+    return invert_branch(_branch_at(eta, target_precision, root_coeff), target_precision)
 
 
 def verify_halphen_stolz(result: InversionResult) -> CheckReport:
@@ -474,8 +465,8 @@ def verify_halphen_stolz(result: InversionResult) -> CheckReport:
             f"the result's window w_eta = {w_eta} is below m1 = {m1} in the "
             "unit frame; invert at a higher target precision"
         )
-    eta_t = result.eta._reframe(eta_frame, cap=w_eta)
-    xi_u = result.xi._reframe(xi_frame, cap=w_eta - m1 + n1)
+    eta_t = result.eta._reframe(eta_frame).truncate(w_eta)
+    xi_u = result.xi._reframe(xi_frame).truncate(w_eta - m1 + n1)
     ess_t, ess_u = _unit_frame_sequences(eta_t, xi_u, m1, n1)
     return _halphen_stolz_report(eta_t, xi_u, ess_t, ess_u, m1, n1, result.root_coeff)
 

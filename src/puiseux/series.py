@@ -88,7 +88,7 @@ def _add_prec(a, b):
 
 
 def _reframe_prec(precision, diagonal, shift=0):
-    """The precision of PuiseuxSeries._reframe before its cap: that of
+    """The precision of PuiseuxSeries._reframe: that of
     monomial_substitute by diag(d), min(d)*T (for any matrix, d its column
     sums: the largest bound up to which the image is fully determined), then
     of a shift of total degree shift; min(d)*T + shift is one Fraction built
@@ -119,9 +119,6 @@ def _cut(keys, grid, precision) -> dict:
         return {g: c for g, c in keys.items() if c}
     lcm_all, weights = _grading(grid)
     cutoff = precision.numerator * lcm_all // precision.denominator
-    if len(grid) == 1:
-        # in one variable a key is its own degree
-        return {g: c for g, c in keys.items() if c and g[0] <= cutoff}
     return {g: c for g, c in keys.items() if c and _degree(g, weights) <= cutoff}
 
 
@@ -238,9 +235,6 @@ class PuiseuxSeries:
 
     def _sorted_keys(self) -> list:
         """The keys by total degree, then lexicographically."""
-        if self.num_vars == 1:
-            # in one variable a key is its own degree
-            return sorted(self._keys)
         _, weights = _grading(self.ramification)
         return sorted(self._keys, key=lambda g: (_degree(g, weights), g))
 
@@ -387,8 +381,9 @@ class PuiseuxSeries:
 
     def truncate(self, precision) -> "PuiseuxSeries":
         prec = min(self.precision, _norm_prec(precision))
-        if prec == self.precision:
-            # series are immutable, so an uncut one is its own truncation
+        if prec is self.precision:
+            # min keeps self.precision unless the cap is below it; series are
+            # immutable, so an uncut one is its own truncation
             return self
         keys = _cut(self._keys, self.ramification, prec)
         return PuiseuxSeries._from_keys(keys, self.ramification, prec, self.laurent)
@@ -403,7 +398,7 @@ class PuiseuxSeries:
             D P_D = sum_{j=1..D} ((r+1) j - D) a_j P_(D-j),   a = self/self_0,
 
         graded by total degree, so each coefficient costs one pass over the
-        terms of self.  The result keeps self's precision.
+        terms of self.  The result keeps self's precision and Laurent flag.
 
         constant_power overrides self_0**r, which is needed when r is
         fractional and the constant term has no rational r-th power.
@@ -418,8 +413,7 @@ class PuiseuxSeries:
             s_num, s_den = constant_power.numerator, constant_power.denominator
             runs = _key_walk(self, r.numerator, r.denominator, 0)
             keys = {g: Fraction(num * s_num, common * s_den) for g, num, common in runs if num}
-        laurent = self.laurent and r != 0 and len(self._keys) > 1
-        return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, laurent)
+        return PuiseuxSeries._from_keys(keys, self.ramification, self.precision, self.laurent)
 
     def unit_root(self, m: int, root_of_constant) -> "PuiseuxSeries":
         """The unique m-th root whose constant term is root_of_constant."""
@@ -512,11 +506,10 @@ class PuiseuxSeries:
                     )
         return PuiseuxSeries._from_keys(_cut(keys, grid, prec), grid, prec, False)
 
-    def _reframe(self, diagonal, shift=0, cap=INF) -> "PuiseuxSeries":
+    def _reframe(self, diagonal, shift=0) -> "PuiseuxSeries":
         """self with every exponent e sent to (d1 e1 + shift, d2 e2, ...,
-        dh eh), cut at total degree cap: monomial_substitute by diag(d),
-        shift by shift*v1 and truncate at cap, as one construction, with
-        the precision _reframe_prec gives, cut at cap.
+        dh eh): monomial_substitute by diag(d), then shift by shift*v1, as
+        one construction, with the precision _reframe_prec gives.
 
         A diagonal map only relabels keys: with d_i/n_i = a_i/G_i in lowest
         terms (an int pair reduced by one gcd), n the grid of self, the key
@@ -535,12 +528,10 @@ class PuiseuxSeries:
             keys = {(g[0] * first + step, *map(operator.mul, g[1:], rest)): c for g, c in items}
         else:
             keys = {(g * first + step,): c for (g,), c in items}
-        moved = _reframe_prec(self.precision, diagonal, shift)
-        prec = moved if cap is INF else min(moved, _norm_prec(cap))
-        # an image can pass the precision only below the cap (prec is then
-        # the cap, not moved), or when the d_i differ and one coordinate
-        # grows faster than the least
-        if prec is not INF and (prec is not moved or any(d != diagonal[0] for d in diagonal[1:])):
+        prec = _reframe_prec(self.precision, diagonal, shift)
+        # an image can pass the precision only when the d_i differ and one
+        # coordinate grows faster than the least
+        if prec is not INF and any(d != diagonal[0] for d in diagonal[1:]):
             keys = _cut(keys, grid, prec)
         return PuiseuxSeries._from_keys(keys, grid, prec, False)
 

@@ -250,19 +250,24 @@ def mat_inv(a):
 
 def unit_power_binomial(s, r, constant_power=None):
     """s**r for an invertible series by the generalized binomial expansion
-    of (1 + u)^r, u = s/s_0 - 1: k full series products for k terms."""
+    of (1 + u)^r, u = s/s_0 - 1: k full series products for k terms.  The
+    result keeps s's Laurent flag.  A Laurent s with a term below its
+    constant term is refused, as the kernel refuses it: at a negative or
+    fractional r the expansion would never end."""
     r = Fraction(r)
     c0 = s.constant_term()
     if c0 == 0:
         raise PuiseuxError("unit_power requires a nonzero constant term")
     if constant_power is None:
         constant_power = rational_power(c0, r)
+    if any(x < 0 for e in s.support() for x in e):
+        raise PuiseuxError("a power by recurrence needs non-negative exponents")
     u = s.scale(1 / c0) - 1
     prec = s.precision
     kmax = r.numerator if r.denominator == 1 and r >= 0 else None
     if prec is INF and kmax is None and not u.is_zero():
         raise PrecisionError("power of an exact non-constant series has infinite support")
-    acc = PuiseuxSeries.one(s.num_vars, prec)
+    acc = PuiseuxSeries.monomial(s.num_vars, (0,) * s.num_vars, 1, prec, s.laurent)
     power = PuiseuxSeries.one(s.num_vars, prec)
     k = 1
     while not u.is_zero():

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -302,6 +303,34 @@ def test_rational_root_beyond_float_range():
     assert rational_root(F(10**401), 2) is None
     assert rational_root(F(1, 10**600), 3) == F(1, 10**200)
     assert rational_root(F(-(3**700)), 7) == -(3**100)
+
+
+def _isqrt_reference(q):
+    """The square root of q by math.isqrt, or None when it is not rational."""
+    if q < 0:
+        return None
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return F(num, den) if num * num == q.numerator and den * den == q.denominator else None
+
+
+def test_square_roots_match_isqrt():
+    # the one Newton loop serves index 2 too: squares, their neighbours and
+    # random radicands of up to a few thousand bits, as integers and fractions
+    rng = random.Random(240)
+    radicands = [F(0), F(1), F(-1), F(-4), F(-9, 4), F(4), F(2), F(1, 4), F(3, 4)]
+    for _ in range(150):
+        bits = rng.randrange(1, 1500)
+        a, b = rng.getrandbits(bits) + 1, rng.choice((1, rng.getrandbits(bits) + 1))
+        root = F(a, b)
+        radicands += [root**2, -root**2, F(a * a + 1, b * b), F(a * a, b * b + 1),
+                      F(rng.getrandbits(2 * bits) + 1, b)]
+    kinds = set()
+    for q in radicands:
+        want = _isqrt_reference(q)
+        assert rational_root(q, 2) == want
+        kinds.add((q < 0, want is None, q.numerator.bit_length() > 2000))
+    assert kinds >= {(False, False, True), (False, True, True), (True, True, False),
+                     (False, False, False), (False, True, False)}
 
 
 # --- lattices ---------------------------------------------------------------

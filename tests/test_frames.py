@@ -55,7 +55,7 @@ def test_reframe_matches_the_fraction_reference(h):
         if moved is not INF:
             caps += [moved, moved - F(1, 2), moved + 1]
         cap = rng.choice(caps)
-        _same(s._reframe(diagonal, shift, cap), reframe_reference(s, diagonal, shift, cap))
+        _same(s._reframe(diagonal, shift).truncate(cap), reframe_reference(s, diagonal, shift, cap))
         assert _reframe_prec(s.precision, diagonal, shift) == moved
         kind = "exact" if s.precision is INF else (
             "below" if cap != INF and cap < moved else "at" if cap == moved else "above")
@@ -65,11 +65,12 @@ def test_reframe_matches_the_fraction_reference(h):
     assert {r for _, _, r in seen} == {True, False}
 
 
-def test_reframe_refuses_a_float_cap_as_the_reference_does():
+def test_truncate_refuses_a_float_cap_as_the_reference_does():
     s = PuiseuxSeries(1, {(F(1, 2),): 1}, F(5))
-    for reframe in (s._reframe, lambda *a: reframe_reference(s, *a)):
-        with pytest.raises(PuiseuxError, match="inexact float"):
-            reframe([2], 0, 2.5)
+    with pytest.raises(PuiseuxError, match="inexact float"):
+        s._reframe([2]).truncate(2.5)
+    with pytest.raises(PuiseuxError, match="inexact float"):
+        reframe_reference(s, [2], 0, 2.5)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import puiseux.cli
 import puiseux.inversion
 from builders import perfect_power_unit, random_branch_data, random_dominating
 from oracles import extract_branch_eager, invert_xi_reference
@@ -26,6 +27,7 @@ from puiseux import (
     invert_branch,
     invert_series,
     lagrange_coefficient,
+    lagrange_series,
     parse,
 )
 from puiseux.core import MAX_WORK
@@ -204,10 +206,10 @@ def test_unit_precision_guard():
         assert invert_branch(constant_branch(N)).checks.all_passed
 
 
-def test_each_entry_point_runs_the_gate_once(monkeypatch):
-    # invert_series gates the branch it extracts, and invert_branch the data
-    # it is given, each once; the lagrange verb's refusal of a short input
-    # is the gate's, in test_cli
+def test_each_entry_point_runs_the_gate_once(monkeypatch, capsys):
+    # invert_series is invert_branch on the branch it extracts, and each
+    # entry point gates its data once; the lagrange verb gates its target
+    # itself, so its refusal of a short input, in test_cli, is the gate's
     calls = []
     real = puiseux.inversion._working_precision
 
@@ -216,12 +218,26 @@ def test_each_entry_point_runs_the_gate_once(monkeypatch):
         return real(data, target)
 
     monkeypatch.setattr(puiseux.inversion, "_working_precision", counted)
+    monkeypatch.setattr(puiseux.cli, "_working_precision", counted)
     eta = parse("x^(3/2)+2*x^(7/4)", precision=INF)
     assert invert_series(eta, 4).checks.all_passed
     assert calls == [4]
     calls.clear()
-    assert invert_branch(extract_branch(eta, unit_precision=20), 2).checks.all_passed
+    data = extract_branch(eta, unit_precision=20)
+    assert invert_branch(data, 2).checks.all_passed
     assert calls == [2]
+    xi = invert_branch(data).xi
+    calls.clear()
+    assert lagrange_series(data) == xi
+    assert calls == [None]
+    calls.clear()
+    assert lagrange_coefficient(data, 7) == xi.coefficient((F(7, 6),))
+    assert calls == [F(7, 6)]
+    calls.clear()
+    assert puiseux.cli.main(["lagrange", "x^(3/2)+2*x^(7/4)", "--precision", "4"]) == 0
+    assert "[xi]_7/6 = " in capsys.readouterr().out
+    # the verb's own gate at its target, then lagrange_series' at None
+    assert calls == [4, None]
 
 
 def test_a_long_unit_part_is_cut_before_its_power(monkeypatch):

@@ -122,6 +122,12 @@ def test_laurent_series_below_its_constant_term():
     s = parse("t^(-1) + 1 + t", laurent=True, precision=4)
     with pytest.raises(PuiseuxError):
         s.unit_power(F(1, 2), constant_power=1)
+    # the reference refuses it at once with the kernel's words
+    refusal = "^a power by recurrence needs non-negative exponents$"
+    for r in (-1, F(1, 2), 2):
+        for power in (s.unit_power, lambda r: unit_power_binomial(s, r)):
+            with pytest.raises(PuiseuxError, match=refusal):
+                power(r)
     same(s.pow_int(3), pow_int_products(s, 3))
     # negative powers factor out the dominating monomial instead
     one = PuiseuxSeries.one(1)
@@ -376,7 +382,7 @@ def test_key_walk_powers_match_the_product_references(h):
 def random_power_base(rng, h, precision, least, laurent=False):
     """Two to four terms in h variables on the grid 1/2, where the least
     exponent, coordinate by coordinate, is a term exactly when least; a
-    Laurent series reaches below zero."""
+    Laurent-flagged series may reach below zero."""
     while True:
         low = F(-rng.randrange(1, 4), rng.choice((1, 2))) if laurent else F(0)
         # a third of them start from the term x1^low
@@ -387,7 +393,7 @@ def random_power_base(rng, h, precision, least, laurent=False):
         s = PuiseuxSeries(h, terms, precision, laurent)
         support = s.support()
         least_exp = tuple(map(min, zip(*support)))
-        if support and (least_exp in support) == least and (least_exp[0] < 0) == laurent:
+        if support and (least_exp in support) == least:
             return s
 
 
@@ -398,12 +404,14 @@ def test_every_integer_power_matches_the_products(h):
     # n - 1 products; the result, its grid and its precision are those of
     # the products wherever the power is defined
     rng = random.Random(1630 + h)
-    names, seen = ["x1", "x2", "x3"], set()
+    names, seen, below_zero = ["x1", "x2", "x3"], set(), set()
     for i in range(24):
         precision = INF if i % 4 == 0 else F(rng.randrange(2, 7), rng.choice((1, 2)))
         least = h == 1 or i % 3 != 0
         laurent = h == 1 and i % 3 == 0
         s = random_power_base(rng, h, precision, least, laurent)
+        if laurent:
+            below_zero.add(min(s._keys)[0] < 0)
         for n in range(-3, 7):
             try:
                 want = pow_int_products(s, n)
@@ -420,6 +428,8 @@ def test_every_integer_power_matches_the_products(h):
     assert any(least and exact for least, exact, _, _ in seen)
     if h == 1:
         assert (True, False, True, False) in seen
+        # Laurent-flagged bases with and without a key below zero
+        assert below_zero == {True, False}
     else:
         assert {(False, False, False, False), (False, True, False, False)} <= seen
         # with or without a least term

@@ -237,13 +237,14 @@ def test_negative_power_is_meromorphic():
 
 
 def test_every_power_of_a_laurent_flagged_unit_keeps_one_flag():
-    # pow_int of a unit is unit_power, so a Laurent-flagged constant loses
-    # the flag at every power and a Laurent-flagged unit with more terms
-    # keeps it at every power
+    # pow_int of a unit is unit_power, and every power keeps its base's
+    # flag, a Laurent-flagged constant's as a unit's with more terms, as
+    # the products do
     constant = PuiseuxSeries(1, {(F(0),): F(2)}, laurent=True)
     powers = constant.pow_int(3), constant.pow_int(-3), constant.unit_power(3)
-    assert [p.laurent for p in powers] == [False, False, False]
+    assert [p.laurent for p in powers] == [True, True, True]
     assert [p.coefficient((F(0),)) for p in powers] == [8, F(1, 8), 8]
+    assert constant.pow_int(1) == constant == constant * PuiseuxSeries.one(1)
     unit = parse("2 + x", laurent=True, precision=4)
     assert [p.laurent for p in (unit.pow_int(3), unit.pow_int(-3), unit.unit_power(3))] == [True] * 3
 
@@ -599,7 +600,7 @@ def test_substitution_refuses_a_negative_image_of_a_laurent_key():
 
 def test_reframe_matches_the_substitution_chain():
     # one construction gives the keys, grid and precision of
-    # monomial_substitute by a diagonal, then shift, then truncate
+    # monomial_substitute by a diagonal, then shift; truncate cuts both at cap
     rng = random.Random(409)
     for _ in range(60):
         h = rng.randrange(1, 4)
@@ -617,5 +618,5 @@ def test_reframe_matches_the_substitution_chain():
         shift = rng.choice((0, 2, -int(low))) if low.denominator == 1 else 0
         cap = rng.choice((INF, F(rng.randrange(0, 15))))
         want = image.shift((F(shift),) + (F(0),) * (h - 1)).truncate(cap)
-        got = s._reframe(diagonal, shift, cap)
+        got = s._reframe(diagonal, shift).truncate(cap)
         assert got == want and got.ramification == want.ramification, (s, diagonal, shift, cap)
